@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,14 +58,6 @@ def _write_csv(path: Path, header, rows):
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _map_fn():
-    n = int(os.environ.get("BIOSIM_THREADS", "1"))
-    if n <= 1:
-        return map
-    pool = ThreadPoolExecutor(max_workers=n)
-    return pool.map
 
 
 # --------------------------------------------------------------------------
@@ -305,15 +295,17 @@ def run_gc_ca_switch(p, out, seed):
 def run_kelvin_single(p, out, seed):
     body = kelvin.KelvinBody(p["kelvin.eta1"], p["kelvin.mu01"], p["kelvin.mu11"])
     f = kelvin.Forcing.steady(p["kelvin.F0"])
-    traj = kelvin.single_body_deform(body, f, p["kelvin.t_end"], p["kelvin.h"])
-    stride = max(1, len(traj) // 2000)
-    rows = [(traj.times[j], "body1", traj.states[j, 0], p["kelvin.F0"])
-            for j in range(0, len(traj), stride)]
+    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), f,
+                                p["kelvin.t_end"], p["kelvin.h"])
+    u = res.total_u
+    stride = max(1, len(u) // 2000)
+    rows = [(res.times[j], "body1", u[j], p["kelvin.F0"])
+            for j in range(0, len(u), stride)]
     _write_csv(out / "traj.csv", ["t", "label", "u", "aF"], rows)
     ts, te = kelvin.relaxation_times(body)
     return {
-        "u0": float(traj.states[0, 0]),
-        "u_end": float(traj.final()[0]),
+        "u0": float(u[0]),
+        "u_end": float(u[-1]),
         "tau_sigma": ts,
         "tau_epsilon": te,
     }
@@ -329,7 +321,7 @@ def run_kelvin_sweep(p, out, seed):
     if param is None:
         raise UsageError("kelvin.param must be 0 (mu02), 1 (mu12), 2 (eta12) or 3 (all)")
     values = [p["kelvin.v1"], p["kelvin.v2"], p["kelvin.v3"]]
-    rows = kelvin.parameter_sweep(base, param, values, map_fn=_map_fn())
+    rows = kelvin.parameter_sweep(base, param, values)
     _write_csv(out / "sweep.csv", ["param_value", "flow_kind", "steady_u", "steady_aF"],
                rows)
     steady_us = [r[2] for r in rows if r[1] == "steady"]
@@ -340,7 +332,7 @@ def run_kelvin_freq(p, out, seed):
     g = kelvin.ParallelGroup((kelvin.material_params("actin"),
                               kelvin.material_params("actin")))
     freqs = [p["kelvin.f1"], p["kelvin.f2"], p["kelvin.f3"], p["kelvin.f4"]]
-    rows = kelvin.frequency_sweep(g, freqs, F0=p["kelvin.F0"], map_fn=_map_fn())
+    rows = kelvin.frequency_sweep(g, freqs, F0=p["kelvin.F0"])
     _write_csv(out / "freq.csv", ["freq_hz", "norm_u", "norm_aF"], rows)
     metrics = {"norm_u_lowest": rows[0][1]}
     for f_hz, nu, na in rows:
@@ -496,8 +488,29 @@ EXPERIMENTS = {
 }
 
 
+# keys whose values count things or select a variant
+_INTEGER_KEYS = frozenset({"aerotaxis.nodes", "aerotaxis.sample_every", "mc.trials",
+                           "gc.n", "gc.profile", "gc.sample_every", "kelvin.param"})
+
+
 # --------------------------------------------------------------------------
 # config handling
+
+
+def _entry(item: str, where: str):
+    """(key, value) of a `key = value` entry whose value is a finite number;
+    `where` prefixes errors."""
+    if "=" not in item:
+        raise UsageError(f"{where}expected 'key = value', got {item!r}")
+    key, _, text = item.partition("=")
+    key, text = key.strip(), text.strip()
+    try:
+        num = float(text)
+    except ValueError:
+        raise UsageError(f"{where}value for {key!r} is not a number: {text!r}") from None
+    if not math.isfinite(num):
+        raise UsageError(f"{where}value for {key!r} must be finite, got {text!r}")
+    return key, num
 
 
 def parse_config(path) -> dict:
@@ -509,16 +522,7 @@ def parse_config(path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        try:
-            num = float(value.strip())
-        except ValueError:
-            raise UsageError(
-                f"{path}:{lineno}: value for {key!r} is not a number: {value.strip()!r}"
-            ) from None
+        key, num = _entry(line, f"{path}:{lineno}: ")
         if key in out:
             warnings.warn(f"duplicate config key {key!r}; last value wins")
         out[key] = num
@@ -537,6 +541,9 @@ def run(config: ExperimentConfig) -> RunSummary:
         raise UsageError(
             f"unknown keys for {config.experiment}: {sorted(unknown)}; "
             f"allowed: {sorted(exp.defaults)}")
+    for key in sorted(_INTEGER_KEYS & set(config.params)):
+        if not float(config.params[key]).is_integer():
+            raise UsageError(f"{key} must be an integer, got {config.params[key]!r}")
     params = {**exp.defaults, **config.params}
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -579,13 +586,8 @@ def main(argv=None) -> int:
         if args.config:
             params.update(parse_config(args.config))
         for item in args.set:
-            if "=" not in item:
-                raise UsageError(f"--set needs KEY=VALUE, got {item!r}")
-            key, _, value = item.partition("=")
-            try:
-                params[key.strip()] = float(value.strip())
-            except ValueError:
-                raise UsageError(f"--set value for {key!r} is not a number") from None
+            key, num = _entry(item, "--set ")
+            params[key] = num
         summary = run(ExperimentConfig(args.experiment, params, Path(args.out),
                                        args.seed))
     except UsageError as err:

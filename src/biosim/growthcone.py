@@ -18,10 +18,10 @@ from .numerics import (
     Grid1D,
     Trajectory,
     eig2,
-    euler_integrate,
     ftcs_diffusion_step,
     rk4_integrate,
     solve_linear_dense,
+    solve_linear_ode,
 )
 
 
@@ -254,13 +254,19 @@ def adaptation_rhs(y, l: float, p: AdaptationParams):
     return np.array([p.m - ex, -p.r * A + ex])
 
 
+def _affine_parts(rhs, n: int):
+    """(D, c) of a right-hand side affine in the state, rhs(y) = D y + c."""
+    c = np.asarray(rhs(np.zeros(n)), dtype=float)
+    D = np.column_stack([np.asarray(rhs(e), dtype=float) - c for e in np.eye(n)])
+    return D, c
+
+
 def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationParams(),
-                        t_end: float = 800.0, h: float = 0.1,
-                        method: str = "rk4") -> Trajectory:
-    """Response of (M, A) to a ligand step l0 -> l1 at t = 0."""
-    integ = rk4_integrate if method == "rk4" else euler_integrate
-    y0 = adaptation_initial_state(l0, p)
-    return integ(lambda t, y: adaptation_rhs(y, l1, p), y0, 0.0, t_end, h)
+                        t_end: float = 800.0, h: float = 0.1) -> Trajectory:
+    """Response of (M, A) to a ligand step l0 -> l1 at t = 0, solved
+    exactly and sampled every h."""
+    D, c = _affine_parts(lambda y: adaptation_rhs(y, l1, p), 2)
+    return solve_linear_ode(np.eye(2), D, c, adaptation_initial_state(l0, p), t_end, h)
 
 
 def adaptation_asymptotic(l0: float, l1: float, p: AdaptationParams, t):
@@ -322,15 +328,16 @@ def two_compartment_simulate(l1: float, l2: float,
                              cpl: CompartmentCoupling = CompartmentCoupling(),
                              t_end: float = 1000.0, l0: float = 0.1,
                              h: float = 0.1) -> Trajectory:
-    """Step both compartments from a common adapted state at l0 to (l1, l2).
+    """Step both compartments from a common adapted state at l0 to (l1, l2),
+    solved exactly and sampled every h.
 
     States are ordered (M1, A1, M2, A2).
     """
     M0, A0 = adaptation_initial_state(l0, p)
     y0 = np.array([M0, A0, M0, A0])
     ka1, ka2 = p.ka(l1), p.ka(l2)
-    return rk4_integrate(lambda t, y: two_compartment_rhs(y, ka1, ka2, p, cpl),
-                         y0, 0.0, t_end, h)
+    D, c = _affine_parts(lambda y: two_compartment_rhs(y, ka1, ka2, p, cpl), 4)
+    return solve_linear_ode(np.eye(4), D, c, y0, t_end, h)
 
 
 def two_compartment_steady_rates(ka1: float, ka2: float, p: AdaptationParams,

@@ -2,10 +2,11 @@
 
 A Kelvin body is a spring-dashpot pair in series, in parallel with a
 second spring.  Bodies compose in series (forces equal, deformations
-add) and in parallel (deformations equal, forces split).  Parallel
-groups integrate the state (u, a_1 F, ..., a_{n-1} F); the force-times-
+add) and in parallel (deformations equal, forces split).  A parallel
+group has the state (u, a_1 F, ..., a_{n-1} F); the force-times-
 coefficient form keeps the system matrix constant even when the forcing
-crosses zero.
+crosses zero.  A single body is a one-body group, and a network is one
+block-diagonal linear system solved exactly by numerics.solve_linear_ode.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Trajectory, eig2, rk4_integrate, solve_linear_dense
+from .numerics import solve_linear_ode
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,17 @@ def convert_micropipette_params(a: float, delta_p: float, L0: float, Ls: float,
 class Forcing:
     kind: str           # "steady" or "oscillatory"
     F0: float
-    omega: float = 0.0  # rad/s, oscillatory only
+    omega: float = 0.0  # rad/s; 0 for steady forcing
 
     def __post_init__(self):
         if self.kind not in ("steady", "oscillatory"):
             raise ValueError(f"unknown forcing kind {self.kind!r}")
-        if not math.isfinite(self.F0):
-            raise ValueError("F0 must be finite")
+        if not (math.isfinite(self.F0) and math.isfinite(self.omega)):
+            raise ValueError("F0 and omega must be finite")
         if self.kind == "oscillatory" and self.omega <= 0:
             raise ValueError("oscillatory forcing needs omega > 0")
+        if self.kind == "steady" and self.omega != 0:
+            raise ValueError("steady forcing has omega = 0")
 
     @staticmethod
     def steady(F0: float) -> "Forcing":
@@ -100,14 +103,7 @@ class Forcing:
         return Forcing("oscillatory", F0, omega)
 
     def value(self, t):
-        if self.kind == "steady":
-            return self.F0 * np.ones_like(np.asarray(t, dtype=float))
         return self.F0 * np.cos(self.omega * np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        if self.kind == "steady":
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return -self.F0 * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
 
     @property
     def period(self) -> float:
@@ -117,21 +113,7 @@ class Forcing:
 
 
 # --------------------------------------------------------------------------
-# single body and series
-
-
-def single_body_deform(b: KelvinBody, f: Forcing, t_end: float,
-                       h: float = 0.1) -> Trajectory:
-    """Deformation u(t) from the instantaneous-spring initial state."""
-    coef = b.eta1 * (1.0 + b.mu01 / b.mu11)
-    lead = b.eta1 / b.mu11
-
-    def rhs(t, y):
-        return np.array([(float(f.value(t)) + lead * float(f.derivative(t))
-                          - b.mu01 * y[0]) / coef])
-
-    u0 = float(f.value(0.0)) / (b.mu01 + b.mu11)
-    return rk4_integrate(rhs, [u0], 0.0, t_end, h)
+# single body
 
 
 def single_body_steady_closed_form(b: KelvinBody, F0: float, t):
@@ -150,22 +132,6 @@ class DeformationResult:
     element_u: dict
     branch_forces: dict
     total_u: np.ndarray
-
-
-def series_deform(bodies, f: Forcing, t_end: float, h: float = 0.1,
-                  labels=None) -> DeformationResult:
-    """Same force through every body; total deformation is the sum."""
-    if labels is None:
-        labels = [f"body{i + 1}" for i in range(len(bodies))]
-    element_u = {}
-    times = None
-    for label, b in zip(labels, bodies):
-        traj = single_body_deform(b, f, t_end, h)
-        times = traj.times
-        element_u[label] = traj.states[:, 0]
-    total = np.sum(list(element_u.values()), axis=0)
-    forces = {label: f.value(times) for label in element_u}
-    return DeformationResult(times, element_u, forces, total)
 
 
 # --------------------------------------------------------------------------
@@ -197,12 +163,11 @@ def parallel_assemble(g: ParallelGroup, F_at_0: float):
     """System matrices for the state (u, a_1 F, ..., a_{n-1} F).
 
     Row i < n couples body i+1's force share; the last row eliminates the
-    nth share via force closure.  Returns (A, D, c_builder, u0) where
-    c_builder(F, dF) produces the forcing vector.
+    nth share via force closure, so a one-body group is the single-body
+    equation.  Returns (A, D, c_builder, u0) for A y' = D y + c, where
+    c_builder(F, dF) gives c from the force and its rate (or their phasors).
     """
     n = len(g)
-    if n < 2:
-        raise ValueError("assembly needs at least two bodies")
     A = np.zeros((n, n))
     D = np.zeros((n, n))
     for i, b in enumerate(g.bodies):
@@ -217,7 +182,7 @@ def parallel_assemble(g: ParallelGroup, F_at_0: float):
     lead = last.eta1 / last.mu11
 
     def c_builder(F, dF):
-        c = np.zeros(n)
+        c = np.zeros(n, dtype=np.result_type(F, dF, float))
         c[-1] = F + lead * dF
         return c
 
@@ -226,42 +191,6 @@ def parallel_assemble(g: ParallelGroup, F_at_0: float):
     for i, b in enumerate(g.bodies[:-1]):
         u0[i + 1] = u0[0] * (b.mu01 + b.mu11)
     return A, D, c_builder, u0
-
-
-def _invert(A):
-    n = A.shape[0]
-    cols = [solve_linear_dense(A, e) for e in np.eye(n)]
-    return np.column_stack(cols)
-
-
-def parallel_simulate(g: ParallelGroup, f: Forcing, t_end: float,
-                      h: float = 0.1) -> DeformationResult:
-    """Integrate the group state; the nth branch force is reconstructed
-    from force closure."""
-    n = len(g)
-    if n == 1:
-        traj = single_body_deform(g.bodies[0], f, t_end, h)
-        u = traj.states[:, 0]
-        return DeformationResult(traj.times, {"u": u},
-                                 {"branch1": f.value(traj.times)}, u)
-    A, D, c_builder, u0 = parallel_assemble(g, float(f.value(0.0)))
-    Ainv = _invert(A)
-    M = Ainv @ D
-
-    def rhs(t, y):
-        c = c_builder(float(f.value(t)), float(f.derivative(t)))
-        return M @ y + Ainv @ c
-
-    traj = rk4_integrate(rhs, u0, 0.0, t_end, h)
-    u = traj.states[:, 0]
-    F = f.value(traj.times)
-    branches = {}
-    partial = np.zeros_like(u)
-    for i in range(n - 1):
-        branches[f"branch{i + 1}"] = traj.states[:, i + 1]
-        partial += traj.states[:, i + 1]
-    branches[f"branch{n}"] = F - partial
-    return DeformationResult(traj.times, {"u": u}, branches, u)
 
 
 def rhs_closed_forms(g: ParallelGroup, F: float, dF: float):
@@ -291,37 +220,6 @@ def rhs_closed_forms(g: ParallelGroup, F: float, dF: float):
     return y, x
 
 
-def exact_parallel_solution(g: ParallelGroup, f: Forcing, times):
-    """Eigen-decomposed solution for a two-body group in steady flow.
-
-    u(t) = -D^-1 c + V exp(L t) V^-1 (u0 + D^-1 c).  Falls back to the
-    integrator (flagged) if the eigenbasis is defective.  Groups larger
-    than two need the numeric path in parallel_simulate.
-    """
-    if f.kind != "steady":
-        raise ValueError("closed form implemented for steady forcing")
-    if len(g) != 2:
-        raise ValueError("closed form implemented for two-body groups")
-    times = np.asarray(times, dtype=float)
-    A, D, c_builder, u0 = parallel_assemble(g, f.F0)
-    c = c_builder(f.F0, 0.0)
-    y = solve_linear_dense(D, c)
-    M = _invert(A) @ D
-    lam1, lam2, V = eig2(M)
-    if abs(np.linalg.det(V.astype(complex))) < 1e-12:
-        traj = rk4_integrate(lambda t, s: M @ s + _invert(A) @ c, u0,
-                             0.0, float(times[-1]), 0.01)
-        idx = np.searchsorted(traj.times, times)
-        return traj.states[np.clip(idx, 0, len(traj) - 1)], True
-    Vc = V.astype(complex)
-    w0 = np.linalg.solve(Vc, (u0 + y).astype(complex))
-    lam = np.array([lam1, lam2], dtype=complex)
-    states = np.empty((len(times), 2))
-    for i, t in enumerate(times):
-        states[i] = np.real(Vc @ (np.exp(lam * t) * w0)) - y
-    return states, False
-
-
 # --------------------------------------------------------------------------
 # metrics
 
@@ -337,15 +235,14 @@ def peak_envelope(times, values, f: Forcing):
     n_periods = int(t_end / T)
     if n_periods < 3:
         raise ValueError(f"need at least 3 periods, got {t_end / T:.2f}")
-    peak_times, peaks = [], []
-    for k in range(n_periods):
-        mask = (times >= k * T) & (times <= (k + 1) * T)
-        if not mask.any():
-            continue
-        seg = np.asarray(values)[mask]
-        peaks.append(float(seg.max()))
-        peak_times.append((k + 0.5) * T)
-    return np.array(peak_times), np.array(peaks)
+    values = np.asarray(values)
+    # period k holds the samples with k T <= t <= (k + 1) T
+    edges = T * np.arange(n_periods + 1)
+    starts = np.searchsorted(times, edges[:-1], side="left")
+    stops = np.searchsorted(times, edges[1:], side="right")
+    filled = stops > starts
+    peaks = [float(values[a:b].max()) for a, b in zip(starts[filled], stops[filled])]
+    return (np.arange(n_periods)[filled] + 0.5) * T, np.array(peaks)
 
 
 def steady_peak(times, values, f: Forcing) -> float:
@@ -367,25 +264,25 @@ def group_steady_metrics(g: ParallelGroup, f: Forcing, t_end: float | None = Non
     if f.kind == "steady":
         if t_end is None:
             t_end = min(max(2000.0, 8.0 * _settle_time(g)), 12000.0)
-        res = parallel_simulate(g, f, t_end, h)
-        u = res.total_u
+    else:
+        if t_end is None:
+            t_end = 5.0 * _settle_time(g) + 5.0 * f.period
+        h = min(h, f.period / 200.0)
+    res = network_deform(KelvinNetwork((("group", g),)), f, t_end, h)
+    u = res.total_u
+    aF = res.branch_forces["group/branch1"]
+    if f.kind == "steady":
         i90 = int(np.searchsorted(res.times, 0.9 * t_end))
         settled = abs(u[-1] - u[i90]) < 1e-4 * max(abs(u[-1]), 1e-300)
-        return {"steady_u": float(u[-1]),
-                "steady_aF": float(res.branch_forces["branch1"][-1]),
+        return {"steady_u": float(u[-1]), "steady_aF": float(aF[-1]),
                 "settled": bool(settled)}
-    T = f.period
-    if t_end is None:
-        t_end = 5.0 * _settle_time(g) + 5.0 * T
-    h_osc = min(h, T / 200.0)
-    res = parallel_simulate(g, f, t_end, h_osc)
-    return {"steady_u": steady_peak(res.times, res.total_u, f),
-            "steady_aF": steady_peak(res.times, res.branch_forces["branch1"], f),
+    return {"steady_u": steady_peak(res.times, u, f),
+            "steady_aF": steady_peak(res.times, aF, f),
             "settled": True}
 
 
 def parameter_sweep(base: ParallelGroup, param: str, values,
-                    forcings=None, map_fn=map):
+                    forcings=None):
     """Rows (value, flow_kind, steady_u, steady_aF) as one parameter of the
     second body (or all of them at once) sweeps over values."""
     if len(base) != 2:
@@ -407,36 +304,25 @@ def parameter_sweep(base: ParallelGroup, param: str, values,
             raise ValueError(f"unknown sweep parameter {param!r}")
         return ParallelGroup((b1, b2))
 
-    def run(value):
+    rows = []
+    for value in values:
         g = variant(value)
-        rows = []
         for f in forcings:
             m = group_steady_metrics(g, f)
             rows.append((float(value), f.kind, m["steady_u"], m["steady_aF"]))
-        return rows
-
-    out = []
-    for rows in map_fn(run, list(values)):
-        out.extend(rows)
-    return out
+    return rows
 
 
-def frequency_sweep(g: ParallelGroup, freqs_hz, F0: float = 1.0, map_fn=map):
+def frequency_sweep(g: ParallelGroup, freqs_hz, F0: float = 1.0):
     """Rows (freq_hz, norm_u, norm_aF): oscillatory steady peaks divided by
     the steady-flow steady values."""
     ref = group_steady_metrics(g, Forcing.steady(F0))
     u_ref, aF_ref = ref["steady_u"], ref["steady_aF"]
-
-    def run(f_hz):
-        if f_hz <= 0:
-            raise ValueError("frequencies must be positive")
-        f = Forcing.oscillatory(F0, 2 * math.pi * f_hz)
-        T = f.period
-        t_end = 5.0 * _settle_time(g) + 5.0 * T
-        m = group_steady_metrics(g, f, t_end=t_end)
-        return (float(f_hz), m["steady_u"] / u_ref, m["steady_aF"] / aF_ref)
-
-    return list(map_fn(run, list(freqs_hz)))
+    rows = []
+    for f_hz in freqs_hz:
+        m = group_steady_metrics(g, Forcing.oscillatory(F0, 2 * math.pi * f_hz))
+        rows.append((float(f_hz), m["steady_u"] / u_ref, m["steady_aF"] / aF_ref))
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -477,25 +363,42 @@ def network_two() -> KelvinNetwork:
 
 def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
                    h: float = 0.1) -> DeformationResult:
-    """Solve every series element under the shared forcing and sum.
-
-    Branch forces within groups are keyed "<label>/branch<i>"; single
-    bodies carry the full forcing.
-    """
+    """Deformation of every series element under the shared forcing, and
+    their sum, solved exactly as one block-diagonal linear system (a single
+    body is a one-body group) and sampled every h.  Branch forces within
+    groups are keyed "<label>/branch<i>"; single bodies carry the full
+    forcing."""
+    groups = [elem if isinstance(elem, ParallelGroup) else ParallelGroup((elem,))
+              for _, elem in net.elements]
+    n = sum(len(g) for g in groups)
+    A = np.zeros((n, n))
+    D = np.zeros((n, n))
+    c = np.zeros(n, dtype=complex)
+    y0 = np.zeros(n)
+    starts = []
+    i = 0
+    for g in groups:
+        Ag, Dg, c_builder, u0 = parallel_assemble(g, f.F0)
+        j = i + len(g)
+        A[i:j, i:j] = Ag
+        D[i:j, i:j] = Dg
+        # the phasors of F0 cos(w t) and of its rate are F0 and i w F0
+        c[i:j] = c_builder(f.F0, 1j * f.omega * f.F0)
+        y0[i:j] = u0
+        starts.append(i)
+        i = j
+    traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega)
+    F = f.value(traj.times)
     element_u = {}
     branch_forces = {}
-    times = None
-    for label, elem in net.elements:
+    for (label, elem), g, i in zip(net.elements, groups, starts):
+        element_u[label] = traj.states[:, i]
         if isinstance(elem, ParallelGroup):
-            res = parallel_simulate(elem, f, t_end, h)
-            times = res.times
-            element_u[label] = res.total_u
-            for bname, series in res.branch_forces.items():
-                branch_forces[f"{label}/{bname}"] = series
+            shares = traj.states[:, i + 1:i + len(g)]
+            for k in range(len(g) - 1):
+                branch_forces[f"{label}/branch{k + 1}"] = shares[:, k]
+            branch_forces[f"{label}/branch{len(g)}"] = F - shares.sum(axis=1)
         else:
-            traj = single_body_deform(elem, f, t_end, h)
-            times = traj.times
-            element_u[label] = traj.states[:, 0]
-            branch_forces[label] = f.value(times)
+            branch_forces[label] = F
     total = np.sum(list(element_u.values()), axis=0)
-    return DeformationResult(times, element_u, branch_forces, total)
+    return DeformationResult(traj.times, element_u, branch_forces, total)

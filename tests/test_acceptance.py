@@ -195,21 +195,25 @@ def test_c11_kelvin_single_body():
     exact = kelvin.single_body_steady_closed_form(body, 1.0, np.array([0.0, 1e9]))
     assert exact[0] == pytest.approx(1.0 / 150.0, abs=1e-15)
     assert exact[-1] == pytest.approx(0.02, abs=1e-15)
-    traj = kelvin.single_body_deform(body, kelvin.Forcing.steady(1.0), 2000.0, 0.1)
-    assert traj.states[0, 0] == pytest.approx(1.0 / 150.0, abs=1e-15)
-    assert abs(traj.final()[0] - 0.02) <= 1e-6
+    net = kelvin.KelvinNetwork((("body", body),))
+    u = kelvin.network_deform(net, kelvin.Forcing.steady(1.0), 2000.0, 0.1).total_u
+    assert u[0] == pytest.approx(1.0 / 150.0, abs=1e-15)
+    assert abs(u[-1] - 0.02) <= 1e-6
 
 
 def test_c12_kelvin_parallel():
     actin = kelvin.material_params("actin")
     g = kelvin.ParallelGroup((actin, actin))
     f = kelvin.Forcing.steady(1.0)
-    res = kelvin.parallel_simulate(g, f, 2000.0, 0.1)
-    assert np.max(np.abs(res.branch_forces["branch1"] - 0.5)) < 1e-9
+    res = kelvin.network_deform(kelvin.KelvinNetwork((("pair", g),)), f, 2000.0, 0.1)
+    assert np.max(np.abs(res.branch_forces["pair/branch1"] - 0.5)) < 1e-9
     assert abs(res.total_u[-1] - 1.0 / 100.0) <= 1e-6
-    states, fallback = kelvin.exact_parallel_solution(g, f, res.times)
-    assert not fallback
-    assert np.max(np.abs(states[:, 0] - res.total_u)) <= 1e-6 * abs(res.total_u[-1])
+    # the exact kernel against the integrator on the assembled system
+    A, D, c_builder, u0 = kelvin.parallel_assemble(g, 1.0)
+    M = np.linalg.solve(A, D)
+    b = np.linalg.solve(A, c_builder(1.0, 0.0))
+    traj = rk4_integrate(lambda t, y: M @ y + b, u0, 0.0, 2000.0, 0.1)
+    assert np.max(np.abs(traj.states[:, 0] - res.total_u)) <= 1e-6 * abs(res.total_u[-1])
 
 
 def test_c13_frequency_sweep():

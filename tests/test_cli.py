@@ -137,14 +137,30 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_threaded_sweep_matches_serial(tmp_path, monkeypatch):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    params = {"kelvin.v1": 25.0, "kelvin.v2": 50.0, "kelvin.v3": 100.0}
-    run(ExperimentConfig("kelvin-sweep", dict(params), serial))
-    monkeypatch.setenv("BIOSIM_THREADS", "3")
-    run(ExperimentConfig("kelvin-sweep", dict(params), threaded))
-    assert (serial / "sweep.csv").read_bytes() == (threaded / "sweep.csv").read_bytes()
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_set_rejects_non_finite_value(value, tmp_path, capsys):
+    code = main(["kelvin-single", "--set", f"kelvin.h={value}",
+                 "--out", str(tmp_path / "n")])
+    assert code == 1
+    assert "'kelvin.h' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
+
+
+def test_parse_config_rejects_non_finite_value(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kelvin.F0 = 1\nkelvin.t_end = inf\n")
+    with pytest.raises(UsageError, match=r":2: value for 'kelvin.t_end' must be finite"):
+        parse_config(cfg)
+
+
+def test_integer_key_rejects_fraction(tmp_path, capsys):
+    code = main(["aerotaxis-band", "--set", "aerotaxis.nodes=40.7",
+                 "--out", str(tmp_path / "f")])
+    assert code == 1
+    assert "aerotaxis.nodes must be an integer" in capsys.readouterr().err
+    # integral values written as floats are accepted
+    run(ExperimentConfig("aerotaxis-band", {"aerotaxis.nodes": 40.0,
+                                            "aerotaxis.t_end": 0.5}, tmp_path / "ok"))
 
 
 def test_main_set_overrides_config(tmp_path):

@@ -10,7 +10,6 @@ from biosim.kelvin import (
     KelvinNetwork,
     ParallelGroup,
     convert_micropipette_params,
-    exact_parallel_solution,
     frequency_sweep,
     group_steady_metrics,
     material_params,
@@ -18,21 +17,37 @@ from biosim.kelvin import (
     network_one,
     network_two,
     parallel_assemble,
-    parallel_simulate,
     parameter_sweep,
     peak_envelope,
     relaxation_times,
     rhs_closed_forms,
-    series_deform,
-    single_body_deform,
     single_body_steady_closed_form,
     steady_peak,
 )
-from biosim.numerics import solve_linear_dense
+from biosim.numerics import rk4_integrate, solve_linear_dense
 
 ACTIN = material_params("actin")
 NUCLEUS = material_params("nucleus")
 TRANS = material_params("transmembrane")
+
+
+def _deform(elem, f, t_end, h):
+    """One body or group solved as a one-element network labelled "e"."""
+    return network_deform(KelvinNetwork((("e", elem),)), f, t_end, h)
+
+
+def _rk4_group(g, f, t_end, h):
+    """The assembled group system stepped by rk4_integrate, as an oracle."""
+    A, D, c_builder, u0 = parallel_assemble(g, float(f.value(0.0)))
+    Ainv = np.linalg.inv(A)
+    M = Ainv @ D
+
+    def rhs(t, y):
+        F = f.F0 * math.cos(f.omega * t)
+        dF = -f.F0 * f.omega * math.sin(f.omega * t)
+        return M @ y + Ainv @ c_builder(F, dF)
+
+    return rk4_integrate(rhs, u0, 0.0, t_end, h)
 
 
 # ---------------------------------------------------------------- materials
@@ -98,44 +113,54 @@ def test_micropipette_rejects_unphysical_creep():
 # ---------------------------------------------------------------- single body
 
 def test_single_body_initial_and_final():
-    traj = single_body_deform(ACTIN, Forcing.steady(1.0), 2000.0, 0.1)
-    assert traj.states[0, 0] == pytest.approx(1.0 / 150.0, abs=1e-15)
-    assert traj.final()[0] == pytest.approx(0.02, abs=1e-6)
+    u = _deform(ACTIN, Forcing.steady(1.0), 2000.0, 0.1).total_u
+    assert u[0] == pytest.approx(1.0 / 150.0, abs=1e-15)
+    assert u[-1] == pytest.approx(0.02, abs=1e-6)
 
 
 def test_single_body_matches_closed_form():
-    traj = single_body_deform(ACTIN, Forcing.steady(1.0), 500.0, 0.1)
-    exact = single_body_steady_closed_form(ACTIN, 1.0, traj.times)
-    assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-9
+    res = _deform(ACTIN, Forcing.steady(1.0), 500.0, 0.1)
+    exact = single_body_steady_closed_form(ACTIN, 1.0, res.times)
+    assert np.max(np.abs(res.total_u - exact)) < 1e-9
+
+
+def test_fast_body_matches_closed_form_at_the_default_step():
+    # the transmembrane sensor relaxes in 0.1125 s, about one step of 0.1 s
+    res = _deform(TRANS, Forcing.steady(1.0), 2.0, 0.1)
+    exact = single_body_steady_closed_form(TRANS, 1.0, res.times)
+    assert np.max(np.abs(res.total_u - exact)) < 1e-12
 
 
 def test_single_body_zero_force():
-    traj = single_body_deform(ACTIN, Forcing.steady(0.0), 10.0, 0.1)
-    assert np.all(traj.states == 0.0)
+    res = _deform(ACTIN, Forcing.steady(0.0), 10.0, 0.1)
+    assert np.all(res.total_u == 0.0)
 
 
 def test_single_body_linearity():
-    t1 = single_body_deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
-    t3 = single_body_deform(ACTIN, Forcing.steady(3.0), 100.0, 0.1)
-    assert np.allclose(3 * t1.states, t3.states, rtol=1e-12)
+    u1 = _deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1).total_u
+    u3 = _deform(ACTIN, Forcing.steady(3.0), 100.0, 0.1).total_u
+    assert np.allclose(3 * u1, u3, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- series
 
 def test_series_single_equals_single():
-    r = series_deform([ACTIN], Forcing.steady(1.0), 100.0, 0.1)
-    t = single_body_deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
-    assert np.array_equal(r.total_u, t.states[:, 0])
+    # a single body and a one-body group are the same system
+    r = _deform(ParallelGroup((ACTIN,)), Forcing.steady(1.0), 100.0, 0.1)
+    t = _deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
+    assert np.array_equal(r.total_u, t.total_u)
 
 
 def test_series_two_identical_doubles():
-    r = series_deform([ACTIN, ACTIN], Forcing.steady(1.0), 100.0, 0.1)
-    single = single_body_deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
-    assert np.allclose(r.total_u, 2 * single.states[:, 0], rtol=1e-12)
+    net = KelvinNetwork((("a", ACTIN), ("b", ACTIN)))
+    r = network_deform(net, Forcing.steady(1.0), 100.0, 0.1)
+    single = _deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
+    assert np.allclose(r.total_u, 2 * single.total_u, rtol=1e-12)
 
 
 def test_series_steady_sum_of_closed_forms():
-    r = series_deform([ACTIN, NUCLEUS], Forcing.steady(1.0), 3000.0, 0.1)
+    net = KelvinNetwork((("a", ACTIN), ("n", NUCLEUS)))
+    r = network_deform(net, Forcing.steady(1.0), 3000.0, 0.1)
     assert r.total_u[-1] == pytest.approx(1 / 50 + 1 / 200, rel=1e-5)
 
 
@@ -159,22 +184,22 @@ def test_assemble_initial_conditions():
 def test_identical_bodies_split_half():
     g = ParallelGroup((ACTIN, ACTIN))
     for f in (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi)):
-        res = parallel_simulate(g, f, 30.0, 0.005)
-        aF = res.branch_forces["branch1"]
+        res = _deform(g, f, 30.0, 0.005)
+        aF = res.branch_forces["e/branch1"]
         F = f.value(res.times)
         assert np.max(np.abs(aF - 0.5 * F)) < 1e-9
 
 
 def test_parallel_steady_balance():
     g = ParallelGroup((ACTIN, NUCLEUS))
-    res = parallel_simulate(g, Forcing.steady(1.0), 4000.0, 0.1)
+    res = _deform(g, Forcing.steady(1.0), 4000.0, 0.1)
     assert res.total_u[-1] == pytest.approx(1.0 / (50 + 200), rel=1e-5)
 
 
 def test_force_closure_everywhere():
     g = ParallelGroup((ACTIN, NUCLEUS, TRANS))
     f = Forcing.oscillatory(1.0, 2 * math.pi)
-    res = parallel_simulate(g, f, 10.0, 0.002)
+    res = _deform(g, f, 10.0, 0.002)
     total_force = sum(res.branch_forces[k] for k in res.branch_forces)
     assert np.max(np.abs(total_force - f.value(res.times))) <= 1e-9
 
@@ -182,10 +207,10 @@ def test_force_closure_everywhere():
 def test_permuting_identical_bodies_is_symmetric():
     g1 = ParallelGroup((ACTIN, NUCLEUS))
     g2 = ParallelGroup((NUCLEUS, ACTIN))
-    r1 = parallel_simulate(g1, Forcing.steady(1.0), 200.0, 0.1)
-    r2 = parallel_simulate(g2, Forcing.steady(1.0), 200.0, 0.1)
+    r1 = _deform(g1, Forcing.steady(1.0), 200.0, 0.1)
+    r2 = _deform(g2, Forcing.steady(1.0), 200.0, 0.1)
     assert np.allclose(r1.total_u, r2.total_u, atol=1e-12)
-    assert np.allclose(r1.branch_forces["branch1"], r2.branch_forces["branch2"],
+    assert np.allclose(r1.branch_forces["e/branch1"], r2.branch_forces["e/branch2"],
                        atol=1e-10)
 
 
@@ -194,7 +219,7 @@ def test_stiffer_spring_smaller_faster():
     finals, halfway = [], []
     for mu02 in (5.0, 50.0, 500.0):
         g = ParallelGroup((ACTIN, KelvinBody(5000.0, mu02, 100.0)))
-        res = parallel_simulate(g, f, 2000.0, 0.1)
+        res = _deform(g, f, 2000.0, 0.1)
         u = res.total_u
         finals.append(u[-1])
         target = u[-1] - u[0]
@@ -231,27 +256,59 @@ def test_exact_solution_matches_integrator():
     f = Forcing.steady(1.0)
     for g in (ParallelGroup((ACTIN, ACTIN)),
               ParallelGroup((ACTIN, KelvinBody(2000.0, 500.0, 100.0)))):
-        res = parallel_simulate(g, f, 600.0, 0.1)
-        states, fallback = exact_parallel_solution(g, f, res.times)
-        assert not fallback
-        rel = np.max(np.abs(states[:, 0] - res.total_u)) / abs(res.total_u[-1])
+        res = _deform(g, f, 600.0, 0.1)
+        traj = _rk4_group(g, f, 600.0, 0.1)
+        rel = np.max(np.abs(traj.states[:, 0] - res.total_u)) / abs(res.total_u[-1])
         assert rel < 1e-6
 
 
 def test_exact_solution_endpoints():
+    # one step of 1e6 s lands on the creep limit
     g = ParallelGroup((ACTIN, ACTIN))
-    states, _ = exact_parallel_solution(g, Forcing.steady(1.0), [0.0, 1e6])
-    assert states[0, 0] == pytest.approx(1.0 / 300.0, abs=1e-12)
-    assert states[-1, 0] == pytest.approx(1.0 / 100.0, abs=1e-9)
+    res = _deform(g, Forcing.steady(1.0), 1e6, 1e6)
+    assert list(res.times) == [0.0, 1e6]
+    assert res.total_u[0] == pytest.approx(1.0 / 300.0, abs=1e-12)
+    assert res.total_u[-1] == pytest.approx(1.0 / 100.0, abs=1e-9)
 
 
-def test_exact_solution_guards():
-    g = ParallelGroup((ACTIN, ACTIN, ACTIN))
-    with pytest.raises(ValueError, match="two-body"):
-        exact_parallel_solution(g, Forcing.steady(1.0), [0.0])
+@pytest.mark.parametrize("f", [Forcing.steady(1.0), Forcing.oscillatory(1.0, 0.5)])
+def test_exact_solution_matches_integrator_three_bodies(f):
+    g = ParallelGroup((ACTIN, NUCLEUS, TRANS))
+    res = _deform(g, f, 20.0, 0.002)
+    traj = _rk4_group(g, f, 20.0, 0.002)
+    # the fast transmembrane mode limits the integrator to about 1e-9 here
+    assert np.array_equal(res.times, traj.times)
+    shares = traj.states[:, 1:]
+    for k in range(2):
+        assert np.max(np.abs(res.branch_forces[f"e/branch{k + 1}"] - shares[:, k])) \
+            <= 1e-8
+    assert np.max(np.abs(res.total_u - traj.states[:, 0])) <= 1e-8 * np.max(res.total_u)
+
+
+def test_actin_pair_phasor_amplitude_at_1hz():
+    # two identical bodies share the force equally, so the pair is one body
+    # of doubled stiffness: amplitude sqrt((1 + (w te)^2) / (1 + (w ts)^2)) / mu0
+    g = ParallelGroup((ACTIN, ACTIN))
+    ts, te = relaxation_times(ACTIN)
+    w = 2 * math.pi
+    exact = math.sqrt((1 + (w * te) ** 2) / (1 + (w * ts) ** 2)) / 100.0
+    assert exact == pytest.approx(0.0033333483, abs=1e-10)
+    # quarter-period samples long after the transient: u = a cos wt + b sin wt
+    res = _deform(g, Forcing.oscillatory(1.0, w), 3000.0, 0.25)
+    a, minus_b = res.total_u[-1], res.total_u[-2]
+    assert math.hypot(a, minus_b) == pytest.approx(exact, rel=1e-9)
+
+
+def test_deform_rejects_non_finite_inputs():
+    with pytest.raises(ValueError, match="finite"):
+        _deform(ACTIN, Forcing.steady(1.0), 10.0, math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        _deform(ACTIN, Forcing.steady(1.0), math.nan, 0.1)
+    for omega in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="F0 and omega must be finite"):
+            Forcing.oscillatory(1.0, omega)
     with pytest.raises(ValueError, match="steady"):
-        exact_parallel_solution(ParallelGroup((ACTIN, ACTIN)),
-                                Forcing.oscillatory(1.0, 1.0), [0.0])
+        Forcing("steady", 1.0, omega=1.0)
 
 
 # ---------------------------------------------------------------- envelopes
@@ -259,7 +316,7 @@ def test_exact_solution_guards():
 def test_peak_envelope_reaches_steady_quickly():
     g = ParallelGroup((ACTIN, ACTIN))
     f = Forcing.oscillatory(1.0, 2 * math.pi)
-    res = parallel_simulate(g, f, 12.0, 0.002)
+    res = _deform(g, f, 12.0, 0.002)
     pt, peaks = peak_envelope(res.times, res.total_u, f)
     settled = peaks[-1]
     reach = pt[np.argmax(np.abs(peaks - settled) < 0.02 * settled)]

@@ -14,9 +14,11 @@ from biosim.numerics import (
     StabilityError,
     eig2,
     euler_integrate,
+    expm,
     ftcs_diffusion_step,
     rk4_integrate,
     solve_linear_dense,
+    solve_linear_ode,
     solve_scalar_root,
     upwind_advection_reaction_step,
 )
@@ -73,6 +75,107 @@ def test_partial_final_step_lands_on_t1():
     traj = rk4_integrate(lambda t, y: -y, [1.0], 0.0, 0.25, 0.1)
     assert traj.times[-1] == 0.25
     assert abs(traj.final()[0] - math.exp(-0.25)) < 1e-6
+
+
+def test_step_longer_than_span_keeps_both_ends():
+    # a step a billion times the span once replaced t0 by t1
+    traj = rk4_integrate(lambda t, y: -y, [1.0], 0.0, 1.0, 1e12)
+    assert list(traj.times) == [0.0, 1.0]
+    assert traj.states[0, 0] == 1.0
+    exact = solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], 1.0, 1e12)
+    assert exact.states[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("t1,h", [(1.0, math.inf), (1.0, math.nan), (math.inf, 0.1),
+                                  (math.nan, 0.1)])
+def test_step_grid_rejects_non_finite(t1, h):
+    with pytest.raises(ValueError, match="finite"):
+        rk4_integrate(lambda t, y: -y, [1.0], 0.0, t1, h)
+    with pytest.raises(ValueError, match="finite"):
+        solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], t1, h)
+    with pytest.raises(ValueError, match="finite"):
+        rk4_integrate(lambda t, y: -y, [1.0], math.nan, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------- exact linear kernel
+
+# the adaptation pathway at time-scale ratio 500 and ligand level 1
+STIFF = np.array([[-100.0, 100.0], [100.0, -101.0]])
+
+
+def test_expm_matches_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(4)
+    cases = [rng.normal(size=(n, n)) * scale for n in (1, 2, 3, 5, 7)
+             for scale in (1e-3, 0.5, 3.0, 20.0)]
+    cases += [STIFF * t for t in (1e-4, 0.01, 0.1, 1.0, 10.0)]
+    for X in cases:
+        want = scipy_linalg.expm(X)
+        assert np.allclose(expm(X), want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+def test_expm_zero_is_identity():
+    for n in (1, 2, 4):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("lam,t", [(-0.5, 0.3), (-2.0, 7.0), (1.5, 2.0), (0.0, 40.0)])
+def test_expm_defective_jordan_block(lam, t):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    J = np.array([[lam, 1.0], [0.0, lam]]) * t
+    exact = math.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+    assert np.allclose(expm(J), exact, rtol=1e-13, atol=0.0)
+    assert np.allclose(expm(J), scipy_linalg.expm(J), rtol=1e-12, atol=0.0)
+
+
+def test_linear_ode_scalar_closed_forms():
+    # y' = -k y + F cos(w t): steady creep for w = 0, phase lag otherwise
+    k, F, y0 = 0.7, 2.0, 0.4
+    for w in (0.0, 3.0):
+        traj = solve_linear_ode([[1.0]], [[-k]], [F], [y0], 5.0, 0.25, w)
+        t = traj.times
+        gain = F / (k * k + w * w)
+        periodic = gain * (k * np.cos(w * t) + w * np.sin(w * t))
+        exact = periodic + (y0 - gain * k) * np.exp(-k * t)
+        assert np.array_equal(t, rk4_integrate(lambda t, y: -y, [1.0], 0.0, 5.0, 0.25).times)
+        assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-14
+
+
+def test_linear_ode_matches_rk4_many_samples():
+    # enough samples for several blocks of powers, and a short last step
+    A = np.array([[2.0, 0.5], [0.0, 1.0]])
+    D = np.array([[-1.0, 0.3], [0.2, -0.8]])
+    c = np.array([1.0 + 0.5j, -0.3])
+    w = 1.3
+    traj = solve_linear_ode(A, D, c, [0.2, -0.1], 40.055, 0.01, w)
+    Ainv = np.linalg.inv(A)
+
+    def rhs(t, y):
+        return Ainv @ (D @ y + np.real(c * np.exp(1j * w * t)))
+
+    ref = rk4_integrate(rhs, [0.2, -0.1], 0.0, 40.055, 0.01)
+    assert len(traj) == 4007
+    assert np.max(np.abs(traj.states - ref.states)) < 1e-10
+
+
+def test_linear_ode_singular_matrices():
+    with pytest.raises(SingularMatrixError):
+        solve_linear_ode([[1.0, 2.0], [2.0, 4.0]], np.eye(2), [1.0, 0.0], [0.0, 0.0],
+                         1.0, 0.1)
+    # no steady state: D singular under constant forcing
+    with pytest.raises(SingularMatrixError):
+        solve_linear_ode(np.eye(2), [[0.0, 0.0], [0.0, -1.0]], [1.0, 0.0], [0.0, 0.0],
+                         1.0, 0.1)
+    # resonance: i w is an eigenvalue of D
+    with pytest.raises(SingularMatrixError):
+        solve_linear_ode(np.eye(2), [[0.0, 2.0], [-2.0, 0.0]], [1.0, 0.0], [0.0, 0.0],
+                         1.0, 0.1, omega=2.0)
+
+
+def test_linear_ode_aborts_on_overflow():
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IntegrationError, match="non-finite"):
+        solve_linear_ode([[1.0]], [[1000.0]], [1.0], [1.0], 10.0, 0.1)
 
 
 # ---------------------------------------------------------------- diffusion
@@ -255,6 +358,12 @@ def test_solve_hilbert_residual():
     x = solve_linear_dense(A, b)
     res = np.abs(A @ x - b).max()
     assert res <= 1e-9 * np.abs(b).max()
+
+
+def test_solve_complex_matrix_rhs():
+    A = np.array([[2.0, 1j], [1.0, 3.0]])
+    B = np.array([[1.0, 0.0, 2.0], [0.5j, 1.0, -1.0]])
+    assert np.allclose(solve_linear_dense(A, B), np.linalg.solve(A, B), atol=1e-14)
 
 
 def test_solve_singular_names_pivot():
