@@ -192,6 +192,8 @@ class MonteCarloConfig:
             raise ValueError("need 0 < band_half_width < wall_half_width")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if not (self.v > 0 and self.c >= 0 and self.t_a >= 0):
+            raise ValueError("need v > 0, c >= 0 and t_a >= 0")
 
 
 @dataclass(frozen=True)
@@ -494,6 +496,31 @@ def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):
 # --------------------------------------------------------------------------
 # Monte-Carlo comparator
 
+# Exp(1) draws buffered per walker; the draws do not depend on it
+_DRAW_BLOCK = 64
+
+
+class _ExpStreams:
+    """Exp(1) draws from one generator per walker, keyed by (seed, walker),
+    each read in order from a buffered block that is refilled when spent.
+    Every walker's sequence of draws is its own stream's, whatever the
+    block size."""
+
+    def __init__(self, seed: int, n: int, block: int):
+        self.block = block
+        self.rngs = [np.random.default_rng((seed, i)) for i in range(n)]
+        self.buf = np.stack([rng.standard_exponential(block) for rng in self.rngs])
+        self.pos = np.zeros(n, dtype=np.intp)
+
+    def draw(self, idx: np.ndarray) -> np.ndarray:
+        """Next draw of each walker in the index array idx."""
+        for i in idx[self.pos[idx] == self.block]:
+            self.buf[i] = self.rngs[i].standard_exponential(self.block)
+            self.pos[i] = 0
+        out = self.buf[idx, self.pos[idx]]
+        self.pos[idx] += 1
+        return out
+
 
 def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
                                 dt: float = 0.01, burn_in: float | None = None):
@@ -501,50 +528,85 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     whose turning rate after leaving the band decays as c exp(-age/t_a).
 
     Walkers start at the centre, move at speed v, never turn inside the
-    band, and reflect off the outer walls.  Turns are drawn with the
-    exact per-step thinning probability 1 - exp(-sigma dt).  Trials use
-    independent RNG streams keyed by (seed, trial), processed in chunks.
+    band, and reflect off the outer walls.  By symmetry a walker is its
+    distance |x| from the centre and whether it moves outward.  The walk is
+    simulated event by event (leave the band, reflect at the wall,
+    re-enter, turn), all walkers at once.  A turn falls where the
+    integrated hazard c t_a (1 - exp(-age/t_a)) since leaving the band
+    reaches a target that grows by an Exp(1) draw per turn, at age
+    -t_a ln(1 - H/(c t_a)); once the target exceeds c t_a the excursion
+    has no further turn.  For t_a = 0 the rate is c on receding legs and
+    0 on approaching ones, and each receding leg gets a fresh Exp(1)/c.
+    Walker i draws from its own stream default_rng((seed, i)).
+
+    Occupancy is sampled every dt after burn_in (default t_end/10), up to
+    round(t_end/dt) dt.
     """
+    if not (dt > 0 and t_end > 0):
+        raise ValueError("t_end and dt must be positive")
     if burn_in is None:
         burn_in = 0.1 * t_end
     steps = int(round(t_end / dt))
+    sample_times = dt * np.arange(1, steps + 1)
+    n_samples = int(np.count_nonzero(sample_times > burn_in))
+    first = steps - n_samples  # samples are the steps after this one
+    t_stop = steps * dt
+
+    def samples_by(s):
+        """Occupancy samples taken at or before each time in s."""
+        return np.clip(np.floor(s / dt) - first, 0, n_samples)
+
+    v, c, t_a = cfg.v, cfg.c, cfg.t_a
     band, wall = cfg.band_half_width, cfg.wall_half_width
-    time_in = 0.0
-    time_out = 0.0
-    chunk = 1000
-    for start in range(0, cfg.n_trials, chunk):
-        m = min(chunk, cfg.n_trials - start)
-        rngs = [np.random.default_rng((cfg.seed, start + i)) for i in range(m)]
-        draws = np.stack([rng.random(steps + 1) for rng in rngs])
-        x = np.zeros(m)
-        sgn = np.where(draws[:, -1] < 0.5, 1.0, -1.0)
-        age = np.zeros(m)
-        outside = np.zeros(m, dtype=bool)
-        for j in range(steps):
-            x = x + sgn * cfg.v * dt
-            over = x > wall
-            x[over] = 2 * wall - x[over]
-            sgn[over] = -1.0
-            under = x < -wall
-            x[under] = -2 * wall - x[under]
-            sgn[under] = 1.0
-            out_now = np.abs(x) > band
-            age = np.where(out_now & ~outside, 0.0, age + dt)
-            outside = out_now
-            if cfg.t_a > 0:
-                sigma = np.where(outside, cfg.c * np.exp(-age / cfg.t_a), 0.0)
+    n = cfg.n_trials
+    draws = _ExpStreams(cfg.seed, n, _DRAW_BLOCK)
+    t = np.zeros(n)
+    y = np.zeros(n)                     # |x|
+    outward = np.ones(n, dtype=bool)
+    inband = np.ones(n, dtype=bool)
+    age = np.zeros(n)                   # time since leaving the band
+    target = np.zeros(n)                # integrated hazard of the next turn
+    live = np.full(n, t_stop > 0)      # not yet at t_stop
+    out_samples = 0
+    # c = 0 divides by zero where the np.where masks discard the result
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.any():
+            geo = np.where(inband, np.where(outward, band - y, band + y),
+                           np.where(outward, wall - y, y - band)) / v
+            if t_a > 0:
+                turn_age = np.where(target < c * t_a,
+                                    -t_a * np.log1p(-target / (c * t_a)), np.inf)
+                to_turn = np.where(inband, np.inf, np.maximum(turn_age - age, 0.0))
             else:
-                receding = np.sign(x) * sgn > 0
-                sigma = np.where(outside & receding, cfg.c, 0.0)
-            turn = draws[:, j] < -np.expm1(-sigma * dt)
-            sgn[turn] = -sgn[turn]
-            t = (j + 1) * dt
-            if t > burn_in:
-                n_out = int(out_now.sum())
-                time_out += n_out * dt
-                time_in += (m - n_out) * dt
-    dens_in = time_in / (2.0 * band)
-    dens_out = time_out / (2.0 * (wall - band))
+                to_turn = np.where(~inband & outward, target / c - age, np.inf)
+            step = np.where(live, np.minimum(geo, to_turn), 0.0)
+            done = live & (t_stop - t <= step)
+            t_new = np.where(done, t_stop, t + step)
+            # samples in (t, t_new] of the walkers outside the band
+            out = live & ~inband
+            seen_new = np.where(done[out], n_samples, samples_by(t_new[out]))
+            out_samples += int((seen_new - samples_by(t[out])).sum())
+            t = t_new
+            live &= ~done
+            turn = live & (to_turn < geo)
+            hit = live & ~turn
+            age = np.where(~inband & live, age + step, age)
+            y = np.where(turn, np.where(outward, y + v * step, y - v * step), y)
+            leave = hit & inband
+            wall_hit = hit & ~inband & outward
+            enter = hit & ~inband & ~outward
+            y[leave | enter] = band
+            y[wall_hit] = wall
+            age[leave] = 0.0
+            idx = np.flatnonzero(leave)
+            target[idx] = draws.draw(idx)
+            if t_a > 0:
+                idx = np.flatnonzero(turn)
+                target[idx] += draws.draw(idx)
+            outward = (outward ^ (turn | wall_hit)) | leave
+            inband = (inband & ~leave) | enter
+    dens_in = (n * n_samples - out_samples) * dt / (2.0 * band)
+    dens_out = out_samples * dt / (2.0 * (wall - band))
     return {"inside_outside_ratio": dens_in / dens_out if dens_out > 0 else float("inf")}
 
 

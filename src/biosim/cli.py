@@ -282,12 +282,9 @@ def run_gc_ca_switch(p, out, seed):
     rows = []
     metrics = {}
     for tag, ca in (("hi", p["gc.ca_hi"]), ("lo", p["gc.ca_lo"])):
-        ka1 = growthcone.calcium_switch_rate(p["gc.l1"], ca, sp)
-        ka2 = growthcone.calcium_switch_rate(p["gc.l2"], ca, sp)
-        A1s, A2s, _, _ = growthcone.two_compartment_steady_rates(ka1, ka2, ap, cpl)
-        sign = float(np.sign(A1s - A2s))
-        rows.append((ca, ka1, ka2, A1s, A2s, sign))
-        metrics[f"sign_{tag}"] = sign
+        row = (ca, *growthcone.switch_gradient(p["gc.l1"], p["gc.l2"], ca, sp, ap, cpl))
+        rows.append(row)
+        metrics[f"sign_{tag}"] = row[-1]
     _write_csv(out / "result.csv", ["ca", "ka1", "ka2", "A1s", "A2s", "sign"], rows)
     return metrics
 

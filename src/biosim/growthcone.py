@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    Bracket,
     Grid1D,
     Trajectory,
     eig2,
@@ -22,6 +23,7 @@ from .numerics import (
     rk4_integrate,
     solve_linear_dense,
     solve_linear_ode,
+    solve_scalar_root,
 )
 
 
@@ -123,36 +125,44 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(),
     return C, a_c, a_a
 
 
+def _dc_on_a_nullcline(C, L: float, p: CaAcParams):
+    """dC/dt of ca_ac_rhs on the dA/dt = 0 curve, elementwise in C > 0;
+    the steady states are its roots."""
+    gain = _activation_gain(C, L, p)
+    A = p.At * gain / (gain + p.k5)
+    influx = p.k0 * L / (p.kn1 + L)
+    pump = p.k1 * C * C / (p.Kp * p.Kp + C * C)
+    leak = p.k2 * (p.Cb - C)
+    store = (p.kf + p.k3 * A) * L * C * (p.Cer - C) / (C + p.ka_ratio * L)
+    return influx - pump + leak + store
+
+
+def _root_brackets(L: float, p: CaAcParams, c_max: float, n_scan: int):
+    """Calcium grid and the indices i whose cell [C_i, C_i+1] brackets a
+    steady state: a sign change of the nullcline residual, or a zero at C_i."""
+    if L < 0:
+        raise ValueError("ligand must be nonnegative")
+    C = np.linspace(1e-6, c_max, n_scan)
+    f = _dc_on_a_nullcline(C, L, p)
+    return C, np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
+
+
 def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams(),
                         c_max: float = 8.0, n_scan: int = 4000):
     """All steady states with their linear stability.
 
-    Roots are bracketed on the dA/dt = 0 curve and refined by bisection;
-    stability comes from the eigenvalues of a finite-difference Jacobian.
+    Roots are bracketed on the dA/dt = 0 curve over an n_scan-point
+    calcium grid and refined by bisection; stability comes from the
+    eigenvalues of a finite-difference Jacobian.
     """
-    def f(C):
-        gain = _activation_gain(C, L, p)
-        A = p.At * gain / (gain + p.k5)
-        return ca_ac_rhs((C, A), L, p)[0]
-
-    C_grid = np.linspace(1e-6, c_max, n_scan)
-    vals = np.array([f(c) for c in C_grid])
+    C, cells = _root_brackets(L, p, c_max, n_scan)
     states = []
-    for i in range(n_scan - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-            lo, hi = C_grid[i], C_grid[i + 1]
-            flo = vals[i]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            C = 0.5 * (lo + hi)
-            gain = _activation_gain(C, L, p)
-            A = p.At * gain / (gain + p.k5)
-            states.append((CaAcState(C, A), _is_stable(C, A, L, p)))
+    for i in cells:
+        root = solve_scalar_root(lambda c: _dc_on_a_nullcline(c, L, p),
+                                 Bracket(C[i], C[i + 1]), tol=1e-13)
+        gain = _activation_gain(root, L, p)
+        A = p.At * gain / (gain + p.k5)
+        states.append((CaAcState(root, A), _is_stable(root, A, L, p)))
     return states
 
 
@@ -202,8 +212,12 @@ def hysteresis_jumps(p: CaAcParams = CaAcParams(), L_lo: float = 0.05,
     An upward sweep leaves the low branch at L_up; a downward sweep
     leaves the high branch at L_down.
     """
+    def bistable(L):
+        # counts the brackets of ca_ac_steady_states(L, p, n_scan=1500)
+        return len(_root_brackets(L, p, 8.0, 1500)[1]) >= 3
+
     Ls = np.linspace(L_lo, L_hi, n_scan)
-    multi = np.array([len(ca_ac_steady_states(L, p, n_scan=1500)) >= 3 for L in Ls])
+    multi = np.array([bistable(L) for L in Ls])
     if not multi.any():
         raise ValueError("no bistable window found in the scanned range")
     idx = np.where(multi)[0]
@@ -211,7 +225,7 @@ def hysteresis_jumps(p: CaAcParams = CaAcParams(), L_lo: float = 0.05,
     def refine(inside, outside):
         for _ in range(30):
             mid = 0.5 * (inside + outside)
-            if len(ca_ac_steady_states(mid, p, n_scan=1500)) >= 3:
+            if bistable(mid):
                 inside = mid
             else:
                 outside = mid
@@ -496,12 +510,21 @@ def calcium_switch_rate(l: float, ca: float, sp: SwitchRateParams) -> float:
     return math.exp(sp.a * l * (ca - sp.ca_b) / ((l + sp.b) * (ca + sp.c)))
 
 
+def switch_gradient(l1: float, l2: float, ca: float,
+                    sp: SwitchRateParams = SwitchRateParams(),
+                    p: AdaptationParams = AdaptationParams(),
+                    cpl: CompartmentCoupling = CompartmentCoupling()):
+    """Steady two-compartment response when production follows the
+    calcium-modulated rate: (ka1, ka2, A1s, A2s, sign of A1s - A2s)."""
+    ka1 = calcium_switch_rate(l1, ca, sp)
+    ka2 = calcium_switch_rate(l2, ca, sp)
+    A1s, A2s, _, _ = two_compartment_steady_rates(ka1, ka2, p, cpl)
+    return ka1, ka2, A1s, A2s, float(np.sign(A1s - A2s))
+
+
 def switch_gradient_sign(l1: float, l2: float, ca: float,
                          sp: SwitchRateParams = SwitchRateParams(),
                          p: AdaptationParams = AdaptationParams(),
                          cpl: CompartmentCoupling = CompartmentCoupling()) -> float:
     """Sign of A1s - A2s when production follows the calcium-modulated rate."""
-    ka1 = calcium_switch_rate(l1, ca, sp)
-    ka2 = calcium_switch_rate(l2, ca, sp)
-    A1s, A2s, _, _ = two_compartment_steady_rates(ka1, ka2, p, cpl)
-    return float(np.sign(A1s - A2s))
+    return switch_gradient(l1, l2, ca, sp, p, cpl)[-1]

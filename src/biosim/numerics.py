@@ -191,13 +191,16 @@ def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):
     (upwind for each).  Wall outflow is added to the opposite-direction
     density at the same node, so the total population is conserved
     exactly.  frl and flr are per-node turning-rate fields.  Requires
-    CFL = v*dt/dx <= 1.
+    CFL = v*dt/dx <= 1 and the reaction number dt*max(frl, flr) <= 1.
     """
     r = np.asarray(r, dtype=float)
     l = np.asarray(l, dtype=float)
     c = v * grid.dt / grid.dx
     if c > 1 + 1e-12:
         raise StabilityError(f"CFL number {c:.4g} exceeds 1")
+    rn = grid.dt * max(np.max(frl), np.max(flr))
+    if rn > 1 + 1e-12:
+        raise StabilityError(f"reaction number {rn:.4g} exceeds 1")
     rt = np.empty_like(r)
     lt = np.empty_like(l)
     rt[1:] = (1 - c) * r[1:] + c * r[:-1]
@@ -333,17 +336,20 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     block = math.isqrt(count - 1) + 1
     powers = np.empty((block, n, n))
     powers[0] = np.eye(n)
-    E = expm(M * h)
-    for k in range(1, block):
-        powers[k] = powers[k - 1] @ E
-    jump = powers[-1] @ E
-    z = y0 - Y.real
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        hom = powers[:stop - start] @ z
-        states[start:stop] += hom
-        z = jump @ z
-    states[count] += expm(M * (times[count] - times[count - 1])) @ hom[-1]
+    # a growing solution may overflow here; the finiteness check below
+    # reports it as IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = expm(M * h)
+        for k in range(1, block):
+            powers[k] = powers[k - 1] @ E
+        jump = powers[-1] @ E
+        z = y0 - Y.real
+        for start in range(0, count, block):
+            stop = min(start + block, count)
+            hom = powers[:stop - start] @ z
+            states[start:stop] += hom
+            z = jump @ z
+        states[count] += expm(M * (times[count] - times[count - 1])) @ hom[-1]
     states[0] = y0
     if not np.all(np.isfinite(states)):
         raise IntegrationError(f"linear solution turned non-finite before t={t_end!r}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from biosim import aerotaxis
 from biosim.aerotaxis import (
     AerotaxisParams,
     CharacteristicScales,
@@ -341,6 +342,57 @@ def test_monte_carlo_reproducible():
     a = monte_carlo_slow_adaptation(cfg)["inside_outside_ratio"]
     b = monte_carlo_slow_adaptation(cfg)["inside_outside_ratio"]
     assert a == b
+
+
+def test_monte_carlo_instant_adaptation_renewal_oracle():
+    # t_a = 0: each excursion is a receding leg cut by a turn at rate c or
+    # by the wall, then the same way back, and each band crossing takes
+    # 2b/v, so renewal theory gives the time fractions exactly
+    v, c, b, w = 1.0, 2.0, 1.0, 2.0
+    t_in = 2 * b / v
+    t_out = 2 * (1 - math.exp(-c * (w - b) / v)) / c
+    oracle = t_in / t_out * (w - b) / b
+    assert oracle == pytest.approx(2.3130, abs=5e-5)
+    cfg = MonteCarloConfig(v=v, c=c, t_a=0.0, band_half_width=b, wall_half_width=w,
+                           n_trials=2000, seed=0)
+    ratio = monte_carlo_slow_adaptation(cfg, t_end=800.0)["inside_outside_ratio"]
+    assert ratio == pytest.approx(oracle, rel=0.01)
+
+
+def test_monte_carlo_constant_hazard_uniform():
+    # for t_a >> excursion times the rate is c in both directions; a
+    # telegraph walker with a reflecting wall then spends on average 2(w-b)/v
+    # outside per excursion whatever c, so the density is uniform
+    cfg = MonteCarloConfig(c=2.0, t_a=1e9, n_trials=1000, seed=3)
+    ratio = monte_carlo_slow_adaptation(cfg, t_end=400.0)["inside_outside_ratio"]
+    assert ratio == pytest.approx(1.0, abs=0.02)
+
+
+def test_monte_carlo_independent_of_draw_block(monkeypatch):
+    cfg = MonteCarloConfig(n_trials=200, seed=5)
+    ratios = set()
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(aerotaxis, "_DRAW_BLOCK", block)
+        ratios.add(monte_carlo_slow_adaptation(cfg, t_end=40.0)["inside_outside_ratio"])
+    assert len(ratios) == 1
+
+
+def test_exp_streams_follow_each_walker_stream():
+    streams = aerotaxis._ExpStreams(11, 4, block=3)
+    got = [streams.draw(np.array([0, 2])) for _ in range(5)]
+    got.append(streams.draw(np.array([2])))
+    for walker, seq in ((0, [g[0] for g in got[:5]]),
+                        (2, [g[1] for g in got[:5]] + [got[5][0]])):
+        ref = np.random.default_rng((11, walker)).standard_exponential(len(seq))
+        assert np.array_equal(seq, ref)
+
+
+def test_monte_carlo_rejects_bad_config():
+    for kw in ({"v": 0.0}, {"c": -1.0}, {"t_a": -0.1}):
+        with pytest.raises(ValueError):
+            MonteCarloConfig(**kw)
+    with pytest.raises(ValueError):
+        monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=10), dt=0.0)
 
 
 # ---------------------------------------------------------------- piston

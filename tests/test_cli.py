@@ -137,6 +137,15 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_main_reaction_number_exit_code(tmp_path, capsys):
+    # dt * c_high = 1.5: the upwind step's reaction-number guard trips
+    # before any density turns negative
+    code = main(["aerotaxis-band", "--set", "aerotaxis.c_high=150",
+                 "--out", str(tmp_path / "n")])
+    assert code == 2
+    assert "reaction number 1.5 exceeds 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_set_rejects_non_finite_value(value, tmp_path, capsys):
     code = main(["kelvin-single", "--set", f"kelvin.h={value}",

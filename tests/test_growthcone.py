@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biosim import growthcone
 from biosim.growthcone import (
     AdaptationParams,
     CaAcParams,
@@ -115,6 +116,32 @@ def test_nullcline_curves_cross_at_steady_states():
         j = int(np.argmin(np.abs(C - st.C)))
         assert a_a[j] == pytest.approx(st.A, abs=0.05)
         assert a_c[j] == pytest.approx(st.A, abs=0.25)
+
+
+def test_nullcline_residual_array_matches_scalar_rhs():
+    p = CaAcParams()
+    C = np.linspace(1e-6, 8.0, 1500)
+    for L in (0.0, 0.1, 1.0, 2.3, 10.0):
+        res = growthcone._dc_on_a_nullcline(C, L, p)
+        ref = []
+        for c in C:
+            gain = growthcone._activation_gain(c, L, p)
+            ref.append(ca_ac_rhs((c, p.At * gain / (gain + p.k5)), L, p)[0])
+        np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_root_count_matches_steady_states(jumps):
+    L_up, L_down = jumps
+    p = CaAcParams()
+    Ls = [0.1, 0.5, 1.0, 2.0, 2.5, 5.0]
+    for edge in (L_up, L_down):
+        Ls += [edge - 1e-6, edge, edge + 1e-6]
+    counts = set()
+    for L in Ls:
+        n = len(growthcone._root_brackets(L, p, 8.0, 1500)[1])
+        assert n == len(ca_ac_steady_states(L, p, n_scan=1500))
+        counts.add(n)
+    assert counts == {1, 3}
 
 
 def test_high_state_only_after_jump():

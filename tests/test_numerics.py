@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,16 @@ def test_linear_ode_aborts_on_overflow():
         solve_linear_ode([[1.0]], [[1000.0]], [1.0], [1.0], 10.0, 0.1)
 
 
+@pytest.mark.parametrize("h", [0.1, 10.0])
+def test_linear_ode_overflow_raises_without_numpy_warnings(h):
+    # overflow in the powers (h = 0.1) or in expm itself (h = 10) surfaces
+    # only as IntegrationError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite"):
+            solve_linear_ode([[1.0]], [[1000.0]], [1.0], [1.0], 20.0, h)
+
+
 # ---------------------------------------------------------------- diffusion
 
 def test_ftcs_uniform_unchanged():
@@ -297,6 +308,18 @@ def test_upwind_cfl_guard():
     z = np.zeros(10)
     with pytest.raises(StabilityError, match="CFL"):
         upwind_advection_reaction_step(z, z, 1.0, z, z, grid)
+
+
+def test_upwind_reaction_number_guard():
+    grid = Grid1D(n=10, dx=0.1, dt=0.01)
+    ones = np.ones(10)
+    rates = np.zeros(10)
+    rates[3] = 100.0  # dt * rate = 1 is the limit
+    upwind_advection_reaction_step(ones, ones, 1.0, rates, 0.0, grid)
+    rates[3] = 150.0
+    for frl, flr in ((rates, 0.0), (0.0, rates)):
+        with pytest.raises(StabilityError, match="reaction number 1.5"):
+            upwind_advection_reaction_step(ones, ones, 1.0, frl, flr, grid)
 
 
 # ---------------------------------------------------------------- root finding
