@@ -70,12 +70,6 @@ class AerotaxisParams:
         for name in ("v", "D", "kappa", "L0", "b0", "domain_length"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        cfl = self.v * self.grid.dt / self.grid.dx
-        dnum = self.D * self.grid.dt / self.grid.dx**2
-        if cfl > 1:
-            raise ValueError(f"CFL number {cfl:.3g} exceeds 1")
-        if dnum > 0.5:
-            raise ValueError(f"diffusion number {dnum:.3g} exceeds 0.5")
 
 
 @dataclass
@@ -261,16 +255,10 @@ def turning_rates(L, th: TurningThresholds):
     """
     L = np.asarray(L, dtype=float)
     c, C = th.c_low, th.c_high
-    f_rl = np.select(
-        [L < th.lt_min, L < th.l_min, L < th.l_max, L < th.lt_max],
-        [C, c, c, C],
-        default=C,
-    )
-    f_lr = np.select(
-        [L < th.lt_min, L < th.l_min, L < th.l_max, L < th.lt_max],
-        [C, C, c, c],
-        default=C,
-    )
+    # bin i holds thresholds[i-1] <= L < thresholds[i]; NaN sorts into the last
+    bins = np.searchsorted((th.lt_min, th.l_min, th.l_max, th.lt_max), L, side="right")
+    f_rl = np.array((C, c, c, C, C), dtype=float)[bins]
+    f_lr = np.array((C, C, c, c, C), dtype=float)[bins]
     if L.ndim == 0:
         return float(f_rl), float(f_lr)
     return f_rl, f_lr
@@ -282,8 +270,11 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
 
     Starts from uniform bacteria (r = l = b0/2) and oxygen L0 held at node
     0, zero elsewhere.  Returns (times, list of CellField) sampled every
-    sample_every steps, always including the final state.
+    sample_every steps, always including the final state.  The upwind and
+    FTCS steps raise StabilityError on an unstable grid.
     """
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
     grid = params.grid
     n = grid.n
     r = np.full(n, params.b0 / 2)
@@ -357,6 +348,8 @@ def _k_and_s(params: AerotaxisParams, k, s):
         k = params.kappa / params.D
     if s is None:
         s = params.v / (params.thresholds.c_high - params.thresholds.c_low)
+    if not (k > 0 and s > 0):
+        raise ValueError(f"k and s must be positive, got k={k!r}, s={s!r}")
     return k, s
 
 

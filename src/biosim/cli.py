@@ -7,12 +7,13 @@ summary.json.  Identical config and seed give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +61,33 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _every(n: int, max_rows: int) -> range:
+    """Indices of every k-th of n samples, k chosen to keep about max_rows."""
+    return range(0, n, max(1, n // max_rows))
+
+
+def _write_traj(path: Path, header, traj, max_rows: int = 2000):
+    """Rows (t, *state) of a strided Trajectory."""
+    _write_csv(path, header, [(traj.times[j], *traj.states[j])
+                              for j in _every(len(traj), max_rows)])
+
+
+def _write_field(path: Path, header, times, x, *fields):
+    """Rows (t, x, *values) of sampled grid fields, node by node at each
+    time; each field is a sequence of arrays, one per time."""
+    rows = []
+    for i, t in enumerate(times):
+        rows.extend(zip(itertools.repeat(t), x, *(f[i] for f in fields)))
+    _write_csv(path, header, rows)
+
+
 # --------------------------------------------------------------------------
 # experiment runners
 
 
 def _band_params(p):
-    grid = Grid1D(n=int(p["aerotaxis.nodes"]),
-                  dx=p["aerotaxis.length"] / (int(p["aerotaxis.nodes"]) - 1),
+    grid = Grid1D(n=p["aerotaxis.nodes"],
+                  dx=p["aerotaxis.length"] / (p["aerotaxis.nodes"] - 1),
                   dt=p["aerotaxis.dt"])
     th = aerotaxis.TurningThresholds(
         p["aerotaxis.lt_min"], p["aerotaxis.l_min"], p["aerotaxis.l_max"],
@@ -80,13 +101,10 @@ def _band_params(p):
 def run_band(p, out: Path, seed: int):
     params = _band_params(p)
     times, fields = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
-                                            sample_every=int(p["aerotaxis.sample_every"]))
-    x = params.grid.x
-    rows = []
-    for t, cf in zip(times, fields):
-        for j in range(params.grid.n):
-            rows.append((t, x[j], cf.r[j], cf.l[j], cf.L[j]))
-    _write_csv(out / "fields.csv", ["t", "x", "r", "l", "L"], rows)
+                                            sample_every=p["aerotaxis.sample_every"])
+    _write_field(out / "fields.csv", ["t", "x", "r", "l", "L"], times, params.grid.x,
+                 [cf.r for cf in fields], [cf.l for cf in fields],
+                 [cf.L for cf in fields])
     mrows = []
     for t, cf in zip(times, fields):
         m = aerotaxis.band_metrics(cf, params.grid)
@@ -162,7 +180,7 @@ def run_montecarlo(p, out, seed):
     cfg = aerotaxis.MonteCarloConfig(
         v=p["mc.v"], c=p["mc.c"], t_a=p["mc.t_a"],
         band_half_width=p["mc.band"], wall_half_width=p["mc.wall"],
-        n_trials=int(p["mc.trials"]), seed=seed)
+        n_trials=p["mc.trials"], seed=seed)
     res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
     ratio = res["inside_outside_ratio"]
     _write_csv(out / "result.csv", ["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])
@@ -175,17 +193,14 @@ def run_gc_switch(p, out, seed):
     for i, key in enumerate(("gc.La", "gc.Lb", "gc.Lc", "gc.Ld")):
         L = p[key]
         traj = growthcone.ca_ac_simulate(L, params, t_end=p["gc.t_end"], h=p["gc.h"])
-        stride = max(1, len(traj) // 1000)
-        rows = [(traj.times[j], traj.states[j, 0], traj.states[j, 1])
-                for j in range(0, len(traj), stride)]
-        _write_csv(out / f"traj_{i + 1}.csv", ["t", "C", "A"], rows)
+        _write_traj(out / f"traj_{i + 1}.csv", ["t", "C", "A"], traj, max_rows=1000)
         metrics[f"A_end_{i + 1}"] = float(traj.final()[1])
     return metrics
 
 
 def run_gc_bifurcation(p, out, seed):
     params = growthcone.CaAcParams()
-    L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], int(p["gc.n"]))
+    L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], p["gc.n"])
     rows = growthcone.bifurcation_scan(params, L_values)
     _write_csv(out / "branches.csv", ["L", "branch", "C", "A", "stable"], rows)
     L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
@@ -204,10 +219,7 @@ def run_gc_adaptation(p, out, seed):
                                      kd=p["gc.kd"], r=p["gc.r"])
     traj = growthcone.adaptation_simulate(p["gc.l0"], p["gc.l1"], ap,
                                           t_end=p["gc.t_end"], h=p["gc.h"])
-    stride = max(1, len(traj) // 2000)
-    rows = [(traj.times[j], traj.states[j, 0], traj.states[j, 1])
-            for j in range(0, len(traj), stride)]
-    _write_csv(out / "traj.csv", ["t", "M", "A"], rows)
+    _write_traj(out / "traj.csv", ["t", "M", "A"], traj)
     A = traj.states[:, 1]
     base = ap.m / ap.r
     return {
@@ -223,10 +235,7 @@ def run_gc_twocomp(p, out, seed):
     cpl = growthcone.CompartmentCoupling(k1=p["gc.k1"], k2=p["gc.k2"])
     traj = growthcone.two_compartment_simulate(p["gc.l1"], p["gc.l2"], ap, cpl,
                                                t_end=p["gc.t_end"], l0=p["gc.l0"])
-    stride = max(1, len(traj) // 2000)
-    rows = [tuple([traj.times[j]] + list(traj.states[j]))
-            for j in range(0, len(traj), stride)]
-    _write_csv(out / "traj.csv", ["t", "M1", "A1", "M2", "A2"], rows)
+    _write_traj(out / "traj.csv", ["t", "M1", "A1", "M2", "A2"], traj)
     A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(p["gc.l1"], p["gc.l2"],
                                                            ap, cpl)
     return {
@@ -243,7 +252,7 @@ def run_gc_rd(p, out, seed):
     grid = growthcone.default_rd_grid(length=p["gc.length"], dx=p["gc.dx"],
                                       dt=p["gc.dt"])
     x = grid.x
-    kind = int(p["gc.profile"])
+    kind = p["gc.profile"]
     lo, hi = p["gc.l_lo"], p["gc.l_hi"]
     if kind == 0:
         profile = np.full(grid.n, hi)
@@ -259,12 +268,8 @@ def run_gc_rd(p, out, seed):
         raise UsageError("gc.profile must be 0 (uniform), 1 (linear) or 2 (quadratic)")
     times, Ms, As = growthcone.reaction_diffusion_simulate(
         profile, ap, p["gc.D1"], p["gc.D2"], grid, t_end=p["gc.t_end"],
-        l_init=init, sample_every=int(p["gc.sample_every"]))
-    rows = []
-    for i, t in enumerate(times):
-        for j in range(grid.n):
-            rows.append((t, x[j], Ms[i][j], As[i][j]))
-    _write_csv(out / "field.csv", ["t", "x", "M", "A"], rows)
+        l_init=init, sample_every=p["gc.sample_every"])
+    _write_field(out / "field.csv", ["t", "x", "M", "A"], times, x, Ms, As)
     A = As[-1]
     return {
         "A_flat_dev": float(np.max(np.abs(A - ap.m / ap.r))),
@@ -295,9 +300,7 @@ def run_kelvin_single(p, out, seed):
     res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), f,
                                 p["kelvin.t_end"], p["kelvin.h"])
     u = res.total_u
-    stride = max(1, len(u) // 2000)
-    rows = [(res.times[j], "body1", u[j], p["kelvin.F0"])
-            for j in range(0, len(u), stride)]
+    rows = [(res.times[j], "body1", u[j], p["kelvin.F0"]) for j in _every(len(u), 2000)]
     _write_csv(out / "traj.csv", ["t", "label", "u", "aF"], rows)
     ts, te = kelvin.relaxation_times(body)
     return {
@@ -314,7 +317,7 @@ _SWEEP_PARAMS = {0: "mu02", 1: "mu12", 2: "eta12", 3: "all"}
 def run_kelvin_sweep(p, out, seed):
     base = kelvin.ParallelGroup((kelvin.material_params("actin"),
                                  kelvin.material_params("actin")))
-    param = _SWEEP_PARAMS.get(int(p["kelvin.param"]))
+    param = _SWEEP_PARAMS.get(p["kelvin.param"])
     if param is None:
         raise UsageError("kelvin.param must be 0 (mu02), 1 (mu12), 2 (eta12) or 3 (all)")
     values = [p["kelvin.v1"], p["kelvin.v2"], p["kelvin.v3"]]
@@ -348,8 +351,7 @@ def _run_network(net, p, out):
     res_o = kelvin.network_deform(net, f_osc, p["kelvin.t_end_osc"], p["kelvin.h_osc"])
     for tag, res in (("steady", res_s), ("oscillatory", res_o)):
         rows = []
-        stride = max(1, len(res.times) // 2000)
-        for j in range(0, len(res.times), stride):
+        for j in _every(len(res.times), 2000):
             for label, u in res.element_u.items():
                 force = res.branch_forces.get(label)
                 aF = force[j] if force is not None else float("nan")
@@ -485,11 +487,6 @@ EXPERIMENTS = {
 }
 
 
-# keys whose values count things or select a variant
-_INTEGER_KEYS = frozenset({"aerotaxis.nodes", "aerotaxis.sample_every", "mc.trials",
-                           "gc.n", "gc.profile", "gc.sample_every", "kelvin.param"})
-
-
 # --------------------------------------------------------------------------
 # config handling
 
@@ -538,10 +535,13 @@ def run(config: ExperimentConfig) -> RunSummary:
         raise UsageError(
             f"unknown keys for {config.experiment}: {sorted(unknown)}; "
             f"allowed: {sorted(exp.defaults)}")
-    for key in sorted(_INTEGER_KEYS & set(config.params)):
-        if not float(config.params[key]).is_integer():
-            raise UsageError(f"{key} must be an integer, got {config.params[key]!r}")
     params = {**exp.defaults, **config.params}
+    # a key whose default is an int counts things or selects a variant
+    for key in sorted(config.params):
+        if isinstance(exp.defaults[key], int):
+            if not float(params[key]).is_integer():
+                raise UsageError(f"{key} must be an integer, got {params[key]!r}")
+            params[key] = int(params[key])
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -552,33 +552,37 @@ def run(config: ExperimentConfig) -> RunSummary:
             metrics[key] = None
     summary = RunSummary(config.experiment, exp.reference, wall, config.seed,
                          params, metrics)
-    (out / "summary.json").write_text(json.dumps({
-        "experiment": summary.experiment,
-        "reference": summary.reference,
-        "wall_time_s": summary.wall_time_s,
-        "seed": summary.seed,
-        "config": summary.config,
-        "metrics": summary.metrics,
-    }, indent=2, sort_keys=True) + "\n")
+    (out / "summary.json").write_text(
+        json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
     return summary
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biosim",
         description="Run a registered simulation experiment and write CSV results.")
-    parser.add_argument("experiment", help="experiment name (see --list)")
+    parser.add_argument("experiment", nargs="?",
+                        help="experiment name (see --list; 'list' also lists)")
+    parser.add_argument("--list", action="store_true",
+                        help="print the registered experiment names and exit")
     parser.add_argument("--config", help="file of key = value lines")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config value (repeatable; wins over --config)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
 
     try:
-        if args.experiment == "--list" or args.experiment == "list":
+        args = parser.parse_args(argv)
+        if args.list or args.experiment == "list":
             print("\n".join(sorted(EXPERIMENTS)))
             return 0
+        if args.experiment is None:
+            parser.error("an experiment name or --list is required")
         params = {}
         if args.config:
             params.update(parse_config(args.config))
@@ -587,9 +591,6 @@ def main(argv=None) -> int:
             params[key] = num
         summary = run(ExperimentConfig(args.experiment, params, Path(args.out),
                                        args.seed))
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

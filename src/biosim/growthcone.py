@@ -17,6 +17,7 @@ import numpy as np
 from .numerics import (
     Bracket,
     Grid1D,
+    IntegrationError,
     Trajectory,
     eig2,
     ftcs_diffusion_step,
@@ -93,10 +94,20 @@ def ca_ac_rhs(state, L: float, p: CaAcParams):
 def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
                    h: float = 1e-3, C0: float | None = None,
                    A0: float = 0.0) -> Trajectory:
-    """Integrate the switch from the resting state (C = Cb, A = 0)."""
+    """Integrate the switch from the resting state (C = Cb, A = 0).
+
+    Raises IntegrationError naming the first sample with a negative
+    concentration, the mark of a step h too large for the dynamics.
+    """
     y0 = [p.Cb if C0 is None else C0, A0]
-    return rk4_integrate(lambda t, y: np.array(ca_ac_rhs(y, L, p)), y0,
+    traj = rk4_integrate(lambda t, y: np.array(ca_ac_rhs(y, L, p)), y0,
                          0.0, t_end, h)
+    negative = np.flatnonzero((traj.states < 0).any(axis=1))
+    if negative.size:
+        raise IntegrationError(
+            f"negative concentration at t={float(traj.times[negative[0]])!r}; "
+            f"step h={h!r} is too large")
+    return traj
 
 
 def _activation_gain(C, L, p: CaAcParams):
@@ -259,6 +270,8 @@ class AdaptationParams:
 
 def adaptation_initial_state(l0: float, p: AdaptationParams):
     """Large-lambda steady state used as the standard initial condition."""
+    if not l0 > 0:
+        raise ValueError(f"initial ligand l0 must be positive, got {l0!r}")
     return np.array([p.m / p.r * p.kd / p.ka(l0), p.m / p.r])  # (M, A)
 
 
@@ -449,6 +462,8 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     shape, default l_profile) sets the adapted initial condition.  Both
     fields use zero-flux boundaries.  Returns (times, M list, A list).
     """
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
     l_run = np.asarray(l_profile, dtype=float)
     if l_run.shape != (grid.n,):
         raise ValueError("ligand profile must match the grid")

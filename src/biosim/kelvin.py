@@ -151,10 +151,6 @@ class ParallelGroup:
         return len(self.bodies)
 
     @property
-    def mu0_sum(self) -> float:
-        return sum(b.mu01 for b in self.bodies)
-
-    @property
     def stiff_sum(self) -> float:
         return sum(b.mu01 + b.mu11 for b in self.bodies)
 
@@ -191,33 +187,6 @@ def parallel_assemble(g: ParallelGroup, F_at_0: float):
     for i, b in enumerate(g.bodies[:-1]):
         u0[i + 1] = u0[0] * (b.mu01 + b.mu11)
     return A, D, c_builder, u0
-
-
-def rhs_closed_forms(g: ParallelGroup, F: float, dF: float):
-    """Closed-form y = D^-1 c and x = A^-1 c via the sparse recurrences.
-
-    y_1 = -(F + (eta_n/mu_1n) dF) / sum(mu_0i) and y_{i+1} = mu_0i y_1;
-    x_1 = (F + (eta_n/mu_1n) dF) / (h_n + d_n sum(h_i / d_i)) with
-    h_i = eta_i (1 + mu_0i / mu_1i), d_i = -eta_i / mu_1i, and
-    x_{i+1} = -h_i x_1 / d_i.
-    """
-    n = len(g)
-    last = g.bodies[-1]
-    rhs_val = F + last.eta1 / last.mu11 * dF
-    y = np.zeros(n)
-    y[0] = -rhs_val / g.mu0_sum
-    for i, b in enumerate(g.bodies[:-1]):
-        y[i + 1] = b.mu01 * y[0]
-    hs = [b.eta1 * (1.0 + b.mu01 / b.mu11) for b in g.bodies]
-    ds = [-b.eta1 / b.mu11 for b in g.bodies]
-    denom = hs[-1] + ds[-1] * sum(hs[i] / ds[i] for i in range(n - 1))
-    if denom == 0.0:
-        raise ValueError("degenerate group: closed-form denominator vanished")
-    x = np.zeros(n)
-    x[0] = rhs_val / denom
-    for i in range(n - 1):
-        x[i + 1] = -hs[i] * x[0] / ds[i]
-    return y, x
 
 
 # --------------------------------------------------------------------------

@@ -121,19 +121,22 @@ def rk4_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     states = np.empty((len(times), y.size))
     states[0] = y
-    for i in range(len(times) - 1):
-        t = times[i]
-        dt = times[i + 1] - t
-        k1 = np.asarray(rhs(t, y))
-        if not np.all(np.isfinite(k1)):
-            raise IntegrationError(f"non-finite derivative at t={t!r}")
-        k2 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k1))
-        k3 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k2))
-        k4 = np.asarray(rhs(t + dt, y + dt * k3))
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state after step at t={times[i + 1]!r}")
-        states[i + 1] = y
+    # overflow surfaces as IntegrationError from the finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(times) - 1):
+            t = times[i]
+            dt = times[i + 1] - t
+            k1 = np.asarray(rhs(t, y))
+            if not np.all(np.isfinite(k1)):
+                raise IntegrationError(f"non-finite derivative at t={float(t)!r}")
+            k2 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k1))
+            k3 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k2))
+            k4 = np.asarray(rhs(t + dt, y + dt * k3))
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(
+                    f"non-finite state after step at t={float(times[i + 1])!r}")
+            states[i + 1] = y
     return Trajectory(times, states)
 
 
@@ -143,16 +146,18 @@ def euler_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     states = np.empty((len(times), y.size))
     states[0] = y
-    for i in range(len(times) - 1):
-        t = times[i]
-        dt = times[i + 1] - t
-        k = np.asarray(rhs(t, y))
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError(f"non-finite derivative at t={t!r}")
-        y = y + dt * k
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state after step at t={times[i + 1]!r}")
-        states[i + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(times) - 1):
+            t = times[i]
+            dt = times[i + 1] - t
+            k = np.asarray(rhs(t, y))
+            if not np.all(np.isfinite(k)):
+                raise IntegrationError(f"non-finite derivative at t={float(t)!r}")
+            y = y + dt * k
+            if not np.all(np.isfinite(y)):
+                raise IntegrationError(
+                    f"non-finite state after step at t={float(times[i + 1])!r}")
+            states[i + 1] = y
     return Trajectory(times, states)
 
 

@@ -25,6 +25,7 @@ from biosim.aerotaxis import (
     steady_state_low,
     turning_rates,
 )
+from biosim.growthcone import AdaptationParams, default_rd_grid, reaction_diffusion_simulate
 from biosim.numerics import Grid1D
 
 TH = TurningThresholds(lt_min=0.2, l_min=0.3, l_max=0.5, lt_max=0.7,
@@ -57,9 +58,10 @@ def test_turning_rates_half_open_bins():
 
 
 def test_turning_rates_vectorized():
-    f_rl, f_lr = turning_rates(np.array([0.05, 0.25, 0.4, 0.6, 0.9]), TH)
-    assert np.array_equal(f_rl, [10, 1, 1, 10, 10])
-    assert np.array_equal(f_lr, [10, 10, 1, 1, 10])
+    # NaN oxygen falls outside every bin, so it gets the high rate
+    f_rl, f_lr = turning_rates(np.array([0.05, 0.25, 0.4, 0.6, 0.9, np.nan]), TH)
+    assert np.array_equal(f_rl, [10, 1, 1, 10, 10, 10])
+    assert np.array_equal(f_lr, [10, 10, 1, 1, 10, 10])
 
 
 def test_threshold_validation():
@@ -118,6 +120,17 @@ def test_band_appears_and_ratios():
     assert 0.05 <= m.width_h <= 0.15
 
 
+@pytest.mark.parametrize("every", [0, -5])
+def test_sample_stride_must_be_positive(every):
+    with pytest.raises(ValueError, match="sample_every"):
+        simulate_band(AerotaxisParams(), t_end=1.0, sample_every=every)
+    p = AdaptationParams()
+    grid = default_rd_grid()
+    with pytest.raises(ValueError, match="sample_every"):
+        reaction_diffusion_simulate(np.full(grid.n, 0.02), p, 0.6, 0.0, grid,
+                                    t_end=1.0, sample_every=every)
+
+
 def test_band_metrics_uniform_field():
     grid = Grid1D(n=40, dx=1 / 39, dt=0.01)
     from biosim.aerotaxis import CellField
@@ -147,6 +160,16 @@ def test_long_run_converges_to_steady_state_geometry():
 
 def _params(L0, b0=2.0):
     return AerotaxisParams(L0=L0, b0=b0)
+
+
+@pytest.mark.parametrize("k,s", [(-1.0, 1.0), (0.0, 1.0), (0.003, 0.0), (0.003, -2.0)])
+def test_steady_states_reject_nonpositive_k_and_s(k, s):
+    for solve in (lambda: steady_state_general(_params(0.2), 0.003, 0.005, k=k, s=s),
+                  lambda: steady_state_intermediate(_params(0.0035), 0.003, 0.005,
+                                                    k=k, s=s),
+                  lambda: steady_state_low(_params(0.001), 0.003, k=k, s=s)):
+        with pytest.raises(ValueError, match="k and s must be positive"):
+            solve()
 
 
 def test_general_steady_state_reference_values():

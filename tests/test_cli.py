@@ -137,6 +137,39 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    # the band run's CFL number is guarded by the upwind step alone
+    (["aerotaxis-band", "--set", "aerotaxis.v=5"], "CFL number 1.95 exceeds 1"),
+    # a step too large for the switch drives calcium negative
+    (["growthcone-switch", "--set", "gc.h=0.2"], "negative concentration at t=0.4"),
+])
+def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
+    code = main(argv + ["--out", str(tmp_path / "n")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "an experiment name or --list is required"),
+    (["aerotaxis-quasi", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["aerotaxis-band", "--set", "aerotaxis.sample_every=0"], "sample_every must be at least 1"),
+    (["growthcone-rd", "--set", "gc.sample_every=-5"], "sample_every must be at least 1"),
+    (["aerotaxis-steady-general", "--set", "aerotaxis.k=-1"], "k and s must be positive"),
+    (["growthcone-adaptation", "--set", "gc.l0=0"], "l0 must be positive"),
+])
+def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
+    code = main(argv + ["--out", str(tmp_path / "u")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--list"], ["list"]])
+def test_main_lists_experiments(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split() == sorted(EXPERIMENTS)
+
+
 def test_main_reaction_number_exit_code(tmp_path, capsys):
     # dt * c_high = 1.5: the upwind step's reaction-number guard trips
     # before any density turns negative
@@ -167,9 +200,11 @@ def test_integer_key_rejects_fraction(tmp_path, capsys):
                  "--out", str(tmp_path / "f")])
     assert code == 1
     assert "aerotaxis.nodes must be an integer" in capsys.readouterr().err
-    # integral values written as floats are accepted
-    run(ExperimentConfig("aerotaxis-band", {"aerotaxis.nodes": 40.0,
-                                            "aerotaxis.t_end": 0.5}, tmp_path / "ok"))
+    # integral values written as floats are accepted and stored as integers
+    summary = run(ExperimentConfig("aerotaxis-band", {"aerotaxis.nodes": 40.0,
+                                                      "aerotaxis.t_end": 0.5},
+                                   tmp_path / "ok"))
+    assert type(summary.config["aerotaxis.nodes"]) is int
 
 
 def test_main_set_overrides_config(tmp_path):

@@ -32,6 +32,7 @@ from biosim.growthcone import (
     two_compartment_steady,
     two_compartment_steady_rates,
 )
+from biosim.numerics import IntegrationError
 
 # the uncalibrated constants as printed in the source table; the pump and
 # resting-level terms are shared with the defaults
@@ -83,6 +84,15 @@ def test_simulate_low_and_high_branches():
     # high side: both land close together on the high branch
     assert ends[10.0][1] > p.At / 2 and ends[20.0][1] > p.At / 2
     assert abs(ends[10.0][1] - ends[20.0][1]) < 0.1 * ends[10.0][1]
+
+
+@pytest.mark.parametrize("h", [0.2, 0.3])
+def test_simulate_rejects_negative_concentration(h):
+    # at L = 0.1 these steps drive calcium below zero (to -0.108 at
+    # h = 0.2, to about -1e70 at h = 0.3); the default step stays positive
+    with pytest.raises(IntegrationError, match=r"negative concentration at t=\d"):
+        ca_ac_simulate(0.1, h=h)
+    assert ca_ac_simulate(0.1).states.min() >= 0.0
 
 
 def test_invariant_region_under_parameter_jitter():
@@ -204,6 +214,12 @@ def test_constant_ligand_constant_state():
     # starting from the large-lambda state, A stays within the small
     # correction of order 1/lam and ends back at m/r
     assert abs(traj.final()[1] - 0.1) < 1e-6
+
+
+@pytest.mark.parametrize("l0", [0.0, -0.1])
+def test_initial_state_rejects_nonpositive_ligand(l0):
+    with pytest.raises(ValueError, match="l0 must be positive"):
+        adaptation_initial_state(l0, AdaptationParams())
 
 
 def test_step_returns_to_baseline_both_directions():

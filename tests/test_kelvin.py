@@ -20,7 +20,6 @@ from biosim.kelvin import (
     parameter_sweep,
     peak_envelope,
     relaxation_times,
-    rhs_closed_forms,
     single_body_steady_closed_form,
     steady_peak,
 )
@@ -230,25 +229,10 @@ def test_stiffer_spring_smaller_faster():
 
 # ---------------------------------------------------------------- closed forms
 
-def test_rhs_closed_forms_match_dense_solve():
-    g = ParallelGroup((ACTIN, NUCLEUS, TRANS))
-    A, D, c_builder, _ = parallel_assemble(g, 1.0)
-    for F, dF in ((1.0, 0.0), (0.7, -2.3)):
-        c = c_builder(F, dF)
-        y, x = rhs_closed_forms(g, F, dF)
-        assert np.allclose(y, solve_linear_dense(D, c), atol=1e-10)
-        assert np.allclose(x, solve_linear_dense(A, c), atol=1e-10)
-
-
-def test_rhs_closed_forms_zero_forcing():
-    g = ParallelGroup((ACTIN, NUCLEUS))
-    y, x = rhs_closed_forms(g, 0.0, 0.0)
-    assert np.all(y == 0) and np.all(x == 0)
-
-
 def test_steady_offset_is_spring_balance():
     g = ParallelGroup((ACTIN, NUCLEUS))
-    y, _ = rhs_closed_forms(g, 1.0, 0.0)
+    _, D, c_builder, _ = parallel_assemble(g, 1.0)
+    y = solve_linear_dense(D, c_builder(1.0, 0.0))
     assert -y[0] == pytest.approx(1.0 / (50 + 200))
 
 

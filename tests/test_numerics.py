@@ -72,6 +72,19 @@ def test_integrator_aborts_on_nonfinite():
         rk4_integrate(blowup, [1.0], 0.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("integrate,message", [
+    (rk4_integrate, "non-finite state after step at t=0.1"),
+    (euler_integrate, "non-finite derivative at t=0.1"),
+])
+def test_integrator_overflow_raises_without_numpy_warnings(integrate, message):
+    # overflow surfaces only as IntegrationError, with a plain float time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            integrate(lambda t, y: 1e300 * y * y, [1.0], 0.0, 1.0, 0.1)
+    assert str(err.value) == message
+
+
 def test_partial_final_step_lands_on_t1():
     traj = rk4_integrate(lambda t, y: -y, [1.0], 0.0, 0.25, 0.1)
     assert traj.times[-1] == 0.25
