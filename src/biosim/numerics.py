@@ -1,10 +1,11 @@
 """Shared low-level numerical kernels.
 
-Fixed-step time integrators, an exact solver for linear constant-
-coefficient ODEs, explicit finite-difference steps for 1-D transport and
-diffusion, a bracketed scalar root finder, and small dense linear
-algebra.  Everything here is a pure function of value-semantic inputs and
-is safe to call concurrently.
+Fixed-step time integrators, an error-controlled Dormand-Prince 5(4)
+integrator, an exact solver for linear constant-coefficient ODEs,
+explicit finite-difference steps for 1-D transport and diffusion, a
+bracketed scalar root finder, and small dense linear algebra.
+Everything here is a pure function of value-semantic inputs and is safe
+to call concurrently.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ class StabilityError(NumericsError):
 
 
 class IntegrationError(NumericsError):
-    """A time integrator met a non-finite value."""
+    """A time integrator met a non-finite value or could not meet its error
+    tolerance."""
 
 
 class BracketError(NumericsError):
@@ -159,6 +161,104 @@ def euler_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
                     f"non-finite state after step at t={float(times[i + 1])!r}")
             states[i + 1] = y
     return Trajectory(times, states)
+
+
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6:19, 1980): stage nodes and
+# weights, the order-5 weights (the seventh stage is the derivative at the
+# new state, so it is the next step's first: FSAL), the order-5 minus
+# order-4 error weights and the order-4 dense-output weights (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.4-6).
+_DP5_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP5_A = (
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_DP5_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP5_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                   22 / 525, -1 / 40])
+_DP5_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                   -10690763975 / 1880347072, 701980252875 / 199316789632,
+                   -1453857185 / 822651844, 69997945 / 29380423])
+# error tolerances and the step budget of dopri5_integrate
+DP5_RTOL = 1e-10
+DP5_ATOL = 1e-12
+DP5_MAX_STEPS = 100_000
+
+
+def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
+    """Error-controlled Dormand-Prince 5(4) from t = 0, sampled on the grid
+    of rk4_integrate(..., 0, t_end, h); h sets the sample spacing only.
+
+    Each step keeps the local error estimate below DP5_ATOL + DP5_RTOL |y|
+    (root-mean-square over components), with a PI step controller
+    (Hairer, Norsett & Wanner, II.4).  The samples inside an accepted step
+    come from its order-4 continuous extension.  A trial step whose stages
+    turn non-finite is rejected like one with too large an error.  Costs
+    6 rhs calls per attempted step plus one.  Raises IntegrationError when
+    the initial derivative is non-finite, when the step size underflows and
+    after DP5_MAX_STEPS attempted steps.
+    """
+    times = _step_times(0.0, t_end, h)
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    states = np.empty((len(times), y.size))
+    states[0] = y
+    k = np.empty((7, y.size))
+    # overflow surfaces as a rejected step, then as IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        k[0] = rhs(0.0, y)
+        if not np.all(np.isfinite(k[0])):
+            raise IntegrationError("non-finite derivative at t=0.0")
+        # first trial step from the scale of y over that of y' (HNW II.4)
+        scale = DP5_ATOL + DP5_RTOL * np.abs(y)
+        d0 = np.sqrt(np.mean((y / scale) ** 2))
+        d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
+        step = 0.01 * float(d0 / d1) if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+        min_step = 10 * np.finfo(float).eps * t_end
+        t, j = 0.0, 1
+        err_old, rejected = 1e-4, False
+        for _ in range(DP5_MAX_STEPS):
+            if step < min_step:
+                raise IntegrationError(f"step size underflow at t={t!r}")
+            last = t + 1.01 * step >= t_end
+            if last:
+                step = t_end - t
+            for s in range(1, 6):
+                k[s] = rhs(t + _DP5_C[s] * step, y + step * (_DP5_A[s] @ k[:s]))
+            y_new = y + step * (_DP5_B @ k[:6])
+            k[6] = rhs(t_end if last else t + step, y_new)
+            scale = DP5_ATOL + DP5_RTOL * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.sqrt(np.mean((step * (_DP5_E @ k) / scale) ** 2)))
+            if not math.isfinite(err):
+                err = math.inf
+            # PI control: exponents 0.17 and 0.04, safety 0.9, and the step
+            # changes by a factor between 0.2 and 10
+            gain = err**0.17
+            if err > 1.0:
+                step /= min(5.0, gain / 0.9)
+                rejected = True
+                continue
+            t_new = t_end if last else t + step
+            stop = int(np.searchsorted(times, t_new, side="right"))
+            if stop > j:
+                # order-4 continuous extension (HNW II.6, dense output of DOPRI5)
+                dy = y_new - y
+                b = step * k[0] - dy
+                r4 = dy - step * k[6] - b
+                r5 = step * (_DP5_D @ k)
+                th = ((times[j:stop] - t) / step)[:, None]
+                states[j:stop] = y + th * (dy + (1 - th) * (b + th * (r4 + (1 - th) * r5)))
+                j = stop
+            if last:
+                return Trajectory(times, states)
+            new_step = step / max(0.1, min(5.0, gain / err_old**0.04 / 0.9))
+            step = min(new_step, step) if rejected else new_step
+            t, y, k[0] = t_new, y_new, k[6]
+            err_old, rejected = max(err, 1e-4), False
+    raise IntegrationError(f"out of steps: {DP5_MAX_STEPS} attempted, at t={t!r}")
 
 
 def ftcs_diffusion_step(field, diffusivity: float, grid: Grid1D,
@@ -359,39 +459,3 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     if not np.all(np.isfinite(states)):
         raise IntegrationError(f"linear solution turned non-finite before t={t_end!r}")
     return Trajectory(times, states)
-
-
-def eig2(A):
-    """Eigenvalues and eigenvectors of a real 2x2 matrix.
-
-    Roots of lambda^2 - tr(A) lambda + det(A); a complex pair is returned
-    as conjugates.  Eigenvectors are the columns of the returned matrix.
-    """
-    M = np.asarray(A, dtype=float)
-    a, b = M[0]
-    c, d = M[1]
-    tr = a + d
-    det = a * d - b * c
-    disc = tr * tr - 4 * det
-    if disc >= 0:
-        root = math.sqrt(disc)
-        lam1 = (tr + root) / 2
-        lam2 = (tr - root) / 2
-        dtype = float
-    else:
-        root = math.sqrt(-disc)
-        lam1 = complex(tr / 2, root / 2)
-        lam2 = complex(tr / 2, -root / 2)
-        dtype = complex
-    vecs = np.zeros((2, 2), dtype=dtype)
-    for j, lam in enumerate((lam1, lam2)):
-        v1 = np.array([b, lam - a], dtype=dtype)
-        v2 = np.array([lam - d, c], dtype=dtype)
-        v = v1 if np.abs(v1).sum() >= np.abs(v2).sum() else v2
-        norm = np.sqrt(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
-        if norm == 0:
-            # scaled identity: any direction is an eigenvector
-            v = np.array([1.0, 0.0] if j == 0 else [0.0, 1.0], dtype=dtype)
-            norm = 1.0
-        vecs[:, j] = v / norm
-    return lam1, lam2, vecs

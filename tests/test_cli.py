@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import biosim
+from biosim import numerics
 from biosim.cli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -140,14 +145,35 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     # the band run's CFL number is guarded by the upwind step alone
     (["aerotaxis-band", "--set", "aerotaxis.v=5"], "CFL number 1.95 exceeds 1"),
-    # a step too large for the switch drives calcium negative
-    (["growthcone-switch", "--set", "gc.h=0.2"], "negative concentration at t=0.4"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
+
+
+def test_main_switch_out_of_steps_exit_code(monkeypatch, tmp_path, capsys):
+    # the switch's error-controlled integrator gives up after its step budget
+    monkeypatch.setattr(numerics, "DP5_MAX_STEPS", 50)
+    code = main(["growthcone-switch", "--out", str(tmp_path / "n")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "out of steps: 50 attempted" in err
+
+
+def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
+    # gc.h is the switch's sample spacing, not its step: a coarse grid
+    # samples the same solution (a fixed step of 0.2 drove calcium negative)
+    ends = []
+    for tag, argv in (("default", []), ("coarse", ["--set", "gc.h=0.2"])):
+        out = tmp_path / tag
+        assert main(["growthcone-switch", *argv, "--out", str(out)]) == 0
+        ends.append(json.loads((out / "summary.json").read_text())["metrics"])
+    default, coarse = ends
+    assert coarse.keys() == default.keys() == {f"A_end_{i}" for i in range(1, 5)}
+    for key, value in default.items():
+        assert coarse[key] == pytest.approx(value, rel=1e-7)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -216,3 +242,16 @@ def test_main_set_overrides_config(tmp_path):
     assert code == 0
     data = json.loads((out / "summary.json").read_text())
     assert data["config"]["aerotaxis.L0_lo"] == 0.9
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only oracle; the CLI's import time must not carry it
+    src = str(Path(biosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biosim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -88,11 +88,24 @@ def test_simulate_low_and_high_branches():
 
 @pytest.mark.parametrize("h", [0.2, 0.3])
 def test_simulate_rejects_negative_concentration(h):
-    # at L = 0.1 these steps drive calcium below zero (to -0.108 at
-    # h = 0.2, to about -1e70 at h = 0.3); the default step stays positive
-    with pytest.raises(IntegrationError, match=r"negative concentration at t=\d"):
-        ca_ac_simulate(0.1, h=h)
-    assert ca_ac_simulate(0.1).states.min() >= 0.0
+    # h is the sample spacing: at L = 0.1 the fixed steps h = 0.2 and 0.3
+    # once drove calcium negative; now only a negative initial state does
+    assert ca_ac_simulate(0.1, h=h).states.min() >= 0.0
+    for C0, A0 in ((-0.1, 0.0), (0.1, -1.0)):
+        with pytest.raises(IntegrationError, match=r"negative concentration at t=0\.0$"):
+            ca_ac_simulate(0.1, h=h, C0=C0, A0=A0)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.3, 0.4, 0.5])
+def test_simulate_coarse_sample_spacing_matches_default(h):
+    # a fixed step of 0.5 once returned C = 7.0e21 at L = 0.1
+    default = ca_ac_simulate(0.1)
+    coarse = ca_ac_simulate(0.1, h=h)
+    idx = np.rint(coarse.times / 1e-3).astype(int)
+    assert np.allclose(default.times[idx], coarse.times, rtol=0.0, atol=1e-12)
+    assert np.all(np.abs(coarse.states - default.states[idx])
+                  <= 1e-7 * np.abs(default.states[idx]))
+    assert coarse.final()[0] == pytest.approx(0.0637, abs=1e-4)
 
 
 def test_invariant_region_under_parameter_jitter():
@@ -116,6 +129,28 @@ def test_invariant_region_under_parameter_jitter():
 def test_nullcline_intersection_counts():
     for L, expected in ((0.1, 1), (1.0, 3), (10.0, 1)):
         assert len(ca_ac_steady_states(L)) == expected
+
+
+def _fd_jacobian(C, A, L, p, step=1e-6):
+    cols = []
+    for dC, dA in ((step, 0.0), (0.0, step)):
+        up = np.array(ca_ac_rhs((C + dC, A + dA), L, p))
+        dn = np.array(ca_ac_rhs((C - dC, A - dA), L, p))
+        cols.append((up - dn) / (2 * step))
+    return np.column_stack(cols)
+
+
+def test_steady_state_stability_labels():
+    # the labels the eigenvalue test gave before: stable outer branches
+    # around an unstable middle state inside the bistable window
+    p = CaAcParams()
+    expected = {0.5: [True], 1.0: [True, False, True], 2.0: [True, False, True]}
+    for L, labels in expected.items():
+        states = ca_ac_steady_states(L, p)
+        assert [stable for _, stable in states] == labels
+        for st, stable in states:
+            lam = np.linalg.eigvals(_fd_jacobian(st.C, st.A, L, p))
+            assert (lam.real.max() < 0) == stable
 
 
 def test_nullcline_curves_cross_at_steady_states():

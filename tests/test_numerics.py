@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biosim import growthcone, numerics
 from biosim.numerics import (
     Bracket,
     BracketError,
@@ -13,7 +14,7 @@ from biosim.numerics import (
     IntegrationError,
     SingularMatrixError,
     StabilityError,
-    eig2,
+    dopri5_integrate,
     euler_integrate,
     expm,
     ftcs_diffusion_step,
@@ -108,7 +109,95 @@ def test_step_grid_rejects_non_finite(t1, h):
     with pytest.raises(ValueError, match="finite"):
         solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], t1, h)
     with pytest.raises(ValueError, match="finite"):
+        dopri5_integrate(lambda t, y: -y, [1.0], t1, h)
+    with pytest.raises(ValueError, match="finite"):
         rk4_integrate(lambda t, y: -y, [1.0], math.nan, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------- Dormand-Prince 5(4)
+
+def _dop853(rhs, y0, times):
+    # test-only oracle: scipy's order-8 Dormand-Prince at a tolerance 100
+    # times below the kernel's
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-12,
+                    atol=1e-14, t_eval=times)
+    assert sol.success
+    return sol.y.T
+
+
+def _rel_err(states, reference):
+    return np.max(np.abs(states - reference) / np.maximum(np.abs(reference), 1e-3))
+
+
+def test_dopri5_linear_oscillator_matches_closed_form_and_dop853():
+    # x'' + 0.2 x' + 4 x = 0, x(0) = 1, x'(0) = 0
+    D = np.array([[0.0, 1.0], [-4.0, -0.2]])
+    w = math.sqrt(4.0 - 0.01)
+    traj = dopri5_integrate(lambda t, y: D @ y, [1.0, 0.0], 20.0, 0.01)
+    t = traj.times
+    exact = np.exp(-0.1 * t)[:, None] * np.column_stack(
+        [np.cos(w * t) + 0.1 / w * np.sin(w * t), -(w + 0.01 / w) * np.sin(w * t)])
+    assert np.max(np.abs(traj.states - exact)) < 1e-8
+    assert np.max(np.abs(traj.states - _dop853(lambda t, y: D @ y, [1.0, 0.0], t))) < 1e-8
+
+
+@pytest.mark.parametrize("L", [0.1, 1.0, 10.0, 20.0])
+def test_dopri5_switch_matches_dop853(L):
+    # every default sample of growthcone-switch; fixed-step RK4 at h = 1e-3
+    # is off by 1.5e-7 at L = 10 and 20
+    p = growthcone.CaAcParams()
+    rhs = lambda t, y: growthcone.ca_ac_rhs(y, L, p)
+    traj = dopri5_integrate(rhs, [p.Cb, 0.0], 10.0, 1e-3)
+    assert len(traj) == 10_001
+    assert _rel_err(traj.states, _dop853(rhs, [p.Cb, 0.0], traj.times)) < 1e-7
+
+
+def test_dopri5_samples_on_the_rk4_grid():
+    # 1.05 / 0.1 leaves a short last sample interval
+    traj = dopri5_integrate(lambda t, y: -y, [1.0], 1.05, 0.1)
+    assert np.array_equal(traj.times, rk4_integrate(lambda t, y: -y, [1.0], 0.0, 1.05, 0.1).times)
+    assert traj.times[-1] == 1.05 and traj.states[0, 0] == 1.0
+    assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.times))) < 1e-9
+
+
+def test_dopri5_fsal_costs_six_calls_per_attempted_step(monkeypatch):
+    p = growthcone.CaAcParams()
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return growthcone.ca_ac_rhs(y, 10.0, p)
+
+    dopri5_integrate(rhs, [p.Cb, 0.0], 10.0, 0.5)
+    attempts, rest = divmod(len(calls) - 1, 6)
+    assert rest == 0
+    # stages 2 and 3 sit at t + h/5 and t + 3h/10, so 3 s2 - 2 s3 is the
+    # attempt's start: a repeated start is a rejected step, retried
+    starts = {round(3 * calls[1 + 6 * i] - 2 * calls[2 + 6 * i], 9) for i in range(attempts)}
+    assert len(starts) < attempts
+    # the step budget counts attempts: exactly that many suffice
+    monkeypatch.setattr(numerics, "DP5_MAX_STEPS", attempts)
+    calls.clear()
+    dopri5_integrate(rhs, [p.Cb, 0.0], 10.0, 0.5)
+    assert len(calls) == 6 * attempts + 1
+    monkeypatch.setattr(numerics, "DP5_MAX_STEPS", attempts - 1)
+    calls.clear()
+    with pytest.raises(IntegrationError, match=f"out of steps: {attempts - 1} attempted"):
+        dopri5_integrate(rhs, [p.Cb, 0.0], 10.0, 0.5)
+    assert len(calls) == 6 * (attempts - 1) + 1
+
+
+def test_dopri5_finite_time_blowup_raises():
+    # y' = y^2, y(0) = 1 has y = 1 / (1 - t): no solution past t = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"step size underflow at t=0\.99999"):
+            dopri5_integrate(lambda t, y: y * y, [1.0], 2.0, 0.1)
+        with pytest.raises(IntegrationError, match="step size underflow at t=0.0"):
+            dopri5_integrate(lambda t, y: 1e300 * y * y, [1.0], 1.0, 0.1)
+    with pytest.raises(IntegrationError, match="non-finite derivative at t=0.0"):
+        dopri5_integrate(lambda t, y: np.array([math.nan]), [1.0], 1.0, 0.1)
 
 
 # ---------------------------------------------------------------- exact linear kernel
@@ -407,45 +496,6 @@ def test_solve_singular_names_pivot():
     with pytest.raises(SingularMatrixError) as err:
         solve_linear_dense(A, np.array([1.0, 1.0]))
     assert err.value.pivot_index == 1
-
-
-# ---------------------------------------------------------------- eig2
-
-def test_eig2_diagonal():
-    lam1, lam2, _ = eig2(np.diag([4.0, -2.0]))
-    assert {lam1, lam2} == {4.0, -2.0}
-
-
-def test_eig2_rotation_conjugate_pair():
-    lam1, lam2, _ = eig2(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert lam1 == complex(0, 1)
-    assert lam2 == complex(0, -1)
-
-
-def test_eig2_matches_characteristic_polynomial():
-    # two-state relaxation matrix at sample rate constants, checked against
-    # the quadratic-formula oracle evaluated independently
-    r, k1, kd, ka1, ka2 = 1.0, 1.0, 0.2, 0.2, 0.1
-    D = np.array(
-        [
-            [-(r * ka1 + k1 * kd) / (kd + ka1), k1 * kd / (kd + ka1)],
-            [k1 * kd / (kd + ka2), -(r * ka2 + k1 * kd) / (kd + ka2)],
-        ]
-    )
-    tr = D[0, 0] + D[1, 1]
-    det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
-    roots = np.roots([1.0, -tr, det])
-    lam1, lam2, vecs = eig2(D)
-    assert np.allclose(sorted([lam1, lam2]), sorted(roots.real), atol=1e-12)
-    for lam, v in ((lam1, vecs[:, 0]), (lam2, vecs[:, 1])):
-        assert np.allclose(D @ v, lam * v, atol=1e-10)
-
-
-def test_eig2_eigenvectors_complex_case():
-    A = np.array([[1.0, -2.0], [3.0, 1.0]])
-    lam1, lam2, vecs = eig2(A)
-    for lam, v in ((lam1, vecs[:, 0]), (lam2, vecs[:, 1])):
-        assert np.allclose(A @ v, lam * v, atol=1e-10)
 
 
 # ---------------------------------------------------------------- type guards
