@@ -17,8 +17,8 @@ from .numerics import (
     Bracket,
     Grid1D,
     Trajectory,
+    _step_times,
     ftcs_diffusion_step,
-    rk4_integrate,
     solve_scalar_root,
     upwind_advection_reaction_step,
 )
@@ -60,14 +60,13 @@ class AerotaxisParams:
     kappa: float = 0.018
     L0: float = 1.0
     b0: float = 1.0
-    domain_length: float = 1.0
     grid: Grid1D = field(default_factory=lambda: Grid1D(n=40, dx=1.0 / 39.0, dt=0.01))
     thresholds: TurningThresholds = field(
         default_factory=lambda: TurningThresholds(0.2, 0.35, 0.45, 0.7, 0.0, 80.0)
     )
 
     def __post_init__(self):
-        for name in ("v", "D", "kappa", "L0", "b0", "domain_length"):
+        for name in ("v", "D", "kappa", "L0", "b0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -516,7 +515,7 @@ class _ExpStreams:
 
 
 def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
-                                dt: float = 0.01, burn_in: float | None = None):
+                                dt: float = 0.01):
     """Density ratio inside vs outside the favourable band for walkers
     whose turning rate after leaving the band decays as c exp(-age/t_a).
 
@@ -532,16 +531,14 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     0 on approaching ones, and each receding leg gets a fresh Exp(1)/c.
     Walker i draws from its own stream default_rng((seed, i)).
 
-    Occupancy is sampled every dt after burn_in (default t_end/10), up to
+    Occupancy is sampled every dt after the first tenth of t_end, up to
     round(t_end/dt) dt.
     """
     if not (dt > 0 and t_end > 0):
         raise ValueError("t_end and dt must be positive")
-    if burn_in is None:
-        burn_in = 0.1 * t_end
     steps = int(round(t_end / dt))
     sample_times = dt * np.arange(1, steps + 1)
-    n_samples = int(np.count_nonzero(sample_times > burn_in))
+    n_samples = int(np.count_nonzero(sample_times > 0.1 * t_end))
     first = steps - n_samples  # samples are the steps after this one
     t_stop = steps * dt
 
@@ -614,38 +611,21 @@ def piston_separation_closed_form(p: PistonParams, ramp_sign: int, t):
     return p.delta_z + lag * (1.0 - np.exp(-t / p.tau))
 
 
-def piston_receptor_simulate(p: PistonParams, ramp_sign: int, t_end: float,
-                             h: float | None = None):
-    """Integrate the slow receptor part against the fast one.
+def piston_receptor_simulate(p: PistonParams, ramp_sign: int, t_end: float):
+    """Positions of the two receptor parts under the driving signal
+    c0 +/- k t, sampled every tau/50.
 
-    The driving signal is c0 +/- k t; the fast part sits at its
-    equilibrium at all times while the slow part relaxes toward its own
-    with time constant tau.  Returns the (z_f, z_s) trajectory and the
-    times at which the two parts first come within lock_tol (tumble
-    events).
+    The fast part sits at its equilibrium z_f0 + c1 signal at all times;
+    the slow part relaxes toward z_f - delta_z with time constant tau, so
+    z_f - z_s is piston_separation_closed_form.  Returns the (z_f, z_s)
+    trajectory and the times at which the two parts first come within
+    lock_tol (tumble events).
     """
     if ramp_sign not in (-1, 1):
         raise ValueError("ramp_sign must be +1 or -1")
-    if h is None:
-        h = p.tau / 50.0
-
-    def signal(t):
-        return ramp_sign * p.k * t + p.c0
-
-    def z_fast(t):
-        return p.z_f0 + p.c1 * signal(t)
-
-    def z_slow_target(t):
-        return p.z_f0 - p.delta_z + p.c1 * signal(t)
-
-    rhs = lambda t, y: (z_slow_target(t) - y) / p.tau
-    zs0 = z_slow_target(0.0)
-    traj = rk4_integrate(rhs, [zs0], 0.0, t_end, h)
-    zf = z_fast(traj.times)
-    zs = traj.states[:, 0]
-    sep = zf - zs
+    times = _step_times(0.0, t_end, p.tau / 50.0)
+    zf = p.z_f0 + p.c1 * (ramp_sign * p.k * times + p.c0)
+    sep = piston_separation_closed_form(p, ramp_sign, times)
     locked = np.abs(sep) <= p.lock_tol
-    events = [float(traj.times[i]) for i in range(1, len(locked))
-              if locked[i] and not locked[i - 1]]
-    states = np.column_stack([zf, zs])
-    return Trajectory(traj.times, states), events
+    events = [float(t) for t in times[1:][locked[1:] & ~locked[:-1]]]
+    return Trajectory(times, np.column_stack([zf, zf - sep])), events

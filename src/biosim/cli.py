@@ -55,10 +55,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    # row by row: the text of a large table is never held whole
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _every(n: int, max_rows: int) -> range:
@@ -94,8 +95,7 @@ def _band_params(p):
         p["aerotaxis.lt_max"], p["aerotaxis.c_low"], p["aerotaxis.c_high"])
     return aerotaxis.AerotaxisParams(
         v=p["aerotaxis.v"], D=p["aerotaxis.D"], kappa=p["aerotaxis.kappa"],
-        L0=p["aerotaxis.L0"], b0=p["aerotaxis.b0"],
-        domain_length=p["aerotaxis.length"], grid=grid, thresholds=th)
+        L0=p["aerotaxis.L0"], b0=p["aerotaxis.b0"], grid=grid, thresholds=th)
 
 
 def run_band(p, out: Path, seed: int):
@@ -236,8 +236,8 @@ def run_gc_twocomp(p, out, seed):
     traj = growthcone.two_compartment_simulate(p["gc.l1"], p["gc.l2"], ap, cpl,
                                                t_end=p["gc.t_end"], l0=p["gc.l0"])
     _write_traj(out / "traj.csv", ["t", "M1", "A1", "M2", "A2"], traj)
-    A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(p["gc.l1"], p["gc.l2"],
-                                                           ap, cpl)
+    A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(
+        ap.ka(p["gc.l1"]), ap.ka(p["gc.l2"]), ap, cpl)
     return {
         "A1_end": float(traj.final()[1]),
         "A2_end": float(traj.final()[3]),

@@ -76,18 +76,28 @@ class CaAcState:
             raise ValueError("concentrations must be nonnegative")
 
 
+def _calcium_terms(C, L: float, gate, p: CaAcParams):
+    """(q, release) with dC/dt = q + release: q is the ligand-gated influx
+    minus the store pump plus the relaxation toward Cb, and release the
+    store release at the gate kf + k3 A.  For a scalar C the release is 0
+    where C + ka_ratio L <= 0; the array scans keep C > 0."""
+    q = p.k0 * L / (p.kn1 + L) - p.k1 * C * C / (p.Kp * p.Kp + C * C) + p.k2 * (p.Cb - C)
+    den = C + p.ka_ratio * L
+    if isinstance(den, np.ndarray) or den > 0:
+        return q, gate * L * C * (p.Cer - C) / den
+    return q, 0.0
+
+
+def _activation_gain(C, L, p: CaAcParams):
+    """dA/dt = gain (At - A) - k5 A."""
+    return p.k4 * L / (p.kn2 + L) * p.Cm * C**4 / (p.Kr**5 + p.Cm * C**4)
+
+
 def ca_ac_rhs(state, L: float, p: CaAcParams):
     """Time derivatives (dC/dt, dA/dt) of the switch at ligand level L."""
     C, A = state
-    influx = p.k0 * L / (p.kn1 + L)
-    pump = p.k1 * C * C / (p.Kp * p.Kp + C * C)
-    leak = p.k2 * (p.Cb - C)
-    den = C + p.ka_ratio * L
-    store = (p.kf + p.k3 * A) * L * C * (p.Cer - C) / den if den > 0 else 0.0
-    activation = (p.k4 * L / (p.kn2 + L)
-                  * p.Cm * C**4 / (p.Kr**5 + p.Cm * C**4)
-                  * (p.At - A))
-    return influx - pump + leak + store, activation - p.k5 * A
+    q, release = _calcium_terms(C, L, p.kf + p.k3 * A, p)
+    return q + release, _activation_gain(C, L, p) * (p.At - A) - p.k5 * A
 
 
 def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
@@ -109,27 +119,18 @@ def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
     return traj
 
 
-def _activation_gain(C, L, p: CaAcParams):
-    return (p.k4 * L / (p.kn2 + L)) * (p.Cm * C**4) / (p.Kr**5 + p.Cm * C**4)
-
-
-def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(),
-                     c_range=(1e-3, 8.0), n: int = 400):
-    """Both nullclines as A(C) curves on a shared calcium grid.
+def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
+    """Both nullclines as A(C) curves on n calcium levels in [1e-3, 8].
 
     The dC/dt = 0 curve is solved for A (the release term is linear in
     A); the dA/dt = 0 curve is closed form.  Where the release term
     vanishes the dC curve has no finite solution and nan is returned.
     """
-    C = np.linspace(c_range[0], c_range[1], n)
-    influx = p.k0 * L / (p.kn1 + L)
-    pump = p.k1 * C * C / (p.Kp * p.Kp + C * C)
-    leak = p.k2 * (p.Cb - C)
-    g4 = L * C * (p.Cer - C) / (C + p.ka_ratio * L)
+    C = np.linspace(1e-3, 8.0, n)
+    # at gate 1 the release is its coefficient of kf + k3 A
+    q, g4 = _calcium_terms(C, L, 1.0, p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_c = np.where(np.abs(g4) > 1e-300,
-                       -(influx - pump + leak) / (p.k3 * g4) - p.kf / p.k3,
-                       np.nan)
+        a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
     gain = _activation_gain(C, L, p)
     a_a = p.At * gain / (gain + p.k5)
     return C, a_c, a_a
@@ -140,25 +141,22 @@ def _dc_on_a_nullcline(C, L: float, p: CaAcParams):
     the steady states are its roots."""
     gain = _activation_gain(C, L, p)
     A = p.At * gain / (gain + p.k5)
-    influx = p.k0 * L / (p.kn1 + L)
-    pump = p.k1 * C * C / (p.Kp * p.Kp + C * C)
-    leak = p.k2 * (p.Cb - C)
-    store = (p.kf + p.k3 * A) * L * C * (p.Cer - C) / (C + p.ka_ratio * L)
-    return influx - pump + leak + store
+    q, release = _calcium_terms(C, L, p.kf + p.k3 * A, p)
+    return q + release
 
 
-def _root_brackets(L: float, p: CaAcParams, c_max: float, n_scan: int):
-    """Calcium grid and the indices i whose cell [C_i, C_i+1] brackets a
-    steady state: a sign change of the nullcline residual, or a zero at C_i."""
+def _root_brackets(L: float, p: CaAcParams, n_scan: int):
+    """n_scan calcium levels in [1e-6, 8] and the indices i whose cell
+    [C_i, C_i+1] brackets a steady state: a sign change of the nullcline
+    residual, or a zero at C_i."""
     if L < 0:
         raise ValueError("ligand must be nonnegative")
-    C = np.linspace(1e-6, c_max, n_scan)
+    C = np.linspace(1e-6, 8.0, n_scan)
     f = _dc_on_a_nullcline(C, L, p)
     return C, np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
 
 
-def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams(),
-                        c_max: float = 8.0, n_scan: int = 4000):
+def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams(), n_scan: int = 4000):
     """All steady states with their linear stability.
 
     Roots are bracketed by sign changes of dC/dt on the dA/dt = 0 curve
@@ -166,7 +164,7 @@ def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams(),
     state is stable when its finite-difference Jacobian has negative trace
     and positive determinant.
     """
-    C, cells = _root_brackets(L, p, c_max, n_scan)
+    C, cells = _root_brackets(L, p, n_scan)
     states = []
     for i in cells:
         root = solve_scalar_root(lambda c: _dc_on_a_nullcline(c, L, p),
@@ -218,17 +216,18 @@ def bifurcation_scan(p: CaAcParams, L_values):
 
 
 def hysteresis_jumps(p: CaAcParams = CaAcParams(), L_lo: float = 0.05,
-                     L_hi: float = 6.0, n_scan: int = 200):
-    """(L_up, L_down): edges of the bistable window.
+                     L_hi: float = 6.0):
+    """(L_up, L_down): edges of the bistable window, located on 200
+    ligand levels and refined by bisection.
 
     An upward sweep leaves the low branch at L_up; a downward sweep
     leaves the high branch at L_down.
     """
     def bistable(L):
         # counts the brackets of ca_ac_steady_states(L, p, n_scan=1500)
-        return len(_root_brackets(L, p, 8.0, 1500)[1]) >= 3
+        return len(_root_brackets(L, p, 1500)[1]) >= 3
 
-    Ls = np.linspace(L_lo, L_hi, n_scan)
+    Ls = np.linspace(L_lo, L_hi, 200)
     multi = np.array([bistable(L) for L in Ls])
     if not multi.any():
         raise ValueError("no bistable window found in the scanned range")
@@ -244,7 +243,7 @@ def hysteresis_jumps(p: CaAcParams = CaAcParams(), L_lo: float = 0.05,
         return 0.5 * (inside + outside)
 
     L_down = refine(Ls[idx[0]], Ls[idx[0] - 1]) if idx[0] > 0 else Ls[0]
-    L_up = refine(Ls[idx[-1]], Ls[idx[-1] + 1]) if idx[-1] + 1 < n_scan else Ls[-1]
+    L_up = refine(Ls[idx[-1]], Ls[idx[-1] + 1]) if idx[-1] + 1 < len(Ls) else Ls[-1]
     return L_up, L_down
 
 
@@ -368,9 +367,10 @@ def two_compartment_simulate(l1: float, l2: float,
     return solve_linear_ode(np.eye(4), D, c, y0, t_end, h)
 
 
-def two_compartment_steady_rates(ka1: float, ka2: float, p: AdaptationParams,
-                                 cpl: CompartmentCoupling):
-    """Exact steady state (A1s, A2s, M1s, M2s) for given production rates."""
+def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
+                           cpl: CompartmentCoupling):
+    """Exact steady state (A1s, A2s, M1s, M2s) for the production rates
+    ka1 and ka2; at ligand levels l1, l2 pass p.ka(l1), p.ka(l2)."""
     if ka1 + ka2 <= 0:
         raise ValueError("at least one production rate must be positive")
     r1 = p.r + p.lam * p.kd
@@ -396,12 +396,6 @@ def two_compartment_steady_rates(ka1: float, ka2: float, p: AdaptationParams,
                * (r2 * (p.lam * ka1 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
                / denomM)
     return A1s, A2s, M1s, M2s
-
-
-def two_compartment_steady(l1: float, l2: float,
-                           p: AdaptationParams = AdaptationParams(),
-                           cpl: CompartmentCoupling = CompartmentCoupling()):
-    return two_compartment_steady_rates(p.ka(l1), p.ka(l2), p, cpl)
 
 
 def optimal_ligand_sum(p: AdaptationParams, cpl: CompartmentCoupling) -> float:
@@ -534,13 +528,6 @@ def switch_gradient(l1: float, l2: float, ca: float,
     calcium-modulated rate: (ka1, ka2, A1s, A2s, sign of A1s - A2s)."""
     ka1 = calcium_switch_rate(l1, ca, sp)
     ka2 = calcium_switch_rate(l2, ca, sp)
-    A1s, A2s, _, _ = two_compartment_steady_rates(ka1, ka2, p, cpl)
+    A1s, A2s, _, _ = two_compartment_steady(ka1, ka2, p, cpl)
     return ka1, ka2, A1s, A2s, float(np.sign(A1s - A2s))
 
-
-def switch_gradient_sign(l1: float, l2: float, ca: float,
-                         sp: SwitchRateParams = SwitchRateParams(),
-                         p: AdaptationParams = AdaptationParams(),
-                         cpl: CompartmentCoupling = CompartmentCoupling()) -> float:
-    """Sign of A1s - A2s when production follows the calcium-modulated rate."""
-    return switch_gradient(l1, l2, ca, sp, p, cpl)[-1]

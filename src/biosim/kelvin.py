@@ -80,34 +80,38 @@ def convert_micropipette_params(a: float, delta_p: float, L0: float, Ls: float,
 
 @dataclass(frozen=True)
 class Forcing:
-    kind: str           # "steady" or "oscillatory"
+    """The force F0 cos(omega t); omega = 0 is steady forcing."""
+
     F0: float
-    omega: float = 0.0  # rad/s; 0 for steady forcing
+    omega: float = 0.0  # rad/s
 
     def __post_init__(self):
-        if self.kind not in ("steady", "oscillatory"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
         if not (math.isfinite(self.F0) and math.isfinite(self.omega)):
             raise ValueError("F0 and omega must be finite")
-        if self.kind == "oscillatory" and self.omega <= 0:
-            raise ValueError("oscillatory forcing needs omega > 0")
-        if self.kind == "steady" and self.omega != 0:
-            raise ValueError("steady forcing has omega = 0")
+        if self.omega < 0:
+            raise ValueError(f"omega must be nonnegative, got {self.omega!r}")
+
+    @property
+    def kind(self) -> str:
+        return "steady" if self.omega == 0 else "oscillatory"
 
     @staticmethod
     def steady(F0: float) -> "Forcing":
-        return Forcing("steady", F0)
+        return Forcing(F0)
 
     @staticmethod
     def oscillatory(F0: float, omega: float) -> "Forcing":
-        return Forcing("oscillatory", F0, omega)
+        f = Forcing(F0, omega)
+        if f.omega == 0:
+            raise ValueError("oscillatory forcing needs omega > 0")
+        return f
 
     def value(self, t):
         return self.F0 * np.cos(self.omega * np.asarray(t, dtype=float))
 
     @property
     def period(self) -> float:
-        if self.kind != "oscillatory":
+        if self.omega == 0:
             raise ValueError("period is defined for oscillatory forcing only")
         return 2.0 * math.pi / self.omega
 
@@ -223,20 +227,19 @@ def _settle_time(g: ParallelGroup) -> float:
     return max(relaxation_times(b)[0] for b in g.bodies)
 
 
-def group_steady_metrics(g: ParallelGroup, f: Forcing, t_end: float | None = None,
-                         h: float = 0.1):
+def group_steady_metrics(g: ParallelGroup, f: Forcing):
     """Steady deformation and first-branch force for either flow kind.
 
-    Steady flow reports the final values with a settling check; the
-    oscillatory kind reports last-period peaks.
+    Steady flow runs for 8 settling times (2000 to 12000 s) sampled every
+    0.1 s and reports the final values with a settling check; the
+    oscillatory kind runs for 5 settling times and 5 periods, sampled
+    every min(0.1 s, period / 200), and reports last-period peaks.
     """
     if f.kind == "steady":
-        if t_end is None:
-            t_end = min(max(2000.0, 8.0 * _settle_time(g)), 12000.0)
+        t_end, h = min(max(2000.0, 8.0 * _settle_time(g)), 12000.0), 0.1
     else:
-        if t_end is None:
-            t_end = 5.0 * _settle_time(g) + 5.0 * f.period
-        h = min(h, f.period / 200.0)
+        t_end = 5.0 * _settle_time(g) + 5.0 * f.period
+        h = min(0.1, f.period / 200.0)
     res = network_deform(KelvinNetwork((("group", g),)), f, t_end, h)
     u = res.total_u
     aF = res.branch_forces["group/branch1"]

@@ -95,15 +95,26 @@ class Trajectory:
         return self.states[-1]
 
 
+# the most samples a time grid may hold (80 MB of times)
+_MAX_SAMPLES = 10_000_000
+
+
 def _step_times(t0: float, t1: float, h: float) -> np.ndarray:
-    """Times for fixed steps of h from t0, with a short final step onto t1."""
+    """Times for fixed steps of h from t0, with a short final step onto t1.
+
+    Raises ValueError, before allocating, for a grid of more than
+    _MAX_SAMPLES samples."""
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
         raise ValueError(f"t0, t1 and h must be finite, got {t0!r}, {t1!r}, {h!r}")
     if h <= 0:
         raise ValueError("step size must be positive")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    n_full = int(math.floor((t1 - t0) / h + 1e-9))
+    steps = (t1 - t0) / h
+    if steps > _MAX_SAMPLES - 1:
+        raise ValueError(f"step {h!r} on [{t0!r}, {t1!r}] needs {steps + 1:.3g} samples, "
+                         f"above the cap of {_MAX_SAMPLES}")
+    n_full = int(math.floor(steps + 1e-9))
     times = t0 + h * np.arange(n_full + 1)
     if n_full > 0 and times[-1] >= t1 - 1e-9 * h:
         times[-1] = t1
@@ -316,11 +327,11 @@ def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):
     return rt - swap, lt + swap
 
 
-def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12,
-                      max_iter: int = 200) -> float:
+def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
     """Bisection on a sign-changing bracket.
 
-    Stops when |f| <= tol or the bracket width falls below tol.
+    Stops when |f| <= tol, when the bracket width falls below tol, or
+    after 200 halvings.
     """
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
@@ -332,7 +343,7 @@ def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12,
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if abs(fmid) <= tol or (hi - lo) <= tol:

@@ -137,21 +137,22 @@ def test_c08_two_compartment_steady():
     p = growthcone.AdaptationParams()
     cpl = growthcone.CompartmentCoupling(k1=1.0, k2=0.1)
     traj = growthcone.two_compartment_simulate(1.0, 0.5, p, cpl, t_end=400.0)
-    A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(1.0, 0.5, p, cpl)
+    A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(p.ka(1.0), p.ka(0.5), p, cpl)
     assert abs(traj.final()[1] - A1s) <= 1e-6
     assert abs(traj.final()[3] - A2s) <= 1e-6
     bound = 2 * p.m / p.r
     cpl0 = growthcone.CompartmentCoupling(k1=1.0, k2=0.0)
     for l1 in np.linspace(0.1, 3.0, 10):
         for l2 in np.linspace(0.1, 3.0, 10):
-            A1g, A2g, _, _ = growthcone.two_compartment_steady(l1, l2, p, cpl)
+            A1g, A2g, _, _ = growthcone.two_compartment_steady(p.ka(l1), p.ka(l2), p, cpl)
             assert abs(A1g - A2g) < bound
-            A1g, A2g, _, _ = growthcone.two_compartment_steady(l1, l2, p, cpl0)
+            A1g, A2g, _, _ = growthcone.two_compartment_steady(p.ka(l1), p.ka(l2), p, cpl0)
             if l1 != l2:
                 assert math.copysign(1, A1g - A2g) == math.copysign(1, l1 - l2)
     # no exchange of the modified substance decouples the compartments
     cpl_off = growthcone.CompartmentCoupling(k1=0.0, k2=0.0)
-    A1d, A2d, M1d, M2d = growthcone.two_compartment_steady(1.0, 0.5, p, cpl_off)
+    A1d, A2d, M1d, M2d = growthcone.two_compartment_steady(p.ka(1.0), p.ka(0.5),
+                                                           p, cpl_off)
     assert A1d == A2d == p.m / p.r
     assert M1d == pytest.approx(p.m / p.r * (p.r + p.lam * p.kd) / (p.lam * p.ka(1.0)))
     assert M2d == pytest.approx(p.m / p.r * (p.r + p.lam * p.kd) / (p.lam * p.ka(0.5)))
@@ -181,8 +182,8 @@ def test_c09_reaction_diffusion_profiles():
 
 def test_c10_calcium_switch_flips_gradient():
     sp = growthcone.SwitchRateParams(a=0.01, b=1.0, c=1.0, ca_b=0.2)
-    hi = growthcone.switch_gradient_sign(1.0, 0.5, 0.4, sp)
-    lo = growthcone.switch_gradient_sign(1.0, 0.5, 0.1, sp)
+    hi = growthcone.switch_gradient(1.0, 0.5, 0.4, sp)[-1]
+    lo = growthcone.switch_gradient(1.0, 0.5, 0.1, sp)[-1]
     assert hi == 1.0
     assert lo == -1.0
 

@@ -26,7 +26,7 @@ from biosim.aerotaxis import (
     turning_rates,
 )
 from biosim.growthcone import AdaptationParams, default_rd_grid, reaction_diffusion_simulate
-from biosim.numerics import Grid1D
+from biosim.numerics import Grid1D, rk4_integrate
 
 TH = TurningThresholds(lt_min=0.2, l_min=0.3, l_max=0.5, lt_max=0.7,
                        c_low=1.0, c_high=10.0)
@@ -446,10 +446,28 @@ def test_piston_down_ramp_locks_at_predicted_time():
     assert events[0] == pytest.approx(t_star, abs=2 * p.tau / 50)
 
 
+def _piston_rk4(p, sign, t_end):
+    """The slow part's relaxation toward z_f - delta_z stepped by
+    rk4_integrate on the model's grid, as an oracle."""
+    target = lambda t: p.z_f0 - p.delta_z + p.c1 * (sign * p.k * t + p.c0)
+    return rk4_integrate(lambda t, y: (target(t) - y) / p.tau, [target(0.0)],
+                         0.0, t_end, p.tau / 50.0)
+
+
 def test_piston_matches_closed_form():
     p = PistonParams(k=3.0)
     for sign in (+1, -1):
-        traj, _ = piston_receptor_simulate(p, sign, t_end=3.0)
-        sep = traj.states[:, 0] - traj.states[:, 1]
-        exact = piston_separation_closed_form(p, sign, traj.times)
+        ref = _piston_rk4(p, sign, 3.0)
+        zf = p.z_f0 + p.c1 * (sign * p.k * ref.times + p.c0)
+        sep = zf - ref.states[:, 0]
+        exact = piston_separation_closed_form(p, sign, ref.times)
         assert np.max(np.abs(sep - exact)) < 1e-8
+
+
+def test_piston_samples_the_integrator_grid():
+    p = PistonParams(k=4.0)
+    for sign, t_end in ((+1, 3.0), (-1, 4.0), (-1, 4.013)):
+        traj, _ = piston_receptor_simulate(p, sign, t_end=t_end)
+        ref = _piston_rk4(p, sign, t_end)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.max(np.abs(traj.states[:, 1] - ref.states[:, 0])) < 1e-8

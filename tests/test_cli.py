@@ -183,6 +183,7 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-rd", "--set", "gc.sample_every=-5"], "sample_every must be at least 1"),
     (["aerotaxis-steady-general", "--set", "aerotaxis.k=-1"], "k and s must be positive"),
     (["growthcone-adaptation", "--set", "gc.l0=0"], "l0 must be positive"),
+    (["growthcone-switch", "--set", "gc.h=1e-12"], "above the cap of 10000000"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

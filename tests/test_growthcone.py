@@ -26,11 +26,10 @@ from biosim.growthcone import (
     hysteresis_jumps,
     optimal_ligand_sum,
     reaction_diffusion_simulate,
-    switch_gradient_sign,
+    switch_gradient,
     two_compartment_matched_asymptotic,
     two_compartment_simulate,
     two_compartment_steady,
-    two_compartment_steady_rates,
 )
 from biosim.numerics import IntegrationError
 
@@ -156,7 +155,7 @@ def test_steady_state_stability_labels():
 def test_nullcline_curves_cross_at_steady_states():
     L = 1.0
     states = ca_ac_steady_states(L)
-    C, a_c, a_a = ca_ac_nullclines(L, c_range=(1e-3, 8.0), n=2000)
+    C, a_c, a_a = ca_ac_nullclines(L, n=2000)
     for st, _ in states:
         j = int(np.argmin(np.abs(C - st.C)))
         assert a_a[j] == pytest.approx(st.A, abs=0.05)
@@ -173,6 +172,12 @@ def test_nullcline_residual_array_matches_scalar_rhs():
             gain = growthcone._activation_gain(c, L, p)
             ref.append(ca_ac_rhs((c, p.At * gain / (gain + p.k5)), L, p)[0])
         np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
+        # the shared calcium terms over the whole grid give the scalar rhs
+        # at any cyclase level
+        for A in (0.0, 7.5, p.At):
+            q, release = growthcone._calcium_terms(C, L, p.kf + p.k3 * A, p)
+            ref = [ca_ac_rhs((c, A), L, p)[0] for c in C]
+            np.testing.assert_allclose(q + release, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_root_count_matches_steady_states(jumps):
@@ -183,7 +188,7 @@ def test_root_count_matches_steady_states(jumps):
         Ls += [edge - 1e-6, edge, edge + 1e-6]
     counts = set()
     for L in Ls:
-        n = len(growthcone._root_brackets(L, p, 8.0, 1500)[1])
+        n = len(growthcone._root_brackets(L, p, 1500)[1])
         assert n == len(ca_ac_steady_states(L, p, n_scan=1500))
         counts.add(n)
     assert counts == {1, 3}
@@ -331,7 +336,7 @@ def test_steady_closed_form_matches_simulation():
     cpl = CompartmentCoupling(k1=1.0, k2=0.1)
     traj = two_compartment_simulate(1.0, 0.5, p, cpl, t_end=400.0)
     M1, A1, M2, A2 = traj.final()
-    A1s, A2s, M1s, M2s = two_compartment_steady(1.0, 0.5, p, cpl)
+    A1s, A2s, M1s, M2s = two_compartment_steady(p.ka(1.0), p.ka(0.5), p, cpl)
     assert A1 == pytest.approx(A1s, abs=1e-6)
     assert A2 == pytest.approx(A2s, abs=1e-6)
     assert M1 == pytest.approx(M1s, abs=1e-6)
@@ -341,7 +346,7 @@ def test_steady_closed_form_matches_simulation():
 def test_equal_ligands_equal_steady():
     p = AdaptationParams()
     cpl = CompartmentCoupling()
-    A1s, A2s, M1s, M2s = two_compartment_steady(0.7, 0.7, p, cpl)
+    A1s, A2s, M1s, M2s = two_compartment_steady(p.ka(0.7), p.ka(0.7), p, cpl)
     assert A1s == pytest.approx(p.m / p.r)
     assert A2s == pytest.approx(p.m / p.r)
     assert M1s == pytest.approx(p.m / p.r * (p.r + p.lam * p.kd) / (p.lam * p.ka(0.7)))
@@ -350,7 +355,7 @@ def test_equal_ligands_equal_steady():
 def test_decoupled_when_k1_zero():
     p = AdaptationParams()
     cpl = CompartmentCoupling(k1=0.0, k2=0.0)
-    A1s, A2s, M1s, M2s = two_compartment_steady(1.0, 0.5, p, cpl)
+    A1s, A2s, M1s, M2s = two_compartment_steady(p.ka(1.0), p.ka(0.5), p, cpl)
     assert A1s == A2s == p.m / p.r
     assert M1s == pytest.approx(p.m / p.r * (p.r + p.lam * p.kd) / (p.lam * p.ka(1.0)))
     assert M2s == pytest.approx(p.m / p.r * (p.r + p.lam * p.kd) / (p.lam * p.ka(0.5)))
@@ -362,7 +367,7 @@ def test_decoupled_when_k1_zero():
 def test_gradient_bound_and_sign(l1, l2, k1, k2):
     p = AdaptationParams()
     cpl = CompartmentCoupling(k1=k1, k2=k2)
-    A1s, A2s, _, _ = two_compartment_steady(l1, l2, p, cpl)
+    A1s, A2s, _, _ = two_compartment_steady(p.ka(l1), p.ka(l2), p, cpl)
     assert abs(A1s - A2s) < 2 * p.m / p.r
     if k1 > 1e-9 and l1 != l2:
         assert math.copysign(1, A1s - A2s) == math.copysign(1, l1 - l2)
@@ -379,7 +384,7 @@ def test_optimal_ligand_sum_value_and_falloff():
     for ks in (ks_star, 1.5 * ks_star, 3 * ks_star):
         ka1 = (ks + kdiff) / 2
         ka2 = (ks - kdiff) / 2
-        A1s, A2s, _, _ = two_compartment_steady_rates(ka1, ka2, p, cpl)
+        A1s, A2s, _, _ = two_compartment_steady(ka1, ka2, p, cpl)
         gaps.append(A1s - A2s)
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
@@ -390,8 +395,8 @@ def test_response_grows_with_ligand_difference():
     ks = 2.0
     gaps = []
     for kdiff in (0.2, 0.5, 1.0):
-        A1s, A2s, _, _ = two_compartment_steady_rates((ks + kdiff) / 2,
-                                                      (ks - kdiff) / 2, p, cpl)
+        A1s, A2s, _, _ = two_compartment_steady((ks + kdiff) / 2, (ks - kdiff) / 2,
+                                                p, cpl)
         gaps.append(A1s - A2s)
     assert gaps == sorted(gaps)
 
@@ -413,7 +418,7 @@ def test_matched_asymptotic_long_time_limit():
     t = np.array([0.0, 5000.0])
     # rate separation (r + k1)(ka1 - ka2)/k1 = 5.8: inside the valid regime
     out = two_compartment_matched_asymptotic(0.1, 15.0, 0.5, p, cpl, t)
-    A1s, A2s, M1s, M2s = two_compartment_steady(15.0, 0.5, p, cpl)
+    A1s, A2s, M1s, M2s = two_compartment_steady(p.ka(15.0), p.ka(0.5), p, cpl)
     assert out["A1"][-1] == pytest.approx(A1s, rel=0.02)
     assert out["A2"][-1] == pytest.approx(A2s, rel=0.02)
     assert out["valid"]
@@ -487,5 +492,5 @@ def test_switch_rate_monotonicity_flips_with_calcium():
 
 
 def test_switch_gradient_sign_flips():
-    assert switch_gradient_sign(1.0, 0.5, 0.4) == 1.0
-    assert switch_gradient_sign(1.0, 0.5, 0.1) == -1.0
+    assert switch_gradient(1.0, 0.5, 0.4)[-1] == 1.0
+    assert switch_gradient(1.0, 0.5, 0.1)[-1] == -1.0

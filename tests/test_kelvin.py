@@ -291,8 +291,20 @@ def test_deform_rejects_non_finite_inputs():
     for omega in (math.nan, math.inf):
         with pytest.raises(ValueError, match="F0 and omega must be finite"):
             Forcing.oscillatory(1.0, omega)
-    with pytest.raises(ValueError, match="steady"):
-        Forcing("steady", 1.0, omega=1.0)
+    with pytest.raises(ValueError, match="omega > 0"):
+        Forcing.oscillatory(1.0, 0.0)
+    with pytest.raises(ValueError, match="omega must be nonnegative"):
+        Forcing(1.0, -1.0)
+
+
+def test_forcing_kind_follows_omega():
+    assert Forcing(1.0).kind == "steady"
+    for omega in (1e-300, 2.0):
+        assert Forcing(1.0, omega).kind == "oscillatory"
+    assert Forcing.steady(1.0) == Forcing(1.0)
+    assert Forcing.oscillatory(1.0, 2.0) == Forcing(1.0, 2.0)
+    with pytest.raises(ValueError, match="oscillatory forcing only"):
+        Forcing(1.0).period
 
 
 # ---------------------------------------------------------------- envelopes

@@ -114,6 +114,24 @@ def test_step_grid_rejects_non_finite(t1, h):
         rk4_integrate(lambda t, y: -y, [1.0], math.nan, 1.0, 0.1)
 
 
+def test_step_grid_rejects_oversized_grid_before_allocating(monkeypatch):
+    # 1e13 samples would need 80 TB; each sampled kernel refuses at once
+    for call in (lambda: rk4_integrate(lambda t, y: -y, [1.0], 0.0, 10.0, 1e-12),
+                 lambda: dopri5_integrate(lambda t, y: -y, [1.0], 10.0, 1e-12),
+                 lambda: solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], 10.0, 1e-12)):
+        with pytest.raises(ValueError, match="1e\\+13 samples, above the cap of 10000000"):
+            call()
+    # a step too small for the ratio to be finite
+    with pytest.raises(ValueError, match="inf samples"):
+        rk4_integrate(lambda t, y: -y, [1.0], 0.0, 10.0, 5e-324)
+    # the cap counts samples, a short final step included
+    monkeypatch.setattr(numerics, "_MAX_SAMPLES", 11)
+    assert len(numerics._step_times(0.0, 1.0, 0.1)) == 11
+    for t1 in (1.1, 1.05):
+        with pytest.raises(ValueError, match="above the cap of 11"):
+            numerics._step_times(0.0, t1, 0.1)
+
+
 # ---------------------------------------------------------------- Dormand-Prince 5(4)
 
 def _dop853(rhs, y0, times):
