@@ -17,6 +17,8 @@ from .numerics import (
     Bracket,
     Grid1D,
     Trajectory,
+    _field_steps,
+    _step_count,
     _step_times,
     ftcs_diffusion_step,
     solve_scalar_root,
@@ -270,17 +272,17 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     Starts from uniform bacteria (r = l = b0/2) and oxygen L0 held at node
     0, zero elsewhere.  Returns (times, list of CellField) sampled every
     sample_every steps, always including the final state.  The upwind and
-    FTCS steps raise StabilityError on an unstable grid.
+    FTCS steps raise StabilityError on an unstable grid; more than
+    numerics._MAX_SAMPLES steps or kept node values raise ValueError before
+    the first step.
     """
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
     grid = params.grid
+    steps = _field_steps(t_end, grid, sample_every)
     n = grid.n
     r = np.full(n, params.b0 / 2)
     l = np.full(n, params.b0 / 2)
     L = np.zeros(n)
     L[0] = params.L0
-    steps = int(round(t_end / grid.dt))
     times = [0.0]
     fields = [CellField(r.copy(), l.copy(), L.copy())]
     for step in range(1, steps + 1):
@@ -514,6 +516,19 @@ class _ExpStreams:
         return out
 
 
+def _burn_in_samples(steps: int, dt: float, t_end: float) -> int:
+    """How many of the occupancy times dt k, k = 1..steps, are at or before
+    the burn-in end 0.1 t_end, counted with the same float products and test
+    as on the grid, without building it.  burn // dt is the floor of the
+    exact quotient, so dt k <= burn there; dt k grows with k, and rounding
+    can keep a few more products at or below burn."""
+    burn = 0.1 * t_end
+    k = min(int(burn // dt), steps)
+    while k < steps and dt * (k + 1) <= burn:
+        k += 1
+    return k
+
+
 def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
                                 dt: float = 0.01):
     """Density ratio inside vs outside the favourable band for walkers
@@ -532,14 +547,14 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     Walker i draws from its own stream default_rng((seed, i)).
 
     Occupancy is sampled every dt after the first tenth of t_end, up to
-    round(t_end/dt) dt.
+    round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples raise
+    ValueError.
     """
     if not (dt > 0 and t_end > 0):
         raise ValueError("t_end and dt must be positive")
-    steps = int(round(t_end / dt))
-    sample_times = dt * np.arange(1, steps + 1)
-    n_samples = int(np.count_nonzero(sample_times > 0.1 * t_end))
-    first = steps - n_samples  # samples are the steps after this one
+    steps = _step_count(t_end, dt)
+    first = _burn_in_samples(steps, dt, t_end)  # samples are the steps after this one
+    n_samples = steps - first
     t_stop = steps * dt
 
     def samples_by(s):

@@ -45,6 +45,9 @@ class UsageError(ValueError):
 
 
 def _fmt(value) -> str:
+    # the writers hand over Python floats (`.tolist()`), so test those first
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -59,27 +62,26 @@ def _write_csv(path: Path, header, rows):
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _every(n: int, max_rows: int) -> range:
-    """Indices of every k-th of n samples, k chosen to keep about max_rows."""
-    return range(0, n, max(1, n // max_rows))
+def _every(n: int, max_rows: int) -> slice:
+    """Every k-th of n samples, k chosen to keep about max_rows."""
+    return slice(0, n, max(1, n // max_rows))
 
 
 def _write_traj(path: Path, header, traj, max_rows: int = 2000):
     """Rows (t, *state) of a strided Trajectory."""
-    _write_csv(path, header, [(traj.times[j], *traj.states[j])
-                              for j in _every(len(traj), max_rows)])
+    idx = _every(len(traj), max_rows)
+    _write_csv(path, header, np.column_stack((traj.times[idx], traj.states[idx])).tolist())
 
 
 def _write_field(path: Path, header, times, x, *fields):
     """Rows (t, x, *values) of sampled grid fields, node by node at each
     time; each field is a sequence of arrays, one per time."""
-    rows = []
-    for i, t in enumerate(times):
-        rows.extend(zip(itertools.repeat(t), x, *(f[i] for f in fields)))
-    _write_csv(path, header, rows)
+    blocks = (np.column_stack((np.full(len(x), t), x, *(f[i] for f in fields))).tolist()
+              for i, t in enumerate(times))
+    _write_csv(path, header, itertools.chain.from_iterable(blocks))
 
 
 # --------------------------------------------------------------------------
@@ -106,7 +108,7 @@ def run_band(p, out: Path, seed: int):
                  [cf.r for cf in fields], [cf.l for cf in fields],
                  [cf.L for cf in fields])
     mrows = []
-    for t, cf in zip(times, fields):
+    for t, cf in zip(times.tolist(), fields):
         m = aerotaxis.band_metrics(cf, params.grid)
         if m.has_band:
             mrows.append((t, m.width_h, m.distance_d, m.ratio_front, m.ratio_behind))
@@ -139,7 +141,7 @@ def _write_steady(sol, out: Path):
     span = sol.d + sol.h + sol.z
     xs = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, 200)
     Ls = sol.oxygen(xs)
-    _write_csv(out / "profile.csv", ["x", "L"], list(zip(xs, Ls)))
+    _write_csv(out / "profile.csv", ["x", "L"], np.column_stack((xs, Ls)).tolist())
 
 
 def run_steady_general(p, out, seed):
@@ -300,7 +302,9 @@ def run_kelvin_single(p, out, seed):
     res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), f,
                                 p["kelvin.t_end"], p["kelvin.h"])
     u = res.total_u
-    rows = [(res.times[j], "body1", u[j], p["kelvin.F0"]) for j in _every(len(u), 2000)]
+    idx = _every(len(u), 2000)
+    rows = [(t, "body1", uj, p["kelvin.F0"])
+            for t, uj in zip(res.times[idx].tolist(), u[idx].tolist())]
     _write_csv(out / "traj.csv", ["t", "label", "u", "aF"], rows)
     ts, te = kelvin.relaxation_times(body)
     return {
@@ -350,13 +354,16 @@ def _run_network(net, p, out):
                                        2 * math.pi * p["kelvin.freq_hz"])
     res_o = kelvin.network_deform(net, f_osc, p["kelvin.t_end_osc"], p["kelvin.h_osc"])
     for tag, res in (("steady", res_s), ("oscillatory", res_o)):
-        rows = []
-        for j in _every(len(res.times), 2000):
-            for label, u in res.element_u.items():
-                force = res.branch_forces.get(label)
-                aF = force[j] if force is not None else float("nan")
-                rows.append((res.times[j], label, u[j], aF))
-        _write_csv(out / f"{tag}.csv", ["t", "label", "u", "aF"], rows)
+        idx = _every(len(res.times), 2000)
+        times = res.times[idx].tolist()
+        columns = []
+        for label, u in res.element_u.items():
+            force = res.branch_forces.get(label)
+            aF = force[idx].tolist() if force is not None else [float("nan")] * len(times)
+            columns.append((label, u[idx].tolist(), aF))
+        _write_csv(out / f"{tag}.csv", ["t", "label", "u", "aF"],
+                   ((t, label, u[j], aF[j]) for j, t in enumerate(times)
+                    for label, u, aF in columns))
     mask = res_s.times > 1.0
     sensor = res_s.element_u["sensor"][mask]
     nucleus = res_s.element_u["nucleus"][mask]

@@ -19,6 +19,7 @@ from .numerics import (
     Grid1D,
     IntegrationError,
     Trajectory,
+    _field_steps,
     dopri5_integrate,
     ftcs_diffusion_step,
     solve_linear_dense,
@@ -456,9 +457,10 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     l_profile is the ligand level per node during the run; l_init (same
     shape, default l_profile) sets the adapted initial condition.  Both
     fields use zero-flux boundaries.  Returns (times, M list, A list).
+    More than numerics._MAX_SAMPLES steps or kept node values raise
+    ValueError before the first step.
     """
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
+    steps = _field_steps(t_end, grid, sample_every)
     l_run = np.asarray(l_profile, dtype=float)
     if l_run.shape != (grid.n,):
         raise ValueError("ligand profile must match the grid")
@@ -468,7 +470,6 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     A = np.full(grid.n, p.m / p.r)
     M = p.m / p.r * p.kd / (p.k * l0)
     ka = p.k * l_run
-    steps = int(round(t_end / grid.dt))
     times = [0.0]
     Ms, As = [M.copy()], [A.copy()]
     for step in range(1, steps + 1):

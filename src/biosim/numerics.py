@@ -95,7 +95,8 @@ class Trajectory:
         return self.states[-1]
 
 
-# the most samples a time grid may hold (80 MB of times)
+# the most samples a time grid may hold (80 MB of times); also the most
+# steps of a fixed-step run and the most node values a field run keeps
 _MAX_SAMPLES = 10_000_000
 
 
@@ -121,6 +122,34 @@ def _step_times(t0: float, t1: float, h: float) -> np.ndarray:
     else:
         times = np.append(times, t1)
     return times
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """round(t_end / dt), the steps of a fixed-step run.
+
+    Raises ValueError, before the run starts, for more than _MAX_SAMPLES
+    steps."""
+    ratio = t_end / dt
+    if math.isinf(ratio) or round(ratio) > _MAX_SAMPLES:
+        raise ValueError(f"t_end {t_end!r} at step {dt!r} needs {ratio:.3g} steps, "
+                         f"above the cap of {_MAX_SAMPLES}")
+    return round(ratio)
+
+
+def _field_steps(t_end: float, grid: Grid1D, sample_every: int) -> int:
+    """Steps of a field run on grid that keeps its initial state, every
+    sample_every-th state and its final state.
+
+    Raises ValueError, before the run starts, for a stride below 1, more
+    than _MAX_SAMPLES steps, or more than _MAX_SAMPLES kept node values."""
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
+    steps = _step_count(t_end, grid.dt)
+    kept = 1 + -(-max(steps, 0) // sample_every)
+    if kept * grid.n > _MAX_SAMPLES:
+        raise ValueError(f"{kept} kept states of {grid.n} nodes exceed the cap of "
+                         f"{_MAX_SAMPLES} values")
+    return steps
 
 
 def rk4_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biosim import aerotaxis
+from biosim import aerotaxis, growthcone
 from biosim.aerotaxis import (
     AerotaxisParams,
     CharacteristicScales,
@@ -129,6 +129,50 @@ def test_sample_stride_must_be_positive(every):
     with pytest.raises(ValueError, match="sample_every"):
         reaction_diffusion_simulate(np.full(grid.n, 0.02), p, 0.6, 0.0, grid,
                                     t_end=1.0, sample_every=every)
+
+
+def _count_ftcs(monkeypatch, module):
+    calls = []
+    step = module.ftcs_diffusion_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, "ftcs_diffusion_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t_end,every,message", [
+    (1e9, 100, r"1e\+11 steps, above the cap"),
+    (3000.0, 1, "kept states of 40 nodes exceed"),
+], ids=["steps", "kept-values"])
+def test_band_rejects_oversized_run_before_stepping(t_end, every, message, monkeypatch):
+    calls = _count_ftcs(monkeypatch, aerotaxis)
+    with pytest.raises(ValueError, match=message):
+        simulate_band(AerotaxisParams(), t_end=t_end, sample_every=every)
+    assert calls == []
+    # an accepted run keeps one FTCS call per step
+    simulate_band(AerotaxisParams(), t_end=0.5, sample_every=every)
+    assert len(calls) == 50
+
+
+@pytest.mark.parametrize("t_end,every,message", [
+    (1e9, 15000, r"1e\+11 steps, above the cap"),
+    (2000.0, 1, "kept states of 91 nodes exceed"),
+], ids=["steps", "kept-values"])
+def test_rd_rejects_oversized_run_before_stepping(t_end, every, message, monkeypatch):
+    calls = _count_ftcs(monkeypatch, growthcone)
+    p = AdaptationParams()
+    grid = default_rd_grid()
+    profile = np.full(grid.n, 0.02)
+    with pytest.raises(ValueError, match=message):
+        reaction_diffusion_simulate(profile, p, 0.6, 0.1, grid, t_end=t_end,
+                                    sample_every=every)
+    assert calls == []
+    # one FTCS call per field per step, with A diffusing too
+    reaction_diffusion_simulate(profile, p, 0.6, 0.1, grid, t_end=0.5, sample_every=every)
+    assert len(calls) == 2 * 50
 
 
 def test_band_metrics_uniform_field():
@@ -416,6 +460,26 @@ def test_monte_carlo_rejects_bad_config():
             MonteCarloConfig(**kw)
     with pytest.raises(ValueError):
         monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=10), dt=0.0)
+
+
+def test_monte_carlo_rejects_oversized_sample_grid():
+    # 8e10 occupancy samples: refused before anything is allocated
+    with pytest.raises(ValueError, match=r"8e\+10 steps, above the cap"):
+        monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=10), dt=1e-9)
+
+
+def test_monte_carlo_burn_in_count_matches_sample_grid():
+    rng = np.random.default_rng(3)
+    pairs = [(80.0, 0.01), (1.0, 0.1), (0.3, 0.1), (80.0, 0.03), (10.0, 0.7),
+             (7.3, 0.011), (0.04, 0.1), (1e-3, 1e-6)]
+    pairs += [(float(t), float(t / n)) for t, n in
+              zip(rng.uniform(0.01, 100.0, 200), rng.integers(1, 5000, 200))]
+    pairs += list(zip(rng.uniform(0.01, 100.0, 200), rng.uniform(1e-3, 1.0, 200)))
+    for t_end, dt in pairs:
+        steps = int(round(t_end / dt))
+        grid = dt * np.arange(1, steps + 1)   # the grid the count replaces
+        want = steps - int(np.count_nonzero(grid > 0.1 * t_end))
+        assert aerotaxis._burn_in_samples(steps, dt, t_end) == want, (t_end, dt)
 
 
 # ---------------------------------------------------------------- piston

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import biosim
@@ -12,10 +13,14 @@ from biosim.cli import (
     EXPERIMENTS,
     ExperimentConfig,
     UsageError,
+    _fmt,
+    _write_field,
+    _write_traj,
     main,
     parse_config,
     run,
 )
+from biosim.numerics import Trajectory
 
 
 # ---------------------------------------------------------------- config file
@@ -120,6 +125,70 @@ def test_seeded_runs_byte_identical(name, params, tmp_path):
     assert files_a == files_b
 
 
+
+# ---------------------------------------------------------------- CSV text
+
+@pytest.mark.parametrize("value,text", [
+    (np.float64(0.1), "0.1"), (0.1, "0.1"), (1 / 3, "0.3333333333333333"),
+    (-0.0, "-0.0"), (np.float64(-0.0), "-0.0"),
+    (float("nan"), "nan"), (np.float64("nan"), "nan"),
+    (float("inf"), "inf"), (-np.inf, "-inf"), (5e-324, "5e-324"),
+    (np.float64(1e300), "1e+300"), (np.int64(-7), "-7"), (3, "3"),
+    (True, "1"), (False, "0"), (np.bool_(True), "1"), (np.bool_(False), "0"),
+    ("steady", "steady"),
+])
+def test_fmt_text_is_unchanged(value, text):
+    assert _fmt(value) == text
+    if isinstance(value, (float, np.floating)):
+        assert _fmt(value) == repr(float(value))
+
+
+def _reference_fmt(v):
+    # the per-value formatting the writers must reproduce byte for byte
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _reference_csv(header, rows) -> bytes:
+    lines = [",".join(map(_reference_fmt, row)) for row in [header, *rows]]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _wild(rng, shape):
+    # normal values spread over the whole float64 exponent range
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+
+@pytest.mark.parametrize("n,max_rows", [(9, 2000), (50, 7), (2001, 1000)])
+def test_write_traj_matches_per_value_writer(n, max_rows, tmp_path):
+    rng = np.random.default_rng(n)
+    times = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    traj = Trajectory(times, _wild(rng, (n, 3)))
+    path = tmp_path / "traj.csv"
+    _write_traj(path, ["t", "a", "b", "c"], traj, max_rows=max_rows)
+    stride = max(1, n // max_rows)
+    rows = [(traj.times[j], *traj.states[j]) for j in range(0, n, stride)]
+    assert path.read_bytes() == _reference_csv(["t", "a", "b", "c"], rows)
+
+
+def test_write_field_matches_per_value_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    # the last sample sits off the stride, as a run's final state does
+    times = np.array([0.0, 0.3, 0.6, 0.7])
+    x = np.arange(6) / 7.0
+    f = [_wild(rng, 6) for _ in times]
+    g = [_wild(rng, 6) for _ in times]
+    f[1][:4] = [-0.0, np.nan, np.inf, 5e-324]
+    path = tmp_path / "field.csv"
+    _write_field(path, ["t", "x", "f", "g"], times, x, f, g)
+    rows = [(t, x[k], f[i][k], g[i][k]) for i, t in enumerate(times) for k in range(6)]
+    assert path.read_bytes() == _reference_csv(["t", "x", "f", "g"], rows)
+
 # ---------------------------------------------------------------- entry point
 
 def test_main_success_and_exit_codes(tmp_path, capsys):
@@ -184,6 +253,11 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["aerotaxis-steady-general", "--set", "aerotaxis.k=-1"], "k and s must be positive"),
     (["growthcone-adaptation", "--set", "gc.l0=0"], "l0 must be positive"),
     (["growthcone-switch", "--set", "gc.h=1e-12"], "above the cap of 10000000"),
+    (["aerotaxis-montecarlo", "--set", "mc.dt=1e-9"], "8e+10 steps, above the cap"),
+    (["aerotaxis-band", "--set", "aerotaxis.t_end=1e9"], "1e+11 steps, above the cap"),
+    (["growthcone-rd", "--set", "gc.t_end=1e9"], "1e+11 steps, above the cap"),
+    (["growthcone-rd", "--set", "gc.sample_every=1", "--set", "gc.t_end=2000"],
+     "200001 kept states of 91 nodes exceed the cap"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

@@ -132,6 +132,23 @@ def test_step_grid_rejects_oversized_grid_before_allocating(monkeypatch):
             numerics._step_times(0.0, t1, 0.1)
 
 
+
+def test_step_count_cap_boundary(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_SAMPLES", 10)
+    assert numerics._step_count(1.0, 0.1) == 10
+    assert numerics._step_count(1.04, 0.1) == 10    # rounds to the cap
+    for t_end, dt in ((1.1, 0.1), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match="above the cap of 10"):
+            numerics._step_count(t_end, dt)
+    # a field run keeps its initial state, every k-th and a final one off
+    # the stride, each of n nodes: here 2 x 5 values fit, 3 x 5 do not
+    grid = Grid1D(n=5, dx=1.0, dt=0.1)
+    assert numerics._field_steps(0.1, grid, 1) == 1
+    assert numerics._field_steps(0.2, grid, 2) == 2
+    for t_end, every in ((0.2, 1), (0.3, 2)):
+        with pytest.raises(ValueError, match="3 kept states of 5 nodes exceed"):
+            numerics._field_steps(t_end, grid, every)
+
 # ---------------------------------------------------------------- Dormand-Prince 5(4)
 
 def _dop853(rhs, y0, times):
