@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .numerics import (
     Bracket,
     Grid1D,
@@ -187,6 +188,9 @@ class MonteCarloConfig:
             raise ValueError("need 0 < band_half_width < wall_half_width")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if self.n_trials > numerics._MAX_SAMPLES:
+            raise ValueError(f"n_trials {self.n_trials} is above the cap of "
+                             f"{numerics._MAX_SAMPLES} walkers")
         if not (self.v > 0 and self.c >= 0 and self.t_a >= 0):
             raise ValueError("need v > 0, c >= 0 and t_a >= 0")
 
@@ -490,31 +494,6 @@ def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):
 # --------------------------------------------------------------------------
 # Monte-Carlo comparator
 
-# Exp(1) draws buffered per walker; the draws do not depend on it
-_DRAW_BLOCK = 64
-
-
-class _ExpStreams:
-    """Exp(1) draws from one generator per walker, keyed by (seed, walker),
-    each read in order from a buffered block that is refilled when spent.
-    Every walker's sequence of draws is its own stream's, whatever the
-    block size."""
-
-    def __init__(self, seed: int, n: int, block: int):
-        self.block = block
-        self.rngs = [np.random.default_rng((seed, i)) for i in range(n)]
-        self.buf = np.stack([rng.standard_exponential(block) for rng in self.rngs])
-        self.pos = np.zeros(n, dtype=np.intp)
-
-    def draw(self, idx: np.ndarray) -> np.ndarray:
-        """Next draw of each walker in the index array idx."""
-        for i in idx[self.pos[idx] == self.block]:
-            self.buf[i] = self.rngs[i].standard_exponential(self.block)
-            self.pos[i] = 0
-        out = self.buf[idx, self.pos[idx]]
-        self.pos[idx] += 1
-        return out
-
 
 def _burn_in_samples(steps: int, dt: float, t_end: float) -> int:
     """How many of the occupancy times dt k, k = 1..steps, are at or before
@@ -544,7 +523,8 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     -t_a ln(1 - H/(c t_a)); once the target exceeds c t_a the excursion
     has no further turn.  For t_a = 0 the rate is c on receding legs and
     0 on approaching ones, and each receding leg gets a fresh Exp(1)/c.
-    Walker i draws from its own stream default_rng((seed, i)).
+    The Exp(1) draws come from one stream, default_rng(seed), in event
+    order.
 
     Occupancy is sampled every dt after the first tenth of t_end, up to
     round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples raise
@@ -564,7 +544,7 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     v, c, t_a = cfg.v, cfg.c, cfg.t_a
     band, wall = cfg.band_half_width, cfg.wall_half_width
     n = cfg.n_trials
-    draws = _ExpStreams(cfg.seed, n, _DRAW_BLOCK)
+    rng = np.random.default_rng(cfg.seed)
     t = np.zeros(n)
     y = np.zeros(n)                     # |x|
     outward = np.ones(n, dtype=bool)
@@ -604,10 +584,10 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
             y[wall_hit] = wall
             age[leave] = 0.0
             idx = np.flatnonzero(leave)
-            target[idx] = draws.draw(idx)
+            target[idx] = rng.standard_exponential(idx.size)
             if t_a > 0:
                 idx = np.flatnonzero(turn)
-                target[idx] += draws.draw(idx)
+                target[idx] += rng.standard_exponential(idx.size)
             outward = (outward ^ (turn | wall_hit)) | leave
             inband = (inband & ~leave) | enter
     dens_in = (n * n_samples - out_samples) * dt / (2.0 * band)

@@ -585,6 +585,8 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
         if args.list or args.experiment == "list":
             print("\n".join(sorted(EXPERIMENTS)))
             return 0

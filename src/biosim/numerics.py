@@ -315,18 +315,24 @@ def ftcs_diffusion_step(field, diffusivity: float, grid: Grid1D,
         raise StabilityError(
             f"diffusion number {nu:.4g} exceeds the explicit limit 0.5"
         )
-    lap = np.zeros_like(f)
+    lap = np.empty_like(f)
     lap[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
     left, right = bc
     if left == "zero-flux":
         lap[0] = 2 * (f[1] - f[0])
-    elif left != "dirichlet":
+    elif left == "dirichlet":
+        lap[0] = 0.0
+    else:
         raise ValueError(f"unknown boundary kind {left!r}")
     if right == "zero-flux":
         lap[-1] = 2 * (f[-2] - f[-1])
-    elif right != "dirichlet":
+    elif right == "dirichlet":
+        lap[-1] = 0.0
+    else:
         raise ValueError(f"unknown boundary kind {right!r}")
-    return f + nu * lap
+    lap *= nu
+    lap += f
+    return lap
 
 
 def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):

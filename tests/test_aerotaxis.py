@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biosim import aerotaxis, growthcone
+from biosim import aerotaxis, growthcone, numerics
 from biosim.aerotaxis import (
     AerotaxisParams,
     CharacteristicScales,
@@ -409,6 +409,23 @@ def test_monte_carlo_reproducible():
     a = monte_carlo_slow_adaptation(cfg)["inside_outside_ratio"]
     b = monte_carlo_slow_adaptation(cfg)["inside_outside_ratio"]
     assert a == b
+    other = MonteCarloConfig(n_trials=300, seed=8)
+    assert monte_carlo_slow_adaptation(other)["inside_outside_ratio"] != a
+
+
+def test_monte_carlo_builds_one_generator(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    for seed in (0, 3):
+        made.clear()
+        monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=500, seed=seed), t_end=20.0)
+        assert made == [(seed,)]
 
 
 def test_monte_carlo_instant_adaptation_renewal_oracle():
@@ -420,10 +437,11 @@ def test_monte_carlo_instant_adaptation_renewal_oracle():
     t_out = 2 * (1 - math.exp(-c * (w - b) / v)) / c
     oracle = t_in / t_out * (w - b) / b
     assert oracle == pytest.approx(2.3130, abs=5e-5)
-    cfg = MonteCarloConfig(v=v, c=c, t_a=0.0, band_half_width=b, wall_half_width=w,
-                           n_trials=2000, seed=0)
-    ratio = monte_carlo_slow_adaptation(cfg, t_end=800.0)["inside_outside_ratio"]
-    assert ratio == pytest.approx(oracle, rel=0.01)
+    for seed in (0, 1, 2):
+        cfg = MonteCarloConfig(v=v, c=c, t_a=0.0, band_half_width=b, wall_half_width=w,
+                               n_trials=2000, seed=seed)
+        ratio = monte_carlo_slow_adaptation(cfg, t_end=800.0)["inside_outside_ratio"]
+        assert ratio == pytest.approx(oracle, rel=0.01), seed
 
 
 def test_monte_carlo_constant_hazard_uniform():
@@ -435,31 +453,20 @@ def test_monte_carlo_constant_hazard_uniform():
     assert ratio == pytest.approx(1.0, abs=0.02)
 
 
-def test_monte_carlo_independent_of_draw_block(monkeypatch):
-    cfg = MonteCarloConfig(n_trials=200, seed=5)
-    ratios = set()
-    for block in (1, 7, 1000):
-        monkeypatch.setattr(aerotaxis, "_DRAW_BLOCK", block)
-        ratios.add(monte_carlo_slow_adaptation(cfg, t_end=40.0)["inside_outside_ratio"])
-    assert len(ratios) == 1
-
-
-def test_exp_streams_follow_each_walker_stream():
-    streams = aerotaxis._ExpStreams(11, 4, block=3)
-    got = [streams.draw(np.array([0, 2])) for _ in range(5)]
-    got.append(streams.draw(np.array([2])))
-    for walker, seq in ((0, [g[0] for g in got[:5]]),
-                        (2, [g[1] for g in got[:5]] + [got[5][0]])):
-        ref = np.random.default_rng((11, walker)).standard_exponential(len(seq))
-        assert np.array_equal(seq, ref)
-
-
 def test_monte_carlo_rejects_bad_config():
     for kw in ({"v": 0.0}, {"c": -1.0}, {"t_a": -0.1}):
         with pytest.raises(ValueError):
             MonteCarloConfig(**kw)
     with pytest.raises(ValueError):
         monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=10), dt=0.0)
+
+
+def test_monte_carlo_walker_cap_boundary(monkeypatch):
+    # refused in the config, before any walker state is allocated
+    monkeypatch.setattr(numerics, "_MAX_SAMPLES", 50)
+    assert MonteCarloConfig(n_trials=50).n_trials == 50
+    with pytest.raises(ValueError, match="n_trials 51 is above the cap of 50 walkers"):
+        MonteCarloConfig(n_trials=51)
 
 
 def test_monte_carlo_rejects_oversized_sample_grid():

@@ -258,6 +258,10 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-rd", "--set", "gc.t_end=1e9"], "1e+11 steps, above the cap"),
     (["growthcone-rd", "--set", "gc.sample_every=1", "--set", "gc.t_end=2000"],
      "200001 kept states of 91 nodes exceed the cap"),
+    (["aerotaxis-montecarlo", "--set", "mc.trials=100000000"],
+     "n_trials 100000000 is above the cap of 10000000 walkers"),
+    (["aerotaxis-montecarlo", "--seed", "-1"],
+     "argument --seed: must be a non-negative integer, got -1"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

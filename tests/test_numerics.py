@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -375,6 +376,27 @@ def test_ftcs_dirichlet_holds_boundary():
     out = ftcs_diffusion_step(f, 0.05, grid, bc=("dirichlet", "zero-flux"))
     assert out[0] == 1.0
     assert out[1] > 0
+
+
+def test_ftcs_matches_zero_filled_reference():
+    # the step writes every Laplacian entry itself: bit for bit the
+    # zero-filled f + nu * lap, for each pair of boundary kinds
+    grid = Grid1D(n=64, dx=0.1, dt=0.01)
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=64) * 10.0 ** rng.integers(-150, 150, 64)
+    f[[0, -1]] = -0.0, 7.25
+    before = f.copy()
+    nu = 0.37 * grid.dt / grid.dx**2
+    for bc in itertools.product(("zero-flux", "dirichlet"), repeat=2):
+        lap = np.zeros_like(f)
+        lap[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
+        if bc[0] == "zero-flux":
+            lap[0] = 2 * (f[1] - f[0])
+        if bc[1] == "zero-flux":
+            lap[-1] = 2 * (f[-2] - f[-1])
+        out = ftcs_diffusion_step(f, 0.37, grid, bc=bc)
+        assert out.tobytes() == (f + nu * lap).tobytes(), bc
+    assert f.tobytes() == before.tobytes()
 
 
 def test_ftcs_stability_guard():
