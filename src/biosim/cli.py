@@ -550,9 +550,19 @@ def run(config: ExperimentConfig) -> RunSummary:
                 raise UsageError(f"{key} must be an integer, got {params[key]!r}")
             params[key] = int(params[key])
     out = Path(config.output_dir)
+    # the directories this run creates, deepest first
+    created = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    metrics = exp.runner(params, out, config.seed)
+    try:
+        metrics = exp.runner(params, out, config.seed)
+    except BaseException:
+        # a run that fails before writing anything leaves no directory behind
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     wall = time.perf_counter() - t0
     for key, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):

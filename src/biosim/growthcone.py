@@ -112,7 +112,7 @@ def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
     negative initial state gets there.
     """
     y0 = [p.Cb if C0 is None else C0, A0]
-    traj = dopri5_integrate(lambda t, y: ca_ac_rhs(y, L, p), y0, t_end, h)
+    traj = dopri5_integrate(lambda t, y: ca_ac_rhs(y.tolist(), L, p), y0, t_end, h)
     negative = np.flatnonzero((traj.states < 0).any(axis=1))
     if negative.size:
         raise IntegrationError(

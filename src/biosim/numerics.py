@@ -203,26 +203,26 @@ def euler_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
     return Trajectory(times, states)
 
 
-# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6:19, 1980): stage nodes and
-# weights, the order-5 weights (the seventh stage is the derivative at the
-# new state, so it is the next step's first: FSAL), the order-5 minus
-# order-4 error weights and the order-4 dense-output weights (Hairer,
-# Norsett & Wanner, Solving ODEs I, II.4-6).
-_DP5_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP5_A = (
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_DP5_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP5_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                   22 / 525, -1 / 40])
-_DP5_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                   -10690763975 / 1880347072, 701980252875 / 199316789632,
-                   -1453857185 / 822651844, 69997945 / 29380423])
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6:19, 1980), unrolled into
+# dopri5_integrate: stage nodes _Cs and coefficients _Asj; the order-5
+# weights _Bj, which are also the seventh stage's row (that stage is the
+# derivative at the new state, so it is the next step's first: FSAL); the
+# order-5 minus order-4 error weights _Ej and the order-4 dense-output
+# weights _Dj (Hairer, Norsett & Wanner, Solving ODEs I, II.4-6).  The
+# second stage's weights B2, E2 and D2 are zero.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
+_D1, _D3, _D4, _D5, _D6, _D7 = (-12715105075 / 11282082432, 87487479700 / 32700410799,
+                                -10690763975 / 1880347072, 701980252875 / 199316789632,
+                                -1453857185 / 822651844, 69997945 / 29380423)
 # error tolerances and the step budget of dopri5_integrate
 DP5_RTOL = 1e-10
 DP5_ATOL = 1e-12
@@ -237,41 +237,80 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
     (root-mean-square over components), with a PI step controller
     (Hairer, Norsett & Wanner, II.4).  The samples inside an accepted step
     come from its order-4 continuous extension.  A trial step whose stages
-    turn non-finite is rejected like one with too large an error.  Costs
-    6 rhs calls per attempted step plus one.  Raises IntegrationError when
-    the initial derivative is non-finite, when the step size underflows and
-    after DP5_MAX_STEPS attempted steps.
+    turn non-finite, or whose rhs calls or arithmetic raise
+    ArithmeticError (float overflow, division by zero), is rejected like
+    one with too large an error.  Costs 6 rhs calls per attempted step
+    plus one.  Raises IntegrationError when the initial derivative is
+    non-finite or raises ArithmeticError, when the step size underflows
+    and after DP5_MAX_STEPS attempted steps.
+
+    rhs(t, y) gets y as a 1-D float ndarray and returns the n derivatives
+    as any sequence of numbers.  The steps run on Python floats, so the
+    kernel suits small systems (the switch has two states).
     """
     times = _step_times(0.0, t_end, h)
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    states = np.empty((len(times), y.size))
-    states[0] = y
-    k = np.empty((7, y.size))
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    states = np.empty((len(times), y0.size))
+    states[0] = y0
+    n = y0.size
+    rtol, atol = DP5_RTOL, DP5_ATOL
+
+    def f(t, y):
+        return list(map(float, rhs(t, np.array(y))))
+
     # overflow surfaces as a rejected step, then as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        k[0] = rhs(0.0, y)
-        if not np.all(np.isfinite(k[0])):
+        y = y0.tolist()
+        try:
+            k1 = f(0.0, y)
+            finite = all(map(math.isfinite, k1))
+        except ArithmeticError:
+            finite = False
+        if not finite:
             raise IntegrationError("non-finite derivative at t=0.0")
+        if len(k1) != n:
+            raise ValueError(f"rhs returned {len(k1)} derivatives for {n} states")
         # first trial step from the scale of y over that of y' (HNW II.4)
-        scale = DP5_ATOL + DP5_RTOL * np.abs(y)
-        d0 = np.sqrt(np.mean((y / scale) ** 2))
-        d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
-        step = 0.01 * float(d0 / d1) if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+        scale = [atol + rtol * abs(v) for v in y]
+        d0 = math.sqrt(sum((v / s) * (v / s) for v, s in zip(y, scale)) / n)
+        d1 = math.sqrt(sum((v / s) * (v / s) for v, s in zip(k1, scale)) / n)
+        step = 0.01 * (d0 / d1) if d0 > 1e-5 and d1 > 1e-5 else 1e-6
         min_step = 10 * np.finfo(float).eps * t_end
-        t, j = 0.0, 1
+        t = 0.0
         err_old, rejected = 1e-4, False
+        # per accepted step: its start and size, and the state, derivative
+        # and D-weighted stages the continuous extension needs
+        starts, sizes, ys, ks, dks = [], [], [y], [k1], []
         for _ in range(DP5_MAX_STEPS):
             if step < min_step:
                 raise IntegrationError(f"step size underflow at t={t!r}")
             last = t + 1.01 * step >= t_end
             if last:
                 step = t_end - t
-            for s in range(1, 6):
-                k[s] = rhs(t + _DP5_C[s] * step, y + step * (_DP5_A[s] @ k[:s]))
-            y_new = y + step * (_DP5_B @ k[:6])
-            k[6] = rhs(t_end if last else t + step, y_new)
-            scale = DP5_ATOL + DP5_RTOL * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((step * (_DP5_E @ k) / scale) ** 2)))
+            try:
+                k2 = f(t + _C2 * step, [a + step * (_A21 * p1) for a, p1 in zip(y, k1)])
+                k3 = f(t + _C3 * step, [a + step * (_A31 * p1 + _A32 * p2)
+                                        for a, p1, p2 in zip(y, k1, k2)])
+                k4 = f(t + _C4 * step, [a + step * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+                                        for a, p1, p2, p3 in zip(y, k1, k2, k3)])
+                k5 = f(t + _C5 * step,
+                       [a + step * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+                        for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+                k6 = f(t + step,
+                       [a + step * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+                        for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+                y_new = [a + step * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+                         for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+                k7 = f(t_end if last else t + step, y_new)
+                acc = 0.0
+                for a, a_new, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                    q = (step * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                                 + _E7 * p7) / (atol + rtol * max(abs(a), abs(a_new))))
+                    acc += q * q
+                # the error weights skip k2, so test it apart
+                err = math.sqrt(acc / n) if all(map(math.isfinite, k2)) else math.inf
+            except ArithmeticError:
+                err = math.inf
             if not math.isfinite(err):
                 err = math.inf
             # PI control: exponents 0.17 and 0.04, safety 0.9, and the step
@@ -281,24 +320,41 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
                 step /= min(5.0, gain / 0.9)
                 rejected = True
                 continue
-            t_new = t_end if last else t + step
-            stop = int(np.searchsorted(times, t_new, side="right"))
-            if stop > j:
-                # order-4 continuous extension (HNW II.6, dense output of DOPRI5)
-                dy = y_new - y
-                b = step * k[0] - dy
-                r4 = dy - step * k[6] - b
-                r5 = step * (_DP5_D @ k)
-                th = ((times[j:stop] - t) / step)[:, None]
-                states[j:stop] = y + th * (dy + (1 - th) * (b + th * (r4 + (1 - th) * r5)))
-                j = stop
+            starts.append(t)
+            sizes.append(step)
+            ys.append(y_new)
+            ks.append(k7)
+            dks.append([_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5 + _D6 * p6 + _D7 * p7
+                        for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
             if last:
-                return Trajectory(times, states)
+                break
             new_step = step / max(0.1, min(5.0, gain / err_old**0.04 / 0.9))
+            t += step
             step = min(new_step, step) if rejected else new_step
-            t, y, k[0] = t_new, y_new, k[6]
+            y, k1 = y_new, k7
             err_old, rejected = max(err, 1e-4), False
-    raise IntegrationError(f"out of steps: {DP5_MAX_STEPS} attempted, at t={t!r}")
+        else:
+            raise IntegrationError(f"out of steps: {DP5_MAX_STEPS} attempted, at t={t!r}")
+    # order-4 continuous extension (HNW II.6, dense output of DOPRI5) of each
+    # accepted step, y + th (c1 + th (c2 + th (c3 + th c4))) in the step's
+    # fraction th, evaluated at every sample in one pass, one coefficient at
+    # a time and in place, so no per-sample copy of every coefficient is held
+    start, size = np.array(starts), np.array(sizes)
+    ys, ks, h_col = np.array(ys), np.array(ks), size[:, None]
+    dy = np.diff(ys, axis=0)
+    c1 = h_col * ks[:-1]
+    b = c1 - dy
+    r4 = dy - h_col * ks[1:] - b
+    c4 = h_col * np.array(dks)
+    # each sample belongs to the first step that ends at or after it
+    idx = np.searchsorted(np.append(start[1:], t_end), times[1:])
+    th = ((times[1:] - start[idx]) / size[idx])[:, None]
+    out = states[1:]
+    np.take(c4, idx, axis=0, out=out)
+    for c in (-r4 - 2 * c4, r4 + c4 - b, c1, ys[:-1]):
+        out *= th
+        out += c[idx]
+    return Trajectory(times, states)
 
 
 def ftcs_diffusion_step(field, diffusivity: float, grid: Grid1D,

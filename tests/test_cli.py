@@ -269,6 +269,25 @@ def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+
+def test_main_usage_error_in_runner_leaves_no_output_directory(tmp_path, capsys):
+    # the walker cap is checked inside the runner, after the directory
+    # was made: the run removes what it created
+    out = tmp_path / "a" / "b"
+    code = main(["aerotaxis-montecarlo", "--set", "mc.trials=100000000", "--out", str(out)])
+    assert code == 1
+    assert "above the cap of 10000000 walkers" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_main_usage_error_in_runner_keeps_existing_directory(tmp_path, capsys):
+    out = tmp_path / "x"
+    out.mkdir()
+    code = main(["aerotaxis-montecarlo", "--set", "mc.trials=100000000", "--out", str(out)])
+    assert code == 1
+    assert out.is_dir() and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv", [["--list"], ["list"]])
 def test_main_lists_experiments(argv, capsys):
     assert main(argv) == 0

@@ -236,6 +236,55 @@ def test_dopri5_finite_time_blowup_raises():
         dopri5_integrate(lambda t, y: np.array([math.nan]), [1.0], 1.0, 0.1)
 
 
+def test_dopri5_initial_arithmetic_error_is_classified():
+    # the switch's rate law runs on floats, where C**4 overflows with
+    # OverflowError instead of returning inf
+    with pytest.raises(IntegrationError, match=r"non-finite derivative at t=0\.0$"):
+        growthcone.ca_ac_simulate(1.0, C0=1e100)
+    with pytest.raises(IntegrationError, match=r"non-finite derivative at t=0\.0$"):
+        dopri5_integrate(lambda t, y: [1.0 / 0.0], [1.0], 1.0, 0.1)
+
+
+def test_dopri5_rejects_rhs_of_the_wrong_length():
+    # one derivative for two states would otherwise pair with the first
+    with pytest.raises(ValueError, match="rhs returned 1 derivatives for 2 states"):
+        dopri5_integrate(lambda t, y: [1.0], [1.0, 2.0], 1.0, 0.1)
+
+
+def test_dopri5_arithmetic_error_in_a_stage_rejects_the_step():
+    # y' = 1 runs up to y = 1.5, where the rhs overflows: every step that
+    # would cross it is rejected and shrunk until the step underflows
+    def rhs(t, y):
+        return np.ones(1) if y[0] < 1.5 else [math.exp(1e6)]
+
+    with pytest.raises(IntegrationError, match=r"step size underflow at t=1\.4999"):
+        dopri5_integrate(rhs, [0.0], 2.0, 0.1)
+
+
+def test_dopri5_non_finite_second_stage_rejects_the_step():
+    # the second stage has zero order-5, error and dense-output weights,
+    # yet a non-finite value there still rejects the step
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return [math.inf] if len(calls) % 6 == 2 else [1.0]
+
+    with pytest.raises(IntegrationError, match="step size underflow at t=0.0"):
+        dopri5_integrate(rhs, [0.0], 1.0, 0.1)
+
+
+@pytest.mark.parametrize("L", [0.1, 1.0, 10.0, 20.0])
+def test_dopri5_samples_do_not_depend_on_the_sample_grid(L):
+    # the steps do not depend on h, so every 500th sample at h = 1e-3 is
+    # the sample at h = 0.5, bit for bit: the dense output covers steps
+    # holding no sample and steps holding hundreds
+    fine = growthcone.ca_ac_simulate(L, h=1e-3)
+    coarse = growthcone.ca_ac_simulate(L, h=0.5)
+    assert np.array_equal(fine.times[::500], coarse.times)
+    assert np.array_equal(fine.states[::500], coarse.states)
+
+
 # ---------------------------------------------------------------- exact linear kernel
 
 # the adaptation pathway at time-scale ratio 500 and ligand level 1
