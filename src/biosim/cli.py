@@ -45,9 +45,8 @@ class UsageError(ValueError):
 
 
 def _fmt(value) -> str:
-    # the writers hand over Python floats (`.tolist()`), so test those first
-    if type(value) is float:
-        return repr(value)
+    """The CSV text of one value, for the columns that are not all floats
+    (str, bool and int columns)."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -57,12 +56,49 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# rows per write, and values per float conversion: a few dozen keep the
+# per-call overhead small and few texts alive at once; with 128 or more the
+# peak RSS of the fields-io benchmark rose by 0.7 MB (2-vCPU VM)
+_CHUNK = 32
+
+
 def _write_csv(path: Path, header, rows):
-    # row by row: the text of a large table is never held whole
+    """Write a header line and rows of text fields, chunk by chunk, never
+    whole.  Callers zip column texts into rows, so that each column is
+    formatted in one pass (_floats) and a repeated value only once."""
+    rows = iter(rows)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        while chunk := list(itertools.islice(rows, _CHUNK)):
+            fh.write("\n".join(map(",".join, chunk)))
+            fh.write("\n")
+
+
+def _floats(values):
+    """The texts of a float column, made lazily a chunk at a time: repr of
+    each value as a Python float."""
+    a = np.asarray(values, dtype=float)
+    return itertools.chain.from_iterable(map(repr, a[i:i + _CHUNK].tolist())
+                                         for i in range(0, len(a), _CHUNK))
+
+
+def _each(texts, k: int):
+    """Each of texts k times in a row."""
+    return itertools.chain.from_iterable(map(itertools.repeat, texts, itertools.repeat(k)))
+
+
+def _tiled(texts: list, n: int):
+    """The whole list texts, n times over."""
+    return itertools.chain.from_iterable(itertools.repeat(texts, n))
+
+
+def _rows(rows):
+    """Text rows of a table given row by row, made a chunk at a time: in
+    each chunk a column of floats is formatted by repr, any other by _fmt."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        yield from zip(*(map(repr, map(float, col)) if all(isinstance(v, float) for v in col)
+                         else map(_fmt, col) for col in zip(*chunk)))
 
 
 def _every(n: int, max_rows: int) -> slice:
@@ -73,15 +109,16 @@ def _every(n: int, max_rows: int) -> slice:
 def _write_traj(path: Path, header, traj, max_rows: int = 2000):
     """Rows (t, *state) of a strided Trajectory."""
     idx = _every(len(traj), max_rows)
-    _write_csv(path, header, np.column_stack((traj.times[idx], traj.states[idx])).tolist())
+    _write_csv(path, header, zip(*map(_floats, (traj.times[idx], *traj.states[idx].T))))
 
 
 def _write_field(path: Path, header, times, x, *fields):
     """Rows (t, x, *values) of sampled grid fields, node by node at each
-    time; each field is a sequence of arrays, one per time."""
-    blocks = (np.column_stack((np.full(len(x), t), x, *(f[i] for f in fields))).tolist()
-              for i, t in enumerate(times))
-    _write_csv(path, header, itertools.chain.from_iterable(blocks))
+    time; each field is a sequence of arrays, one per time.  Each t and x
+    is formatted once."""
+    columns = (_each(_floats(times), len(x)), _tiled(list(_floats(x)), len(times)),
+               *(itertools.chain.from_iterable(map(_floats, f)) for f in fields))
+    _write_csv(path, header, zip(*columns))
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +150,7 @@ def run_band(p, out: Path, seed: int):
         if m.has_band:
             mrows.append((t, m.width_h, m.distance_d, m.ratio_front, m.ratio_behind))
     _write_csv(out / "metrics.csv",
-               ["t", "width", "distance", "ratio_front", "ratio_behind"], mrows)
+               ["t", "width", "distance", "ratio_front", "ratio_behind"], _rows(mrows))
     final = aerotaxis.band_metrics(fields[-1], params.grid)
     drift = abs(fields[-1].total(params.grid.dx) - fields[0].total(params.grid.dx)) \
         / fields[0].total(params.grid.dx)
@@ -136,12 +173,12 @@ def _steady_inputs(p):
 def _write_steady(sol, out: Path):
     _write_csv(out / "solution.csv",
                ["regime", "B", "c1", "c2", "c3", "d", "h", "z", "s", "k", "lam"],
-               [(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
-                 sol.z, sol.s, sol.k, sol.lam)])
+               _rows([(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
+                       sol.z, sol.s, sol.k, sol.lam)]))
     span = sol.d + sol.h + sol.z
     xs = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, 200)
     Ls = sol.oxygen(xs)
-    _write_csv(out / "profile.csv", ["x", "L"], np.column_stack((xs, Ls)).tolist())
+    _write_csv(out / "profile.csv", ["x", "L"], zip(_floats(xs), _floats(Ls)))
 
 
 def run_steady_general(p, out, seed):
@@ -174,7 +211,7 @@ def run_quasi(p, out, seed):
         metrics[f"d_{tag}"] = q["d"]
         metrics[f"h_{tag}"] = q["h"]
     _write_csv(out / "quasi.csv", ["L0", "d", "h", "B_over_b0", "c1", "assumption_ok"],
-               rows)
+               _rows(rows))
     return metrics
 
 
@@ -185,7 +222,7 @@ def run_montecarlo(p, out, seed):
         n_trials=p["mc.trials"], seed=seed)
     res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
     ratio = res["inside_outside_ratio"]
-    _write_csv(out / "result.csv", ["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])
+    _write_csv(out / "result.csv", ["t_a", "c", "ratio"], _rows([(cfg.t_a, cfg.c, ratio)]))
     return {"inside_outside_ratio": ratio}
 
 
@@ -204,7 +241,7 @@ def run_gc_bifurcation(p, out, seed):
     params = growthcone.CaAcParams()
     L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], p["gc.n"])
     rows = growthcone.bifurcation_scan(params, L_values)
-    _write_csv(out / "branches.csv", ["L", "branch", "C", "A", "stable"], rows)
+    _write_csv(out / "branches.csv", ["L", "branch", "C", "A", "stable"], _rows(rows))
     L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
     below = growthcone.ca_ac_steady_states(L_up - 0.02, params)
     above = growthcone.ca_ac_steady_states(L_up + 0.05, params)
@@ -292,7 +329,7 @@ def run_gc_ca_switch(p, out, seed):
         row = (ca, *growthcone.switch_gradient(p["gc.l1"], p["gc.l2"], ca, sp, ap, cpl))
         rows.append(row)
         metrics[f"sign_{tag}"] = row[-1]
-    _write_csv(out / "result.csv", ["ca", "ka1", "ka2", "A1s", "A2s", "sign"], rows)
+    _write_csv(out / "result.csv", ["ca", "ka1", "ka2", "A1s", "A2s", "sign"], _rows(rows))
     return metrics
 
 
@@ -303,9 +340,9 @@ def run_kelvin_single(p, out, seed):
                                 p["kelvin.t_end"], p["kelvin.h"])
     u = res.total_u
     idx = _every(len(u), 2000)
-    rows = [(t, "body1", uj, p["kelvin.F0"])
-            for t, uj in zip(res.times[idx].tolist(), u[idx].tolist())]
-    _write_csv(out / "traj.csv", ["t", "label", "u", "aF"], rows)
+    _write_csv(out / "traj.csv", ["t", "label", "u", "aF"],
+               zip(_floats(res.times[idx]), itertools.repeat("body1"), _floats(u[idx]),
+                   itertools.repeat(repr(float(p["kelvin.F0"])))))
     ts, te = kelvin.relaxation_times(body)
     return {
         "u0": float(u[0]),
@@ -327,7 +364,7 @@ def run_kelvin_sweep(p, out, seed):
     values = [p["kelvin.v1"], p["kelvin.v2"], p["kelvin.v3"]]
     rows = kelvin.parameter_sweep(base, param, values)
     _write_csv(out / "sweep.csv", ["param_value", "flow_kind", "steady_u", "steady_aF"],
-               rows)
+               _rows(rows))
     steady_us = [r[2] for r in rows if r[1] == "steady"]
     return {"param": param, "steady_u_min": min(steady_us), "steady_u_max": max(steady_us)}
 
@@ -337,7 +374,7 @@ def run_kelvin_freq(p, out, seed):
                               kelvin.material_params("actin")))
     freqs = [p["kelvin.f1"], p["kelvin.f2"], p["kelvin.f3"], p["kelvin.f4"]]
     rows = kelvin.frequency_sweep(g, freqs, F0=p["kelvin.F0"])
-    _write_csv(out / "freq.csv", ["freq_hz", "norm_u", "norm_aF"], rows)
+    _write_csv(out / "freq.csv", ["freq_hz", "norm_u", "norm_aF"], _rows(rows))
     metrics = {"norm_u_lowest": rows[0][1]}
     for f_hz, nu, na in rows:
         if abs(f_hz - 1.0) < 1e-12:
@@ -354,16 +391,17 @@ def _run_network(net, p, out):
                                        2 * math.pi * p["kelvin.freq_hz"])
     res_o = kelvin.network_deform(net, f_osc, p["kelvin.t_end_osc"], p["kelvin.h_osc"])
     for tag, res in (("steady", res_s), ("oscillatory", res_o)):
+        # rows (t, label, u, aF), element by element at each time; a group
+        # has no single force, so its aF is nan
         idx = _every(len(res.times), 2000)
-        times = res.times[idx].tolist()
-        columns = []
-        for label, u in res.element_u.items():
-            force = res.branch_forces.get(label)
-            aF = force[idx].tolist() if force is not None else [float("nan")] * len(times)
-            columns.append((label, u[idx].tolist(), aF))
+        times = res.times[idx]
+        labels = list(res.element_u)
+        nan = np.full(len(res.times), np.nan)
+        u = np.column_stack([res.element_u[label][idx] for label in labels])
+        aF = np.column_stack([res.branch_forces.get(label, nan)[idx] for label in labels])
         _write_csv(out / f"{tag}.csv", ["t", "label", "u", "aF"],
-                   ((t, label, u[j], aF[j]) for j, t in enumerate(times)
-                    for label, u, aF in columns))
+                   zip(_each(_floats(times), len(labels)), _tiled(labels, len(times)),
+                       _floats(u.ravel()), _floats(aF.ravel())))
     mask = res_s.times > 1.0
     sensor = res_s.element_u["sensor"][mask]
     nucleus = res_s.element_u["nucleus"][mask]

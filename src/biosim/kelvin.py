@@ -231,16 +231,24 @@ def group_steady_metrics(g: ParallelGroup, f: Forcing):
     """Steady deformation and first-branch force for either flow kind.
 
     Steady flow runs for 8 settling times (2000 to 12000 s) sampled every
-    0.1 s and reports the final values with a settling check; the
-    oscillatory kind runs for 5 settling times and 5 periods, sampled
-    every min(0.1 s, period / 200), and reports last-period peaks.
+    0.1 s and reports the final values with a settling check against the
+    0.9 t_end sample; the oscillatory kind runs for 5 settling times and 5
+    periods, sampled every min(0.1 s, period / 200), and reports
+    last-period peaks.  Only the tail the metrics read is evaluated: the
+    grid from just before 0.9 t_end, or from just before the start of the
+    last complete period.
     """
     if f.kind == "steady":
         t_end, h = min(max(2000.0, 8.0 * _settle_time(g)), 12000.0), 0.1
+        tail = 0.9 * t_end
     else:
         t_end = 5.0 * _settle_time(g) + 5.0 * f.period
         h = min(0.1, f.period / 200.0)
-    res = network_deform(KelvinNetwork((("group", g),)), f, t_end, h)
+        tail = (int(t_end / f.period) - 1) * f.period
+    # a sample or two before the tail, so that rounding in tail / h cannot
+    # drop the tail's first sample
+    first = max(0, int(tail / h) - 1)
+    res = network_deform(KelvinNetwork((("group", g),)), f, t_end, h, first)
     u = res.total_u
     aF = res.branch_forces["group/branch1"]
     if f.kind == "steady":
@@ -334,12 +342,12 @@ def network_two() -> KelvinNetwork:
 
 
 def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
-                   h: float = 0.1) -> DeformationResult:
+                   h: float = 0.1, first: int = 0) -> DeformationResult:
     """Deformation of every series element under the shared forcing, and
     their sum, solved exactly as one block-diagonal linear system (a single
-    body is a one-body group) and sampled every h.  Branch forces within
-    groups are keyed "<label>/branch<i>"; single bodies carry the full
-    forcing."""
+    body is a one-body group) and sampled every h, from sample `first` of
+    that grid on (see solve_linear_ode).  Branch forces within groups are
+    keyed "<label>/branch<i>"; single bodies carry the full forcing."""
     groups = [elem if isinstance(elem, ParallelGroup) else ParallelGroup((elem,))
               for _, elem in net.elements]
     n = sum(len(g) for g in groups)
@@ -359,7 +367,7 @@ def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
         y0[i:j] = u0
         starts.append(i)
         i = j
-    traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega)
+    traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega, first)
     F = f.value(traj.times)
     element_u = {}
     branch_forces = {}

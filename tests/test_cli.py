@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import biosim
-from biosim import numerics
+from biosim import kelvin, numerics
 from biosim.cli import (
+    _CHUNK,
     EXPERIMENTS,
     ExperimentConfig,
     UsageError,
     _fmt,
+    _rows,
+    _write_csv,
     _write_field,
     _write_traj,
     main,
@@ -164,7 +167,9 @@ def _wild(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
 
 
-@pytest.mark.parametrize("n,max_rows", [(9, 2000), (50, 7), (2001, 1000)])
+@pytest.mark.parametrize("n,max_rows", [(9, 2000), (50, 7), (2001, 1000),
+                                        (_CHUNK - 1, 2000), (_CHUNK, 2000),
+                                        (_CHUNK + 1, 2000)])
 def test_write_traj_matches_per_value_writer(n, max_rows, tmp_path):
     rng = np.random.default_rng(n)
     times = np.cumsum(rng.uniform(1e-3, 1.0, n))
@@ -188,6 +193,61 @@ def test_write_field_matches_per_value_writer(tmp_path):
     _write_field(path, ["t", "x", "f", "g"], times, x, f, g)
     rows = [(t, x[k], f[i][k], g[i][k]) for i, t in enumerate(times) for k in range(6)]
     assert path.read_bytes() == _reference_csv(["t", "x", "f", "g"], rows)
+
+
+def test_write_field_across_chunks_matches_per_value_writer(tmp_path):
+    # 100 times of 7 nodes: chunk ends fall inside a time's rows
+    rng = np.random.default_rng(8)
+    times = np.cumsum(rng.uniform(1e-3, 1.0, 100))
+    x = np.arange(7) / 7.0
+    f = rng.standard_normal((100, 7))
+    path = tmp_path / "field.csv"
+    _write_field(path, ["t", "x", "f"], times, x, f)
+    rows = [(t, x[k], f[i][k]) for i, t in enumerate(times) for k in range(7)]
+    assert path.read_bytes() == _reference_csv(["t", "x", "f"], rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+def test_write_rows_matches_per_value_writer(n, tmp_path):
+    # float, str, bool, int and numpy-float columns, and one that mixes
+    # floats with ints; no rows writes the header alone
+    rng = np.random.default_rng(n)
+    values = _wild(rng, n)
+    values[::5] = np.nan
+    rows = [(float(v), f"label{j % 3}", j % 2 == 0, j - 5, v, float(v) if j % 4 else j)
+            for j, v in enumerate(values)]
+    header = ["a", "b", "c", "d", "e", "f"]
+    path = tmp_path / "rows.csv"
+    _write_csv(path, header, _rows(rows))
+    assert path.read_bytes() == _reference_csv(header, rows)
+
+
+def test_network_tables_match_per_value_writer(tmp_path):
+    # labels (str) next to an aF column that is nan for a parallel group,
+    # strided to about 2000 times
+    run(ExperimentConfig("kelvin-network-I", {}, tmp_path, 0))
+    p = EXPERIMENTS["kelvin-network-I"].defaults
+    runs = (("steady", kelvin.Forcing.steady(p["kelvin.F0"]),
+             p["kelvin.t_end_steady"], p["kelvin.h_steady"]),
+            ("oscillatory",
+             kelvin.Forcing.oscillatory(p["kelvin.F0"], 2 * np.pi * p["kelvin.freq_hz"]),
+             p["kelvin.t_end_osc"], p["kelvin.h_osc"]))
+    for tag, f, t_end, h in runs:
+        res = kelvin.network_deform(kelvin.network_one(), f, t_end, h)
+        stride = max(1, len(res.times) // 2000)
+        nan = np.full(len(res.times), np.nan)
+        rows = [(res.times[j], label, u[j], res.branch_forces.get(label, nan)[j])
+                for j in range(0, len(res.times), stride)
+                for label, u in res.element_u.items()]
+        data = (tmp_path / f"{tag}.csv").read_bytes()
+        assert b",actin_pair," in data and b",nan\n" in data
+        assert data == _reference_csv(["t", "label", "u", "aF"], rows)
+
+
+def test_band_without_a_band_writes_the_metrics_header_only(tmp_path):
+    run(ExperimentConfig("aerotaxis-band", {"aerotaxis.t_end": 0.1}, tmp_path, 0))
+    assert (tmp_path / "metrics.csv").read_bytes() == \
+        b"t,width,distance,ratio_front,ratio_behind\n"
 
 # ---------------------------------------------------------------- entry point
 

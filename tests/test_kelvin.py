@@ -23,6 +23,7 @@ from biosim.kelvin import (
     single_body_steady_closed_form,
     steady_peak,
 )
+from biosim import kelvin, numerics
 from biosim.numerics import rk4_integrate, solve_linear_dense
 
 ACTIN = material_params("actin")
@@ -375,6 +376,61 @@ def test_frequency_sweep_limits():
         assert by_f[f][1] == pytest.approx(1.0 / 3.0, abs=0.02)
     for f in by_f:
         assert by_f[f][2] == pytest.approx(1.0, abs=0.01)
+
+
+def _whole_grid(A, D, c, y0, t_end, h, omega, first):
+    """solve_linear_ode on the whole grid, whatever tail is asked for."""
+    return numerics.solve_linear_ode(A, D, c, y0, t_end, h, omega)
+
+
+def _same_values(a, b):
+    # equal up to round-off, item by item, in nested rows and dicts
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_values(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_values(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+    return a == b
+
+
+def test_tail_metrics_match_the_whole_grid(monkeypatch):
+    g = ParallelGroup((ACTIN, ACTIN))
+    forcings = (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi * 1e-2),
+                Forcing.oscillatory(1.0, 2 * math.pi))
+
+    def metrics():
+        return ([group_steady_metrics(g, f) for f in forcings],
+                frequency_sweep(g, [1e-2, 1e-1, 1.0]),
+                parameter_sweep(g, "mu02", [5.0, 500.0]))
+
+    tail = metrics()
+    monkeypatch.setattr(kelvin, "solve_linear_ode", _whole_grid)
+    whole = metrics()
+    assert _same_values(tail, whole)
+
+
+def test_tail_metrics_evaluate_a_small_share_of_the_grid(monkeypatch):
+    # counts samples, not seconds: the steady check reads the last tenth of
+    # the run and the peak the last of its 12 complete periods; each window
+    # still holds the first sample at or after where that tail starts
+    windows = []
+
+    def counting(A, D, c, y0, t_end, h, omega, first):
+        traj = numerics.solve_linear_ode(A, D, c, y0, t_end, h, omega, first)
+        share = len(traj) / len(numerics._step_times(0.0, t_end, h))
+        windows.append((share, traj.times[0] - h, t_end))
+        return traj
+
+    monkeypatch.setattr(kelvin, "solve_linear_ode", counting)
+    g = ParallelGroup((ACTIN, ACTIN))
+    f = Forcing.oscillatory(1.0, 2 * math.pi * 1e-2)
+    group_steady_metrics(g, Forcing.steady(1.0))
+    group_steady_metrics(g, f)
+    (steady_share, steady_before, steady_end), (osc_share, osc_before, osc_end) = windows
+    assert max(steady_share, osc_share) < 0.15
+    assert steady_before < 0.9 * steady_end
+    assert osc_before < (int(osc_end / f.period) - 1) * f.period
 
 
 # ---------------------------------------------------------------- networks

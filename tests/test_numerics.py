@@ -346,6 +346,77 @@ def test_linear_ode_matches_rk4_many_samples():
     assert np.max(np.abs(traj.states - ref.states)) < 1e-10
 
 
+def _block_solve(A, D, c, y0, t_end, h, omega):
+    """The whole-grid solve as written before the windowed one, as the
+    bitwise reference for first = 0."""
+    times = numerics._step_times(0.0, t_end, h)
+    A, D, y0 = np.asarray(A, float), np.asarray(D, float), np.asarray(y0, float)
+    M = solve_linear_dense(A, D)
+    Y = solve_linear_dense(1j * omega * A - D, np.asarray(c, dtype=complex))
+    states = np.outer(np.cos(omega * times), Y.real)
+    states -= np.outer(np.sin(omega * times), Y.imag)
+    count = len(times) - 1
+    block = math.isqrt(count - 1) + 1
+    powers = np.empty((block, len(y0), len(y0)))
+    powers[0] = np.eye(len(y0))
+    E = expm(M * h)
+    for k in range(1, block):
+        powers[k] = powers[k - 1] @ E
+    jump = powers[-1] @ E
+    z = y0 - Y.real
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        hom = powers[:stop - start] @ z
+        states[start:stop] += hom
+        z = jump @ z
+    states[count] += expm(M * (times[count] - times[count - 1])) @ hom[-1]
+    states[0] = y0
+    return times, states
+
+
+# a two-state system with a short last step on its 4007-sample grid
+_SYS = (np.array([[2.0, 0.5], [0.0, 1.0]]), np.array([[-1.0, 0.3], [0.2, -0.8]]),
+        np.array([1.0 + 0.5j, -0.3]), [0.2, -0.1], 40.055, 0.01)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+def test_linear_ode_first_zero_is_the_whole_grid_bitwise(omega):
+    times, states = _block_solve(*_SYS, omega)
+    for traj in (solve_linear_ode(*_SYS, omega), solve_linear_ode(*_SYS, omega, first=0)):
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.3])
+@pytest.mark.parametrize("first", [1, 2, 37, 1000, 3605, 4005, 4006])
+def test_linear_ode_window_is_the_whole_grid_tail(omega, first):
+    # the grid ends in a short step; 4006 is its last sample
+    whole = solve_linear_ode(*_SYS, omega)
+    tail = solve_linear_ode(*_SYS, omega, first=first)
+    assert len(tail) == len(whole) - first
+    assert np.array_equal(tail.times, whole.times[first:])
+    scale = np.abs(whole.states[first:]).max()
+    assert np.abs(tail.states - whole.states[first:]).max() <= 1e-14 * scale
+
+
+def test_linear_ode_window_on_a_two_sample_grid():
+    # one short step: the last sample alone follows from y0
+    whole = solve_linear_ode([[1.0]], [[-1.0]], [0.5], [1.0], 0.05, 0.1)
+    tail = solve_linear_ode([[1.0]], [[-1.0]], [0.5], [1.0], 0.05, 0.1, first=1)
+    assert len(whole) == 2
+    assert np.array_equal(tail.times, [0.05])
+    assert np.array_equal(tail.states, whole.states[1:])
+
+
+@pytest.mark.parametrize("first", [-1, 4007, 10**9])
+def test_linear_ode_first_outside_the_grid_raises_before_allocating(first, monkeypatch):
+    # with numpy out of reach, any allocation or matrix work would fail
+    # with something other than ValueError
+    monkeypatch.setattr(numerics, "np", None)
+    with pytest.raises(ValueError, match="outside the grid's 0..4006"):
+        solve_linear_ode(*_SYS, first=first)
+
+
 def test_linear_ode_singular_matrices():
     with pytest.raises(SingularMatrixError):
         solve_linear_ode([[1.0, 2.0], [2.0, 4.0]], np.eye(2), [1.0, 0.0], [0.0, 0.0],
