@@ -348,14 +348,28 @@ def band_formation_time(times, fields, grid: Grid1D):
 # steady-state algebra
 
 
-def _k_and_s(params: AerotaxisParams, k, s):
+def _k_and_s(params: AerotaxisParams, k, s, l: float):
+    """(k, s, alpha = 1 + l / (k b0 s^2)); ValueError unless k b0 s^2 > 0, e alpha finite."""
     if k is None:
         k = params.kappa / params.D
     if s is None:
         s = params.v / (params.thresholds.c_high - params.thresholds.c_low)
     if not (k > 0 and s > 0):
         raise ValueError(f"k and s must be positive, got k={k!r}, s={s!r}")
-    return k, s
+    kbs2 = k * params.b0 * s**2
+    if not kbs2 > 0:
+        raise ValueError(f"k b0 s^2 must be positive, got {kbs2!r}")
+    alpha = 1.0 + l / kbs2
+    if not math.isfinite(math.e * alpha):
+        raise ValueError(f"alpha = 1 + l / (k b0 s^2) = {alpha!r} is out of range")
+    return k, s, alpha
+
+
+def _depletion_root(alpha: float, lo: float, tol: float) -> float:
+    """The root zeta in (lo, ln alpha + 1] of e^zeta - zeta = alpha: for zeta >= 0,
+    e^zeta - zeta >= (1 - 1/e) e^zeta, so the root lies below ln alpha + 0.46."""
+    return solve_scalar_root(lambda zeta: math.exp(zeta) - zeta - alpha,
+                             Bracket(lo, math.log(alpha) + 1.0), tol=tol)
 
 
 def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
@@ -368,13 +382,15 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
     band-width quadratic y^2 - 2 y (lam-1)/lam - u = 0; d is the
     leading-order front length s (L0 / (k b0 s^2 lam) + 1) / 2.
     """
-    k, s = _k_and_s(params, k, s)
+    k, s, alpha = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
     if not L0 > l_max:
         raise ValueError("general regime needs L0 > l_max")
-    alpha = 1.0 + l_min / (k * b0 * s**2)
     z = alpha * s
-    lam = math.exp(z / s)
+    try:
+        lam = math.exp(z / s)
+    except OverflowError:
+        raise ValueError(f"e^alpha overflows at alpha = {alpha!r}") from None
     B = b0 * lam
     gamma = (lam - 1.0) / lam
     u = 2.0 * (l_max - l_min) / (k * b0 * s**2 * lam)
@@ -397,16 +413,11 @@ def steady_state_intermediate(params: AerotaxisParams, l_min: float,
     quadratic obtained from flux matching at the band's back edge, with
     beta = k b0 e^(z/s).
     """
-    k, s = _k_and_s(params, k, s)
+    k, s, alpha = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
     if not l_min < L0 < l_max:
         raise ValueError("intermediate regime needs l_min < L0 < l_max")
-    alpha = 1.0 + l_min / (k * b0 * s**2)
-    g = lambda zeta: math.exp(zeta) - zeta - alpha
-    hi = 1.0
-    while g(hi) < 0:
-        hi *= 2
-    zeta = solve_scalar_root(g, Bracket(1e-12, hi), tol=1e-12)
+    zeta = _depletion_root(alpha, 1e-12, 1e-12)
     z = zeta * s
     lam = math.exp(zeta)
     beta = k * b0 * lam
@@ -431,19 +442,11 @@ def steady_state_low(params: AerotaxisParams, l_min: float,
     e^zeta - zeta - 1 = L0 / (k b0 s^2), which has exactly one
     nonnegative root.
     """
-    k, s = _k_and_s(params, k, s)
+    k, s, alpha = _k_and_s(params, k, s, params.L0)
     L0, b0 = params.L0, params.b0
     if not L0 < l_min:
         raise ValueError("low regime needs L0 < l_min")
-    target = L0 / (k * b0 * s**2)
-    if target == 0.0:
-        zeta = 0.0
-    else:
-        g = lambda zeta: math.exp(zeta) - zeta - 1.0 - target
-        hi = 1.0
-        while g(hi) < 0:
-            hi *= 2
-        zeta = solve_scalar_root(g, Bracket(1e-15, hi), tol=1e-13)
+    zeta = 0.0 if alpha == 1.0 else _depletion_root(alpha, 1e-15, 1e-13)
     z = zeta * s
     lam = math.exp(zeta)
     return SteadyStateSolution("low", b0 * lam, k * b0 * s, float("nan"),

@@ -238,11 +238,14 @@ def run_gc_switch(p, out, seed):
 
 
 def run_gc_bifurcation(p, out, seed):
+    if p["gc.n"] < 1:
+        raise UsageError(f"gc.n must be at least 1, got {p['gc.n']}")
     params = growthcone.CaAcParams()
+    # checks the ligand range before anything is written
+    L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
     L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], p["gc.n"])
     rows = growthcone.bifurcation_scan(params, L_values)
     _write_csv(out / "branches.csv", ["L", "branch", "C", "A", "stable"], _rows(rows))
-    L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
     below = growthcone.ca_ac_steady_states(L_up - 0.02, params)
     above = growthcone.ca_ac_steady_states(L_up + 0.05, params)
     return {

@@ -8,6 +8,7 @@ sign of the steady gradient response.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -132,66 +133,86 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
     q, g4 = _calcium_terms(C, L, 1.0, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
+    return C, a_c, _a_nullcline(C, L, p)
+
+
+def _a_nullcline(C, L, p: CaAcParams):
+    """Cyclase level on the dA/dt = 0 curve, elementwise in C."""
     gain = _activation_gain(C, L, p)
-    a_a = p.At * gain / (gain + p.k5)
-    return C, a_c, a_a
+    return p.At * gain / (gain + p.k5)
 
 
 def _dc_on_a_nullcline(C, L: float, p: CaAcParams):
     """dC/dt of ca_ac_rhs on the dA/dt = 0 curve, elementwise in C > 0;
     the steady states are its roots."""
-    gain = _activation_gain(C, L, p)
-    A = p.At * gain / (gain + p.k5)
-    q, release = _calcium_terms(C, L, p.kf + p.k3 * A, p)
+    q, release = _calcium_terms(C, L, p.kf + p.k3 * _a_nullcline(C, L, p), p)
     return q + release
 
 
-def _root_brackets(L: float, p: CaAcParams, n_scan: int):
-    """n_scan calcium levels in [1e-6, 8] and the indices i whose cell
-    [C_i, C_i+1] brackets a steady state: a sign change of the nullcline
-    residual, or a zero at C_i."""
+def _curve_ligand(C, p: CaAcParams):
+    """The steady-state curve L = Lambda(C) over a 1-D array C: the one
+    nonnegative root of the cubic in L that is _dc_on_a_nullcline times
+    its positive denominators (kn1 + L)(C + ka_ratio L)(kn2 + L)(gain + k5),
+    or nan where there is none (at the defaults the curve spans C in
+    (0.050, 5.10)).  The cubic's values at L = 0..3 fix its coefficients,
+    and its roots are the eigenvalues of its companion matrices."""
+    nodes = np.arange(4.0)
+    cleared = [(p.kn1 + L) * (C + p.ka_ratio * L) * (p.kn2 + L)
+               * (_activation_gain(C, L, p) + p.k5) * _dc_on_a_nullcline(C, L, p)
+               for L in nodes]
+    c = np.linalg.solve(np.vander(nodes, increasing=True), cleared)  # c[k] multiplies L^k
+    # near the top of the curve the leading coefficient vanishes: L -> inf
+    cubic = np.abs(c[3]) > 1e-14 * np.abs(c).max(axis=0)
+    companion = np.tile(np.eye(3, k=-1), (len(C), 1, 1))
+    companion[:, :, 2] = -(c[:3] / np.where(cubic, c[3], 1.0)).T
+    roots = np.linalg.eigvals(companion)
+    # LAPACK returns a real eigenvalue with an imaginary part of exactly 0
+    top = np.where((roots.imag == 0) & (roots.real >= 0), roots.real, -np.inf).max(axis=1)
+    return np.where(cubic & (top >= 0), top, np.nan)
+
+
+@functools.cache
+def _folds(p: CaAcParams):
+    """(C, L) of the folds of the steady-state curve in increasing C: its interior
+    extrema on 400 calcium levels, refined as zeros of its central difference."""
+    C = np.linspace(1e-6, 8.0, 400)
+    dL = np.diff(_curve_ligand(C, p))
+    # a nan difference compares false, so an extremum counts only when
+    # both its neighbours lie on the curve
+    turns = np.flatnonzero(dL[:-1] * dL[1:] < 0) + 1
+    slope = lambda c: np.diff(_curve_ligand(np.array([c - 1e-6, c + 1e-6]), p))[0]
+    roots = [solve_scalar_root(slope, Bracket(C[i - 1], C[i + 1]), tol=1e-13) for i in turns]
+    return tuple((float(c), float(_curve_ligand(np.array([c]), p)[0])) for c in roots)
+
+
+def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams()):
+    """All steady states with their linear stability, in increasing C.
+
+    The folds of the steady-state curve split [1e-6, 8] into pieces on which
+    the curve is monotone, so each holds at most one root of dC/dt on the
+    dA/dt = 0 curve; a sign change brackets it (a zero counts at a piece's
+    lower end only) and solve_scalar_root refines it.  A state is stable
+    when its Jacobian has negative trace and positive determinant.
+    """
     if L < 0:
         raise ValueError("ligand must be nonnegative")
-    C = np.linspace(1e-6, 8.0, n_scan)
-    f = _dc_on_a_nullcline(C, L, p)
-    return C, np.flatnonzero((f[:-1] == 0.0) | (f[:-1] * f[1:] < 0))
-
-
-def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams(), n_scan: int = 4000):
-    """All steady states with their linear stability.
-
-    Roots are bracketed by sign changes of dC/dt on the dA/dt = 0 curve
-    over an n_scan-point calcium grid and refined by solve_scalar_root; a
-    state is stable when its finite-difference Jacobian has negative trace
-    and positive determinant.
-    """
-    C, cells = _root_brackets(L, p, n_scan)
-    states = []
-    for i in cells:
-        root = solve_scalar_root(lambda c: _dc_on_a_nullcline(c, L, p),
-                                 Bracket(C[i], C[i + 1]), tol=1e-13)
-        gain = _activation_gain(root, L, p)
-        A = p.At * gain / (gain + p.k5)
-        states.append((CaAcState(root, A), _is_stable(root, A, L, p)))
-    return states
+    f = lambda c: _dc_on_a_nullcline(c, L, p)
+    edges = [1e-6, *(c for c, _ in _folds(p)), 8.0]
+    roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi in zip(edges, edges[1:])
+             if f(lo) == 0.0 or f(lo) * f(hi) < 0]
+    states = [CaAcState(C, _a_nullcline(C, L, p)) for C in roots]
+    return [(st, _is_stable(st.C, st.A, L, p)) for st in states]
 
 
 def _is_stable(C, A, L, p):
     """Both eigenvalues of the 2x2 Jacobian have negative real part exactly
     when its trace is negative and its determinant positive."""
-    J = np.empty((2, 2))
-    base = np.array([C, A])
-    for j in range(2):
-        step = 1e-6 * max(abs(base[j]), 1.0)
-        up = base.copy()
-        up[j] += step
-        dn = base.copy()
-        dn[j] -= step
-        fu = ca_ac_rhs(up, L, p)
-        fd = ca_ac_rhs(dn, L, p)
-        J[0, j] = (fu[0] - fd[0]) / (2 * step)
-        J[1, j] = (fu[1] - fd[1]) / (2 * step)
-    return bool(J[0, 0] + J[1, 1] < 0 and J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] > 0)
+    columns = []
+    for dC, dA in ((1e-6 * max(abs(C), 1.0), 0.0), (0.0, 1e-6 * max(abs(A), 1.0))):
+        up, dn = ca_ac_rhs((C + dC, A + dA), L, p), ca_ac_rhs((C - dC, A - dA), L, p)
+        columns.append([(u - d) / (2 * (dC + dA)) for u, d in zip(up, dn)])
+    (a, c), (b, d) = columns
+    return bool(a + d < 0 and a * d - b * c > 0)
 
 
 def bifurcation_scan(p: CaAcParams, L_values):
@@ -203,49 +224,29 @@ def bifurcation_scan(p: CaAcParams, L_values):
     """
     rows = []
     for L in L_values:
-        states = ca_ac_steady_states(L, p)
-        if len(states) >= 3:
-            order = sorted(states, key=lambda sa: sa[0].C)
-            labels = ["low", "unstable", "high"]
-            for (st, stable), lab in zip(order[:3], labels):
-                rows.append((float(L), lab, st.C, st.A, stable))
-        else:
-            for st, stable in states:
-                lab = "high" if st.A > p.At / 2 else "low"
-                rows.append((float(L), lab, st.C, st.A, stable))
+        states = ca_ac_steady_states(L, p)  # in increasing C
+        for i, (st, stable) in enumerate(states[:3]):
+            lab = (("low", "unstable", "high")[i] if len(states) >= 3
+                   else "high" if st.A > p.At / 2 else "low")
+            rows.append((float(L), lab, st.C, st.A, stable))
     return rows
 
 
 def hysteresis_jumps(p: CaAcParams = CaAcParams(), L_lo: float = 0.05,
                      L_hi: float = 6.0):
-    """(L_up, L_down): edges of the bistable window, located on 200
-    ligand levels and refined by bisection.
+    """(L_up, L_down): edges of the bistable window, the highest and lowest
+    fold ligand levels of the steady-state curve, clipped to [L_lo, L_hi].
 
     An upward sweep leaves the low branch at L_up; a downward sweep
-    leaves the high branch at L_down.
+    leaves the high branch at L_down.  Raises ValueError unless
+    0 <= L_lo < L_hi and the window meets that range.
     """
-    def bistable(L):
-        # counts the brackets of ca_ac_steady_states(L, p, n_scan=1500)
-        return len(_root_brackets(L, p, 1500)[1]) >= 3
-
-    Ls = np.linspace(L_lo, L_hi, 200)
-    multi = np.array([bistable(L) for L in Ls])
-    if not multi.any():
+    if not 0 <= L_lo < L_hi:
+        raise ValueError(f"need 0 <= L_lo < L_hi, got L_lo={L_lo!r}, L_hi={L_hi!r}")
+    levels = [L for _, L in _folds(p)]
+    if len(levels) < 2 or not (min(levels) < L_hi and max(levels) > L_lo):
         raise ValueError("no bistable window found in the scanned range")
-    idx = np.where(multi)[0]
-
-    def refine(inside, outside):
-        for _ in range(30):
-            mid = 0.5 * (inside + outside)
-            if bistable(mid):
-                inside = mid
-            else:
-                outside = mid
-        return 0.5 * (inside + outside)
-
-    L_down = refine(Ls[idx[0]], Ls[idx[0] - 1]) if idx[0] > 0 else Ls[0]
-    L_up = refine(Ls[idx[-1]], Ls[idx[-1] + 1]) if idx[-1] + 1 < len(Ls) else Ls[-1]
-    return L_up, L_down
+    return min(max(levels), L_hi), max(min(levels), L_lo)
 
 
 # --------------------------------------------------------------------------

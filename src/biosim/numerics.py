@@ -158,13 +158,10 @@ def _field_steps(t_end: float, grid: Grid1D, sample_every: int) -> int:
     return steps
 
 
-def rk4_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
-    """Classical four-stage Runge-Kutta with a fixed step.
-
-    rhs(t, y) must return dy/dt.  The local truncation error is O(h^5),
-    global O(h^4).  Aborts with the offending time if the derivative or
-    state turns non-finite.
-    """
+def _fixed_steps(rhs, y0, t0: float, t1: float, h: float, advance) -> Trajectory:
+    """Fixed steps of h from t0 with a short final step onto t1, each
+    y -> advance(t, dt, y, rhs(t, y)).  Aborts with the offending time if
+    the derivative or state turns non-finite."""
     times = _step_times(t0, t1, h)
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
     states = np.empty((len(times), y.size))
@@ -177,36 +174,32 @@ def rk4_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
             k1 = np.asarray(rhs(t, y))
             if not np.all(np.isfinite(k1)):
                 raise IntegrationError(f"non-finite derivative at t={float(t)!r}")
-            k2 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k1))
-            k3 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k2))
-            k4 = np.asarray(rhs(t + dt, y + dt * k3))
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = advance(t, dt, y, k1)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(
                     f"non-finite state after step at t={float(times[i + 1])!r}")
             states[i + 1] = y
     return Trajectory(times, states)
+
+
+def rk4_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
+    """Classical four-stage Runge-Kutta with a fixed step.
+
+    rhs(t, y) must return dy/dt.  The local truncation error is O(h^5),
+    global O(h^4).  Aborts with the offending time if the derivative or
+    state turns non-finite.
+    """
+    def advance(t, dt, y, k1):
+        k2 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k1))
+        k3 = np.asarray(rhs(t + dt / 2, y + dt / 2 * k2))
+        k4 = np.asarray(rhs(t + dt, y + dt * k3))
+        return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return _fixed_steps(rhs, y0, t0, t1, h, advance)
 
 
 def euler_integrate(rhs, y0, t0: float, t1: float, h: float) -> Trajectory:
     """Explicit Euler with a fixed step; first order."""
-    times = _step_times(t0, t1, h)
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    states = np.empty((len(times), y.size))
-    states[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(times) - 1):
-            t = times[i]
-            dt = times[i + 1] - t
-            k = np.asarray(rhs(t, y))
-            if not np.all(np.isfinite(k)):
-                raise IntegrationError(f"non-finite derivative at t={float(t)!r}")
-            y = y + dt * k
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(
-                    f"non-finite state after step at t={float(times[i + 1])!r}")
-            states[i + 1] = y
-    return Trajectory(times, states)
+    return _fixed_steps(rhs, y0, t0, t1, h, lambda t, dt, y, k: y + dt * k)
 
 
 # Dormand-Prince 5(4) (J. Comput. Appl. Math. 6:19, 1980), unrolled into

@@ -216,6 +216,46 @@ def test_steady_states_reject_nonpositive_k_and_s(k, s):
             solve()
 
 
+def test_steady_states_reject_zero_bacteria():
+    for solve in (lambda: steady_state_general(_params(0.2, b0=0.0), 0.003, 0.005),
+                  lambda: steady_state_intermediate(_params(0.0035, b0=0.0), 0.003, 0.005),
+                  lambda: steady_state_low(_params(0.001, b0=0.0), 0.003)):
+        with pytest.raises(ValueError, match=r"k b0 s\^2 must be positive"):
+            solve()
+
+
+@pytest.mark.parametrize("b0", [1e-320, 1e-308])
+def test_steady_states_reject_alpha_out_of_range(b0):
+    # alpha = 1 + l / (k b0 s^2) is inf at 1e-320, and e alpha overflows at 1e-308
+    for solve in (lambda: steady_state_general(_params(0.2, b0), 0.003, 0.005, k=0.003, s=1.0),
+                  lambda: steady_state_intermediate(_params(0.0035, b0), 0.003, 0.005,
+                                                    k=0.003, s=1.0)):
+        with pytest.raises(ValueError, match="is out of range"):
+            solve()
+
+
+def test_general_rejects_overflowing_band_factor():
+    # e^alpha overflows for alpha above about 709.78
+    with pytest.raises(ValueError, match=r"e\^alpha overflows at alpha = 1001\.0"):
+        steady_state_general(_params(0.2, b0=1e-3), 0.003, 0.005, k=0.003, s=1.0)
+
+
+@pytest.mark.parametrize("b0", [1e-300, 1e-3, 2.0])
+def test_depletion_roots_at_small_bacteria_levels(b0):
+    # the closed-form bracket reaches roots near 690.8 at b0 = 1e-300
+    k, s = 0.003, 1.0
+    sol = steady_state_intermediate(_params(0.0035, b0), 0.003, 0.005, k=k, s=s)
+    alpha = 1 + 0.003 / (k * b0 * s**2)
+    zeta = sol.z / s
+    assert math.exp(zeta) - zeta == pytest.approx(alpha, rel=1e-12)
+    low = steady_state_low(_params(0.001, b0), 0.003, k=k, s=s)
+    zeta = low.z / s
+    assert math.exp(zeta) - zeta == pytest.approx(1 + 0.001 / (k * b0 * s**2), rel=1e-12)
+    assert math.isfinite(sol.B) and math.isfinite(low.B)
+    if b0 == 1e-300:
+        assert sol.z == pytest.approx(690.8, abs=0.05)
+
+
 def test_general_steady_state_reference_values():
     sol = steady_state_general(_params(0.2), 0.003, 0.005, k=0.003, s=1.0)
     assert sol.z == pytest.approx(1.5, abs=1e-12)

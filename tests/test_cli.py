@@ -322,11 +322,22 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
      "n_trials 100000000 is above the cap of 10000000 walkers"),
     (["aerotaxis-montecarlo", "--seed", "-1"],
      "argument --seed: must be a non-negative integer, got -1"),
+    (["aerotaxis-steady-general", "--set", "aerotaxis.b0=0"], "k b0 s^2 must be positive"),
+    (["aerotaxis-steady-intermediate", "--set", "aerotaxis.b0=0"],
+     "k b0 s^2 must be positive"),
+    (["aerotaxis-steady-low", "--set", "aerotaxis.b0=0"], "k b0 s^2 must be positive"),
+    (["aerotaxis-steady-general", "--set", "aerotaxis.b0=1e-3"], "e^alpha overflows"),
+    (["growthcone-bifurcation", "--set", "gc.n=0"], "gc.n must be at least 1, got 0"),
+    (["growthcone-bifurcation", "--set", "gc.L_lo=6", "--set", "gc.L_hi=0.05"],
+     "need 0 <= L_lo < L_hi"),
+    (["growthcone-bifurcation", "--set", "gc.L_lo=-0.5"], "need 0 <= L_lo < L_hi"),
+    (["growthcone-bifurcation", "--set", "gc.L_lo=2.5"], "no bistable window found"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
 
 
 

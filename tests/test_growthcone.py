@@ -180,18 +180,83 @@ def test_nullcline_residual_array_matches_scalar_rhs():
             np.testing.assert_allclose(q + release, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_root_count_matches_steady_states(jumps):
+def test_state_counts_across_the_folds(jumps):
+    # just inside each fold the two merging states are still there, just
+    # outside they are gone
     L_up, L_down = jumps
     p = CaAcParams()
-    Ls = [0.1, 0.5, 1.0, 2.0, 2.5, 5.0]
-    for edge in (L_up, L_down):
-        Ls += [edge - 1e-6, edge, edge + 1e-6]
-    counts = set()
-    for L in Ls:
-        n = len(growthcone._root_brackets(L, p, 1500)[1])
-        assert n == len(ca_ac_steady_states(L, p, n_scan=1500))
-        counts.add(n)
-    assert counts == {1, 3}
+    for L, expected in ((L_up * (1 - 1e-8), 3), (L_down * (1 + 1e-8), 3),
+                        (L_up * (1 + 1e-8), 1), (L_down * (1 - 1e-8), 1)):
+        states = ca_ac_steady_states(L, p)
+        assert len(states) == expected, L
+        Cs = [st.C for st, _ in states]
+        assert Cs == sorted(Cs)
+
+
+def test_state_on_a_shared_piece_edge_counts_once(monkeypatch):
+    # a residual whose root lies exactly on a fold edge: the zero counts
+    # for the piece above the edge only
+    monkeypatch.setattr(growthcone, "_dc_on_a_nullcline", lambda c, L, p: c - 0.5)
+    monkeypatch.setattr(growthcone, "_folds", lambda p: ((0.5, 1.0),))
+    assert [st.C for st, _ in ca_ac_steady_states(1.0)] == [0.5]
+
+
+def test_folds_are_the_window_edges_to_1e9():
+    # the exact folds of the steady-state curve: a sign-change count on a
+    # finite calcium grid misses the two merging states next to a fold
+    L_up, L_down = hysteresis_jumps()
+    assert L_up == pytest.approx(2.2939159255, abs=1e-9)
+    assert L_down == pytest.approx(0.6067815518, abs=1e-9)
+
+
+def test_fold_states_have_a_singular_jacobian():
+    p = CaAcParams()
+    folds = growthcone._folds(p)
+    assert len(folds) == 2
+    for C, L in folds:
+        A = growthcone._a_nullcline(C, L, p)
+        assert abs(growthcone._dc_on_a_nullcline(C, L, p)) < 1e-12
+        J = _fd_jacobian(C, A, L, p)
+        assert abs(np.linalg.det(J)) <= 1e-4 * np.abs(J).max() ** 2
+
+
+def test_curve_points_are_steady_states():
+    # Lambda(C) is a root of the uncleared residual wherever it exists,
+    # and the curve exists exactly on its calcium span
+    p = CaAcParams()
+    C = np.linspace(1e-6, 8.0, 4000)
+    L = growthcone._curve_ligand(C, p)
+    on = np.isfinite(L)
+    span = C[on]
+    assert 0.049 < span[0] < 0.051 and 5.09 < span[-1] < 5.11
+    assert np.all(on[(C >= span[0]) & (C <= span[-1])])
+    ok = on & (L < 100)
+    res = growthcone._dc_on_a_nullcline(C[ok], L[ok], p)
+    scale = p.k0 + p.k1 + p.k2 * C[ok] + (p.kf + p.k3 * p.At) * C[ok] * p.Cer
+    assert np.max(np.abs(res) / scale) < 1e-12
+    for c, l in zip(C[ok][::97], L[ok][::97]):
+        assert min(abs(st.C - c) for st, _ in ca_ac_steady_states(l, p)) < 1e-9
+
+
+def test_steady_states_reject_negative_ligand():
+    with pytest.raises(ValueError, match="ligand must be nonnegative"):
+        ca_ac_steady_states(-0.1)
+
+
+@pytest.mark.parametrize("L_lo,L_hi", [(2.5, 6.0), (0.05, 0.5)])
+def test_window_outside_the_range_raises(L_lo, L_hi):
+    with pytest.raises(ValueError, match="no bistable window"):
+        hysteresis_jumps(CaAcParams(), L_lo, L_hi)
+
+
+@pytest.mark.parametrize("L_lo,L_hi", [(-0.1, 6.0), (6.0, 0.05), (1.0, 1.0)])
+def test_window_range_must_be_ordered_and_nonnegative(L_lo, L_hi):
+    with pytest.raises(ValueError, match="need 0 <= L_lo < L_hi"):
+        hysteresis_jumps(CaAcParams(), L_lo, L_hi)
+
+
+def test_window_is_clipped_to_the_range():
+    assert hysteresis_jumps(CaAcParams(), 1.0, 2.0) == (2.0, 1.0)
 
 
 def test_high_state_only_after_jump():
