@@ -8,6 +8,7 @@ telegraph system, and a two-part receptor ("piston") toy model.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -258,15 +259,20 @@ def turning_rates(L, th: TurningThresholds):
     Bins are half-open, [lo, hi).  The pair is written for an axis that
     points from the closed end of the capillary toward the oxygen source.
     """
-    L = np.asarray(L, dtype=float)
-    c, C = th.c_low, th.c_high
+    edges, rl, lr = _rate_tables(th)
     # bin i holds thresholds[i-1] <= L < thresholds[i]; NaN sorts into the last
-    bins = np.searchsorted((th.lt_min, th.l_min, th.l_max, th.lt_max), L, side="right")
-    f_rl = np.array((C, c, c, C, C), dtype=float)[bins]
-    f_lr = np.array((C, C, c, c, C), dtype=float)[bins]
-    if L.ndim == 0:
-        return float(f_rl), float(f_lr)
-    return f_rl, f_lr
+    bins = edges.searchsorted(np.asarray(L, dtype=float), "right")
+    if bins.ndim == 0:
+        return float(rl[bins]), float(lr[bins])
+    return rl.take(bins), lr.take(bins)
+
+
+@functools.cache
+def _rate_tables(th: TurningThresholds):
+    """The thresholds, and f_rl and f_lr in each of their five bins."""
+    c, C = th.c_low, th.c_high
+    return (np.array((th.lt_min, th.l_min, th.l_max, th.lt_max), dtype=float),
+            np.array((C, c, c, C, C), dtype=float), np.array((C, C, c, c, C), dtype=float))
 
 
 def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
@@ -278,7 +284,7 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     sample_every steps, always including the final state.  The upwind and
     FTCS steps raise StabilityError on an unstable grid; more than
     numerics._MAX_SAMPLES steps or kept node values raise ValueError before
-    the first step.
+    the first step.  Each step makes one upwind and one FTCS call.
     """
     grid = params.grid
     steps = _field_steps(t_end, grid, sample_every)
@@ -288,18 +294,21 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     L = np.zeros(n)
     L[0] = params.L0
     times = [0.0]
-    fields = [CellField(r.copy(), l.copy(), L.copy())]
+    # the step functions return new arrays, so the kept fields need no copies
+    fields = [CellField(r, l, L)]
+    uptake, eaten, zero = np.full(n, grid.dt * params.kappa), np.empty(n), np.zeros(n)
     for step in range(1, steps + 1):
         f_rl, f_lr = turning_rates(L, params.thresholds)
         # the grid points the other way (oxygen source at node 0), so the
         # two rates of the threshold table swap roles
         r, l = upwind_advection_reaction_step(r, l, params.v, f_lr, f_rl, grid)
         L = ftcs_diffusion_step(L, params.D, grid, bc=("dirichlet", "zero-flux"))
-        L = np.maximum(L - grid.dt * params.kappa * (r + l), 0.0)
+        L -= np.multiply(uptake, np.add(r, l, eaten), eaten)
+        np.maximum(L, zero, out=L)
         L[0] = params.L0
         if step % sample_every == 0 or step == steps:
             times.append(step * grid.dt)
-            fields.append(CellField(r.copy(), l.copy(), L.copy()))
+            fields.append(CellField(r, l, L))
     return np.array(times), fields
 
 
@@ -349,7 +358,7 @@ def band_formation_time(times, fields, grid: Grid1D):
 
 
 def _k_and_s(params: AerotaxisParams, k, s, l: float):
-    """(k, s, alpha = 1 + l / (k b0 s^2)); ValueError unless k b0 s^2 > 0, e alpha finite."""
+    """(k, s, l / (k b0 s^2)); ValueError unless k b0 s^2 > 0, e (1 + l / (k b0 s^2)) finite."""
     if k is None:
         k = params.kappa / params.D
     if s is None:
@@ -359,17 +368,26 @@ def _k_and_s(params: AerotaxisParams, k, s, l: float):
     kbs2 = k * params.b0 * s**2
     if not kbs2 > 0:
         raise ValueError(f"k b0 s^2 must be positive, got {kbs2!r}")
-    alpha = 1.0 + l / kbs2
-    if not math.isfinite(math.e * alpha):
-        raise ValueError(f"alpha = 1 + l / (k b0 s^2) = {alpha!r} is out of range")
-    return k, s, alpha
+    target = l / kbs2
+    if not math.isfinite(math.e * (1.0 + target)):
+        raise ValueError(f"alpha = 1 + l / (k b0 s^2) = {1.0 + target!r} is out of range")
+    return k, s, target
 
 
-def _depletion_root(alpha: float, lo: float, tol: float) -> float:
-    """The root zeta in (lo, ln alpha + 1] of e^zeta - zeta = alpha: for zeta >= 0,
-    e^zeta - zeta >= (1 - 1/e) e^zeta, so the root lies below ln alpha + 0.46."""
-    return solve_scalar_root(lambda zeta: math.exp(zeta) - zeta - alpha,
-                             Bracket(lo, math.log(alpha) + 1.0), tol=tol)
+def _depletion_root(target: float) -> float:
+    """The root zeta >= 0 of e^zeta - 1 - zeta = target, to 1e-13 relative.
+
+    e^zeta - 1 - zeta lies between zeta^2/2 and e^zeta zeta^2/2 and exceeds
+    target at ln(1 + target) + 1, which brackets the root; the bracket below
+    has a factor 2 of room at each end.  Below 0.5 the excess is summed as
+    its Taylor series, where expm1(zeta) - zeta would cancel digits."""
+    excess = lambda z: (math.expm1(z) - z if z > 0.5
+                        else z * z * sum(z**k / math.factorial(k + 2) for k in range(15)))
+    if target == 0.0:
+        return 0.0
+    hi = min(2.0 * math.sqrt(2.0 * target), math.log1p(target) + 1.0)
+    lo = 0.5 * math.sqrt(2.0 * target) * math.exp(-0.5 * hi)
+    return solve_scalar_root(lambda z: excess(z) / target - 1.0, Bracket(lo, hi), tol=1e-13 * lo)
 
 
 def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
@@ -382,15 +400,15 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
     band-width quadratic y^2 - 2 y (lam-1)/lam - u = 0; d is the
     leading-order front length s (L0 / (k b0 s^2 lam) + 1) / 2.
     """
-    k, s, alpha = _k_and_s(params, k, s, l_min)
+    k, s, target = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
     if not L0 > l_max:
         raise ValueError("general regime needs L0 > l_max")
-    z = alpha * s
+    z = (1.0 + target) * s
     try:
         lam = math.exp(z / s)
     except OverflowError:
-        raise ValueError(f"e^alpha overflows at alpha = {alpha!r}") from None
+        raise ValueError(f"e^alpha overflows at alpha = {1.0 + target!r}") from None
     B = b0 * lam
     gamma = (lam - 1.0) / lam
     u = 2.0 * (l_max - l_min) / (k * b0 * s**2 * lam)
@@ -407,28 +425,29 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
 def steady_state_intermediate(params: AerotaxisParams, l_min: float,
                               l_max: float, k: float | None = None,
                               s: float | None = None) -> SteadyStateSolution:
-    """Two-region steady state for l_min < L0 < l_max: band at the source.
+    """Two-region steady state for 0 < l_min < L0 < l_max: band at the source.
 
-    z solves e^zeta - zeta - alpha = 0; h is the positive root of the
-    quadratic obtained from flux matching at the band's back edge, with
-    beta = k b0 e^(z/s).
+    z = zeta s, where e^zeta - 1 - zeta = l_min / (k b0 s^2); h is the
+    positive root of the quadratic obtained from flux matching at the
+    band's back edge, with beta = k b0 e^(z/s).
     """
-    k, s, alpha = _k_and_s(params, k, s, l_min)
+    k, s, target = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
-    if not l_min < L0 < l_max:
-        raise ValueError("intermediate regime needs l_min < L0 < l_max")
-    zeta = _depletion_root(alpha, 1e-12, 1e-12)
+    if not 0 < l_min < L0 < l_max:
+        raise ValueError("intermediate regime needs 0 < l_min < L0 < l_max")
+    zeta = _depletion_root(target)
     z = zeta * s
     lam = math.exp(zeta)
     beta = k * b0 * lam
     B = b0 * lam
-    # h^2 + 2 [s - s^2/z + (k b0 s^2 + l_min)/(z beta)] h + 2 (l_min - L0)/beta = 0
-    p = s - s**2 / z + (k * b0 * s**2 + l_min) / (z * beta)
+    # h^2 + 2 p h + 2 (l_min - L0)/beta = 0 with p = s - s^2/z + (k b0 s^2 + l_min)/(z beta),
+    # and c2 = (beta s^2 (1 - 1/lam) - l_min)/z; with lam - 1 = zeta + l_min/(k b0 s^2) at
+    # the root these are s (1 - 1/lam) and k b0 s, free of the cancellation at small z
+    p = -s * math.expm1(-zeta)
     q = 2.0 * (l_min - L0) / beta
     h = -p + math.sqrt(p * p - q)
     c1 = (l_min - L0) / h - 0.5 * beta * h
-    c2 = (beta * s**2 * (1.0 - 1.0 / lam) - l_min) / z
-    return SteadyStateSolution("intermediate", B, c1, c2,
+    return SteadyStateSolution("intermediate", B, c1, k * b0 * s,
                                k * b0 * s, 0.0, h, z, s, k, lam,
                                L0, l_min, l_max)
 
@@ -442,11 +461,11 @@ def steady_state_low(params: AerotaxisParams, l_min: float,
     e^zeta - zeta - 1 = L0 / (k b0 s^2), which has exactly one
     nonnegative root.
     """
-    k, s, alpha = _k_and_s(params, k, s, params.L0)
+    k, s, target = _k_and_s(params, k, s, params.L0)
     L0, b0 = params.L0, params.b0
     if not L0 < l_min:
         raise ValueError("low regime needs L0 < l_min")
-    zeta = 0.0 if alpha == 1.0 else _depletion_root(alpha, 1e-15, 1e-13)
+    zeta = _depletion_root(target)
     z = zeta * s
     lam = math.exp(zeta)
     return SteadyStateSolution("low", b0 * lam, k * b0 * s, float("nan"),

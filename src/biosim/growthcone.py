@@ -458,9 +458,11 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     l_profile is the ligand level per node during the run; l_init (same
     shape, default l_profile) sets the adapted initial condition.  Both
     fields use zero-flux boundaries.  Returns (times, M list, A list).
-    More than numerics._MAX_SAMPLES steps or kept node values raise
-    ValueError before the first step.
+    A negative or NaN diffusivity, more than numerics._MAX_SAMPLES steps or
+    kept node values raise ValueError before the first step.
     """
+    if not (D1 >= 0 and D2 >= 0):
+        raise ValueError(f"diffusivities must be nonnegative, got D1={D1!r}, D2={D2!r}")
     steps = _field_steps(t_end, grid, sample_every)
     l_run = np.asarray(l_profile, dtype=float)
     if l_run.shape != (grid.n,):
@@ -470,21 +472,31 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     l0 = l_run if l_init is None else np.asarray(l_init, dtype=float)
     A = np.full(grid.n, p.m / p.r)
     M = p.m / p.r * p.kd / (p.k * l0)
-    ka = p.k * l_run
+    # the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A), from dt-scaled coefficients
+    dt = grid.dt
+    bind = dt * p.lam * p.k * l_run
+    unbind, make, decay, keep = (np.full(grid.n, c) for c in (
+        dt * p.lam * p.kd, dt * p.m, dt * p.r, 1 - dt * p.r))
+    ex, buf = np.empty(grid.n), np.empty(grid.n)
     times = [0.0]
-    Ms, As = [M.copy()], [A.copy()]
+    Ms, As = [M], [A.copy()]
     for step in range(1, steps + 1):
-        ex = p.lam * (ka * M - p.kd * A)
-        dM = p.m - ex
-        dA = -p.r * A + ex
-        M = ftcs_diffusion_step(M, D1, grid) + grid.dt * dM
+        np.multiply(bind, M, ex)
+        ex -= np.multiply(unbind, A, buf)
+        # ftcs_diffusion_step returns a new array, so a kept M needs no copy
+        M = ftcs_diffusion_step(M, D1, grid)
+        M += make
+        M -= ex
         if D2 > 0:
-            A = ftcs_diffusion_step(A, D2, grid) + grid.dt * dA
+            np.multiply(decay, A, buf)
+            A = ftcs_diffusion_step(A, D2, grid)
+            A -= buf
         else:
-            A = A + grid.dt * dA
+            A *= keep
+        A += ex
         if step % sample_every == 0 or step == steps:
-            times.append(step * grid.dt)
-            Ms.append(M.copy())
+            times.append(step * dt)
+            Ms.append(M)
             As.append(A.copy())
     return np.array(times), Ms, As
 

@@ -361,30 +361,27 @@ def ftcs_diffusion_step(field, diffusivity: float, grid: Grid1D,
     """One forward-time centred-space diffusion step.
 
     bc gives the (left, right) boundary kind, each "zero-flux" (mirrored
-    ghost node) or "dirichlet" (boundary value held fixed).  Requires the
-    diffusion number diffusivity*dt/dx^2 <= 1/2.
+    ghost node) or "dirichlet" (boundary value held fixed).  Raises
+    ValueError for a negative or NaN diffusion number diffusivity*dt/dx^2
+    and StabilityError for one above 1/2.
     """
     f = np.asarray(field, dtype=float)
     nu = diffusivity * grid.dt / grid.dx**2
+    if not nu >= 0:
+        raise ValueError(f"diffusion number {nu!r} must be nonnegative")
     if nu > 0.5 + 1e-12:
         raise StabilityError(
             f"diffusion number {nu:.4g} exceeds the explicit limit 0.5"
         )
-    lap = np.empty_like(f)
-    lap[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
-    left, right = bc
-    if left == "zero-flux":
-        lap[0] = 2 * (f[1] - f[0])
-    elif left == "dirichlet":
-        lap[0] = 0.0
-    else:
-        raise ValueError(f"unknown boundary kind {left!r}")
-    if right == "zero-flux":
-        lap[-1] = 2 * (f[-2] - f[-1])
-    elif right == "dirichlet":
-        lap[-1] = 0.0
-    else:
-        raise ValueError(f"unknown boundary kind {right!r}")
+    # f[i+1] - 2 f[i] + f[i-1], summed in that order, in the result's buffer
+    lap = f * -2.0
+    interior = lap[1:-1]
+    interior += f[2:]
+    interior += f[:-2]
+    for end, inner, kind in ((0, 1, bc[0]), (-1, -2, bc[1])):
+        if kind not in ("zero-flux", "dirichlet"):
+            raise ValueError(f"unknown boundary kind {kind!r}")
+        lap[end] = 2 * (f[inner] - f[end]) if kind == "zero-flux" else 0.0
     lap *= nu
     lap += f
     return lap
@@ -399,22 +396,31 @@ def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):
     exactly.  frl and flr are per-node turning-rate fields.  Requires
     CFL = v*dt/dx <= 1 and the reaction number dt*max(frl, flr) <= 1.
     """
-    r = np.asarray(r, dtype=float)
-    l = np.asarray(l, dtype=float)
+    r, l = np.asarray(r, dtype=float), np.asarray(l, dtype=float)
     c = v * grid.dt / grid.dx
     if c > 1 + 1e-12:
         raise StabilityError(f"CFL number {c:.4g} exceeds 1")
-    rn = grid.dt * max(np.max(frl), np.max(flr))
+    frl, flr = np.asarray(frl), np.asarray(flr)
+    rn = grid.dt * max(frl.max(), flr.max())
     if rn > 1 + 1e-12:
         raise StabilityError(f"reaction number {rn:.4g} exceeds 1")
-    rt = np.empty_like(r)
-    lt = np.empty_like(l)
-    rt[1:] = (1 - c) * r[1:] + c * r[:-1]
-    rt[0] = (1 - c) * r[0] + c * l[0]
-    lt[:-1] = (1 - c) * l[:-1] + c * l[1:]
-    lt[-1] = (1 - c) * l[-1] + c * r[-1]
-    swap = grid.dt * (np.asarray(frl) * r - np.asarray(flr) * l)
-    return rt - swap, lt + swap
+    # (1 - c) times the density plus c times its upwind neighbour, which at
+    # a wall is the other direction's density; 0-d weights multiply faster
+    stay, c = np.array(1 - c), np.array(c)
+    rt, lt, cr, cl = r * stay, l * stay, r * c, l * c
+    downstream = rt[1:]
+    downstream += cr[:-1]
+    rt[0] += cl[0]
+    downstream = lt[:-1]
+    downstream += cl[1:]
+    lt[-1] += cr[-1]
+    # the turning exchange dt (frl r - flr l), in place
+    np.multiply(frl, r, cr)
+    cr -= np.multiply(flr, l, cl)
+    cr *= grid.dt
+    rt -= cr
+    lt += cr
+    return rt, lt
 
 
 def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12) -> float:

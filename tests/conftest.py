@@ -1,3 +1,15 @@
+import os
+
+from hypothesis import settings
+
+# A derandomised profile: each property test draws the same examples on
+# every run.  GitHub Actions sets CI, so a property test that fails there
+# fails the same way locally under CI=1.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One line per acceptance criterion at the end of the run."""
     tr = terminalreporter

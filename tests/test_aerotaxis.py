@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -181,6 +182,50 @@ def test_band_metrics_uniform_field():
 
     cf = CellField(np.full(40, 0.5), np.full(40, 0.5), np.zeros(40))
     assert not band_metrics(cf, grid).has_band
+
+
+def _reference_band(params, t_end, sample_every):
+    """The band step loop written term by term: the turning-rate tables
+    rebuilt every step, fresh arrays for every intermediate and a copy of
+    each kept field."""
+    grid, th = params.grid, params.thresholds
+    steps = round(t_end / grid.dt)
+    r = np.full(grid.n, params.b0 / 2)
+    l = np.full(grid.n, params.b0 / 2)
+    L = np.zeros(grid.n)
+    L[0] = params.L0
+    kept = [(r.copy(), l.copy(), L.copy())]
+    for step in range(1, steps + 1):
+        bins = np.searchsorted((th.lt_min, th.l_min, th.l_max, th.lt_max), L, side="right")
+        f_rl = np.array((th.c_high, th.c_low, th.c_low, th.c_high, th.c_high))[bins]
+        f_lr = np.array((th.c_high, th.c_high, th.c_low, th.c_low, th.c_high))[bins]
+        r, l = numerics.upwind_advection_reaction_step(r, l, params.v, f_lr, f_rl, grid)
+        L = numerics.ftcs_diffusion_step(L, params.D, grid, bc=("dirichlet", "zero-flux"))
+        L = np.maximum(L - grid.dt * params.kappa * (r + l), 0.0)
+        L[0] = params.L0
+        if step % sample_every == 0 or step == steps:
+            kept.append((r.copy(), l.copy(), L.copy()))
+    return kept
+
+
+# the long-run test's configuration
+LONG_RUN = AerotaxisParams(v=0.2, D=0.01, kappa=0.05, L0=0.5, b0=1.0,
+                           thresholds=TurningThresholds(1e-4, 0.1, 0.2, 2.0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("params,t_end,every", [
+    (AerotaxisParams(), 30.0, 100),
+    (LONG_RUN, 100.0, 1000),
+], ids=["defaults", "long-run-10000-steps"])
+def test_band_matches_the_reference_loop_bit_for_bit(params, t_end, every):
+    times, fields = simulate_band(params, t_end=t_end, sample_every=every)
+    ref = _reference_band(params, t_end, every)
+    assert len(fields) == len(ref) == round(t_end / params.grid.dt) // every + 1
+    for cf, want in zip(fields, ref):
+        for got, expected in zip((cf.r, cf.l, cf.L), want):
+            assert got.tobytes() == expected.tobytes()
+    # each kept field is its own array
+    assert len({id(a) for cf in fields for a in (cf.r, cf.l, cf.L)}) == 3 * len(fields)
 
 
 def test_long_run_converges_to_steady_state_geometry():
@@ -380,6 +425,56 @@ def test_low_regime_monotone():
     zs = [steady_state_low(_params(L0), 0.003, k=0.003, s=1.0).z
           for L0 in (1e-4, 5e-4, 1e-3, 2e-3)]
     assert zs == sorted(zs)
+
+
+def _depletion_reference(l, k, b0, s):
+    """The root of e^zeta - 1 - zeta = l / (k b0 s^2) by Newton's method in
+    the caller's decimal precision, from the upper bound sqrt(2 target)."""
+    t = Decimal(l) / (Decimal(k) * Decimal(b0) * Decimal(s)**2)
+    zeta = (2 * t).sqrt()
+    for _ in range(100):
+        e = zeta.exp()
+        step = (e - 1 - zeta - t) / (e - 1)
+        zeta -= step
+        if abs(step) <= Decimal("1e-30") * zeta:
+            return zeta
+    raise AssertionError("Newton did not converge")
+
+
+@pytest.mark.parametrize("l", [1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+def test_depletion_lengths_keep_a_small_target(l):
+    # 1 + l / (k b0 s^2) once rounded the target away: at l = 1e-15 the
+    # depletion length was 17% off
+    k, b0, s, L0 = 0.003, 2.0, 1.0, 0.004
+    with localcontext() as ctx:
+        ctx.prec = 60
+        zeta = _depletion_reference(l, k, b0, s)
+        low = steady_state_low(_params(l, b0), 0.003, k=k, s=s)
+        assert low.z / s == pytest.approx(float(zeta), rel=1e-12)
+        # the intermediate regime's tail solves the same equation with l_min;
+        # its band width and tail slope, from their textbook forms
+        mid = steady_state_intermediate(_params(L0, b0), l, 0.005, k=k, s=s)
+        assert mid.z / s == pytest.approx(float(zeta), rel=1e-12)
+        k, b0, s, l, L0 = map(Decimal, (k, b0, s, l, L0))
+        z, lam = zeta * s, zeta.exp()
+        beta = k * b0 * lam
+        p = s - s**2 / z + (k * b0 * s**2 + l) / (z * beta)
+        h = -p + (p * p - 2 * (l - L0) / beta).sqrt()
+        assert mid.h == pytest.approx(float(h), rel=1e-12)
+        assert mid.c2 == pytest.approx(float((beta * s**2 * (1 - 1 / lam) - l) / z), rel=1e-12)
+
+
+def test_depletion_length_at_a_vanishing_target():
+    # zeta = e (1 - e/6 + ...) with e = sqrt(2 target): e alone to double precision
+    sol = steady_state_low(_params(1e-300), 0.003, k=0.003, s=1.0)
+    assert sol.z == pytest.approx(math.sqrt(2e-300 / 0.006), rel=1e-15)
+
+
+@pytest.mark.parametrize("l_min", [0.0, -1e-3])
+def test_intermediate_rejects_nonpositive_lower_threshold(l_min):
+    # l_min = 0 leaves no depletion tail, and the band-width quadratic divides by it
+    with pytest.raises(ValueError, match="intermediate regime needs 0 < l_min < L0 < l_max"):
+        steady_state_intermediate(_params(0.004), l_min, 0.005, k=0.003, s=1.0)
 
 
 # ---------------------------------------------------------------- quasi steady

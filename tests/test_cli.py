@@ -332,6 +332,10 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
      "need 0 <= L_lo < L_hi"),
     (["growthcone-bifurcation", "--set", "gc.L_lo=-0.5"], "need 0 <= L_lo < L_hi"),
     (["growthcone-bifurcation", "--set", "gc.L_lo=2.5"], "no bistable window found"),
+    (["growthcone-rd", "--set", "gc.D1=-0.1"], "diffusivities must be nonnegative"),
+    (["growthcone-rd", "--set", "gc.D2=-0.1"], "diffusivities must be nonnegative"),
+    (["aerotaxis-steady-intermediate", "--set", "aerotaxis.l_min=0"],
+     "intermediate regime needs 0 < l_min < L0 < l_max"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

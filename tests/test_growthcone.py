@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biosim import growthcone
+from biosim import growthcone, numerics
 from biosim.growthcone import (
     AdaptationParams,
     CaAcParams,
@@ -537,6 +537,59 @@ def test_rd_quadratic_gradient_extrema_align():
     A, M = As[-1], Ms[-1]
     assert int(np.argmax(A)) == int(np.argmax(quad))
     assert int(np.argmin(M)) == int(np.argmax(quad))
+
+
+def _reference_rd(l_profile, p, D1, D2, grid, t_end, sample_every):
+    """The reaction-diffusion step loop written term by term: an Euler
+    reaction step with fresh arrays for every term, added to the FTCS step."""
+    steps = round(t_end / grid.dt)
+    A = np.full(grid.n, p.m / p.r)
+    M = p.m / p.r * p.kd / (p.k * l_profile)
+    ka = p.k * l_profile
+    Ms, As = [M.copy()], [A.copy()]
+    for step in range(1, steps + 1):
+        ex = p.lam * (ka * M - p.kd * A)
+        dM = p.m - ex
+        dA = -p.r * A + ex
+        M = numerics.ftcs_diffusion_step(M, D1, grid) + grid.dt * dM
+        if D2 > 0:
+            A = numerics.ftcs_diffusion_step(A, D2, grid) + grid.dt * dA
+        else:
+            A = A + grid.dt * dA
+        if step % sample_every == 0 or step == steps:
+            Ms.append(M.copy())
+            As.append(A.copy())
+    return Ms, As
+
+
+@pytest.mark.parametrize("D2", [0.0, 0.1])
+def test_rd_matches_the_reference_loop(D2):
+    # the dt-scaled reaction coefficients reorder the Euler step's rounding
+    # only: every sample agrees with the term-by-term loop to 1e-12
+    p = AdaptationParams()
+    grid = default_rd_grid()
+    lin = np.linspace(0.01, 0.03, grid.n)
+    times, Ms, As = reaction_diffusion_simulate(lin, p, 0.6, D2, grid, t_end=20.0,
+                                                sample_every=250)
+    ref_M, ref_A = _reference_rd(lin, p, 0.6, D2, grid, 20.0, 250)
+    assert times.tolist() == [2.5 * i for i in range(9)]
+    assert len(Ms) == len(As) == len(ref_M) == 9
+    for got, want in zip(Ms + As, ref_M + ref_A):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # the samples are distinct arrays, each left as it was taken
+    assert len({id(a) for a in Ms + As}) == 18
+
+
+@pytest.mark.parametrize("D1,D2", [(-0.1, 0.0), (0.6, -0.1), (math.nan, 0.0), (0.6, math.nan)])
+def test_rd_rejects_negative_diffusivities_before_stepping(D1, D2, monkeypatch):
+    calls = []
+    monkeypatch.setattr(growthcone, "ftcs_diffusion_step",
+                        lambda *args, **kwargs: calls.append(1))
+    grid = default_rd_grid()
+    with pytest.raises(ValueError, match="diffusivities must be nonnegative"):
+        reaction_diffusion_simulate(np.full(grid.n, 0.02), AdaptationParams(), D1, D2,
+                                    grid, t_end=1.0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- calcium switch

@@ -525,6 +525,59 @@ def test_ftcs_stability_guard():
         ftcs_diffusion_step(np.zeros(10), 1.0, grid)
 
 
+@pytest.mark.parametrize("diffusivity", [-0.3, -1e-300, math.nan])
+def test_ftcs_rejects_a_negative_or_nan_diffusion_number(diffusivity):
+    # a negative number anti-diffuses: ftcs(f, -0.3) once returned negative values
+    grid = Grid1D(n=10, dx=0.1, dt=0.01)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        ftcs_diffusion_step(np.ones(10), diffusivity, grid)
+    # zero diffusivity is a copy
+    f = np.linspace(0.0, 1.0, 10)
+    assert ftcs_diffusion_step(f, 0.0, grid).tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("bc", [("periodic", "zero-flux"), ("dirichlet", "open")])
+def test_ftcs_rejects_an_unknown_boundary_kind(bc):
+    grid = Grid1D(n=10, dx=0.1, dt=0.01)
+    with pytest.raises(ValueError, match="unknown boundary kind"):
+        ftcs_diffusion_step(np.ones(10), 0.1, grid, bc=bc)
+
+
+BOUNDARY_PAIRS = list(itertools.product(("zero-flux", "dirichlet"), repeat=2))
+
+
+def _field(n, seed, e1, e2):
+    """n values of random sign and magnitude 10^e, e uniform between e1 and
+    e2, about a tenth of them zero."""
+    rng = np.random.default_rng(seed)
+    f = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(min(e1, e2), max(e1, e2), n)
+    f[rng.random(n) < 0.1] = 0.0
+    return f
+
+
+def _wide_fields(n):
+    """n-node fields with magnitudes in a drawn part of 1e-150..1e150; the
+    values come from a drawn seed, since drawing 128 floats one by one
+    costs a hypothesis example tens of milliseconds."""
+    exponent = st.integers(min_value=-150, max_value=150)
+    return st.builds(_field, st.just(n), st.integers(min_value=0, max_value=2**32 - 1),
+                     exponent, exponent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.floats(min_value=0.0, max_value=0.5), st.sampled_from(BOUNDARY_PAIRS))
+def test_ftcs_matches_the_zero_filled_formula_on_any_grid(data, nu, bc):
+    f = data.draw(st.integers(min_value=3, max_value=128).flatmap(_wide_fields))
+    grid = Grid1D(n=len(f), dx=1.0, dt=1.0)
+    lap = np.zeros_like(f)
+    lap[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
+    if bc[0] == "zero-flux":
+        lap[0] = 2 * (f[1] - f[0])
+    if bc[1] == "zero-flux":
+        lap[-1] = 2 * (f[-2] - f[-1])
+    assert ftcs_diffusion_step(f, nu, grid, bc=bc).tobytes() == (f + nu * lap).tobytes()
+
+
 # ---------------------------------------------------------------- upwind
 
 def test_upwind_unit_cfl_exact_shift():
@@ -580,6 +633,27 @@ def test_upwind_reaction_free_monotone(values, cfl):
         r, l = upwind_advection_reaction_step(r, l, 1.0, zero, zero, grid)
     assert r.min() >= lo - 1e-12 and l.min() >= lo - 1e-12
     assert r.max() <= hi + 1e-12 and l.max() <= hi + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.floats(min_value=0.0, max_value=1.0))
+def test_upwind_matches_the_zero_filled_formula_on_any_grid(data, cfl):
+    n = data.draw(st.integers(min_value=3, max_value=128))
+    r, l = data.draw(_wide_fields(n)), data.draw(_wide_fields(n))
+    # rates up to 1/dt, the reaction-number limit
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    frl, flr = 100.0 * np.random.default_rng(seed).random((2, n))
+    grid = Grid1D(n=n, dx=0.1, dt=0.01)
+    v = cfl * grid.dx / grid.dt
+    c = v * grid.dt / grid.dx
+    rt, lt = np.zeros(n), np.zeros(n)
+    rt[1:] = (1 - c) * r[1:] + c * r[:-1]
+    rt[0] = (1 - c) * r[0] + c * l[0]
+    lt[:-1] = (1 - c) * l[:-1] + c * l[1:]
+    lt[-1] = (1 - c) * l[-1] + c * r[-1]
+    swap = grid.dt * (frl * r - flr * l)
+    got = upwind_advection_reaction_step(r, l, v, frl, flr, grid)
+    assert [a.tobytes() for a in got] == [(rt - swap).tobytes(), (lt + swap).tobytes()]
 
 
 def test_upwind_cfl_guard():
