@@ -185,6 +185,9 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("v", "c", "t_a", "wall_half_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.band_half_width < self.wall_half_width:
             raise ValueError("need 0 < band_half_width < wall_half_width")
         if self.n_trials < 1:
@@ -549,14 +552,20 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     order.
 
     Occupancy is sampled every dt after the first tenth of t_end, up to
-    round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples raise
-    ValueError.
+    round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples, no sample
+    after the burn-in, or no sample outside the band raise ValueError.
+    Returns inside_outside_ratio and inside_outside_se, the ratio's
+    delta-method standard error over the independent walkers (nan for
+    one walker).
     """
     if not (dt > 0 and t_end > 0):
         raise ValueError("t_end and dt must be positive")
     steps = _step_count(t_end, dt)
     first = _burn_in_samples(steps, dt, t_end)  # samples are the steps after this one
     n_samples = steps - first
+    if n_samples == 0:
+        raise ValueError(f"t_end {t_end!r} at step {dt!r} takes no occupancy sample "
+                         "after the burn-in")
     t_stop = steps * dt
 
     def samples_by(s):
@@ -567,54 +576,75 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     band, wall = cfg.band_half_width, cfg.wall_half_width
     n = cfg.n_trials
     rng = np.random.default_rng(cfg.seed)
+
+    def turn_age(target):
+        """Age at which the integrated hazard reaches target: inf past c t_a."""
+        if t_a > 0:
+            return np.where(target < c * t_a,
+                            -t_a * np.log1p(-target / (c * t_a)), np.inf)
+        return target / c
+
+    # A walker's next boundary lim is band inside the band (either way),
+    # wall moving outward outside it and -band moving inward, so that
+    # (lim - sgn y) / v, with heading sgn = +-1, is the time to reach it;
+    # lim is nan once the walker reaches t_stop, which makes its step nan
+    # and keeps it out of every event.  turn_at is the age of its next
+    # turn: inf inside the band, and on approaching legs for t_a = 0.
     t = np.zeros(n)
     y = np.zeros(n)                     # |x|
-    outward = np.ones(n, dtype=bool)
-    inband = np.ones(n, dtype=bool)
-    age = np.zeros(n)                   # time since leaving the band
+    sgn = np.ones(n)
+    lim = np.full(n, band)
+    age = np.zeros(n)                   # time since leaving the band (junk inside)
     target = np.zeros(n)                # integrated hazard of the next turn
-    live = np.full(n, t_stop > 0)      # not yet at t_stop
-    out_samples = 0
-    # c = 0 divides by zero where the np.where masks discard the result
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while live.any():
-            geo = np.where(inband, np.where(outward, band - y, band + y),
-                           np.where(outward, wall - y, y - band)) / v
+    turn_at = np.full(n, np.inf)
+    outside = np.zeros(n)               # each walker's samples outside the band
+    live = n
+    # c = 0 divides by zero, a subnormal c overflows to the same inf (no
+    # turn), and log1p(-target/(c t_a)) leaves its domain where np.where
+    # discards the result
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while live:
+            geo = (lim - sgn * y) / v
+            to_turn = np.maximum(turn_at - age, 0.0)
+            step = np.minimum(geo, to_turn)
+            done = np.flatnonzero(t_stop - t <= step)
+            t += step
+            age += step
+            if done.size:
+                live -= done.size
+                outside[done[lim[done] != band]] += n_samples
+                lim[done] = geo[done] = np.nan
+            turn = np.flatnonzero(to_turn < geo)
+            hit = geo <= to_turn
+            leave = np.flatnonzero(lim == band)
+            wall_hit = np.flatnonzero(hit & (lim == wall))
+            enter = np.flatnonzero(hit & (lim == -band))
+            y[turn] += sgn[turn] * (v * step[turn])
+            sgn[turn] = heading = -sgn[turn]
+            lim[turn] = np.where(heading > 0, wall, -band)
+            y[leave], sgn[leave], lim[leave], age[leave] = band, 1.0, wall, 0.0
+            y[wall_hit], sgn[wall_hit], lim[wall_hit] = wall, -1.0, -band
+            y[enter], sgn[enter], lim[enter], turn_at[enter] = band, -1.0, band, np.inf
+            # the samples outside telescope from leaving to re-entering
+            outside[leave] -= samples_by(t[leave])
+            outside[enter] += samples_by(t[enter])
+            target[leave] = rng.standard_exponential(leave.size)
+            turn_at[leave] = turn_age(target[leave])
             if t_a > 0:
-                turn_age = np.where(target < c * t_a,
-                                    -t_a * np.log1p(-target / (c * t_a)), np.inf)
-                to_turn = np.where(inband, np.inf, np.maximum(turn_age - age, 0.0))
+                target[turn] += rng.standard_exponential(turn.size)
+                turn_at[turn] = turn_age(target[turn])
             else:
-                to_turn = np.where(~inband & outward, target / c - age, np.inf)
-            step = np.where(live, np.minimum(geo, to_turn), 0.0)
-            done = live & (t_stop - t <= step)
-            t_new = np.where(done, t_stop, t + step)
-            # samples in (t, t_new] of the walkers outside the band
-            out = live & ~inband
-            seen_new = np.where(done[out], n_samples, samples_by(t_new[out]))
-            out_samples += int((seen_new - samples_by(t[out])).sum())
-            t = t_new
-            live &= ~done
-            turn = live & (to_turn < geo)
-            hit = live & ~turn
-            age = np.where(~inband & live, age + step, age)
-            y = np.where(turn, np.where(outward, y + v * step, y - v * step), y)
-            leave = hit & inband
-            wall_hit = hit & ~inband & outward
-            enter = hit & ~inband & ~outward
-            y[leave | enter] = band
-            y[wall_hit] = wall
-            age[leave] = 0.0
-            idx = np.flatnonzero(leave)
-            target[idx] = rng.standard_exponential(idx.size)
-            if t_a > 0:
-                idx = np.flatnonzero(turn)
-                target[idx] += rng.standard_exponential(idx.size)
-            outward = (outward ^ (turn | wall_hit)) | leave
-            inband = (inband & ~leave) | enter
+                turn_at[turn] = turn_at[wall_hit] = np.inf
+    out_samples = int(outside.sum())
+    if out_samples == 0:
+        raise ValueError(f"no walker was outside the band at any of the {n_samples} "
+                         "occupancy samples, so the ratio is undefined")
     dens_in = (n * n_samples - out_samples) * dt / (2.0 * band)
     dens_out = out_samples * dt / (2.0 * (wall - band))
-    return {"inside_outside_ratio": dens_in / dens_out if dens_out > 0 else float("inf")}
+    # ratio = (w - b)/b (n S / O - 1), and O sums n independent counts
+    se = ((wall - band) / band * n * n_samples / out_samples**2 * math.sqrt(n)
+          * float(outside.std(ddof=1)) if n > 1 else float("nan"))
+    return {"inside_outside_ratio": dens_in / dens_out, "inside_outside_se": se}
 
 
 # --------------------------------------------------------------------------

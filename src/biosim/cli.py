@@ -223,7 +223,7 @@ def run_montecarlo(p, out, seed):
     res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
     ratio = res["inside_outside_ratio"]
     _write_csv(out / "result.csv", ["t_a", "c", "ratio"], _rows([(cfg.t_a, cfg.c, ratio)]))
-    return {"inside_outside_ratio": ratio}
+    return res
 
 
 def run_gc_switch(p, out, seed):

@@ -394,14 +394,19 @@ def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):
     (upwind for each).  Wall outflow is added to the opposite-direction
     density at the same node, so the total population is conserved
     exactly.  frl and flr are per-node turning-rate fields.  Requires
-    CFL = v*dt/dx <= 1 and the reaction number dt*max(frl, flr) <= 1.
+    CFL = v*dt/dx <= 1 and the reaction number dt*max(frl, flr) <= 1;
+    a NaN rate raises ValueError.
     """
     r, l = np.asarray(r, dtype=float), np.asarray(l, dtype=float)
     c = v * grid.dt / grid.dx
     if c > 1 + 1e-12:
         raise StabilityError(f"CFL number {c:.4g} exceeds 1")
     frl, flr = np.asarray(frl), np.asarray(flr)
-    rn = grid.dt * max(frl.max(), flr.max())
+    top_rl, top_lr = frl.max(), flr.max()
+    # ndarray.max keeps a NaN, but Python's max and the > test below drop it
+    if math.isnan(top_rl) or math.isnan(top_lr):
+        raise ValueError("turning rates must not be NaN")
+    rn = grid.dt * max(top_rl, top_lr)
     if rn > 1 + 1e-12:
         raise StabilityError(f"reaction number {rn:.4g} exceeds 1")
     # (1 - c) times the density plus c times its upwind neighbour, which at

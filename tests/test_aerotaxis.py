@@ -3,6 +3,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biosim import aerotaxis, growthcone, numerics
 from biosim.aerotaxis import (
@@ -622,6 +624,145 @@ def test_monte_carlo_burn_in_count_matches_sample_grid():
         grid = dt * np.arange(1, steps + 1)   # the grid the count replaces
         want = steps - int(np.count_nonzero(grid > 0.1 * t_end))
         assert aerotaxis._burn_in_samples(steps, dt, t_end) == want, (t_end, dt)
+
+
+def _reference_monte_carlo(cfg, t_end=80.0, dt=0.01):
+    """The event loop recomputing every walker's geometry, turn age and
+    occupancy each round through np.where masks; the ratio is inf when no
+    sample falls outside the band."""
+    steps = round(t_end / dt)
+    first = aerotaxis._burn_in_samples(steps, dt, t_end)
+    n_samples = steps - first
+    t_stop = steps * dt
+
+    def samples_by(s):
+        return np.clip(np.floor(s / dt) - first, 0, n_samples)
+
+    v, c, t_a = cfg.v, cfg.c, cfg.t_a
+    band, wall = cfg.band_half_width, cfg.wall_half_width
+    n = cfg.n_trials
+    rng = np.random.default_rng(cfg.seed)
+    t = np.zeros(n)
+    y = np.zeros(n)
+    outward = np.ones(n, dtype=bool)
+    inband = np.ones(n, dtype=bool)
+    age = np.zeros(n)
+    target = np.zeros(n)
+    live = np.full(n, t_stop > 0)
+    out_samples = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.any():
+            geo = np.where(inband, np.where(outward, band - y, band + y),
+                           np.where(outward, wall - y, y - band)) / v
+            if t_a > 0:
+                turn_age = np.where(target < c * t_a,
+                                    -t_a * np.log1p(-target / (c * t_a)), np.inf)
+                to_turn = np.where(inband, np.inf, np.maximum(turn_age - age, 0.0))
+            else:
+                to_turn = np.where(~inband & outward, target / c - age, np.inf)
+            step = np.where(live, np.minimum(geo, to_turn), 0.0)
+            done = live & (t_stop - t <= step)
+            t_new = np.where(done, t_stop, t + step)
+            out = live & ~inband
+            seen_new = np.where(done[out], n_samples, samples_by(t_new[out]))
+            out_samples += int((seen_new - samples_by(t[out])).sum())
+            t = t_new
+            live &= ~done
+            turn = live & (to_turn < geo)
+            hit = live & ~turn
+            age = np.where(~inband & live, age + step, age)
+            y = np.where(turn, np.where(outward, y + v * step, y - v * step), y)
+            leave = hit & inband
+            wall_hit = hit & ~inband & outward
+            enter = hit & ~inband & ~outward
+            y[leave | enter] = band
+            y[wall_hit] = wall
+            age[leave] = 0.0
+            idx = np.flatnonzero(leave)
+            target[idx] = rng.standard_exponential(idx.size)
+            if t_a > 0:
+                idx = np.flatnonzero(turn)
+                target[idx] += rng.standard_exponential(idx.size)
+            outward = (outward ^ (turn | wall_hit)) | leave
+            inband = (inband & ~leave) | enter
+    dens_in = (n * n_samples - out_samples) * dt / (2.0 * band)
+    dens_out = out_samples * dt / (2.0 * (wall - band))
+    return dens_in / dens_out if dens_out > 0 else float("inf")
+
+
+def _assert_matches_reference(cfg, t_end, dt):
+    with np.errstate(over="ignore"):  # target / c at a subnormal c
+        want = _reference_monte_carlo(cfg, t_end, dt)
+    if want == float("inf"):
+        with pytest.raises(ValueError, match="occupancy sample"):
+            monte_carlo_slow_adaptation(cfg, t_end=t_end, dt=dt)
+    else:
+        assert monte_carlo_slow_adaptation(cfg, t_end=t_end, dt=dt)["inside_outside_ratio"] == want
+
+
+@pytest.mark.parametrize("kw,t_end,dt", [
+    ({}, 80.0, 0.01),
+    ({"seed": 1}, 80.0, 0.01),
+    ({"t_a": 0.0}, 80.0, 0.01),
+    ({"seed": 7, "n_trials": 300}, 80.0, 0.01),
+    *[({"t_a": t_a, "c": c, "n_trials": 300, "seed": 3}, 30.0, 0.01)
+      for t_a in (0.0, 0.02, 1.0, 1e9) for c in (0.0, 2.0, 50.0)],
+    ({"n_trials": 300}, 7.3, 0.011),
+    ({"n_trials": 300}, 80.0, 0.03),
+    ({"n_trials": 300}, 10.0, 0.7),
+    ({"n_trials": 100}, 800.0, 0.1),
+    *[({"t_a": t_a, "c": 5e-324, "n_trials": 50}, 30.0, 0.01) for t_a in (0.0, 0.02)],
+    ({"n_trials": 1, "seed": 5}, 40.0, 0.02),
+    ({"n_trials": 2, "seed": 5}, 40.0, 0.02),
+    ({"n_trials": 500, "seed": 5, "v": 0.7, "band_half_width": 0.4,
+      "wall_half_width": 3.1}, 40.0, 0.02),
+])
+def test_monte_carlo_matches_the_reference_loop_bit_for_bit(kw, t_end, dt):
+    _assert_matches_reference(MonteCarloConfig(**kw), t_end, dt)
+
+
+# the walks take at most a few hundred rounds (events per walker)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), st.floats(0.0, 100.0),
+       st.floats(0.2, 5.0), st.floats(0.1, 2.0), st.floats(0.05, 2.0),
+       st.floats(0.05, 3.0), st.floats(0.005, 0.5))
+def test_monte_carlo_matches_the_reference_loop_on_any_config(
+        seed, n, t_a, c, v, band, gap, t_end, dt):
+    cfg = MonteCarloConfig(v=v, c=c, t_a=t_a, band_half_width=band,
+                           wall_half_width=band + gap, n_trials=n, seed=seed)
+    _assert_matches_reference(cfg, t_end, dt)
+
+
+def test_monte_carlo_standard_error_matches_the_seed_spread():
+    runs = [monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=400, seed=seed), t_end=40.0)
+            for seed in range(40)]
+    ratios = np.array([r["inside_outside_ratio"] for r in runs])
+    se = np.median([r["inside_outside_se"] for r in runs])
+    assert 0.7 * se <= ratios.std(ddof=1) <= 1.4 * se
+
+
+def test_monte_carlo_standard_error_of_one_walker_is_nan():
+    res = monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=1, seed=5), t_end=40.0)
+    assert math.isfinite(res["inside_outside_ratio"])
+    assert math.isnan(res["inside_outside_se"])
+
+
+@pytest.mark.parametrize("t_end,message", [
+    (0.004, "takes no occupancy sample after the burn-in"),
+    (1.0, "no walker was outside the band at any of the 90 occupancy samples"),
+])
+def test_monte_carlo_rejects_a_run_with_nothing_to_count(t_end, message):
+    # at t_end = 1 the walkers leave the band at exactly t = 1, the last sample
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=50), t_end=t_end)
+
+
+@pytest.mark.parametrize("name", ["v", "c", "t_a", "wall_half_width"])
+def test_monte_carlo_rejects_non_finite_config(name):
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
+            MonteCarloConfig(**{name: value})
 
 
 # ---------------------------------------------------------------- piston

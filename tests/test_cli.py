@@ -129,6 +129,17 @@ def test_seeded_runs_byte_identical(name, params, tmp_path):
 
 
 
+def test_montecarlo_summary_reports_the_standard_error(tmp_path):
+    out = tmp_path / "mc"
+    summary = run(ExperimentConfig("aerotaxis-montecarlo",
+                                   {"mc.trials": 200, "mc.t_end": 20.0}, out))
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert metrics == summary.metrics
+    assert metrics.keys() == {"inside_outside_ratio", "inside_outside_se"}
+    assert 0 < metrics["inside_outside_se"] < 0.2 * metrics["inside_outside_ratio"]
+    assert (out / "result.csv").read_text().splitlines()[0] == "t_a,c,ratio"
+
+
 # ---------------------------------------------------------------- CSV text
 
 @pytest.mark.parametrize("value,text", [
@@ -336,6 +347,10 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-rd", "--set", "gc.D2=-0.1"], "diffusivities must be nonnegative"),
     (["aerotaxis-steady-intermediate", "--set", "aerotaxis.l_min=0"],
      "intermediate regime needs 0 < l_min < L0 < l_max"),
+    (["aerotaxis-montecarlo", "--set", "mc.t_end=0.004"],
+     "takes no occupancy sample after the burn-in"),
+    (["aerotaxis-montecarlo", "--set", "mc.t_end=1"],
+     "no walker was outside the band at any of the 90 occupancy samples"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

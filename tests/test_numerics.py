@@ -675,6 +675,18 @@ def test_upwind_reaction_number_guard():
             upwind_advection_reaction_step(ones, ones, 1.0, frl, flr, grid)
 
 
+def test_upwind_rejects_nan_rates():
+    grid = Grid1D(10, 0.1, 0.01)
+    ones, fast = np.ones(10), [500.0] * 10
+    rates = np.zeros(10)
+    rates[3] = math.nan
+    # Python's max and the > test would pass a NaN maximum of frl, and drop
+    # one of flr when frl's maximum comes first
+    for frl, flr in (([math.nan] * 10, fast), (np.zeros(10), rates), (fast, rates)):
+        with pytest.raises(ValueError, match="turning rates must not be NaN"):
+            upwind_advection_reaction_step(ones, ones, 1.0, frl, flr, grid)
+
+
 # ---------------------------------------------------------------- root finding
 
 def test_root_linear():
