@@ -18,6 +18,7 @@ from . import numerics
 from .numerics import (
     Bracket,
     Grid1D,
+    StabilityError,
     Trajectory,
     _field_steps,
     _step_count,
@@ -76,38 +77,16 @@ class AerotaxisParams:
 
 
 @dataclass
-class CellField:
-    """Right-movers, left-movers and oxygen on the grid."""
-
-    r: np.ndarray
-    l: np.ndarray
-    L: np.ndarray
-
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.l = np.asarray(self.l, dtype=float)
-        self.L = np.asarray(self.L, dtype=float)
-        if not (len(self.r) == len(self.l) == len(self.L)):
-            raise ValueError("fields must share the grid")
-        if (self.r < 0).any() or (self.l < 0).any() or (self.L < 0).any():
-            raise ValueError("fields must be nonnegative")
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.r + self.l
-
-    def total(self, dx: float) -> float:
-        return float(self.density.sum()) * dx
-
-
-@dataclass
 class BandMetrics:
-    has_band: bool
-    width_h: float = float("nan")
-    distance_d: float = float("nan")
-    ratio_front: float = float("nan")
-    ratio_behind: float = float("nan")
-    formation_time: float = float("nan")
+    """The band of each sample of a (samples, nodes) density block, one
+    value per sample (0-d for a single row); width_h, distance_d and the
+    ratios are nan where a sample has no band."""
+
+    has_band: np.ndarray
+    width_h: np.ndarray
+    distance_d: np.ndarray
+    ratio_front: np.ndarray
+    ratio_behind: np.ndarray
 
 
 @dataclass
@@ -283,22 +262,27 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     """Run the band-formation model from the standard initial state.
 
     Starts from uniform bacteria (r = l = b0/2) and oxygen L0 held at node
-    0, zero elsewhere.  Returns (times, list of CellField) sampled every
-    sample_every steps, always including the final state.  The upwind and
-    FTCS steps raise StabilityError on an unstable grid; more than
-    numerics._MAX_SAMPLES steps or kept node values raise ValueError before
-    the first step.  Each step makes one upwind and one FTCS call.
+    0, zero elsewhere.  Returns (times, r, l, L), the fields as (samples,
+    nodes) arrays sampled every sample_every steps, always including the
+    final state.  b0 <= 0, more than numerics._MAX_SAMPLES steps or kept
+    node values raise ValueError before the first step.  The upwind and
+    FTCS steps raise StabilityError on an unstable grid, and so does a
+    negative or NaN density in a kept sample: the upwind step keeps r and
+    l nonnegative only while CFL + dt * turning rate <= 1.  Each step makes
+    one upwind and one FTCS call.
     """
+    if not params.b0 > 0:
+        raise ValueError(f"the band run needs b0 > 0, got {params.b0!r}")
     grid = params.grid
-    steps = _field_steps(t_end, grid, sample_every)
-    n = grid.n
+    kept = _field_steps(t_end, grid, sample_every)
+    steps, n = int(kept[-1]), grid.n
     r = np.full(n, params.b0 / 2)
     l = np.full(n, params.b0 / 2)
     L = np.zeros(n)
     L[0] = params.L0
-    times = [0.0]
-    # the step functions return new arrays, so the kept fields need no copies
-    fields = [CellField(r, l, L)]
+    rs, ls, Ls = (np.empty((len(kept), n)) for _ in range(3))
+    rs[0], ls[0], Ls[0] = r, l, L
+    k = 0
     uptake, eaten, zero = np.full(n, grid.dt * params.kappa), np.empty(n), np.zeros(n)
     for step in range(1, steps + 1):
         f_rl, f_lr = turning_rates(L, params.thresholds)
@@ -310,50 +294,61 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
         np.maximum(L, zero, out=L)
         L[0] = params.L0
         if step % sample_every == 0 or step == steps:
-            times.append(step * grid.dt)
-            fields.append(CellField(r, l, L))
-    return np.array(times), fields
+            k += 1
+            rs[k], ls[k], Ls[k] = r, l, L
+            if not (r.min() >= 0 and l.min() >= 0):
+                raise StabilityError(
+                    f"cell density negative or NaN at t = {step * grid.dt:.6g}: the upwind "
+                    "step keeps it nonnegative only while CFL + dt * turning rate <= 1")
+    return kept * grid.dt, rs, ls, Ls
 
 
-def band_metrics(cf: CellField, grid: Grid1D) -> BandMetrics:
-    """Locate the band as the contiguous region at or above half maximum.
+def band_metrics(density, grid: Grid1D) -> BandMetrics:
+    """Locate the band of each row of density, (samples, nodes) or one row,
+    as the contiguous run at or above half maximum around the first
+    maximum.  A row has no band when its mean is not positive or its
+    maximum is below twice its mean.
 
     Front is the region between the oxygen source (node 0) and the band,
-    behind the region past it; ratios are of region means.
+    behind the region past it; ratios are of region means, inf for an
+    empty or all-zero region.
     """
-    b = cf.density
-    bmax = float(b.max())
-    mean = float(b.mean())
-    if mean <= 0 or bmax / mean < 2:
-        return BandMetrics(has_band=False)
-    am = int(np.argmax(b))
-    half = 0.5 * bmax
-    lo = am
-    while lo > 0 and b[lo - 1] >= half:
-        lo -= 1
-    hi = am
-    while hi < len(b) - 1 and b[hi + 1] >= half:
-        hi += 1
-    band_mean = float(b[lo:hi + 1].mean())
-    front = b[:lo]
-    behind = b[hi + 1:]
-    ratio_front = band_mean / float(front.mean()) if front.size else float("inf")
-    ratio_behind = band_mean / float(behind.mean()) if behind.size else float("inf")
-    return BandMetrics(
-        has_band=True,
-        width_h=(hi - lo + 1) * grid.dx,
-        distance_d=lo * grid.dx,
-        ratio_front=ratio_front,
-        ratio_behind=ratio_behind,
-    )
+    b = np.asarray(density, dtype=float)
+    shape = b.shape[:-1]
+    b = b.reshape(-1, b.shape[-1])
+    rows, n = b.shape
+    bmax, mean = b.max(axis=1), b.mean(axis=1)
+    # Python's float division, which these once were, gives inf on overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        has = ~((mean <= 0) | (bmax / mean < 2))
+    am = b.argmax(axis=1)
+    # the band runs from the node after the last one below half maximum
+    # before the argmax to the node before the first one after it
+    below = ~(b >= (0.5 * bmax)[:, None])
+    nodes = np.arange(n)
+    pick = (np.arange(rows), am)
+    lo = np.maximum.accumulate(np.where(below, nodes, -1), axis=1)[pick] + 1
+    hi = np.minimum.accumulate(np.where(below, nodes, n)[:, ::-1], axis=1)[:, ::-1][pick] - 1
+    band_mean, front, behind = (np.full(rows, np.nan) for _ in range(3))
+    # each group of rows sharing (lo, hi) takes its region means row by row
+    for a, z in set(zip(lo[has].tolist(), hi[has].tolist())):
+        sel = np.flatnonzero(has & (lo == a) & (hi == z))
+        g = b[sel]
+        band_mean[sel] = g[:, a:z + 1].mean(axis=1)
+        front[sel] = g[:, :a].mean(axis=1) if a else 0.0
+        behind[sel] = g[:, z + 1:].mean(axis=1) if z < n - 1 else 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio_front, ratio_behind = band_mean / front, band_mean / behind
+    width = np.where(has, (hi - lo + 1) * grid.dx, np.nan)
+    distance = np.where(has, lo * grid.dx, np.nan)
+    return BandMetrics(*(a.reshape(shape) for a in (
+        has, width, distance, ratio_front, ratio_behind)))
 
 
-def band_formation_time(times, fields, grid: Grid1D):
+def band_formation_time(times, metrics: BandMetrics) -> float:
     """First sampled time with a detectable band, or nan."""
-    for t, cf in zip(times, fields):
-        if band_metrics(cf, grid).has_band:
-            return float(t)
-    return float("nan")
+    first = np.flatnonzero(metrics.has_band)
+    return float(times[first[0]]) if first.size else float("nan")
 
 
 # --------------------------------------------------------------------------

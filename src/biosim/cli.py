@@ -114,10 +114,10 @@ def _write_traj(path: Path, header, traj, max_rows: int = 2000):
 
 def _write_field(path: Path, header, times, x, *fields):
     """Rows (t, x, *values) of sampled grid fields, node by node at each
-    time; each field is a sequence of arrays, one per time.  Each t and x
-    is formatted once."""
+    time; each field is a (samples, nodes) array.  Each t and x is
+    formatted once."""
     columns = (_each(_floats(times), len(x)), _tiled(list(_floats(x)), len(times)),
-               *(itertools.chain.from_iterable(map(_floats, f)) for f in fields))
+               *(_floats(np.ravel(f)) for f in fields))
     _write_csv(path, header, zip(*columns))
 
 
@@ -139,29 +139,25 @@ def _band_params(p):
 
 def run_band(p, out: Path, seed: int):
     params = _band_params(p)
-    times, fields = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
-                                            sample_every=p["aerotaxis.sample_every"])
-    _write_field(out / "fields.csv", ["t", "x", "r", "l", "L"], times, params.grid.x,
-                 [cf.r for cf in fields], [cf.l for cf in fields],
-                 [cf.L for cf in fields])
-    mrows = []
-    for t, cf in zip(times.tolist(), fields):
-        m = aerotaxis.band_metrics(cf, params.grid)
-        if m.has_band:
-            mrows.append((t, m.width_h, m.distance_d, m.ratio_front, m.ratio_behind))
-    _write_csv(out / "metrics.csv",
-               ["t", "width", "distance", "ratio_front", "ratio_behind"], _rows(mrows))
-    final = aerotaxis.band_metrics(fields[-1], params.grid)
-    drift = abs(fields[-1].total(params.grid.dx) - fields[0].total(params.grid.dx)) \
-        / fields[0].total(params.grid.dx)
+    grid = params.grid
+    times, r, l, L = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
+                                             sample_every=p["aerotaxis.sample_every"])
+    _write_field(out / "fields.csv", ["t", "x", "r", "l", "L"], times, grid.x, r, l, L)
+    density = r + l
+    m = aerotaxis.band_metrics(density, grid)
+    has = m.has_band
+    _write_csv(out / "metrics.csv", ["t", "width", "distance", "ratio_front", "ratio_behind"],
+               zip(*(_floats(a[has]) for a in (times, m.width_h, m.distance_d,
+                                               m.ratio_front, m.ratio_behind))))
+    total0, total1 = (float(density[i].sum()) * grid.dx for i in (0, -1))
     return {
-        "has_band": bool(final.has_band),
-        "ratio_front": final.ratio_front,
-        "ratio_behind": final.ratio_behind,
-        "width": final.width_h,
-        "distance": final.distance_d,
-        "formation_time": aerotaxis.band_formation_time(times, fields, params.grid),
-        "mass_drift": drift,
+        "has_band": bool(has[-1]),
+        "ratio_front": float(m.ratio_front[-1]),
+        "ratio_behind": float(m.ratio_behind[-1]),
+        "width": float(m.width_h[-1]),
+        "distance": float(m.distance_d[-1]),
+        "formation_time": aerotaxis.band_formation_time(times, m),
+        "mass_drift": abs(total1 - total0) / total0,
     }
 
 

@@ -457,13 +457,16 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
 
     l_profile is the ligand level per node during the run; l_init (same
     shape, default l_profile) sets the adapted initial condition.  Both
-    fields use zero-flux boundaries.  Returns (times, M list, A list).
+    fields use zero-flux boundaries.  Returns (times, M, A), the fields as
+    (samples, nodes) arrays sampled every sample_every steps, always
+    including the final state.
     A negative or NaN diffusivity, more than numerics._MAX_SAMPLES steps or
     kept node values raise ValueError before the first step.
     """
     if not (D1 >= 0 and D2 >= 0):
         raise ValueError(f"diffusivities must be nonnegative, got D1={D1!r}, D2={D2!r}")
-    steps = _field_steps(t_end, grid, sample_every)
+    kept = _field_steps(t_end, grid, sample_every)
+    steps = int(kept[-1])
     l_run = np.asarray(l_profile, dtype=float)
     if l_run.shape != (grid.n,):
         raise ValueError("ligand profile must match the grid")
@@ -478,12 +481,12 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     unbind, make, decay, keep = (np.full(grid.n, c) for c in (
         dt * p.lam * p.kd, dt * p.m, dt * p.r, 1 - dt * p.r))
     ex, buf = np.empty(grid.n), np.empty(grid.n)
-    times = [0.0]
-    Ms, As = [M], [A.copy()]
+    Ms, As = np.empty((len(kept), grid.n)), np.empty((len(kept), grid.n))
+    Ms[0], As[0] = M, A
+    k = 0
     for step in range(1, steps + 1):
         np.multiply(bind, M, ex)
         ex -= np.multiply(unbind, A, buf)
-        # ftcs_diffusion_step returns a new array, so a kept M needs no copy
         M = ftcs_diffusion_step(M, D1, grid)
         M += make
         M -= ex
@@ -495,10 +498,9 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
             A *= keep
         A += ex
         if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
-            Ms.append(M)
-            As.append(A.copy())
-    return np.array(times), Ms, As
+            k += 1
+            Ms[k], As[k] = M, A
+    return kept * dt, Ms, As
 
 
 def default_rd_grid(length: float = 10.0, dx: float = 1.0 / 9.0,

@@ -142,20 +142,20 @@ def _step_count(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
-def _field_steps(t_end: float, grid: Grid1D, sample_every: int) -> int:
-    """Steps of a field run on grid that keeps its initial state, every
-    sample_every-th state and its final state.
+def _field_steps(t_end: float, grid: Grid1D, sample_every: int) -> np.ndarray:
+    """The steps after which a field run on grid keeps its state: 0, every
+    sample_every-th and the last, round(t_end / dt) (0 for t_end <= 0).
 
     Raises ValueError, before the run starts, for a stride below 1, more
     than _MAX_SAMPLES steps, or more than _MAX_SAMPLES kept node values."""
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
-    steps = _step_count(t_end, grid.dt)
-    kept = 1 + -(-max(steps, 0) // sample_every)
+    steps = max(_step_count(t_end, grid.dt), 0)
+    kept = 1 + -(-steps // sample_every)
     if kept * grid.n > _MAX_SAMPLES:
         raise ValueError(f"{kept} kept states of {grid.n} nodes exceed the cap of "
                          f"{_MAX_SAMPLES} values")
-    return steps
+    return np.append(np.arange(0, steps, sample_every), steps)
 
 
 def _fixed_steps(rhs, y0, t0: float, t1: float, h: float, advance) -> Trajectory:

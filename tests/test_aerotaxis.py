@@ -94,29 +94,29 @@ def test_nondimensionalize_rejects_nonpositive():
 
 def test_no_signal_stays_uniform():
     p = AerotaxisParams(kappa=0.0, L0=0.0)
-    times, fields = simulate_band(p, t_end=2.0, sample_every=50)
-    for cf in fields:
-        assert np.allclose(cf.r, p.b0 / 2, atol=1e-12)
-        assert np.allclose(cf.l, p.b0 / 2, atol=1e-12)
+    times, r, l, L = simulate_band(p, t_end=2.0, sample_every=50)
+    assert np.allclose(r, p.b0 / 2, atol=1e-12)
+    assert np.allclose(l, p.b0 / 2, atol=1e-12)
 
 
 def test_band_mass_conservation():
     p = AerotaxisParams()
-    times, fields = simulate_band(p, t_end=30.0, sample_every=3000)
-    total0 = fields[0].total(p.grid.dx)
-    total1 = fields[-1].total(p.grid.dx)
+    times, r, l, L = simulate_band(p, t_end=30.0, sample_every=3000)
+    total0 = float((r[0] + l[0]).sum()) * p.grid.dx
+    total1 = float((r[-1] + l[-1]).sum()) * p.grid.dx
     assert abs(total1 - total0) <= 1e-8 * total0
 
 
 def test_band_appears_and_ratios():
     p = AerotaxisParams()
-    times, fields = simulate_band(p, t_end=30.0, sample_every=50)
+    times, r, l, L = simulate_band(p, t_end=30.0, sample_every=50)
+    density = r + l
     # aggregation already visible at t = 1.5 (15 s), full band by t = 5
     i15 = int(np.argmin(np.abs(times - 1.5)))
-    assert fields[i15].density.max() / fields[i15].density.mean() >= 2.0
-    t_form = band_formation_time(times, fields, p.grid)
+    assert density[i15].max() / density[i15].mean() >= 2.0
+    t_form = band_formation_time(times, band_metrics(density, p.grid))
     assert t_form <= 5.0
-    m = band_metrics(fields[-1], p.grid)
+    m = band_metrics(density[-1], p.grid)
     assert m.has_band
     assert m.ratio_front > 100
     assert 5 <= m.ratio_behind <= 20
@@ -180,10 +180,104 @@ def test_rd_rejects_oversized_run_before_stepping(t_end, every, message, monkeyp
 
 def test_band_metrics_uniform_field():
     grid = Grid1D(n=40, dx=1 / 39, dt=0.01)
-    from biosim.aerotaxis import CellField
+    assert not band_metrics(np.full(40, 1.0), grid).has_band
 
-    cf = CellField(np.full(40, 0.5), np.full(40, 0.5), np.zeros(40))
-    assert not band_metrics(cf, grid).has_band
+
+# the long-run test's configuration
+LONG_RUN = AerotaxisParams(v=0.2, D=0.01, kappa=0.05, L0=0.5, b0=1.0,
+                           thresholds=TurningThresholds(1e-4, 0.1, 0.2, 2.0, 0.0, 2.0))
+
+
+def _reference_band_metrics(b, grid):
+    """The band of one density row by scalar scans, as band_metrics once
+    computed it, as (has_band, width_h, distance_d, ratio_front,
+    ratio_behind).  A region mean of exactly 0 divides as numpy does, to
+    inf, where Python's float division would raise."""
+    nan = float("nan")
+    bmax = float(b.max())
+    mean = float(b.mean())
+    if mean <= 0 or bmax / mean < 2:
+        return (False, nan, nan, nan, nan)
+    am = int(np.argmax(b))
+    half = 0.5 * bmax
+    lo = am
+    while lo > 0 and b[lo - 1] >= half:
+        lo -= 1
+    hi = am
+    while hi < len(b) - 1 and b[hi + 1] >= half:
+        hi += 1
+    band_mean = float(b[lo:hi + 1].mean())
+    front = b[:lo]
+    behind = b[hi + 1:]
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio_front = float(band_mean / front.mean()) if front.size else float("inf")
+        ratio_behind = float(band_mean / behind.mean()) if behind.size else float("inf")
+    return (True, (hi - lo + 1) * grid.dx, lo * grid.dx, ratio_front, ratio_behind)
+
+
+def _assert_band_metrics_match_the_scalar_scans(density, grid):
+    m = band_metrics(density, grid)
+    for i, row in enumerate(density):
+        got = (bool(m.has_band[i]), *(float(a[i]) for a in (
+            m.width_h, m.distance_d, m.ratio_front, m.ratio_behind)))
+        assert repr(got) == repr(_reference_band_metrics(row, grid)), i
+
+
+@pytest.mark.parametrize("params,t_end", [
+    (AerotaxisParams(), 30.0),
+    (LONG_RUN, 100.0),
+], ids=["defaults", "long-run"])
+def test_band_metrics_match_the_scalar_scans_at_every_step(params, t_end):
+    times, r, l, L = simulate_band(params, t_end=t_end, sample_every=1)
+    _assert_band_metrics_match_the_scalar_scans(r + l, params.grid)
+
+
+def _rows(n):
+    """All-zero rows, rows of a few levels, each half the next, which make
+    tied maxima and plateaus exactly at half maximum, and rows of any
+    nonnegative floats."""
+    levels = st.sampled_from([0.0, 0.0, 1.0, 2.0, 4.0])
+    return st.one_of(st.just([0.0] * n), st.lists(levels, min_size=n, max_size=n),
+                     st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=3, max_value=12).flatmap(
+    lambda n: st.lists(_rows(n), min_size=1, max_size=8)))
+def test_band_metrics_match_the_scalar_scans_on_any_block(rows):
+    density = np.array(rows)
+    grid = Grid1D(n=density.shape[1], dx=0.1, dt=0.01)
+    _assert_band_metrics_match_the_scalar_scans(density, grid)
+    # a single row gives the same values, 0-d
+    last = band_metrics(density[-1], grid)
+    assert last.width_h.shape == () and repr(float(last.width_h)) == repr(
+        float(band_metrics(density, grid).width_h[-1]))
+
+
+def test_band_formation_time_is_the_first_sample_with_a_band():
+    grid = Grid1D(n=4, dx=0.5, dt=0.01)
+    density = np.array([[1.0, 1, 1, 1], [0, 4, 0, 0], [1, 1, 1, 1], [0, 0, 0, 4]])
+    m = band_metrics(density, grid)
+    assert m.has_band.tolist() == [False, True, False, True]
+    assert band_formation_time(np.array([0.0, 0.5, 1.0, 1.5]), m) == 0.5
+    assert math.isnan(band_formation_time(np.array([0.0]), band_metrics(density[:1], grid)))
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_field_runs_of_no_steps_keep_only_the_initial_state(t_end):
+    times, r, l, L = simulate_band(AerotaxisParams(), t_end=t_end)
+    assert times.tolist() == [0.0] and r.shape == l.shape == L.shape == (1, 40)
+    grid = default_rd_grid()
+    times, M, A = reaction_diffusion_simulate(np.full(grid.n, 0.02), AdaptationParams(),
+                                              0.6, 0.0, grid, t_end=t_end)
+    assert times.tolist() == [0.0] and M.shape == A.shape == (1, grid.n)
+
+
+def test_band_run_rejects_no_cells_before_stepping(monkeypatch):
+    calls = _count_ftcs(monkeypatch, aerotaxis)
+    with pytest.raises(ValueError, match="the band run needs b0 > 0"):
+        simulate_band(AerotaxisParams(b0=0.0), t_end=0.5)
+    assert calls == []
 
 
 def _reference_band(params, t_end, sample_every):
@@ -210,24 +304,19 @@ def _reference_band(params, t_end, sample_every):
     return kept
 
 
-# the long-run test's configuration
-LONG_RUN = AerotaxisParams(v=0.2, D=0.01, kappa=0.05, L0=0.5, b0=1.0,
-                           thresholds=TurningThresholds(1e-4, 0.1, 0.2, 2.0, 0.0, 2.0))
-
-
 @pytest.mark.parametrize("params,t_end,every", [
     (AerotaxisParams(), 30.0, 100),
     (LONG_RUN, 100.0, 1000),
 ], ids=["defaults", "long-run-10000-steps"])
 def test_band_matches_the_reference_loop_bit_for_bit(params, t_end, every):
-    times, fields = simulate_band(params, t_end=t_end, sample_every=every)
+    times, r, l, L = simulate_band(params, t_end=t_end, sample_every=every)
     ref = _reference_band(params, t_end, every)
-    assert len(fields) == len(ref) == round(t_end / params.grid.dt) // every + 1
-    for cf, want in zip(fields, ref):
-        for got, expected in zip((cf.r, cf.l, cf.L), want):
+    assert len(r) == len(ref) == round(t_end / params.grid.dt) // every + 1
+    # the rows of a block are distinct by construction; comparing each with
+    # the reference's copy shows that no kept sample was overwritten later
+    for fields, want in zip(zip(r, l, L), ref):
+        for got, expected in zip(fields, want):
             assert got.tobytes() == expected.tobytes()
-    # each kept field is its own array
-    assert len({id(a) for cf in fields for a in (cf.r, cf.l, cf.L)}) == 3 * len(fields)
 
 
 def test_long_run_converges_to_steady_state_geometry():
@@ -240,8 +329,8 @@ def test_long_run_converges_to_steady_state_geometry():
     th = TurningThresholds(1e-4, 0.1, 0.2, 2.0, 0.0, 2.0)
     p = AerotaxisParams(v=0.2, D=0.01, kappa=0.05, L0=0.5, b0=1.0, thresholds=th)
     sol = steady_state_general(p, 0.1, 0.2)
-    times, fields = simulate_band(p, t_end=3000.0, sample_every=150000)
-    m = band_metrics(fields[-1], p.grid)
+    times, r, l, L = simulate_band(p, t_end=3000.0, sample_every=150000)
+    m = band_metrics(r[-1] + l[-1], p.grid)
     assert m.has_band
     assert abs(m.width_h - sol.h) <= 0.15 * sol.h
     assert abs(m.distance_d - sol.d) <= 1.5 * p.grid.dx

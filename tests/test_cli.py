@@ -285,6 +285,9 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     # the band run's CFL number is guarded by the upwind step alone
     (["aerotaxis-band", "--set", "aerotaxis.v=5"], "CFL number 1.95 exceeds 1"),
+    # CFL 0.39 + dt c_high 0.8 > 1: each guard holds, but the upwind step
+    # turns densities negative by the first kept sample
+    (["aerotaxis-band", "--set", "aerotaxis.v=1"], "cell density negative or NaN at t = 1:"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
@@ -351,6 +354,9 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
      "takes no occupancy sample after the burn-in"),
     (["aerotaxis-montecarlo", "--set", "mc.t_end=1"],
      "no walker was outside the band at any of the 90 occupancy samples"),
+    # with no cells the mass drift would divide by zero after writing the CSVs
+    (["aerotaxis-band", "--set", "aerotaxis.b0=0", "--set", "aerotaxis.t_end=0.5"],
+     "the band run needs b0 > 0, got 0.0"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

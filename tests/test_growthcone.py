@@ -574,10 +574,10 @@ def test_rd_matches_the_reference_loop(D2):
     ref_M, ref_A = _reference_rd(lin, p, 0.6, D2, grid, 20.0, 250)
     assert times.tolist() == [2.5 * i for i in range(9)]
     assert len(Ms) == len(As) == len(ref_M) == 9
-    for got, want in zip(Ms + As, ref_M + ref_A):
+    # the rows of a block are distinct by construction; comparing each with
+    # the reference's copy shows that no kept sample was overwritten later
+    for got, want in zip([*Ms, *As], ref_M + ref_A):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # the samples are distinct arrays, each left as it was taken
-    assert len({id(a) for a in Ms + As}) == 18
 
 
 @pytest.mark.parametrize("D1,D2", [(-0.1, 0.0), (0.6, -0.1), (math.nan, 0.0), (0.6, math.nan)])
