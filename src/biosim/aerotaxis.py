@@ -266,15 +266,23 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     nodes) arrays sampled every sample_every steps, always including the
     final state.  b0 <= 0, more than numerics._MAX_SAMPLES steps or kept
     node values raise ValueError before the first step.  The upwind and
-    FTCS steps raise StabilityError on an unstable grid, and so does a
-    negative or NaN density in a kept sample: the upwind step keeps r and
-    l nonnegative only while CFL + dt * turning rate <= 1.  Each step makes
-    one upwind and one FTCS call.
+    FTCS steps raise StabilityError on an unstable grid, and so does this
+    run, before the first step, when CFL + dt * c_high > 1: the upwind step
+    keeps r and l nonnegative only while that sum is at most 1.  A kept
+    sample of r, l or L that is negative or not finite raises
+    StabilityError after the last step.  Each step makes one upwind and
+    one FTCS call.
     """
     if not params.b0 > 0:
         raise ValueError(f"the band run needs b0 > 0, got {params.b0!r}")
     grid = params.grid
     kept = _field_steps(t_end, grid, sample_every)
+    cfl, rn = params.v * grid.dt / grid.dx, grid.dt * params.thresholds.c_high
+    # past its own limit, each number is refused by the upwind step itself
+    if cfl <= 1 + 1e-12 and rn <= 1 + 1e-12 and cfl + rn > 1 + 1e-12:
+        raise StabilityError(
+            f"CFL number {cfl:.4g} + reaction number {rn:.4g} exceeds 1: the upwind "
+            "step keeps the cell densities nonnegative only while the sum is at most 1")
     steps, n = int(kept[-1]), grid.n
     r = np.full(n, params.b0 / 2)
     l = np.full(n, params.b0 / 2)
@@ -284,22 +292,26 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     rs[0], ls[0], Ls[0] = r, l, L
     k = 0
     uptake, eaten, zero = np.full(n, grid.dt * params.kappa), np.empty(n), np.zeros(n)
-    for step in range(1, steps + 1):
-        f_rl, f_lr = turning_rates(L, params.thresholds)
-        # the grid points the other way (oxygen source at node 0), so the
-        # two rates of the threshold table swap roles
-        r, l = upwind_advection_reaction_step(r, l, params.v, f_lr, f_rl, grid)
-        L = ftcs_diffusion_step(L, params.D, grid, bc=("dirichlet", "zero-flux"))
-        L -= np.multiply(uptake, np.add(r, l, eaten), eaten)
-        np.maximum(L, zero, out=L)
-        L[0] = params.L0
-        if step % sample_every == 0 or step == steps:
-            k += 1
-            rs[k], ls[k], Ls[k] = r, l, L
-            if not (r.min() >= 0 and l.min() >= 0):
-                raise StabilityError(
-                    f"cell density negative or NaN at t = {step * grid.dt:.6g}: the upwind "
-                    "step keeps it nonnegative only while CFL + dt * turning rate <= 1")
+    # overflow surfaces in the check of the kept samples below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            f_rl, f_lr = turning_rates(L, params.thresholds)
+            # the grid points the other way (oxygen source at node 0), so the
+            # two rates of the threshold table swap roles
+            r, l = upwind_advection_reaction_step(r, l, params.v, f_lr, f_rl, grid)
+            L = ftcs_diffusion_step(L, params.D, grid, bc=("dirichlet", "zero-flux"))
+            L -= np.multiply(uptake, np.add(r, l, eaten), eaten)
+            np.maximum(L, zero, out=L)
+            L[0] = params.L0
+            if step % sample_every == 0 or step == steps:
+                k += 1
+                rs[k], ls[k], Ls[k] = r, l, L
+    # per-sample extremes (a NaN propagates into both) rather than a full mask
+    ok = [(a.min(axis=1) >= 0) & (a.max(axis=1) < np.inf) for a in (rs, ls, Ls)]
+    bad = ~(ok[0] & ok[1] & ok[2])
+    if bad.any():
+        raise StabilityError(f"r, l or L is negative or not finite at t = "
+                             f"{kept[bad.argmax()] * grid.dt:.6g}")
     return kept * grid.dt, rs, ls, Ls
 
 
@@ -356,16 +368,20 @@ def band_formation_time(times, metrics: BandMetrics) -> float:
 
 
 def _k_and_s(params: AerotaxisParams, k, s, l: float):
-    """(k, s, l / (k b0 s^2)); ValueError unless k b0 s^2 > 0, e (1 + l / (k b0 s^2)) finite."""
+    """(k, s, l / (k b0 s^2)); ValueError unless k b0 s^2 is positive and
+    finite and e (1 + l / (k b0 s^2)) finite."""
     if k is None:
         k = params.kappa / params.D
     if s is None:
         s = params.v / (params.thresholds.c_high - params.thresholds.c_low)
     if not (k > 0 and s > 0):
         raise ValueError(f"k and s must be positive, got k={k!r}, s={s!r}")
-    kbs2 = k * params.b0 * s**2
-    if not kbs2 > 0:
-        raise ValueError(f"k b0 s^2 must be positive, got {kbs2!r}")
+    try:
+        kbs2 = k * params.b0 * s**2
+    except OverflowError:  # float ** raises where * gives inf
+        kbs2 = math.inf
+    if not 0 < kbs2 < math.inf:
+        raise ValueError(f"k b0 s^2 must be positive and finite, got {kbs2!r}")
     target = l / kbs2
     if not math.isfinite(math.e * (1.0 + target)):
         raise ValueError(f"alpha = 1 + l / (k b0 s^2) = {1.0 + target!r} is out of range")
@@ -416,6 +432,9 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
     c3 = k * b0 * s
     c1 = k * b0 * (s + h * lam)
     c2 = c1 - k * B * s
+    if not all(map(math.isfinite, (B, c1, c2, c3, d, h))):
+        raise ValueError(f"a constant of the general regime is not finite: B={B!r}, "
+                         f"c1={c1!r}, c2={c2!r}, c3={c3!r}, d={d!r}, h={h!r}")
     return SteadyStateSolution("general", B, c1, c2, c3, d, h, z, s, k, lam,
                                L0, l_min, l_max)
 
@@ -476,12 +495,17 @@ def quasi_steady_state(L0: float, l_max: float, k_b0: float):
 
     d = sqrt(L0 / (k b0)), h = 2 l_max / (k b0 d), B/b0 = (d + h)/h and
     c1 = (L0 - l_max)/d.  Valid while d >> h; the returned dict carries
-    an assumption flag that clears when d < 5 h.
+    an assumption flag that clears when d < 5 h.  ValueError unless L0,
+    l_max and k b0 are positive and d and h positive and finite.
     """
     if L0 <= 0 or l_max <= 0 or k_b0 <= 0:
         raise ValueError("L0, l_max and k*b0 must be positive")
     d = math.sqrt(L0 / k_b0)
+    if not 0 < d < math.inf:
+        raise ValueError(f"d = sqrt(L0 / (k b0)) = {d!r} is out of range")
     h = 2.0 * l_max / (k_b0 * d)
+    if not 0 < h < math.inf:
+        raise ValueError(f"h = 2 l_max / (k b0 d) = {h!r} is out of range")
     B_over_b0 = (d + h) / h
     return {
         "d": d,
@@ -547,8 +571,10 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     order.
 
     Occupancy is sampled every dt after the first tenth of t_end, up to
-    round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples, no sample
-    after the burn-in, or no sample outside the band raise ValueError.
+    round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples or (by the
+    bound t (v / min(2 band, wall - band) + 2 c)) events of one walker, no
+    sample after the burn-in, or no sample outside the band raise
+    ValueError.
     Returns inside_outside_ratio and inside_outside_se, the ratio's
     delta-method standard error over the independent walkers (nan for
     one walker).
@@ -562,13 +588,20 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
         raise ValueError(f"t_end {t_end!r} at step {dt!r} takes no occupancy sample "
                          "after the burn-in")
     t_stop = steps * dt
+    v, c, t_a = cfg.v, cfg.c, cfg.t_a
+    band, wall = cfg.band_half_width, cfg.wall_half_width
+    # each pass of the loop takes one event of every walker: a boundary at
+    # most once per min(2 band, wall - band) / v of travel plus once after
+    # each turn, and turns at rate at most c
+    events = t_stop * (v / min(2.0 * band, wall - band) + 2.0 * c)
+    if not events <= numerics._MAX_SAMPLES:
+        raise ValueError(f"a walker may take {events:.3g} events by t = {t_stop!r}, "
+                         f"above the cap of {numerics._MAX_SAMPLES}")
 
     def samples_by(s):
         """Occupancy samples taken at or before each time in s."""
         return np.clip(np.floor(s / dt) - first, 0, n_samples)
 
-    v, c, t_a = cfg.v, cfg.c, cfg.t_a
-    band, wall = cfg.band_half_width, cfg.wall_half_width
     n = cfg.n_trials
     rng = np.random.default_rng(cfg.seed)
 

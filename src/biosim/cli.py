@@ -45,8 +45,8 @@ class UsageError(ValueError):
 
 
 def _fmt(value) -> str:
-    """The CSV text of one value, for the columns that are not all floats
-    (str, bool and int columns)."""
+    """The CSV text of one value of a small mixed table: a str as it is, a
+    bool as 1 or 0, an int in decimal, anything else as repr of a float."""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -64,8 +64,9 @@ _CHUNK = 32
 
 def _write_csv(path: Path, header, rows):
     """Write a header line and rows of text fields, chunk by chunk, never
-    whole.  Callers zip column texts into rows, so that each column is
-    formatted in one pass (_floats) and a repeated value only once."""
+    whole.  Every table goes through here; the callers zip column texts
+    into rows, so that each column is formatted in one pass (_floats) and a
+    repeated text only once."""
     rows = iter(rows)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
@@ -82,23 +83,9 @@ def _floats(values):
                                          for i in range(0, len(a), _CHUNK))
 
 
-def _each(texts, k: int):
-    """Each of texts k times in a row."""
-    return itertools.chain.from_iterable(map(itertools.repeat, texts, itertools.repeat(k)))
-
-
-def _tiled(texts: list, n: int):
-    """The whole list texts, n times over."""
-    return itertools.chain.from_iterable(itertools.repeat(texts, n))
-
-
-def _rows(rows):
-    """Text rows of a table given row by row, made a chunk at a time: in
-    each chunk a column of floats is formatted by repr, any other by _fmt."""
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _CHUNK)):
-        yield from zip(*(map(repr, map(float, col)) if all(isinstance(v, float) for v in col)
-                         else map(_fmt, col) for col in zip(*chunk)))
+def _write_rows(path: Path, header, rows):
+    """A small table given row by row, each value through _fmt."""
+    _write_csv(path, header, (map(_fmt, row) for row in rows))
 
 
 def _every(n: int, max_rows: int) -> slice:
@@ -112,13 +99,26 @@ def _write_traj(path: Path, header, traj, max_rows: int = 2000):
     _write_csv(path, header, zip(*map(_floats, (traj.times[idx], *traj.states[idx].T))))
 
 
-def _write_field(path: Path, header, times, x, *fields):
-    """Rows (t, x, *values) of sampled grid fields, node by node at each
-    time; each field is a (samples, nodes) array.  Each t and x is
-    formatted once."""
-    columns = (_each(_floats(times), len(x)), _tiled(list(_floats(x)), len(times)),
-               *(_floats(np.ravel(f)) for f in fields))
-    _write_csv(path, header, zip(*columns))
+def _write_long(path: Path, header, times, keys, *blocks):
+    """Rows (t, key, *values), key by key at each time: keys are the texts
+    of a node position or label, and each block is a (times, keys) array.
+    Each t and key text is made once."""
+    keys = list(keys)
+    ts = itertools.chain.from_iterable(
+        map(itertools.repeat, _floats(times), itertools.repeat(len(keys))))
+    _write_csv(path, header, zip(ts, itertools.cycle(keys),
+                                 *(_floats(np.ravel(b)) for b in blocks)))
+
+
+def _write_network(path: Path, res):
+    """Rows (t, label, u, aF) of a network run at about 2000 times; a group
+    has no single force, so its aF is nan."""
+    idx = _every(len(res.times), 2000)
+    labels = list(res.element_u)
+    nan = np.full(len(res.times), np.nan)
+    _write_long(path, ["t", "label", "u", "aF"], res.times[idx], labels,
+                np.column_stack([res.element_u[k][idx] for k in labels]),
+                np.column_stack([res.branch_forces.get(k, nan)[idx] for k in labels]))
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def run_band(p, out: Path, seed: int):
     grid = params.grid
     times, r, l, L = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
                                              sample_every=p["aerotaxis.sample_every"])
-    _write_field(out / "fields.csv", ["t", "x", "r", "l", "L"], times, grid.x, r, l, L)
+    _write_long(out / "fields.csv", ["t", "x", "r", "l", "L"], times, _floats(grid.x), r, l, L)
     density = r + l
     m = aerotaxis.band_metrics(density, grid)
     has = m.has_band
@@ -167,10 +167,10 @@ def _steady_inputs(p):
 
 
 def _write_steady(sol, out: Path):
-    _write_csv(out / "solution.csv",
-               ["regime", "B", "c1", "c2", "c3", "d", "h", "z", "s", "k", "lam"],
-               _rows([(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
-                       sol.z, sol.s, sol.k, sol.lam)]))
+    _write_rows(out / "solution.csv",
+                ["regime", "B", "c1", "c2", "c3", "d", "h", "z", "s", "k", "lam"],
+                [(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
+                  sol.z, sol.s, sol.k, sol.lam)])
     span = sol.d + sol.h + sol.z
     xs = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, 200)
     Ls = sol.oxygen(xs)
@@ -206,8 +206,7 @@ def run_quasi(p, out, seed):
         rows.append((L0, q["d"], q["h"], q["B_over_b0"], q["c1"], q["assumption_ok"]))
         metrics[f"d_{tag}"] = q["d"]
         metrics[f"h_{tag}"] = q["h"]
-    _write_csv(out / "quasi.csv", ["L0", "d", "h", "B_over_b0", "c1", "assumption_ok"],
-               _rows(rows))
+    _write_rows(out / "quasi.csv", ["L0", "d", "h", "B_over_b0", "c1", "assumption_ok"], rows)
     return metrics
 
 
@@ -218,7 +217,7 @@ def run_montecarlo(p, out, seed):
         n_trials=p["mc.trials"], seed=seed)
     res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
     ratio = res["inside_outside_ratio"]
-    _write_csv(out / "result.csv", ["t_a", "c", "ratio"], _rows([(cfg.t_a, cfg.c, ratio)]))
+    _write_rows(out / "result.csv", ["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])
     return res
 
 
@@ -241,7 +240,7 @@ def run_gc_bifurcation(p, out, seed):
     L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
     L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], p["gc.n"])
     rows = growthcone.bifurcation_scan(params, L_values)
-    _write_csv(out / "branches.csv", ["L", "branch", "C", "A", "stable"], _rows(rows))
+    _write_rows(out / "branches.csv", ["L", "branch", "C", "A", "stable"], rows)
     below = growthcone.ca_ac_steady_states(L_up - 0.02, params)
     above = growthcone.ca_ac_steady_states(L_up + 0.05, params)
     return {
@@ -307,7 +306,7 @@ def run_gc_rd(p, out, seed):
     times, Ms, As = growthcone.reaction_diffusion_simulate(
         profile, ap, p["gc.D1"], p["gc.D2"], grid, t_end=p["gc.t_end"],
         l_init=init, sample_every=p["gc.sample_every"])
-    _write_field(out / "field.csv", ["t", "x", "M", "A"], times, x, Ms, As)
+    _write_long(out / "field.csv", ["t", "x", "M", "A"], times, _floats(x), Ms, As)
     A = As[-1]
     return {
         "A_flat_dev": float(np.max(np.abs(A - ap.m / ap.r))),
@@ -328,7 +327,7 @@ def run_gc_ca_switch(p, out, seed):
         row = (ca, *growthcone.switch_gradient(p["gc.l1"], p["gc.l2"], ca, sp, ap, cpl))
         rows.append(row)
         metrics[f"sign_{tag}"] = row[-1]
-    _write_csv(out / "result.csv", ["ca", "ka1", "ka2", "A1s", "A2s", "sign"], _rows(rows))
+    _write_rows(out / "result.csv", ["ca", "ka1", "ka2", "A1s", "A2s", "sign"], rows)
     return metrics
 
 
@@ -337,11 +336,8 @@ def run_kelvin_single(p, out, seed):
     f = kelvin.Forcing.steady(p["kelvin.F0"])
     res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), f,
                                 p["kelvin.t_end"], p["kelvin.h"])
+    _write_network(out / "traj.csv", res)
     u = res.total_u
-    idx = _every(len(u), 2000)
-    _write_csv(out / "traj.csv", ["t", "label", "u", "aF"],
-               zip(_floats(res.times[idx]), itertools.repeat("body1"), _floats(u[idx]),
-                   itertools.repeat(repr(float(p["kelvin.F0"])))))
     ts, te = kelvin.relaxation_times(body)
     return {
         "u0": float(u[0]),
@@ -362,8 +358,7 @@ def run_kelvin_sweep(p, out, seed):
         raise UsageError("kelvin.param must be 0 (mu02), 1 (mu12), 2 (eta12) or 3 (all)")
     values = [p["kelvin.v1"], p["kelvin.v2"], p["kelvin.v3"]]
     rows = kelvin.parameter_sweep(base, param, values)
-    _write_csv(out / "sweep.csv", ["param_value", "flow_kind", "steady_u", "steady_aF"],
-               _rows(rows))
+    _write_rows(out / "sweep.csv", ["param_value", "flow_kind", "steady_u", "steady_aF"], rows)
     steady_us = [r[2] for r in rows if r[1] == "steady"]
     return {"param": param, "steady_u_min": min(steady_us), "steady_u_max": max(steady_us)}
 
@@ -373,7 +368,7 @@ def run_kelvin_freq(p, out, seed):
                               kelvin.material_params("actin")))
     freqs = [p["kelvin.f1"], p["kelvin.f2"], p["kelvin.f3"], p["kelvin.f4"]]
     rows = kelvin.frequency_sweep(g, freqs, F0=p["kelvin.F0"])
-    _write_csv(out / "freq.csv", ["freq_hz", "norm_u", "norm_aF"], _rows(rows))
+    _write_rows(out / "freq.csv", ["freq_hz", "norm_u", "norm_aF"], rows)
     metrics = {"norm_u_lowest": rows[0][1]}
     for f_hz, nu, na in rows:
         if abs(f_hz - 1.0) < 1e-12:
@@ -389,18 +384,12 @@ def _run_network(net, p, out):
     f_osc = kelvin.Forcing.oscillatory(p["kelvin.F0"],
                                        2 * math.pi * p["kelvin.freq_hz"])
     res_o = kelvin.network_deform(net, f_osc, p["kelvin.t_end_osc"], p["kelvin.h_osc"])
-    for tag, res in (("steady", res_s), ("oscillatory", res_o)):
-        # rows (t, label, u, aF), element by element at each time; a group
-        # has no single force, so its aF is nan
-        idx = _every(len(res.times), 2000)
-        times = res.times[idx]
-        labels = list(res.element_u)
-        nan = np.full(len(res.times), np.nan)
-        u = np.column_stack([res.element_u[label][idx] for label in labels])
-        aF = np.column_stack([res.branch_forces.get(label, nan)[idx] for label in labels])
-        _write_csv(out / f"{tag}.csv", ["t", "label", "u", "aF"],
-                   zip(_each(_floats(times), len(labels)), _tiled(labels, len(times)),
-                       _floats(u.ravel()), _floats(aF.ravel())))
+    steady_total = float(res_s.total_u[-1])
+    if steady_total == 0:
+        raise ValueError(f"the steady total deformation at kelvin.F0 = {p['kelvin.F0']!r} "
+                         "is zero, so osc_over_steady is undefined")
+    _write_network(out / "steady.csv", res_s)
+    _write_network(out / "oscillatory.csv", res_o)
     mask = res_s.times > 1.0
     sensor = res_s.element_u["sensor"][mask]
     nucleus = res_s.element_u["nucleus"][mask]
@@ -411,9 +400,9 @@ def _run_network(net, p, out):
     return {
         "ordering_holds": bool(ordering),
         "actin_split_dev": float(np.max(np.abs(split - 0.5 * p["kelvin.F0"]))),
-        "steady_total": float(res_s.total_u[-1]),
+        "steady_total": steady_total,
         "oscillatory_peak_total": peak,
-        "osc_over_steady": peak / float(res_s.total_u[-1]),
+        "osc_over_steady": peak / steady_total,
     }
 
 

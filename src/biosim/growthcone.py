@@ -19,6 +19,8 @@ from .numerics import (
     Bracket,
     Grid1D,
     IntegrationError,
+    StabilityError,
+    _MAX_SAMPLES,
     Trajectory,
     _field_steps,
     dopri5_integrate,
@@ -293,7 +295,9 @@ def _affine_parts(rhs, n: int):
 def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationParams(),
                         t_end: float = 800.0, h: float = 0.1) -> Trajectory:
     """Response of (M, A) to a ligand step l0 -> l1 at t = 0, solved
-    exactly and sampled every h."""
+    exactly and sampled every h; ValueError for l1 < 0."""
+    if not l1 >= 0:
+        raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
     D, c = _affine_parts(lambda y: adaptation_rhs(y, l1, p), 2)
     return solve_linear_ode(np.eye(2), D, c, adaptation_initial_state(l0, p), t_end, h)
 
@@ -360,8 +364,10 @@ def two_compartment_simulate(l1: float, l2: float,
     """Step both compartments from a common adapted state at l0 to (l1, l2),
     solved exactly and sampled every h.
 
-    States are ordered (M1, A1, M2, A2).
+    States are ordered (M1, A1, M2, A2); ValueError for l1 < 0 or l2 < 0.
     """
+    if not (l1 >= 0 and l2 >= 0):
+        raise ValueError(f"ligands l1 and l2 must be nonnegative, got {l1!r}, {l2!r}")
     M0, A0 = adaptation_initial_state(l0, p)
     y0 = np.array([M0, A0, M0, A0])
     ka1, ka2 = p.ka(l1), p.ka(l2)
@@ -460,19 +466,21 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     fields use zero-flux boundaries.  Returns (times, M, A), the fields as
     (samples, nodes) arrays sampled every sample_every steps, always
     including the final state.
-    A negative or NaN diffusivity, more than numerics._MAX_SAMPLES steps or
-    kept node values raise ValueError before the first step.
+    A negative or NaN diffusivity, a ligand (l_profile or l_init) not
+    positive everywhere, more than numerics._MAX_SAMPLES steps or kept node
+    values raise ValueError before the first step; a kept sample that is
+    not finite raises StabilityError after the last step.
     """
     if not (D1 >= 0 and D2 >= 0):
         raise ValueError(f"diffusivities must be nonnegative, got D1={D1!r}, D2={D2!r}")
     kept = _field_steps(t_end, grid, sample_every)
     steps = int(kept[-1])
     l_run = np.asarray(l_profile, dtype=float)
-    if l_run.shape != (grid.n,):
-        raise ValueError("ligand profile must match the grid")
-    if (l_run <= 0).any():
-        raise ValueError("ligand must be positive everywhere")
     l0 = l_run if l_init is None else np.asarray(l_init, dtype=float)
+    if not l_run.shape == l0.shape == (grid.n,):
+        raise ValueError("ligand profile must match the grid")
+    if not ((l_run > 0).all() and (l0 > 0).all()):
+        raise ValueError("ligand must be positive everywhere")
     A = np.full(grid.n, p.m / p.r)
     M = p.m / p.r * p.kd / (p.k * l0)
     # the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A), from dt-scaled coefficients
@@ -484,29 +492,42 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     Ms, As = np.empty((len(kept), grid.n)), np.empty((len(kept), grid.n))
     Ms[0], As[0] = M, A
     k = 0
-    for step in range(1, steps + 1):
-        np.multiply(bind, M, ex)
-        ex -= np.multiply(unbind, A, buf)
-        M = ftcs_diffusion_step(M, D1, grid)
-        M += make
-        M -= ex
-        if D2 > 0:
-            np.multiply(decay, A, buf)
-            A = ftcs_diffusion_step(A, D2, grid)
-            A -= buf
-        else:
-            A *= keep
-        A += ex
-        if step % sample_every == 0 or step == steps:
-            k += 1
-            Ms[k], As[k] = M, A
+    # overflow surfaces in the check of the kept samples below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            np.multiply(bind, M, ex)
+            ex -= np.multiply(unbind, A, buf)
+            M = ftcs_diffusion_step(M, D1, grid)
+            M += make
+            M -= ex
+            if D2 > 0:
+                np.multiply(decay, A, buf)
+                A = ftcs_diffusion_step(A, D2, grid)
+                A -= buf
+            else:
+                A *= keep
+            A += ex
+            if step % sample_every == 0 or step == steps:
+                k += 1
+                Ms[k], As[k] = M, A
+    # per-sample extremes (a NaN propagates into both) rather than a full mask
+    bad = ~np.isfinite([f(a, axis=1) for a in (Ms, As) for f in (np.min, np.max)]).all(axis=0)
+    if bad.any():
+        raise StabilityError(f"M or A is not finite at t = {kept[bad.argmax()] * dt:.6g}")
     return kept * dt, Ms, As
 
 
 def default_rd_grid(length: float = 10.0, dx: float = 1.0 / 9.0,
                     dt: float = 0.01) -> Grid1D:
-    n = int(round(length / dx)) + 1
-    return Grid1D(n=n, dx=dx, dt=dt)
+    """The grid of round(length / dx) + 1 nodes spaced dx; ValueError for
+    dx <= 0 or more than numerics._MAX_SAMPLES nodes."""
+    if not dx > 0:
+        raise ValueError(f"dx must be positive, got {dx!r}")
+    # checked before rounding, which fails for an infinite ratio
+    if not length / dx < _MAX_SAMPLES:
+        raise ValueError(f"length {length!r} at dx {dx!r} needs {length / dx + 1:.3g} "
+                         f"nodes, above the cap of {_MAX_SAMPLES}")
+    return Grid1D(n=int(round(length / dx)) + 1, dx=dx, dt=dt)
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +554,11 @@ def calcium_switch_rate(l: float, ca: float, sp: SwitchRateParams) -> float:
     """
     if l < 0 or ca < 0:
         raise ValueError("ligand and calcium must be nonnegative")
-    return math.exp(sp.a * l * (ca - sp.ca_b) / ((l + sp.b) * (ca + sp.c)))
+    x = sp.a * l * (ca - sp.ca_b) / ((l + sp.b) * (ca + sp.c))
+    # math.exp overflows past the log of the largest float; NaN fails too
+    if not x <= math.log(np.finfo(float).max):
+        raise ValueError(f"production rate exp({x!r}) is not finite")
+    return math.exp(x)
 
 
 def switch_gradient(l1: float, l2: float, ca: float,

@@ -295,9 +295,12 @@ def parameter_sweep(base: ParallelGroup, param: str, values,
 
 def frequency_sweep(g: ParallelGroup, freqs_hz, F0: float = 1.0):
     """Rows (freq_hz, norm_u, norm_aF): oscillatory steady peaks divided by
-    the steady-flow steady values."""
+    the steady-flow steady values; ValueError where one of those is 0."""
     ref = group_steady_metrics(g, Forcing.steady(F0))
     u_ref, aF_ref = ref["steady_u"], ref["steady_aF"]
+    if u_ref == 0 or aF_ref == 0:
+        raise ValueError(f"the steady response to F0 = {F0!r} is zero, so the "
+                         "normalized responses are undefined")
     rows = []
     for f_hz in freqs_hz:
         m = group_steady_metrics(g, Forcing.oscillatory(F0, 2 * math.pi * f_hz))

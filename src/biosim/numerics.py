@@ -53,6 +53,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"grid needs at least 3 nodes, got {self.n}")
+        if self.n > _MAX_SAMPLES:
+            raise ValueError(f"grid of {self.n} nodes is above the cap of {_MAX_SAMPLES}")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
 
@@ -96,7 +98,7 @@ class Trajectory:
 
 
 # the most samples a time grid may hold (80 MB of times); also the most
-# steps of a fixed-step run and the most node values a field run keeps
+# steps of a fixed-step run, nodes of a grid and node values a field run keeps
 _MAX_SAMPLES = 10_000_000
 
 

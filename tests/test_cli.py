@@ -14,10 +14,10 @@ from biosim.cli import (
     EXPERIMENTS,
     ExperimentConfig,
     UsageError,
+    _floats,
     _fmt,
-    _rows,
-    _write_csv,
-    _write_field,
+    _write_long,
+    _write_rows,
     _write_traj,
     main,
     parse_config,
@@ -192,7 +192,7 @@ def test_write_traj_matches_per_value_writer(n, max_rows, tmp_path):
     assert path.read_bytes() == _reference_csv(["t", "a", "b", "c"], rows)
 
 
-def test_write_field_matches_per_value_writer(tmp_path):
+def test_write_long_matches_per_value_writer(tmp_path):
     rng = np.random.default_rng(7)
     # the last sample sits off the stride, as a run's final state does
     times = np.array([0.0, 0.3, 0.6, 0.7])
@@ -201,19 +201,19 @@ def test_write_field_matches_per_value_writer(tmp_path):
     g = [_wild(rng, 6) for _ in times]
     f[1][:4] = [-0.0, np.nan, np.inf, 5e-324]
     path = tmp_path / "field.csv"
-    _write_field(path, ["t", "x", "f", "g"], times, x, f, g)
+    _write_long(path, ["t", "x", "f", "g"], times, _floats(x), f, g)
     rows = [(t, x[k], f[i][k], g[i][k]) for i, t in enumerate(times) for k in range(6)]
     assert path.read_bytes() == _reference_csv(["t", "x", "f", "g"], rows)
 
 
-def test_write_field_across_chunks_matches_per_value_writer(tmp_path):
+def test_write_long_across_chunks_matches_per_value_writer(tmp_path):
     # 100 times of 7 nodes: chunk ends fall inside a time's rows
     rng = np.random.default_rng(8)
     times = np.cumsum(rng.uniform(1e-3, 1.0, 100))
     x = np.arange(7) / 7.0
     f = rng.standard_normal((100, 7))
     path = tmp_path / "field.csv"
-    _write_field(path, ["t", "x", "f"], times, x, f)
+    _write_long(path, ["t", "x", "f"], times, _floats(x), f)
     rows = [(t, x[k], f[i][k]) for i, t in enumerate(times) for k in range(7)]
     assert path.read_bytes() == _reference_csv(["t", "x", "f"], rows)
 
@@ -229,7 +229,7 @@ def test_write_rows_matches_per_value_writer(n, tmp_path):
             for j, v in enumerate(values)]
     header = ["a", "b", "c", "d", "e", "f"]
     path = tmp_path / "rows.csv"
-    _write_csv(path, header, _rows(rows))
+    _write_rows(path, header, rows)
     assert path.read_bytes() == _reference_csv(header, rows)
 
 
@@ -253,6 +253,23 @@ def test_network_tables_match_per_value_writer(tmp_path):
         data = (tmp_path / f"{tag}.csv").read_bytes()
         assert b",actin_pair," in data and b",nan\n" in data
         assert data == _reference_csv(["t", "label", "u", "aF"], rows)
+
+
+@pytest.mark.parametrize("params", [{}, {"kelvin.F0": -0.3, "kelvin.t_end": 30.0}])
+def test_kelvin_single_table_matches_per_value_writer(params, tmp_path):
+    # the network table of one body: u is the total deformation and aF the
+    # steady force F0, strided to about 2000 times
+    run(ExperimentConfig("kelvin-single", params, tmp_path, 0))
+    p = {**EXPERIMENTS["kelvin-single"].defaults, **params}
+    body = kelvin.KelvinBody(p["kelvin.eta1"], p["kelvin.mu01"], p["kelvin.mu11"])
+    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)),
+                                kelvin.Forcing.steady(p["kelvin.F0"]), p["kelvin.t_end"],
+                                p["kelvin.h"])
+    stride = max(1, len(res.times) // 2000)
+    rows = [(res.times[j], "body1", res.total_u[j], p["kelvin.F0"])
+            for j in range(0, len(res.times), stride)]
+    assert (tmp_path / "traj.csv").read_bytes() == \
+        _reference_csv(["t", "label", "u", "aF"], rows)
 
 
 def test_band_without_a_band_writes_the_metrics_header_only(tmp_path):
@@ -285,15 +302,27 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     # the band run's CFL number is guarded by the upwind step alone
     (["aerotaxis-band", "--set", "aerotaxis.v=5"], "CFL number 1.95 exceeds 1"),
-    # CFL 0.39 + dt c_high 0.8 > 1: each guard holds, but the upwind step
-    # turns densities negative by the first kept sample
-    (["aerotaxis-band", "--set", "aerotaxis.v=1"], "cell density negative or NaN at t = 1:"),
+    # each kernel guard holds, but the upwind step would turn densities
+    # negative: the band run refuses the sum before the first step
+    (["aerotaxis-band", "--set", "aerotaxis.v=1"],
+     "CFL number 0.39 + reaction number 0.8 exceeds 1"),
+    # the same with no sample before the blow-up (the densities used to
+    # overflow to NaN before the first kept sample)
+    (["aerotaxis-band", "--set", "aerotaxis.v=1", "--set", "aerotaxis.sample_every=3000"],
+     "CFL number 0.39 + reaction number 0.8 exceeds 1"),
+    # the oxygen overflows to NaN next to the source (it used to be written)
+    (["aerotaxis-band", "--set", "aerotaxis.L0=1e308"],
+     "r, l or L is negative or not finite at t = 3"),
+    # the explicit reaction step of the messenger model overflows
+    (["growthcone-rd", "--set", "gc.l_hi=1e4", "--set", "gc.t_end=10"],
+     "M or A is not finite at t = 10"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
+    assert not (tmp_path / "n").exists()
 
 
 def test_main_switch_out_of_steps_exit_code(monkeypatch, tmp_path, capsys):
@@ -357,6 +386,34 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     # with no cells the mass drift would divide by zero after writing the CSVs
     (["aerotaxis-band", "--set", "aerotaxis.b0=0", "--set", "aerotaxis.t_end=0.5"],
      "the band run needs b0 > 0, got 0.0"),
+    (["growthcone-rd", "--set", "gc.dx=0"], "dx must be positive, got 0.0"),
+    (["growthcone-rd", "--set", "gc.length=1e9"], "needs 9e+09 nodes, above the cap of 10000000"),
+    (["aerotaxis-quasi", "--set", "aerotaxis.L0_lo=1e308"],
+     "d = sqrt(L0 / (k b0)) = inf is out of range"),
+    (["growthcone-adaptation", "--set", "gc.l1=-1"], "ligand l1 must be nonnegative, got -1.0"),
+    # the two-compartment run used to write its trajectory first
+    (["growthcone-twocomp", "--set", "gc.l1=-1"],
+     "ligands l1 and l2 must be nonnegative, got -1.0, 0.5"),
+    (["growthcone-ca-switch", "--set", "gc.a=1e308"], "is not finite"),
+    (["kelvin-freq", "--set", "kelvin.F0=0"], "the steady response to F0 = 0.0 is zero"),
+    (["kelvin-network-I", "--set", "kelvin.F0=0"],
+     "the steady total deformation at kelvin.F0 = 0.0 is zero"),
+    # a walk that would never end in practice
+    (["aerotaxis-montecarlo", "--set", "mc.v=1e308"],
+     "a walker may take inf events by t = 80.0, above the cap of 10000000"),
+    # d, k b0 s^2 and c1 overflow; the profile used to be written as NaN
+    (["aerotaxis-steady-general", "--set", "aerotaxis.L0=1e308"],
+     "a constant of the general regime is not finite"),
+    (["aerotaxis-steady-general", "--set", "aerotaxis.k=1e308"],
+     "k b0 s^2 must be positive and finite, got inf"),
+    (["aerotaxis-steady-general", "--set", "aerotaxis.k=5e307"],
+     "a constant of the general regime is not finite"),
+    # a negative initial ligand used to give a negative M and exit 0
+    (["growthcone-rd", "--set", "gc.profile=0", "--set", "gc.l_lo=-0.01"],
+     "ligand must be positive everywhere"),
+    # s**2 raised OverflowError
+    (["aerotaxis-steady-low", "--set", "aerotaxis.s=1e200"],
+     "k b0 s^2 must be positive and finite, got inf"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

@@ -144,6 +144,10 @@ def test_step_count_cap_boundary(monkeypatch):
     # a field run keeps its initial state, every k-th and a final one off
     # the stride, each of n nodes: here 2 x 5 values fit, 3 x 5 do not
     grid = Grid1D(n=5, dx=1.0, dt=0.1)
+    # a grid holds at most the cap of nodes
+    assert Grid1D(n=10, dx=1.0, dt=0.1).n == 10
+    with pytest.raises(ValueError, match="grid of 11 nodes is above the cap of 10"):
+        Grid1D(n=11, dx=1.0, dt=0.1)
     assert numerics._field_steps(0.1, grid, 1).tolist() == [0, 1]
     assert numerics._field_steps(0.2, grid, 2).tolist() == [0, 2]
     for t_end, every in ((0.2, 1), (0.3, 2)):
