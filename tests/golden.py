@@ -34,11 +34,17 @@ def platform_key() -> str:
 
 def runs() -> list:
     """(id, experiment, params, seed): every experiment at the acceptance
-    suite's fast overrides, and the band at every step to t = 5."""
+    suite's fast overrides, the band at every step to t = 5, and both field
+    runs to t = 5 with a final sample off the stride, the messenger model
+    with a diffusing A."""
     from test_acceptance import FAST_OVERRIDES
     out = [(name, name, FAST_OVERRIDES.get(name, {}), 0) for name in sorted(EXPERIMENTS)]
     out.append(("aerotaxis-band-every-step", "aerotaxis-band",
                 {"aerotaxis.sample_every": 1, "aerotaxis.t_end": 5.0}, 0))
+    out.append(("growthcone-rd-off-stride", "growthcone-rd",
+                {"gc.D2": 0.1, "gc.t_end": 5.0, "gc.sample_every": 7}, 0))
+    out.append(("aerotaxis-band-off-stride", "aerotaxis-band",
+                {"aerotaxis.t_end": 5.0, "aerotaxis.sample_every": 7}, 0))
     return out
 
 
