@@ -20,10 +20,10 @@ from .numerics import (
     Grid1D,
     StabilityError,
     Trajectory,
-    _field_steps,
     _step_count,
     _step_times,
     ftcs_diffusion_step,
+    run_fields,
     solve_scalar_root,
     upwind_advection_reaction_step,
 )
@@ -264,37 +264,30 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     Starts from uniform bacteria (r = l = b0/2) and oxygen L0 held at node
     0, zero elsewhere.  Returns (times, r, l, L), the fields as (samples,
     nodes) arrays sampled every sample_every steps, always including the
-    final state.  b0 <= 0, more than numerics._MAX_SAMPLES steps or kept
-    node values raise ValueError before the first step.  The upwind and
-    FTCS steps raise StabilityError on an unstable grid, and so does this
-    run, before the first step, when CFL + dt * c_high > 1: the upwind step
-    keeps r and l nonnegative only while that sum is at most 1.  A kept
-    sample of r, l or L that is negative or not finite raises
-    StabilityError after the last step.  Each step makes one upwind and
-    one FTCS call.
+    final state; numerics.run_fields marches and checks them, and raises
+    as it says.  Besides, b0 <= 0 raises ValueError before the first step.
+    The upwind and FTCS steps raise StabilityError on an unstable grid, and
+    so does this run, before the first step, when CFL + dt * c_high > 1:
+    the upwind step keeps r and l nonnegative only while that sum is at
+    most 1.  Each step makes one upwind and one FTCS call.
     """
     if not params.b0 > 0:
         raise ValueError(f"the band run needs b0 > 0, got {params.b0!r}")
     grid = params.grid
-    kept = _field_steps(t_end, grid, sample_every)
     cfl, rn = params.v * grid.dt / grid.dx, grid.dt * params.thresholds.c_high
     # past its own limit, each number is refused by the upwind step itself
     if cfl <= 1 + 1e-12 and rn <= 1 + 1e-12 and cfl + rn > 1 + 1e-12:
         raise StabilityError(
             f"CFL number {cfl:.4g} + reaction number {rn:.4g} exceeds 1: the upwind "
             "step keeps the cell densities nonnegative only while the sum is at most 1")
-    steps, n = int(kept[-1]), grid.n
-    r = np.full(n, params.b0 / 2)
-    l = np.full(n, params.b0 / 2)
+    n = grid.n
+    r, l = np.full((2, n), params.b0 / 2)
     L = np.zeros(n)
     L[0] = params.L0
-    rs, ls, Ls = (np.empty((len(kept), n)) for _ in range(3))
-    rs[0], ls[0], Ls[0] = r, l, L
-    k = 0
     uptake, eaten, zero = np.full(n, grid.dt * params.kappa), np.empty(n), np.zeros(n)
-    # overflow surfaces in the check of the kept samples below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
+
+    def advance(r, l, L, steps):
+        for _ in range(steps):
             f_rl, f_lr = turning_rates(L, params.thresholds)
             # the grid points the other way (oxygen source at node 0), so the
             # two rates of the threshold table swap roles
@@ -303,16 +296,11 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
             L -= np.multiply(uptake, np.add(r, l, eaten), eaten)
             np.maximum(L, zero, out=L)
             L[0] = params.L0
-            if step % sample_every == 0 or step == steps:
-                k += 1
-                rs[k], ls[k], Ls[k] = r, l, L
-    # per-sample extremes (a NaN propagates into both) rather than a full mask
-    ok = [(a.min(axis=1) >= 0) & (a.max(axis=1) < np.inf) for a in (rs, ls, Ls)]
-    bad = ~(ok[0] & ok[1] & ok[2])
-    if bad.any():
-        raise StabilityError(f"r, l or L is negative or not finite at t = "
-                             f"{kept[bad.argmax()] * grid.dt:.6g}")
-    return kept * grid.dt, rs, ls, Ls
+        return r, l, L
+
+    times, (r, l, L) = run_fields(advance, (r, l, L), t_end, grid, sample_every,
+                                  "r, l or L")
+    return times, r, l, L
 
 
 def band_metrics(density, grid: Grid1D) -> BandMetrics:

@@ -19,12 +19,11 @@ from .numerics import (
     Bracket,
     Grid1D,
     IntegrationError,
-    StabilityError,
     _MAX_SAMPLES,
     Trajectory,
-    _field_steps,
     dopri5_integrate,
     ftcs_diffusion_step,
+    run_fields,
     solve_linear_dense,
     solve_linear_ode,
     solve_scalar_root,
@@ -465,16 +464,13 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     shape, default l_profile) sets the adapted initial condition.  Both
     fields use zero-flux boundaries.  Returns (times, M, A), the fields as
     (samples, nodes) arrays sampled every sample_every steps, always
-    including the final state.
-    A negative or NaN diffusivity, a ligand (l_profile or l_init) not
-    positive everywhere, more than numerics._MAX_SAMPLES steps or kept node
-    values raise ValueError before the first step; a kept sample that is
-    not finite raises StabilityError after the last step.
+    including the final state; numerics.run_fields marches and checks
+    them, and raises as it says.  Besides, a negative or NaN diffusivity or
+    a ligand (l_profile or l_init) not positive everywhere raises
+    ValueError before the first step.
     """
     if not (D1 >= 0 and D2 >= 0):
         raise ValueError(f"diffusivities must be nonnegative, got D1={D1!r}, D2={D2!r}")
-    kept = _field_steps(t_end, grid, sample_every)
-    steps = int(kept[-1])
     l_run = np.asarray(l_profile, dtype=float)
     l0 = l_run if l_init is None else np.asarray(l_init, dtype=float)
     if not l_run.shape == l0.shape == (grid.n,):
@@ -482,19 +478,18 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     if not ((l_run > 0).all() and (l0 > 0).all()):
         raise ValueError("ligand must be positive everywhere")
     A = np.full(grid.n, p.m / p.r)
-    M = p.m / p.r * p.kd / (p.k * l0)
+    # M overflows for a tiny ligand; run_fields reports that at t = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        M = p.m / p.r * p.kd / (p.k * l0)
     # the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A), from dt-scaled coefficients
     dt = grid.dt
     bind = dt * p.lam * p.k * l_run
     unbind, make, decay, keep = (np.full(grid.n, c) for c in (
         dt * p.lam * p.kd, dt * p.m, dt * p.r, 1 - dt * p.r))
-    ex, buf = np.empty(grid.n), np.empty(grid.n)
-    Ms, As = np.empty((len(kept), grid.n)), np.empty((len(kept), grid.n))
-    Ms[0], As[0] = M, A
-    k = 0
-    # overflow surfaces in the check of the kept samples below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, steps + 1):
+
+    def advance(M, A, steps):
+        ex, buf = np.empty(grid.n), np.empty(grid.n)
+        for _ in range(steps):
             np.multiply(bind, M, ex)
             ex -= np.multiply(unbind, A, buf)
             M = ftcs_diffusion_step(M, D1, grid)
@@ -507,14 +502,10 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
             else:
                 A *= keep
             A += ex
-            if step % sample_every == 0 or step == steps:
-                k += 1
-                Ms[k], As[k] = M, A
-    # per-sample extremes (a NaN propagates into both) rather than a full mask
-    bad = ~np.isfinite([f(a, axis=1) for a in (Ms, As) for f in (np.min, np.max)]).all(axis=0)
-    if bad.any():
-        raise StabilityError(f"M or A is not finite at t = {kept[bad.argmax()] * dt:.6g}")
-    return kept * dt, Ms, As
+        return M, A
+
+    times, (M, A) = run_fields(advance, (M, A), t_end, grid, sample_every, "M or A")
+    return times, M, A
 
 
 def default_rd_grid(length: float = 10.0, dx: float = 1.0 / 9.0,

@@ -144,20 +144,40 @@ def _step_count(t_end: float, dt: float) -> int:
     return round(ratio)
 
 
-def _field_steps(t_end: float, grid: Grid1D, sample_every: int) -> np.ndarray:
-    """The steps after which a field run on grid keeps its state: 0, every
-    sample_every-th and the last, round(t_end / dt) (0 for t_end <= 0).
+def run_fields(advance, fields, t_end: float, grid: Grid1D, sample_every: int,
+               names: str):
+    """March fields, a sequence of arrays of grid.n node values, for
+    round(t_end / dt) steps (none for t_end <= 0), keeping them at step 0,
+    every sample_every-th step and the last.  advance(*fields, steps) takes
+    that many steps and returns the new fields; it is called once per kept
+    interval, with overflow and invalid operations left to the check below.
+    Returns (times, blocks), blocks the kept fields as a (fields, samples,
+    nodes) array.
 
-    Raises ValueError, before the run starts, for a stride below 1, more
-    than _MAX_SAMPLES steps, or more than _MAX_SAMPLES kept node values."""
+    Raises ValueError, before advance is called, for a stride below 1, more
+    than _MAX_SAMPLES steps or more than _MAX_SAMPLES kept node values, and
+    StabilityError, naming names and the time of the first such sample,
+    when a kept sample of any field is negative or not finite."""
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
     steps = max(_step_count(t_end, grid.dt), 0)
-    kept = 1 + -(-steps // sample_every)
-    if kept * grid.n > _MAX_SAMPLES:
-        raise ValueError(f"{kept} kept states of {grid.n} nodes exceed the cap of "
+    samples = 1 + -(-steps // sample_every)
+    if samples * grid.n > _MAX_SAMPLES:
+        raise ValueError(f"{samples} kept states of {grid.n} nodes exceed the cap of "
                          f"{_MAX_SAMPLES} values")
-    return np.append(np.arange(0, steps, sample_every), steps)
+    kept = np.append(np.arange(0, steps, sample_every), steps)
+    blocks = np.empty((len(fields), samples, grid.n))
+    blocks[:, 0] = fields
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, taken in enumerate(np.diff(kept).tolist(), 1):
+            fields = advance(*fields, taken)
+            blocks[:, k] = fields
+    # per-sample extremes (a NaN propagates into both) rather than a full mask
+    bad = ~((blocks.min(axis=2) >= 0) & (blocks.max(axis=2) < np.inf)).all(axis=0)
+    if bad.any():
+        raise StabilityError(f"{names} is negative or not finite at t = "
+                             f"{kept[bad.argmax()] * grid.dt:.6g}")
+    return kept * grid.dt, blocks
 
 
 def _fixed_steps(rhs, y0, t0: float, t1: float, h: float, advance) -> Trajectory:
@@ -550,19 +570,19 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     y0 = np.asarray(y0, dtype=float)
     n = len(y0)
     M = solve_linear_dense(A, D)
-    Y = solve_linear_dense(1j * omega * A - D, np.asarray(c, dtype=complex))
-    wt = omega * times
-    states = np.outer(np.cos(wt), Y.real)
-    states -= np.outer(np.sin(wt), Y.imag)
     # homogeneous part on the uniform samples first..last - 1; the last
     # sample follows sample last - 1 by its own, possibly short, step
     count = last - first
     block = math.isqrt(max(count - 1, 0)) + 1
     powers = np.empty((block, n, n))
     powers[0] = np.eye(n)
-    # a growing solution may overflow here; the finiteness check below
-    # reports it as IntegrationError
+    # a huge forcing or a growing solution may overflow here; the finiteness
+    # check below reports it as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
+        Y = solve_linear_dense(1j * omega * A - D, np.asarray(c, dtype=complex))
+        wt = omega * times
+        states = np.outer(np.cos(wt), Y.real)
+        states -= np.outer(np.sin(wt), Y.imag)
         E = expm(M * h)
         for k in range(1, block):
             powers[k] = powers[k - 1] @ E

@@ -315,7 +315,20 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
      "r, l or L is negative or not finite at t = 3"),
     # the explicit reaction step of the messenger model overflows
     (["growthcone-rd", "--set", "gc.l_hi=1e4", "--set", "gc.t_end=10"],
-     "M or A is not finite at t = 10"),
+     "M or A is negative or not finite at t = 10"),
+    # an explicit reaction step too long for the decay drives M negative
+    # (it used to be written with exit 0), and further on to overflow
+    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1"],
+     "M or A is negative or not finite at t = 1500"),
+    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1.5"],
+     "M or A is negative or not finite at t = 1500"),
+    # the adapted initial M = m kd / (r k l) overflows, or divides by a
+    # product k l that underflows to 0 (both raised RuntimeWarning)
+    (["growthcone-rd", "--set", "gc.l_lo=1e-320"], "M or A is negative or not finite at t = 0"),
+    (["growthcone-rd", "--set", "gc.l_lo=5e-324"], "M or A is negative or not finite at t = 0"),
+    # the particular solution overflows (the solve raised RuntimeWarning)
+    (["kelvin-freq", "--set", "kelvin.F0=1e308"],
+     "linear solution turned non-finite before t=1250.0"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])

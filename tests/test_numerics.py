@@ -20,6 +20,7 @@ from biosim.numerics import (
     expm,
     ftcs_diffusion_step,
     rk4_integrate,
+    run_fields,
     solve_linear_dense,
     solve_linear_ode,
     solve_scalar_root,
@@ -148,11 +149,89 @@ def test_step_count_cap_boundary(monkeypatch):
     assert Grid1D(n=10, dx=1.0, dt=0.1).n == 10
     with pytest.raises(ValueError, match="grid of 11 nodes is above the cap of 10"):
         Grid1D(n=11, dx=1.0, dt=0.1)
-    assert numerics._field_steps(0.1, grid, 1).tolist() == [0, 1]
-    assert numerics._field_steps(0.2, grid, 2).tolist() == [0, 2]
+    assert _count_run(0.1, grid, 1)[0].tolist() == [0.0, 0.1]
+    assert _count_run(0.2, grid, 2)[0].tolist() == [0.0, 0.2]
     for t_end, every in ((0.2, 1), (0.3, 2)):
+        calls = []
         with pytest.raises(ValueError, match="3 kept states of 5 nodes exceed"):
-            numerics._field_steps(t_end, grid, every)
+            _count_run(t_end, grid, every, calls)
+        assert calls == []
+
+
+# ---------------------------------------------------------------- field runs
+
+def _count_run(t_end, grid, every, calls=None):
+    """run_fields on one field that gains 1 per step, from 0; the step
+    counts handed to advance are appended to calls."""
+    calls = [] if calls is None else calls
+
+    def advance(f, steps):
+        calls.append(steps)
+        return (f + steps,)
+    times, blocks = run_fields(advance, (np.zeros(grid.n),), t_end, grid, every, "f")
+    return times, blocks, calls
+
+
+@pytest.mark.parametrize("t_end,every,counts", [
+    (2.3, 5, [5, 5, 5, 5, 3]),      # the last interval is the remainder
+    (2.0, 5, [5, 5, 5, 5]),
+    (0.3, 1, [1, 1, 1]),
+    (2.3, 100, [23]),               # a stride past the end keeps both ends
+])
+def test_field_run_steps_follow_the_stride(t_end, every, counts):
+    grid = Grid1D(n=3, dx=1.0, dt=0.1)
+    times, blocks, calls = _count_run(t_end, grid, every)
+    assert calls == counts and sum(calls) == round(t_end / grid.dt)
+    kept = np.cumsum([0, *counts])
+    assert times.tolist() == (kept * grid.dt).tolist()
+    assert blocks.shape == (1, len(kept), 3)
+    assert (blocks[0] == kept[:, None]).all()
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, 0.04])
+def test_field_run_of_no_steps_keeps_the_initial_state(t_end):
+    grid = Grid1D(n=4, dx=1.0, dt=0.1)
+    start = (np.arange(4.0), np.full(4, 2.0))
+
+    def advance(*fields):
+        raise AssertionError("a run of no steps took one")
+    times, blocks = run_fields(advance, start, t_end, grid, 3, "f or g")
+    assert times.tolist() == [0.0]
+    assert blocks.shape == (2, 1, 4)
+    assert (blocks[:, 0] == start).all()
+
+
+def test_field_run_refused_by_its_size_never_advances(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_SAMPLES", 10)
+    grid = Grid1D(n=5, dx=1.0, dt=0.1)
+    for t_end, every, message in ((0.2, 1, "3 kept states of 5 nodes exceed the cap of 10"),
+                                  (1.1, 100, "11 steps, above the cap of 10"),
+                                  (0.2, 0, "sample_every must be at least 1, got 0")):
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            _count_run(t_end, grid, every, calls)
+        assert calls == []
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan, math.inf, "overflow"])
+@pytest.mark.parametrize("first_bad,reported", [(0, 0.0), (12, 1.5), (15, 1.5), (23, 2.3)])
+def test_field_run_names_the_first_bad_sample(bad, first_bad, reported):
+    # g turns bad at step first_bad and stays bad; samples are kept every 5 steps
+    grid = Grid1D(n=3, dx=1.0, dt=0.1)
+
+    def value(step):
+        if step < first_bad:
+            return np.ones(3)
+        return np.full(3, 1e308) * 10.0 if bad == "overflow" else np.full(3, bad)
+
+    def advance(f, g, steps):
+        f = f + steps
+        return f, value(f[0])
+    # the caller builds the initial fields, and lets them overflow itself
+    with np.errstate(over="ignore"):
+        start = (np.zeros(3), value(0))
+    with pytest.raises(StabilityError, match=rf"f or g is negative or not finite at t = {reported:g}$"):
+        run_fields(advance, start, 2.3, grid, 5, "f or g")
 
 # ---------------------------------------------------------------- Dormand-Prince 5(4)
 
