@@ -162,8 +162,9 @@ def run_band(p, out: Path, seed: int):
 
 
 def _steady_inputs(p):
+    """The params and the k and s keywords of a steady-state solve."""
     ap = aerotaxis.AerotaxisParams(L0=p["aerotaxis.L0"], b0=p["aerotaxis.b0"])
-    return ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"], p["aerotaxis.k"], p["aerotaxis.s"]
+    return ap, {"k": p["aerotaxis.k"], "s": p["aerotaxis.s"]}
 
 
 def _write_steady(sol, out: Path):
@@ -178,22 +179,23 @@ def _write_steady(sol, out: Path):
 
 
 def run_steady_general(p, out, seed):
-    ap, lmin, lmax, k, s = _steady_inputs(p)
-    sol = aerotaxis.steady_state_general(ap, lmin, lmax, k=k, s=s)
+    ap, ks = _steady_inputs(p)
+    sol = aerotaxis.steady_state_general(ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"], **ks)
     _write_steady(sol, out)
     return {"z": sol.z, "lam": sol.lam, "d": sol.d, "h": sol.h, "B": sol.B}
 
 
 def run_steady_intermediate(p, out, seed):
-    ap, lmin, lmax, k, s = _steady_inputs(p)
-    sol = aerotaxis.steady_state_intermediate(ap, lmin, lmax, k=k, s=s)
+    ap, ks = _steady_inputs(p)
+    sol = aerotaxis.steady_state_intermediate(ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"],
+                                              **ks)
     _write_steady(sol, out)
     return {"zeta": sol.z / sol.s, "z": sol.z, "h": sol.h, "B": sol.B}
 
 
 def run_steady_low(p, out, seed):
-    ap, lmin, _, k, s = _steady_inputs(p)
-    sol = aerotaxis.steady_state_low(ap, lmin, k=k, s=s)
+    ap, ks = _steady_inputs(p)
+    sol = aerotaxis.steady_state_low(ap, p["aerotaxis.l_min"], **ks)
     _write_steady(sol, out)
     return {"z": sol.z, "B": sol.B}
 
@@ -434,10 +436,12 @@ _BAND_DEFAULTS = {
     "aerotaxis.t_end": 30.0, "aerotaxis.sample_every": 100,
 }
 
-_STEADY_DEFAULTS = {
-    "aerotaxis.L0": 0.2, "aerotaxis.b0": 2.0, "aerotaxis.k": 0.003,
-    "aerotaxis.s": 1.0, "aerotaxis.l_min": 0.003, "aerotaxis.l_max": 0.005,
+# the bandless regime has no upper preferred level
+_LOW_DEFAULTS = {
+    "aerotaxis.L0": 0.001, "aerotaxis.b0": 2.0, "aerotaxis.k": 0.003,
+    "aerotaxis.s": 1.0, "aerotaxis.l_min": 0.003,
 }
+_STEADY_DEFAULTS = {**_LOW_DEFAULTS, "aerotaxis.L0": 0.2, "aerotaxis.l_max": 0.005}
 
 EXPERIMENTS = {
     "aerotaxis-band": Experiment(run_band, _BAND_DEFAULTS,
@@ -449,7 +453,7 @@ EXPERIMENTS = {
         run_steady_intermediate, {**_STEADY_DEFAULTS, "aerotaxis.L0": 0.0035},
         "two-region steady state with the band at the source"),
     "aerotaxis-steady-low": Experiment(
-        run_steady_low, {**_STEADY_DEFAULTS, "aerotaxis.L0": 0.001},
+        run_steady_low, _LOW_DEFAULTS,
         "bandless depletion layer below the preferred range"),
     "aerotaxis-quasi": Experiment(
         run_quasi,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import solve_linear_ode
+from .numerics import periodic_solution, solve_linear_ode
 
 
 @dataclass(frozen=True)
@@ -223,42 +223,18 @@ def steady_peak(times, values, f: Forcing) -> float:
     return float(peaks[-1])
 
 
-def _settle_time(g: ParallelGroup) -> float:
-    return max(relaxation_times(b)[0] for b in g.bodies)
-
-
 def group_steady_metrics(g: ParallelGroup, f: Forcing):
-    """Steady deformation and first-branch force for either flow kind.
-
-    Steady flow runs for 8 settling times (2000 to 12000 s) sampled every
-    0.1 s and reports the final values with a settling check against the
-    0.9 t_end sample; the oscillatory kind runs for 5 settling times and 5
-    periods, sampled every min(0.1 s, period / 200), and reports
-    last-period peaks.  Only the tail the metrics read is evaluated: the
-    grid from just before 0.9 t_end, or from just before the start of the
-    last complete period.
-    """
-    if f.kind == "steady":
-        t_end, h = min(max(2000.0, 8.0 * _settle_time(g)), 12000.0), 0.1
-        tail = 0.9 * t_end
-    else:
-        t_end = 5.0 * _settle_time(g) + 5.0 * f.period
-        h = min(0.1, f.period / 200.0)
-        tail = (int(t_end / f.period) - 1) * f.period
-    # a sample or two before the tail, so that rounding in tail / h cannot
-    # drop the tail's first sample
-    first = max(0, int(tail / h) - 1)
-    res = network_deform(KelvinNetwork((("group", g),)), f, t_end, h, first)
-    u = res.total_u
-    aF = res.branch_forces["group/branch1"]
-    if f.kind == "steady":
-        i90 = int(np.searchsorted(res.times, 0.9 * t_end))
-        settled = abs(u[-1] - u[i90]) < 1e-4 * max(abs(u[-1]), 1e-300)
-        return {"steady_u": float(u[-1]), "steady_aF": float(aF[-1]),
-                "settled": bool(settled)}
-    return {"steady_u": steady_peak(res.times, u, f),
-            "steady_aF": steady_peak(res.times, aF, f),
-            "settled": True}
+    """Steady deformation and first-branch force for either flow kind, read
+    from the periodic particular solution Re(Y e^{i omega t}) of the group's
+    system, which is what every run settles to: Re Y under steady flow and
+    the peak over a period, |Y|, under oscillatory flow.  The deformation
+    is Y[0] and the first branch's force Y[1]; a one-body group's only
+    branch carries the whole forcing, F0."""
+    A, D, c_builder, _ = parallel_assemble(g, f.F0)
+    Y = periodic_solution(A, D, c_builder(f.F0, 1j * f.omega * f.F0), f.omega)
+    force = Y[1] if len(g) > 1 else f.F0
+    read = np.real if f.kind == "steady" else np.abs
+    return {"steady_u": float(read(Y[0])), "steady_aF": float(read(force))}
 
 
 def parameter_sweep(base: ParallelGroup, param: str, values,
@@ -345,12 +321,12 @@ def network_two() -> KelvinNetwork:
 
 
 def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
-                   h: float = 0.1, first: int = 0) -> DeformationResult:
+                   h: float = 0.1) -> DeformationResult:
     """Deformation of every series element under the shared forcing, and
     their sum, solved exactly as one block-diagonal linear system (a single
-    body is a one-body group) and sampled every h, from sample `first` of
-    that grid on (see solve_linear_ode).  Branch forces within groups are
-    keyed "<label>/branch<i>"; single bodies carry the full forcing."""
+    body is a one-body group) and sampled every h.  Branch forces within
+    groups are keyed "<label>/branch<i>"; single bodies carry the full
+    forcing."""
     groups = [elem if isinstance(elem, ParallelGroup) else ParallelGroup((elem,))
               for _, elem in net.elements]
     n = sum(len(g) for g in groups)
@@ -370,7 +346,7 @@ def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
         y0[i:j] = u0
         starts.append(i)
         i = j
-    traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega, first)
+    traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega)
     F = f.value(traj.times)
     element_u = {}
     branch_forces = {}

@@ -102,12 +102,11 @@ class Trajectory:
 _MAX_SAMPLES = 10_000_000
 
 
-def _step_times(t0: float, t1: float, h: float, first: int = 0) -> np.ndarray:
-    """Times for fixed steps of h from t0, with a short final step onto t1;
-    samples first.. of that grid, so first = 0 gives all of it.
+def _step_times(t0: float, t1: float, h: float) -> np.ndarray:
+    """Times for fixed steps of h from t0, with a short final step onto t1.
 
     Raises ValueError, before allocating, for a grid of more than
-    _MAX_SAMPLES samples or a first outside it."""
+    _MAX_SAMPLES samples."""
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
         raise ValueError(f"t0, t1 and h must be finite, got {t0!r}, {t1!r}, {h!r}")
     if h <= 0:
@@ -119,13 +118,9 @@ def _step_times(t0: float, t1: float, h: float, first: int = 0) -> np.ndarray:
         raise ValueError(f"step {h!r} on [{t0!r}, {t1!r}] needs {steps + 1:.3g} samples, "
                          f"above the cap of {_MAX_SAMPLES}")
     n_full = int(math.floor(steps + 1e-9))
+    times = t0 + h * np.arange(n_full + 1)
     # t1 replaces the last full step's time when within 1e-9 h of it
-    snapped = n_full > 0 and t0 + h * n_full >= t1 - 1e-9 * h
-    last = n_full if snapped else n_full + 1
-    if not 0 <= first <= last:
-        raise ValueError(f"first sample {first!r} is outside the grid's 0..{last}")
-    times = t0 + h * np.arange(first, n_full + 1)
-    if snapped:
+    if n_full > 0 and times[-1] >= t1 - 1e-9 * h:
         times[-1] = t1
     else:
         times = np.append(times, t1)
@@ -156,8 +151,9 @@ def run_fields(advance, fields, t_end: float, grid: Grid1D, sample_every: int,
 
     Raises ValueError, before advance is called, for a stride below 1, more
     than _MAX_SAMPLES steps or more than _MAX_SAMPLES kept node values, and
-    StabilityError, naming names and the time of the first such sample,
-    when a kept sample of any field is negative or not finite."""
+    StabilityError, naming names and the sample's time, as soon as a kept
+    sample of any field is negative or not finite: a bad initial state
+    takes no step, and a run stops at its first bad sample."""
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every!r}")
     steps = max(_step_count(t_end, grid.dt), 0)
@@ -167,16 +163,16 @@ def run_fields(advance, fields, t_end: float, grid: Grid1D, sample_every: int,
                          f"{_MAX_SAMPLES} values")
     kept = np.append(np.arange(0, steps, sample_every), steps)
     blocks = np.empty((len(fields), samples, grid.n))
-    blocks[:, 0] = fields
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, taken in enumerate(np.diff(kept).tolist(), 1):
-            fields = advance(*fields, taken)
+        for k, taken in enumerate(np.diff(kept, prepend=0).tolist()):
+            if k:
+                fields = advance(*fields, taken)
             blocks[:, k] = fields
-    # per-sample extremes (a NaN propagates into both) rather than a full mask
-    bad = ~((blocks.min(axis=2) >= 0) & (blocks.max(axis=2) < np.inf)).all(axis=0)
-    if bad.any():
-        raise StabilityError(f"{names} is negative or not finite at t = "
-                             f"{kept[bad.argmax()] * grid.dt:.6g}")
+            sample = blocks[:, k]
+            # the extremes (a NaN propagates into both) rather than a mask
+            if not (sample.min() >= 0 and sample.max() < np.inf):
+                raise StabilityError(f"{names} is negative or not finite at t = "
+                                     f"{kept[k] * grid.dt:.6g}")
     return kept * grid.dt, blocks
 
 
@@ -547,39 +543,51 @@ def expm(A) -> np.ndarray:
     return R
 
 
-def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
-                     omega: float = 0.0, first: int = 0) -> Trajectory:
-    """Exact solution of A y' = D y + Re(c e^{i omega t}) from y(0) = y0,
-    sampled on the grid of rk4_integrate(..., 0, t_end, h) from its sample
-    `first` on; h sets the sample spacing only, and first = 0 gives the
-    whole grid.  c may be complex; omega = 0 is constant forcing.
+def periodic_solution(A, D, c, omega: float = 0.0) -> np.ndarray:
+    """The complex amplitude Y of the periodic particular solution
+    Re(Y e^{i omega t}) of A y' = D y + Re(c e^{i omega t}), from
+    (i omega A - D) Y = c; omega = 0 gives the steady solution Re Y.
 
-    The periodic particular solution Re(Y e^{i omega t}), (i omega A - D) Y
-    = c, plus expm(M t) (y0 - Re Y) with M = A^-1 D.  Only samples first..
-    are evaluated: expm(M h)^first (y0 - Re Y) is reached by repeated
-    squaring, in O(log first) matrix products, and powers of expm(M h) are
-    then applied a block of samples at a time, so N evaluated samples cost
-    O(sqrt N) Python-level operations.  Raises ValueError, before any state
-    is allocated, for a first outside the grid, SingularMatrixError when A
-    or i omega A - D is singular and IntegrationError on a non-finite result.
+    Raises SingularMatrixError when i omega A - D is singular and
+    IntegrationError when Y is not finite."""
+    # a huge forcing may overflow in the solve; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = solve_linear_dense(1j * omega * np.asarray(A, dtype=float)
+                               - np.asarray(D, dtype=float),
+                               np.asarray(c, dtype=complex))
+    if not np.all(np.isfinite(Y)):
+        raise IntegrationError(f"periodic solution is not finite at omega={omega!r}")
+    return Y
+
+
+def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
+                     omega: float = 0.0) -> Trajectory:
+    """Exact solution of A y' = D y + Re(c e^{i omega t}) from y(0) = y0,
+    sampled on the grid of rk4_integrate(..., 0, t_end, h); h sets the
+    sample spacing only.  c may be complex; omega = 0 is constant forcing.
+
+    The periodic particular solution Re(Y e^{i omega t}) (periodic_solution)
+    plus expm(M t) (y0 - Re Y) with M = A^-1 D.  Powers of expm(M h) are
+    applied a block of samples at a time, so N samples cost O(sqrt N)
+    Python-level operations.  Raises SingularMatrixError when A or
+    i omega A - D is singular and IntegrationError on a non-finite result.
     """
-    times = _step_times(0.0, t_end, h, first)
-    last = first + len(times) - 1
+    times = _step_times(0.0, t_end, h)
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = len(y0)
     M = solve_linear_dense(A, D)
-    # homogeneous part on the uniform samples first..last - 1; the last
-    # sample follows sample last - 1 by its own, possibly short, step
-    count = last - first
-    block = math.isqrt(max(count - 1, 0)) + 1
+    Y = periodic_solution(A, D, c, omega)
+    # homogeneous part on the uniform samples; the last sample follows the
+    # one before it by its own, possibly short, step
+    count = len(times) - 1
+    block = math.isqrt(count - 1) + 1
     powers = np.empty((block, n, n))
     powers[0] = np.eye(n)
-    # a huge forcing or a growing solution may overflow here; the finiteness
-    # check below reports it as IntegrationError
+    # a growing solution may overflow here; the finiteness check below
+    # reports it as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = solve_linear_dense(1j * omega * A - D, np.asarray(c, dtype=complex))
         wt = omega * times
         states = np.outer(np.cos(wt), Y.real)
         states -= np.outer(np.sin(wt), Y.imag)
@@ -588,24 +596,13 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
             powers[k] = powers[k - 1] @ E
         jump = powers[-1] @ E
         z = y0 - Y.real
-        # E^min(first, last - 1) z by squaring; with first = last the window
-        # is the last sample alone, which follows sample last - 1
-        k, P = min(first, last - 1), E
-        while k:
-            if k & 1:
-                z = P @ z
-            k >>= 1
-            if k:
-                P = P @ P
-        hom = z[np.newaxis]
         for start in range(0, count, block):
             stop = min(start + block, count)
             hom = powers[:stop - start] @ z
             states[start:stop] += hom
             z = jump @ z
-        states[-1] += expm(M * (times[-1] - h * (last - 1))) @ hom[-1]
-    if first == 0:
-        states[0] = y0
+        states[-1] += expm(M * (times[-1] - times[-2])) @ hom[-1]
+    states[0] = y0
     if not np.all(np.isfinite(states)):
         raise IntegrationError(f"linear solution turned non-finite before t={t_end!r}")
     return Trajectory(times, states)

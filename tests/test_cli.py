@@ -326,9 +326,10 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # product k l that underflows to 0 (both raised RuntimeWarning)
     (["growthcone-rd", "--set", "gc.l_lo=1e-320"], "M or A is negative or not finite at t = 0"),
     (["growthcone-rd", "--set", "gc.l_lo=5e-324"], "M or A is negative or not finite at t = 0"),
-    # the particular solution overflows (the solve raised RuntimeWarning)
+    # the particular solution overflows at 0.01 Hz (the solve raised
+    # RuntimeWarning)
     (["kelvin-freq", "--set", "kelvin.F0=1e308"],
-     "linear solution turned non-finite before t=1250.0"),
+     "periodic solution is not finite at omega=0.0628318"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
@@ -427,6 +428,9 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     # s**2 raised OverflowError
     (["aerotaxis-steady-low", "--set", "aerotaxis.s=1e200"],
      "k b0 s^2 must be positive and finite, got inf"),
+    # the bandless regime has no upper preferred level (the key was ignored)
+    (["aerotaxis-steady-low", "--set", "aerotaxis.l_max=0.5"],
+     "unknown keys for aerotaxis-steady-low: ['aerotaxis.l_max']"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

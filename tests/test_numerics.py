@@ -19,6 +19,7 @@ from biosim.numerics import (
     euler_integrate,
     expm,
     ftcs_diffusion_step,
+    periodic_solution,
     rk4_integrate,
     run_fields,
     solve_linear_dense,
@@ -233,6 +234,24 @@ def test_field_run_names_the_first_bad_sample(bad, first_bad, reported):
     with pytest.raises(StabilityError, match=rf"f or g is negative or not finite at t = {reported:g}$"):
         run_fields(advance, start, 2.3, grid, 5, "f or g")
 
+
+@pytest.mark.parametrize("bad_sample", [0, 1, 3, 5])
+def test_field_run_stops_at_its_first_bad_sample(bad_sample):
+    # kept samples every 5 steps to t = 2.3 (samples 0..5); the one ending
+    # interval bad_sample is NaN, so advance runs exactly bad_sample times
+    grid = Grid1D(n=3, dx=1.0, dt=0.1)
+    calls = []
+
+    def advance(f, steps):
+        calls.append(steps)
+        return (np.full(3, math.nan) if len(calls) == bad_sample else f + steps,)
+    start = np.full(3, math.nan if bad_sample == 0 else 0.0)
+    reported = [0.0, 0.5, 1.0, 1.5, 2.0, 2.3][bad_sample]
+    with pytest.raises(StabilityError, match=rf"f is negative or not finite at t = {reported:g}$"):
+        run_fields(advance, (start,), 2.3, grid, 5, "f")
+    assert len(calls) == bad_sample
+
+
 # ---------------------------------------------------------------- Dormand-Prince 5(4)
 
 def _dop853(rhs, y0, times):
@@ -430,8 +449,7 @@ def test_linear_ode_matches_rk4_many_samples():
 
 
 def _block_solve(A, D, c, y0, t_end, h, omega):
-    """The whole-grid solve as written before the windowed one, as the
-    bitwise reference for first = 0."""
+    """The whole-grid solve, written out, as a bitwise reference."""
     times = numerics._step_times(0.0, t_end, h)
     A, D, y0 = np.asarray(A, float), np.asarray(D, float), np.asarray(y0, float)
     M = solve_linear_dense(A, D)
@@ -465,39 +483,41 @@ _SYS = (np.array([[2.0, 0.5], [0.0, 1.0]]), np.array([[-1.0, 0.3], [0.2, -0.8]])
 @pytest.mark.parametrize("omega", [0.0, 1.3])
 def test_linear_ode_first_zero_is_the_whole_grid_bitwise(omega):
     times, states = _block_solve(*_SYS, omega)
-    for traj in (solve_linear_ode(*_SYS, omega), solve_linear_ode(*_SYS, omega, first=0)):
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
+    traj = solve_linear_ode(*_SYS, omega)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+def test_linear_ode_on_a_two_sample_grid():
+    # one short step: the last sample follows from y0 by its own exponential
+    traj = solve_linear_ode([[1.0]], [[-1.0]], [0.5], [1.0], 0.05, 0.1)
+    assert np.array_equal(traj.times, [0.0, 0.05])
+    assert traj.states[:, 0] == pytest.approx([1.0, 0.5 + 0.5 * math.exp(-0.05)],
+                                              rel=1e-15)
 
 
 @pytest.mark.parametrize("omega", [0.0, 1.3])
-@pytest.mark.parametrize("first", [1, 2, 37, 1000, 3605, 4005, 4006])
-def test_linear_ode_window_is_the_whole_grid_tail(omega, first):
-    # the grid ends in a short step; 4006 is its last sample
-    whole = solve_linear_ode(*_SYS, omega)
-    tail = solve_linear_ode(*_SYS, omega, first=first)
-    assert len(tail) == len(whole) - first
-    assert np.array_equal(tail.times, whole.times[first:])
-    scale = np.abs(whole.states[first:]).max()
-    assert np.abs(tail.states - whole.states[first:]).max() <= 1e-14 * scale
+def test_periodic_solution_solves_the_phasor_system(omega):
+    A, D, c = _SYS[:3]
+    Y = periodic_solution(A, D, c, omega)
+    assert np.abs((1j * omega * A - D) @ Y - c).max() < 1e-15
+    # the particular solution satisfies the ODE: A y' = D y + Re(c e^{i w t})
+    for t in (0.0, 0.7, 3.1):
+        rot = np.exp(1j * omega * t)
+        y, dy = (Y * rot).real, (1j * omega * Y * rot).real
+        assert np.abs(A @ dy - D @ y - (c * rot).real).max() < 1e-14
 
 
-def test_linear_ode_window_on_a_two_sample_grid():
-    # one short step: the last sample alone follows from y0
-    whole = solve_linear_ode([[1.0]], [[-1.0]], [0.5], [1.0], 0.05, 0.1)
-    tail = solve_linear_ode([[1.0]], [[-1.0]], [0.5], [1.0], 0.05, 0.1, first=1)
-    assert len(whole) == 2
-    assert np.array_equal(tail.times, [0.05])
-    assert np.array_equal(tail.states, whole.states[1:])
-
-
-@pytest.mark.parametrize("first", [-1, 4007, 10**9])
-def test_linear_ode_first_outside_the_grid_raises_before_allocating(first, monkeypatch):
-    # with numpy out of reach, any allocation or matrix work would fail
-    # with something other than ValueError
-    monkeypatch.setattr(numerics, "np", None)
-    with pytest.raises(ValueError, match="outside the grid's 0..4006"):
-        solve_linear_ode(*_SYS, first=first)
+@pytest.mark.parametrize("omega", [0.0, 1e-4])
+def test_periodic_solution_overflow_is_an_integration_error(omega):
+    # |Y| = 1e308 / |1e-3 + i omega| overflows, with no numpy warning
+    message = f"periodic solution is not finite at omega={omega!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=message):
+            periodic_solution([[1.0]], [[-1e-3]], [1e308], omega)
+        with pytest.raises(IntegrationError, match=message):
+            solve_linear_ode([[1.0]], [[-1e-3]], [1e308], [0.0], 1.0, 0.1, omega)
 
 
 def test_linear_ode_singular_matrices():
