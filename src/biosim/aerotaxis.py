@@ -112,6 +112,18 @@ class SteadyStateSolution:
     l_min: float
     l_max: float
 
+    def profile(self, n: int = 200):
+        """(x, oxygen(x)) at n points from 0 to 5% past the end of the
+        regions (to 1 where they have no length); ValueError unless all are
+        finite, which extreme constants can prevent."""
+        span = self.d + self.h + self.z
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, n)
+            L = self.oxygen(x)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(L))):
+            raise ValueError(f"the oxygen profile of the {self.regime} regime is not finite")
+        return x, L
+
     def oxygen(self, x) -> np.ndarray:
         """Evaluate the reconstructed piecewise oxygen profile."""
         x = np.asarray(x, dtype=float)
@@ -167,8 +179,9 @@ class MonteCarloConfig:
         for name in ("v", "c", "t_a", "wall_half_width"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0 < self.band_half_width < self.wall_half_width:
-            raise ValueError("need 0 < band_half_width < wall_half_width")
+        if not (0 < self.band_half_width < self.wall_half_width
+                and math.isfinite(2.0 * self.wall_half_width)):
+            raise ValueError("need 0 < band_half_width < wall_half_width, 2 wall finite")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.n_trials > numerics._MAX_SAMPLES:
@@ -265,15 +278,17 @@ def simulate_band(params: AerotaxisParams, t_end: float = 30.0,
     0, zero elsewhere.  Returns (times, r, l, L), the fields as (samples,
     nodes) arrays sampled every sample_every steps, always including the
     final state; numerics.run_fields marches and checks them, and raises
-    as it says.  Besides, b0 <= 0 raises ValueError before the first step.
+    as it says.  Before the first step, b0 / 2 <= 0 or b0 * nodes = inf raises ValueError.
     The upwind and FTCS steps raise StabilityError on an unstable grid, and
     so does this run, before the first step, when CFL + dt * c_high > 1:
     the upwind step keeps r and l nonnegative only while that sum is at
     most 1.  Each step makes one upwind and one FTCS call.
     """
-    if not params.b0 > 0:
-        raise ValueError(f"the band run needs b0 > 0, got {params.b0!r}")
     grid = params.grid
+    # r = l = b0 / 2 at first, and the upwind step conserves a row's cell count
+    if not (params.b0 / 2 > 0 and math.isfinite(params.b0 * grid.n)):
+        raise ValueError(f"the band run needs b0 > 0, got {params.b0!r}, with b0 / 2 > 0 "
+                         "and b0 * nodes finite")
     cfl, rn = params.v * grid.dt / grid.dx, grid.dt * params.thresholds.c_high
     # past its own limit, each number is refused by the upwind step itself
     if cfl <= 1 + 1e-12 and rn <= 1 + 1e-12 and cfl + rn > 1 + 1e-12:
@@ -404,8 +419,8 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
     """
     k, s, target = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
-    if not L0 > l_max:
-        raise ValueError("general regime needs L0 > l_max")
+    if not 0 <= l_min <= l_max < L0:
+        raise ValueError("general regime needs 0 <= l_min <= l_max < L0")
     z = (1.0 + target) * s
     try:
         lam = math.exp(z / s)

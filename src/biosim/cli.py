@@ -1,8 +1,8 @@
 """Experiment runner: named experiments, flat key=value configs, CSV output.
 
 Each registered experiment reproduces one reference result with its
-defaults and writes deterministic CSV files plus a machine-readable
-summary.json.  Identical config and seed give byte-identical CSVs.
+defaults and, only once it has succeeded, writes deterministic CSV files
+plus a summary.json.  Identical config and seed give byte-identical CSVs.
 """
 from __future__ import annotations
 
@@ -64,9 +64,9 @@ _CHUNK = 32
 
 def _write_csv(path: Path, header, rows):
     """Write a header line and rows of text fields, chunk by chunk, never
-    whole.  Every table goes through here; the callers zip column texts
-    into rows, so that each column is formatted in one pass (_floats) and a
-    repeated text only once."""
+    whole.  Every table goes through here; the builders below zip column
+    texts into rows, so that each column is formatted in one pass (_floats)
+    and a repeated text only once."""
     rows = iter(rows)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
@@ -83,9 +83,9 @@ def _floats(values):
                                          for i in range(0, len(a), _CHUNK))
 
 
-def _write_rows(path: Path, header, rows):
+def _rows(header, rows):
     """A small table given row by row, each value through _fmt."""
-    _write_csv(path, header, (map(_fmt, row) for row in rows))
+    return header, (map(_fmt, row) for row in rows)
 
 
 def _every(n: int, max_rows: int) -> slice:
@@ -93,36 +93,36 @@ def _every(n: int, max_rows: int) -> slice:
     return slice(0, n, max(1, n // max_rows))
 
 
-def _write_traj(path: Path, header, traj, max_rows: int = 2000):
+def _traj(header, traj, max_rows: int = 2000):
     """Rows (t, *state) of a strided Trajectory."""
     idx = _every(len(traj), max_rows)
-    _write_csv(path, header, zip(*map(_floats, (traj.times[idx], *traj.states[idx].T))))
+    return header, zip(*map(_floats, (traj.times[idx], *traj.states[idx].T)))
 
 
-def _write_long(path: Path, header, times, keys, *blocks):
+def _long(header, times, keys, *blocks):
     """Rows (t, key, *values), key by key at each time: keys are the texts
     of a node position or label, and each block is a (times, keys) array.
     Each t and key text is made once."""
     keys = list(keys)
     ts = itertools.chain.from_iterable(
         map(itertools.repeat, _floats(times), itertools.repeat(len(keys))))
-    _write_csv(path, header, zip(ts, itertools.cycle(keys),
-                                 *(_floats(np.ravel(b)) for b in blocks)))
+    return header, zip(ts, itertools.cycle(keys), *(_floats(np.ravel(b)) for b in blocks))
 
 
-def _write_network(path: Path, res):
+def _network(res):
     """Rows (t, label, u, aF) of a network run at about 2000 times; a group
     has no single force, so its aF is nan."""
     idx = _every(len(res.times), 2000)
     labels = list(res.element_u)
     nan = np.full(len(res.times), np.nan)
-    _write_long(path, ["t", "label", "u", "aF"], res.times[idx], labels,
-                np.column_stack([res.element_u[k][idx] for k in labels]),
-                np.column_stack([res.branch_forces.get(k, nan)[idx] for k in labels]))
+    return _long(["t", "label", "u", "aF"], res.times[idx], labels,
+                 np.column_stack([res.element_u[k][idx] for k in labels]),
+                 np.column_stack([res.branch_forces.get(k, nan)[idx] for k in labels]))
 
 
 # --------------------------------------------------------------------------
-# experiment runners
+# experiment runners: runner(p, seed) -> (tables, metrics), where tables maps
+# each CSV file name to (header, rows) in the order run() writes them
 
 
 def _band_params(p):
@@ -137,20 +137,21 @@ def _band_params(p):
         L0=p["aerotaxis.L0"], b0=p["aerotaxis.b0"], grid=grid, thresholds=th)
 
 
-def run_band(p, out: Path, seed: int):
+def run_band(p, seed: int):
     params = _band_params(p)
     grid = params.grid
     times, r, l, L = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
                                              sample_every=p["aerotaxis.sample_every"])
-    _write_long(out / "fields.csv", ["t", "x", "r", "l", "L"], times, _floats(grid.x), r, l, L)
     density = r + l
     m = aerotaxis.band_metrics(density, grid)
     has = m.has_band
-    _write_csv(out / "metrics.csv", ["t", "width", "distance", "ratio_front", "ratio_behind"],
-               zip(*(_floats(a[has]) for a in (times, m.width_h, m.distance_d,
-                                               m.ratio_front, m.ratio_behind))))
     total0, total1 = (float(density[i].sum()) * grid.dx for i in (0, -1))
     return {
+        "fields.csv": _long(["t", "x", "r", "l", "L"], times, _floats(grid.x), r, l, L),
+        "metrics.csv": (["t", "width", "distance", "ratio_front", "ratio_behind"],
+                        zip(*(_floats(a[has]) for a in (times, m.width_h, m.distance_d,
+                                                        m.ratio_front, m.ratio_behind)))),
+    }, {
         "has_band": bool(has[-1]),
         "ratio_front": float(m.ratio_front[-1]),
         "ratio_behind": float(m.ratio_behind[-1]),
@@ -167,40 +168,36 @@ def _steady_inputs(p):
     return ap, {"k": p["aerotaxis.k"], "s": p["aerotaxis.s"]}
 
 
-def _write_steady(sol, out: Path):
-    _write_rows(out / "solution.csv",
-                ["regime", "B", "c1", "c2", "c3", "d", "h", "z", "s", "k", "lam"],
-                [(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
-                  sol.z, sol.s, sol.k, sol.lam)])
-    span = sol.d + sol.h + sol.z
-    xs = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, 200)
-    Ls = sol.oxygen(xs)
-    _write_csv(out / "profile.csv", ["x", "L"], zip(_floats(xs), _floats(Ls)))
+def _steady(sol):
+    """The solution row and the oxygen profile of a steady state."""
+    return {
+        "solution.csv": _rows(["regime", "B", "c1", "c2", "c3", "d", "h", "z", "s", "k", "lam"],
+                              [(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
+                                sol.z, sol.s, sol.k, sol.lam)]),
+        "profile.csv": (["x", "L"], zip(*map(_floats, sol.profile()))),
+    }
 
 
-def run_steady_general(p, out, seed):
+def run_steady_general(p, seed):
     ap, ks = _steady_inputs(p)
     sol = aerotaxis.steady_state_general(ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"], **ks)
-    _write_steady(sol, out)
-    return {"z": sol.z, "lam": sol.lam, "d": sol.d, "h": sol.h, "B": sol.B}
+    return _steady(sol), {"z": sol.z, "lam": sol.lam, "d": sol.d, "h": sol.h, "B": sol.B}
 
 
-def run_steady_intermediate(p, out, seed):
+def run_steady_intermediate(p, seed):
     ap, ks = _steady_inputs(p)
     sol = aerotaxis.steady_state_intermediate(ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"],
                                               **ks)
-    _write_steady(sol, out)
-    return {"zeta": sol.z / sol.s, "z": sol.z, "h": sol.h, "B": sol.B}
+    return _steady(sol), {"zeta": sol.z / sol.s, "z": sol.z, "h": sol.h, "B": sol.B}
 
 
-def run_steady_low(p, out, seed):
+def run_steady_low(p, seed):
     ap, ks = _steady_inputs(p)
     sol = aerotaxis.steady_state_low(ap, p["aerotaxis.l_min"], **ks)
-    _write_steady(sol, out)
-    return {"z": sol.z, "B": sol.B}
+    return _steady(sol), {"z": sol.z, "B": sol.B}
 
 
-def run_quasi(p, out, seed):
+def run_quasi(p, seed):
     rows = []
     metrics = {}
     for tag, L0 in (("lo", p["aerotaxis.L0_lo"]), ("hi", p["aerotaxis.L0_hi"])):
@@ -208,44 +205,40 @@ def run_quasi(p, out, seed):
         rows.append((L0, q["d"], q["h"], q["B_over_b0"], q["c1"], q["assumption_ok"]))
         metrics[f"d_{tag}"] = q["d"]
         metrics[f"h_{tag}"] = q["h"]
-    _write_rows(out / "quasi.csv", ["L0", "d", "h", "B_over_b0", "c1", "assumption_ok"], rows)
-    return metrics
+    return {"quasi.csv": _rows(["L0", "d", "h", "B_over_b0", "c1", "assumption_ok"], rows)}, \
+        metrics
 
 
-def run_montecarlo(p, out, seed):
+def run_montecarlo(p, seed):
     cfg = aerotaxis.MonteCarloConfig(
         v=p["mc.v"], c=p["mc.c"], t_a=p["mc.t_a"],
         band_half_width=p["mc.band"], wall_half_width=p["mc.wall"],
         n_trials=p["mc.trials"], seed=seed)
     res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
     ratio = res["inside_outside_ratio"]
-    _write_rows(out / "result.csv", ["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])
-    return res
+    return {"result.csv": _rows(["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])}, res
 
 
-def run_gc_switch(p, out, seed):
+def run_gc_switch(p, seed):
     params = growthcone.CaAcParams()
-    metrics = {}
+    tables, metrics = {}, {}
     for i, key in enumerate(("gc.La", "gc.Lb", "gc.Lc", "gc.Ld")):
-        L = p[key]
-        traj = growthcone.ca_ac_simulate(L, params, t_end=p["gc.t_end"], h=p["gc.h"])
-        _write_traj(out / f"traj_{i + 1}.csv", ["t", "C", "A"], traj, max_rows=1000)
+        traj = growthcone.ca_ac_simulate(p[key], params, t_end=p["gc.t_end"], h=p["gc.h"])
+        tables[f"traj_{i + 1}.csv"] = _traj(["t", "C", "A"], traj, max_rows=1000)
         metrics[f"A_end_{i + 1}"] = float(traj.final()[1])
-    return metrics
+    return tables, metrics
 
 
-def run_gc_bifurcation(p, out, seed):
+def run_gc_bifurcation(p, seed):
     if p["gc.n"] < 1:
         raise UsageError(f"gc.n must be at least 1, got {p['gc.n']}")
     params = growthcone.CaAcParams()
-    # checks the ligand range before anything is written
     L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
     L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], p["gc.n"])
     rows = growthcone.bifurcation_scan(params, L_values)
-    _write_rows(out / "branches.csv", ["L", "branch", "C", "A", "stable"], rows)
     below = growthcone.ca_ac_steady_states(L_up - 0.02, params)
     above = growthcone.ca_ac_steady_states(L_up + 0.05, params)
-    return {
+    return {"branches.csv": _rows(["L", "branch", "C", "A", "stable"], rows)}, {
         "L_up": L_up,
         "L_down": L_down,
         "A_low_at_jump": min(s.A for s, _ in below),
@@ -253,15 +246,14 @@ def run_gc_bifurcation(p, out, seed):
     }
 
 
-def run_gc_adaptation(p, out, seed):
+def run_gc_adaptation(p, seed):
     ap = growthcone.AdaptationParams(m=p["gc.m"], lam=p["gc.lam"], k=p["gc.k"],
                                      kd=p["gc.kd"], r=p["gc.r"])
     traj = growthcone.adaptation_simulate(p["gc.l0"], p["gc.l1"], ap,
                                           t_end=p["gc.t_end"], h=p["gc.h"])
-    _write_traj(out / "traj.csv", ["t", "M", "A"], traj)
     A = traj.states[:, 1]
     base = ap.m / ap.r
-    return {
+    return {"traj.csv": _traj(["t", "M", "A"], traj)}, {
         "A_end": float(A[-1]),
         "baseline": base,
         "max_excursion": float(np.max(np.abs(A - base))),
@@ -269,15 +261,14 @@ def run_gc_adaptation(p, out, seed):
     }
 
 
-def run_gc_twocomp(p, out, seed):
+def run_gc_twocomp(p, seed):
     ap = growthcone.AdaptationParams()
     cpl = growthcone.CompartmentCoupling(k1=p["gc.k1"], k2=p["gc.k2"])
     traj = growthcone.two_compartment_simulate(p["gc.l1"], p["gc.l2"], ap, cpl,
                                                t_end=p["gc.t_end"], l0=p["gc.l0"])
-    _write_traj(out / "traj.csv", ["t", "M1", "A1", "M2", "A2"], traj)
     A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(
         ap.ka(p["gc.l1"]), ap.ka(p["gc.l2"]), ap, cpl)
-    return {
+    return {"traj.csv": _traj(["t", "M1", "A1", "M2", "A2"], traj)}, {
         "A1_end": float(traj.final()[1]),
         "A2_end": float(traj.final()[3]),
         "A1_closed_form": A1s,
@@ -286,13 +277,15 @@ def run_gc_twocomp(p, out, seed):
     }
 
 
-def run_gc_rd(p, out, seed):
+def run_gc_rd(p, seed):
     ap = growthcone.AdaptationParams()
     grid = growthcone.default_rd_grid(length=p["gc.length"], dx=p["gc.dx"],
                                       dt=p["gc.dt"])
     x = grid.x
     kind = p["gc.profile"]
     lo, hi = p["gc.l_lo"], p["gc.l_hi"]
+    if not (lo > 0 and hi > 0):  # every profile lies between the two
+        raise UsageError(f"ligand must be positive everywhere, got l_lo={lo!r}, l_hi={hi!r}")
     if kind == 0:
         profile = np.full(grid.n, hi)
         init = np.linspace(lo, hi, grid.n)
@@ -308,9 +301,8 @@ def run_gc_rd(p, out, seed):
     times, Ms, As = growthcone.reaction_diffusion_simulate(
         profile, ap, p["gc.D1"], p["gc.D2"], grid, t_end=p["gc.t_end"],
         l_init=init, sample_every=p["gc.sample_every"])
-    _write_long(out / "field.csv", ["t", "x", "M", "A"], times, _floats(x), Ms, As)
     A = As[-1]
-    return {
+    return {"field.csv": _long(["t", "x", "M", "A"], times, _floats(x), Ms, As)}, {
         "A_flat_dev": float(np.max(np.abs(A - ap.m / ap.r))),
         "A_monotone_up": bool(np.all(np.diff(A) > 0)),
         "argmax_A": int(np.argmax(A)),
@@ -318,7 +310,7 @@ def run_gc_rd(p, out, seed):
     }
 
 
-def run_gc_ca_switch(p, out, seed):
+def run_gc_ca_switch(p, seed):
     sp = growthcone.SwitchRateParams(a=p["gc.a"], b=p["gc.b"], c=p["gc.c"],
                                      ca_b=p["gc.ca_b"])
     ap = growthcone.AdaptationParams()
@@ -329,19 +321,17 @@ def run_gc_ca_switch(p, out, seed):
         row = (ca, *growthcone.switch_gradient(p["gc.l1"], p["gc.l2"], ca, sp, ap, cpl))
         rows.append(row)
         metrics[f"sign_{tag}"] = row[-1]
-    _write_rows(out / "result.csv", ["ca", "ka1", "ka2", "A1s", "A2s", "sign"], rows)
-    return metrics
+    return {"result.csv": _rows(["ca", "ka1", "ka2", "A1s", "A2s", "sign"], rows)}, metrics
 
 
-def run_kelvin_single(p, out, seed):
+def run_kelvin_single(p, seed):
     body = kelvin.KelvinBody(p["kelvin.eta1"], p["kelvin.mu01"], p["kelvin.mu11"])
     f = kelvin.Forcing.steady(p["kelvin.F0"])
     res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), f,
                                 p["kelvin.t_end"], p["kelvin.h"])
-    _write_network(out / "traj.csv", res)
     u = res.total_u
     ts, te = kelvin.relaxation_times(body)
-    return {
+    return {"traj.csv": _network(res)}, {
         "u0": float(u[0]),
         "u_end": float(u[-1]),
         "tau_sigma": ts,
@@ -352,7 +342,7 @@ def run_kelvin_single(p, out, seed):
 _SWEEP_PARAMS = {0: "mu02", 1: "mu12", 2: "eta12", 3: "all"}
 
 
-def run_kelvin_sweep(p, out, seed):
+def run_kelvin_sweep(p, seed):
     base = kelvin.ParallelGroup((kelvin.material_params("actin"),
                                  kelvin.material_params("actin")))
     param = _SWEEP_PARAMS.get(p["kelvin.param"])
@@ -360,26 +350,25 @@ def run_kelvin_sweep(p, out, seed):
         raise UsageError("kelvin.param must be 0 (mu02), 1 (mu12), 2 (eta12) or 3 (all)")
     values = [p["kelvin.v1"], p["kelvin.v2"], p["kelvin.v3"]]
     rows = kelvin.parameter_sweep(base, param, values)
-    _write_rows(out / "sweep.csv", ["param_value", "flow_kind", "steady_u", "steady_aF"], rows)
     steady_us = [r[2] for r in rows if r[1] == "steady"]
-    return {"param": param, "steady_u_min": min(steady_us), "steady_u_max": max(steady_us)}
+    return {"sweep.csv": _rows(["param_value", "flow_kind", "steady_u", "steady_aF"], rows)}, \
+        {"param": param, "steady_u_min": min(steady_us), "steady_u_max": max(steady_us)}
 
 
-def run_kelvin_freq(p, out, seed):
+def run_kelvin_freq(p, seed):
     g = kelvin.ParallelGroup((kelvin.material_params("actin"),
                               kelvin.material_params("actin")))
     freqs = [p["kelvin.f1"], p["kelvin.f2"], p["kelvin.f3"], p["kelvin.f4"]]
-    rows = kelvin.frequency_sweep(g, freqs, F0=p["kelvin.F0"])
-    _write_rows(out / "freq.csv", ["freq_hz", "norm_u", "norm_aF"], rows)
+    rows = kelvin.frequency_sweep(g, freqs)
     metrics = {"norm_u_lowest": rows[0][1]}
     for f_hz, nu, na in rows:
         if abs(f_hz - 1.0) < 1e-12:
             metrics["norm_u_at_1Hz"] = nu
             metrics["norm_aF_at_1Hz"] = na
-    return metrics
+    return {"freq.csv": _rows(["freq_hz", "norm_u", "norm_aF"], rows)}, metrics
 
 
-def _run_network(net, p, out):
+def _run_network(net, p):
     f_steady = kelvin.Forcing.steady(p["kelvin.F0"])
     res_s = kelvin.network_deform(net, f_steady, p["kelvin.t_end_steady"],
                                   p["kelvin.h_steady"])
@@ -390,8 +379,6 @@ def _run_network(net, p, out):
     if steady_total == 0:
         raise ValueError(f"the steady total deformation at kelvin.F0 = {p['kelvin.F0']!r} "
                          "is zero, so osc_over_steady is undefined")
-    _write_network(out / "steady.csv", res_s)
-    _write_network(out / "oscillatory.csv", res_o)
     mask = res_s.times > 1.0
     sensor = res_s.element_u["sensor"][mask]
     nucleus = res_s.element_u["nucleus"][mask]
@@ -399,21 +386,13 @@ def _run_network(net, p, out):
         and all(np.all(nucleus <= u[mask] + 1e-12) for u in res_s.element_u.values())
     split = res_s.branch_forces["actin_pair/branch1"]
     peak = kelvin.steady_peak(res_o.times, res_o.total_u, f_osc)
-    return {
+    return {"steady.csv": _network(res_s), "oscillatory.csv": _network(res_o)}, {
         "ordering_holds": bool(ordering),
         "actin_split_dev": float(np.max(np.abs(split - 0.5 * p["kelvin.F0"]))),
         "steady_total": steady_total,
         "oscillatory_peak_total": peak,
         "osc_over_steady": peak / steady_total,
     }
-
-
-def run_network_one(p, out, seed):
-    return _run_network(kelvin.network_one(), p, out)
-
-
-def run_network_two(p, out, seed):
-    return _run_network(kelvin.network_two(), p, out)
 
 
 # --------------------------------------------------------------------------
@@ -509,15 +488,15 @@ EXPERIMENTS = {
     "kelvin-freq": Experiment(
         run_kelvin_freq,
         {"kelvin.f1": 1e-4, "kelvin.f2": 1e-2, "kelvin.f3": 1e-1,
-         "kelvin.f4": 1.0, "kelvin.F0": 1.0},
+         "kelvin.f4": 1.0},
         "normalized peak response versus forcing frequency"),
     "kelvin-network-I": Experiment(
-        run_network_one,
+        lambda p, seed: _run_network(kelvin.network_one(), p),
         {"kelvin.F0": 1.0, "kelvin.t_end_steady": 2000.0, "kelvin.h_steady": 0.1,
          "kelvin.t_end_osc": 30.0, "kelvin.h_osc": 0.005, "kelvin.freq_hz": 1.0},
         "four-body cell model in both flows"),
     "kelvin-network-II": Experiment(
-        run_network_two,
+        lambda p, seed: _run_network(kelvin.network_two(), p),
         {"kelvin.F0": 1.0, "kelvin.t_end_steady": 2000.0, "kelvin.h_steady": 0.1,
          "kelvin.t_end_osc": 30.0, "kelvin.h_osc": 0.005, "kelvin.freq_hz": 1.0},
         "seven-body cell model in both flows"),
@@ -561,7 +540,8 @@ def parse_config(path) -> dict:
 
 
 def run(config: ExperimentConfig) -> RunSummary:
-    """Dispatch one experiment, write its CSVs and summary.json."""
+    """Dispatch one experiment; once its runner has returned, write the
+    tables it returned and summary.json."""
     if config.experiment not in EXPERIMENTS:
         raise UsageError(
             f"unknown experiment {config.experiment!r}; registered: "
@@ -579,20 +559,13 @@ def run(config: ExperimentConfig) -> RunSummary:
             if not float(params[key]).is_integer():
                 raise UsageError(f"{key} must be an integer, got {params[key]!r}")
             params[key] = int(params[key])
-    out = Path(config.output_dir)
-    # the directories this run creates, deepest first
-    created = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    try:
-        metrics = exp.runner(params, out, config.seed)
-    except BaseException:
-        # a run that fails before writing anything leaves no directory behind
-        for d in created:
-            if any(d.iterdir()):
-                break
-            d.rmdir()
-        raise
+    tables, metrics = exp.runner(params, config.seed)
+    # nothing is written, and no directory made, before the run succeeded
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     wall = time.perf_counter() - t0
     for key, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):

@@ -199,8 +199,12 @@ def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams()):
         raise ValueError("ligand must be nonnegative")
     f = lambda c: _dc_on_a_nullcline(c, L, p)
     edges = [1e-6, *(c for c, _ in _folds(p)), 8.0]
-    roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi in zip(edges, edges[1:])
-             if f(lo) == 0.0 or f(lo) * f(hi) < 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = [f(c) for c in edges]
+    if not all(map(math.isfinite, ends)):
+        raise ValueError(f"the calcium rate is not finite at ligand level L = {float(L)!r}")
+    roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi, f_lo, f_hi
+             in zip(edges, edges[1:], ends, ends[1:]) if f_lo == 0.0 or f_lo * f_hi < 0]
     states = [CaAcState(C, _a_nullcline(C, L, p)) for C in roots]
     return [(st, _is_stable(st.C, st.A, L, p)) for st in states]
 
@@ -275,7 +279,10 @@ def adaptation_initial_state(l0: float, p: AdaptationParams):
     """Large-lambda steady state used as the standard initial condition."""
     if not l0 > 0:
         raise ValueError(f"initial ligand l0 must be positive, got {l0!r}")
-    return np.array([p.m / p.r * p.kd / p.ka(l0), p.m / p.r])  # (M, A)
+    M = p.m / p.r * p.kd / p.ka(l0) if p.ka(l0) > 0 else math.inf
+    if not math.isfinite(M):
+        raise ValueError(f"the adapted state M = m kd / (r k l0) at l0 = {l0!r} is not finite")
+    return np.array([M, p.m / p.r])  # (M, A)
 
 
 def adaptation_rhs(y, l: float, p: AdaptationParams):
@@ -285,9 +292,12 @@ def adaptation_rhs(y, l: float, p: AdaptationParams):
 
 
 def _affine_parts(rhs, n: int):
-    """(D, c) of a right-hand side affine in the state, rhs(y) = D y + c."""
-    c = np.asarray(rhs(np.zeros(n)), dtype=float)
-    D = np.column_stack([np.asarray(rhs(e), dtype=float) - c for e in np.eye(n)])
+    """(D, c) of an affine right-hand side D y + c; ValueError unless both are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.asarray(rhs(np.zeros(n)), dtype=float)
+        D = np.column_stack([np.asarray(rhs(e), dtype=float) - c for e in np.eye(n)])
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(c))):
+        raise ValueError("a rate coefficient of the linear model is not finite")
     return D, c
 
 
@@ -367,8 +377,7 @@ def two_compartment_simulate(l1: float, l2: float,
     """
     if not (l1 >= 0 and l2 >= 0):
         raise ValueError(f"ligands l1 and l2 must be nonnegative, got {l1!r}, {l2!r}")
-    M0, A0 = adaptation_initial_state(l0, p)
-    y0 = np.array([M0, A0, M0, A0])
+    y0 = np.tile(adaptation_initial_state(l0, p), 2)  # (M1, A1, M2, A2)
     ka1, ka2 = p.ka(l1), p.ka(l2)
     D, c = _affine_parts(lambda y: two_compartment_rhs(y, ka1, ka2, p, cpl), 4)
     return solve_linear_ode(np.eye(4), D, c, y0, t_end, h)

@@ -7,15 +7,16 @@ group has the state (u, a_1 F, ..., a_{n-1} F); the force-times-
 coefficient form keeps the system matrix constant even when the forcing
 crosses zero.  A single body is a one-body group, and a network is one
 block-diagonal linear system solved exactly by numerics.solve_linear_ode.
+Each system is linear in F0, so it is solved at unit force and scaled.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import periodic_solution, solve_linear_ode
+from .numerics import IntegrationError, periodic_solution, solve_linear_ode
 
 
 @dataclass(frozen=True)
@@ -200,14 +201,16 @@ def parallel_assemble(g: ParallelGroup, F_at_0: float):
 def peak_envelope(times, values, f: Forcing):
     """Per-period maxima of an oscillatory response.
 
-    Requires at least three full periods; the steady peak is the maximum
-    over the last complete period.
+    Requires at least three full periods, and fewer periods than samples;
+    the steady peak is the maximum over the last complete period.
     """
     T = f.period
     t_end = float(times[-1])
     n_periods = int(t_end / T)
     if n_periods < 3:
         raise ValueError(f"need at least 3 periods, got {t_end / T:.2f}")
+    if n_periods >= len(times):
+        raise ValueError(f"{len(times)} samples do not resolve {n_periods} periods")
     values = np.asarray(values)
     # period k holds the samples with k T <= t <= (k + 1) T
     edges = T * np.arange(n_periods + 1)
@@ -230,11 +233,18 @@ def group_steady_metrics(g: ParallelGroup, f: Forcing):
     the peak over a period, |Y|, under oscillatory flow.  The deformation
     is Y[0] and the first branch's force Y[1]; a one-body group's only
     branch carries the whole forcing, F0."""
-    A, D, c_builder, _ = parallel_assemble(g, f.F0)
-    Y = periodic_solution(A, D, c_builder(f.F0, 1j * f.omega * f.F0), f.omega)
-    force = Y[1] if len(g) > 1 else f.F0
-    read = np.real if f.kind == "steady" else np.abs
-    return {"steady_u": float(read(Y[0])), "steady_aF": float(read(force))}
+    A, D, c_builder, _ = parallel_assemble(g, 1.0)
+    Y = periodic_solution(A, D, c_builder(1.0, 1j * f.omega), f.omega)
+    force = Y[1] if len(g) > 1 else 1.0
+    read, scale = (np.real, f.F0) if f.kind == "steady" else (np.abs, abs(f.F0))
+    u, aF = (float(read(y)) * scale for y in (Y[0], force))
+    if not (math.isfinite(u) and math.isfinite(aF)):
+        raise IntegrationError(f"the steady response to F0 = {f.F0!r} is not finite")
+    return {"steady_u": u, "steady_aF": aF}
+
+
+# the field of the second body that each sweep parameter sets
+_SWEPT = {"mu02": "mu01", "mu12": "mu11", "eta12": "eta1"}
 
 
 def parameter_sweep(base: ParallelGroup, param: str, values,
@@ -243,43 +253,29 @@ def parameter_sweep(base: ParallelGroup, param: str, values,
     second body (or all of them at once) sweeps over values."""
     if len(base) != 2:
         raise ValueError("the sweep is defined for two-body groups")
+    if param != "all" and param not in _SWEPT:
+        raise ValueError(f"unknown sweep parameter {param!r}")
     if forcings is None:
         forcings = (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi))
-
-    def variant(value):
-        b1, b2 = base.bodies
-        if param == "mu02":
-            b2 = KelvinBody(b2.eta1, value, b2.mu11)
-        elif param == "mu12":
-            b2 = KelvinBody(b2.eta1, b2.mu01, value)
-        elif param == "eta12":
-            b2 = KelvinBody(value, b2.mu01, b2.mu11)
-        elif param == "all":
-            b2 = b2.scaled(value)
-        else:
-            raise ValueError(f"unknown sweep parameter {param!r}")
-        return ParallelGroup((b1, b2))
-
+    b1, b2 = base.bodies
     rows = []
     for value in values:
-        g = variant(value)
+        g = ParallelGroup((b1, b2.scaled(value) if param == "all"
+                           else replace(b2, **{_SWEPT[param]: value})))
         for f in forcings:
             m = group_steady_metrics(g, f)
             rows.append((float(value), f.kind, m["steady_u"], m["steady_aF"]))
     return rows
 
 
-def frequency_sweep(g: ParallelGroup, freqs_hz, F0: float = 1.0):
+def frequency_sweep(g: ParallelGroup, freqs_hz):
     """Rows (freq_hz, norm_u, norm_aF): oscillatory steady peaks divided by
-    the steady-flow steady values; ValueError where one of those is 0."""
-    ref = group_steady_metrics(g, Forcing.steady(F0))
+    the steady-flow steady values, which do not depend on the force."""
+    ref = group_steady_metrics(g, Forcing.steady(1.0))
     u_ref, aF_ref = ref["steady_u"], ref["steady_aF"]
-    if u_ref == 0 or aF_ref == 0:
-        raise ValueError(f"the steady response to F0 = {F0!r} is zero, so the "
-                         "normalized responses are undefined")
     rows = []
     for f_hz in freqs_hz:
-        m = group_steady_metrics(g, Forcing.oscillatory(F0, 2 * math.pi * f_hz))
+        m = group_steady_metrics(g, Forcing.oscillatory(1.0, 2 * math.pi * f_hz))
         rows.append((float(f_hz), m["steady_u"] / u_ref, m["steady_aF"] / aF_ref))
     return rows
 
@@ -337,16 +333,20 @@ def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
     starts = []
     i = 0
     for g in groups:
-        Ag, Dg, c_builder, u0 = parallel_assemble(g, f.F0)
+        Ag, Dg, c_builder, u0 = parallel_assemble(g, 1.0)
         j = i + len(g)
         A[i:j, i:j] = Ag
         D[i:j, i:j] = Dg
-        # the phasors of F0 cos(w t) and of its rate are F0 and i w F0
-        c[i:j] = c_builder(f.F0, 1j * f.omega * f.F0)
+        # the phasors of cos(w t) and of its rate are 1 and i w
+        c[i:j] = c_builder(1.0, 1j * f.omega)
         y0[i:j] = u0
         starts.append(i)
         i = j
     traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega)
+    with np.errstate(over="ignore"):
+        traj.states *= f.F0
+    if not np.all(np.isfinite(traj.states)):
+        raise IntegrationError(f"the deformations at F0 = {f.F0!r} are not finite")
     F = f.value(traj.times)
     element_u = {}
     branch_forces = {}

@@ -57,6 +57,8 @@ class Grid1D:
             raise ValueError(f"grid of {self.n} nodes is above the cap of {_MAX_SAMPLES}")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
+        if not 0 < self.dx * self.dx < math.inf:  # the diffusion number divides by it
+            raise ValueError(f"dx^2 must be a positive finite number, got dx = {self.dx!r}")
 
     @property
     def x(self) -> np.ndarray:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biosim
 from biosim import kelvin, numerics
@@ -16,14 +22,16 @@ from biosim.cli import (
     UsageError,
     _floats,
     _fmt,
-    _write_long,
-    _write_rows,
-    _write_traj,
+    _long,
+    _rows,
+    _traj,
+    _write_csv,
     main,
     parse_config,
     run,
 )
 from biosim.numerics import Trajectory
+from test_acceptance import FAST_OVERRIDES
 
 
 # ---------------------------------------------------------------- config file
@@ -186,7 +194,7 @@ def test_write_traj_matches_per_value_writer(n, max_rows, tmp_path):
     times = np.cumsum(rng.uniform(1e-3, 1.0, n))
     traj = Trajectory(times, _wild(rng, (n, 3)))
     path = tmp_path / "traj.csv"
-    _write_traj(path, ["t", "a", "b", "c"], traj, max_rows=max_rows)
+    _write_csv(path, *_traj(["t", "a", "b", "c"], traj, max_rows=max_rows))
     stride = max(1, n // max_rows)
     rows = [(traj.times[j], *traj.states[j]) for j in range(0, n, stride)]
     assert path.read_bytes() == _reference_csv(["t", "a", "b", "c"], rows)
@@ -201,7 +209,7 @@ def test_write_long_matches_per_value_writer(tmp_path):
     g = [_wild(rng, 6) for _ in times]
     f[1][:4] = [-0.0, np.nan, np.inf, 5e-324]
     path = tmp_path / "field.csv"
-    _write_long(path, ["t", "x", "f", "g"], times, _floats(x), f, g)
+    _write_csv(path, *_long(["t", "x", "f", "g"], times, _floats(x), f, g))
     rows = [(t, x[k], f[i][k], g[i][k]) for i, t in enumerate(times) for k in range(6)]
     assert path.read_bytes() == _reference_csv(["t", "x", "f", "g"], rows)
 
@@ -213,7 +221,7 @@ def test_write_long_across_chunks_matches_per_value_writer(tmp_path):
     x = np.arange(7) / 7.0
     f = rng.standard_normal((100, 7))
     path = tmp_path / "field.csv"
-    _write_long(path, ["t", "x", "f"], times, _floats(x), f)
+    _write_csv(path, *_long(["t", "x", "f"], times, _floats(x), f))
     rows = [(t, x[k], f[i][k]) for i, t in enumerate(times) for k in range(7)]
     assert path.read_bytes() == _reference_csv(["t", "x", "f"], rows)
 
@@ -229,7 +237,7 @@ def test_write_rows_matches_per_value_writer(n, tmp_path):
             for j, v in enumerate(values)]
     header = ["a", "b", "c", "d", "e", "f"]
     path = tmp_path / "rows.csv"
-    _write_rows(path, header, rows)
+    _write_csv(path, *_rows(header, rows))
     assert path.read_bytes() == _reference_csv(header, rows)
 
 
@@ -326,10 +334,13 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # product k l that underflows to 0 (both raised RuntimeWarning)
     (["growthcone-rd", "--set", "gc.l_lo=1e-320"], "M or A is negative or not finite at t = 0"),
     (["growthcone-rd", "--set", "gc.l_lo=5e-324"], "M or A is negative or not finite at t = 0"),
-    # the particular solution overflows at 0.01 Hz (the solve raised
-    # RuntimeWarning)
-    (["kelvin-freq", "--set", "kelvin.F0=1e308"],
-     "periodic solution is not finite at omega=0.0628318"),
+    # the deformations, solved at unit force, overflow once scaled by F0
+    (["kelvin-single", "--set", "kelvin.F0=1e308", "--set", "kelvin.mu01=1e-3",
+      "--set", "kelvin.eta1=1"], "the deformations at F0 = 1e+308 are not finite"),
+    # the rate law overflows at the third ligand level: the first two
+    # trajectories used to be written before the run failed
+    (["growthcone-switch", "--set", "gc.t_end=0.5", "--set", "gc.Lc=1e308"],
+     "non-finite derivative at t=0.0"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
@@ -409,7 +420,8 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-twocomp", "--set", "gc.l1=-1"],
      "ligands l1 and l2 must be nonnegative, got -1.0, 0.5"),
     (["growthcone-ca-switch", "--set", "gc.a=1e308"], "is not finite"),
-    (["kelvin-freq", "--set", "kelvin.F0=0"], "the steady response to F0 = 0.0 is zero"),
+    # the normalized responses do not depend on the force, which is gone
+    (["kelvin-freq", "--set", "kelvin.F0=1"], "unknown keys for kelvin-freq: ['kelvin.F0']"),
     (["kelvin-network-I", "--set", "kelvin.F0=0"],
      "the steady total deformation at kelvin.F0 = 0.0 is zero"),
     # a walk that would never end in practice
@@ -431,6 +443,38 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     # the bandless regime has no upper preferred level (the key was ignored)
     (["aerotaxis-steady-low", "--set", "aerotaxis.l_max=0.5"],
      "unknown keys for aerotaxis-steady-low: ['aerotaxis.l_max']"),
+    # the oscillatory run is too short for its peak: both network tables
+    # used to be written before the run failed
+    (["kelvin-network-I", "--set", "kelvin.t_end_steady=50", "--set", "kelvin.t_end_osc=5",
+      "--set", "kelvin.freq_hz=0.5"], "need at least 3 periods, got 2.50"),
+    # values at the edges of the doubles: each used to end in a traceback
+    # (some only under -W error::RuntimeWarning), or (l_min=-1) in negative
+    # lengths with exit 0
+    (["aerotaxis-band", "--set", "aerotaxis.b0=5e-324"], "the band run needs b0 > 0, got 5e-324"),
+    (["aerotaxis-band", "--set", "aerotaxis.b0=1e308", "--set", "aerotaxis.c_high=1"],
+     "with b0 / 2 > 0 and b0 * nodes finite"),
+    (["aerotaxis-band", "--set", "aerotaxis.length=1e308"], "dx^2 must be a positive finite"),
+    (["aerotaxis-montecarlo", "--set", "mc.wall=1e308"],
+     "need 0 < band_half_width < wall_half_width, 2 wall finite"),
+    (["growthcone-adaptation", "--set", "gc.l0=5e-324"],
+     "the adapted state M = m kd / (r k l0) at l0 = 5e-324 is not finite"),
+    (["growthcone-adaptation", "--set", "gc.k=1e308"],
+     "a rate coefficient of the linear model is not finite"),
+    (["growthcone-bifurcation", "--set", "gc.L_hi=1e308"],
+     "the calcium rate is not finite at ligand level L = 1.69"),
+    (["aerotaxis-steady-general", "--set", "aerotaxis.l_min=-1"],
+     "general regime needs 0 <= l_min <= l_max < L0"),
+    (["aerotaxis-steady-intermediate", "--set", "aerotaxis.k=1e-320",
+      "--set", "aerotaxis.b0=1e308"],
+     "the oxygen profile of the intermediate regime is not finite"),
+    (["aerotaxis-steady-intermediate", "--set", "aerotaxis.k=5e-324",
+      "--set", "aerotaxis.l_min=5e-324"],
+     "the oxygen profile of the intermediate regime is not finite"),
+    (["growthcone-rd", "--set", "gc.l_lo=-1e308", "--set", "gc.l_hi=1e308"],
+     "ligand must be positive everywhere, got l_lo=-1e+308, l_hi=1e+308"),
+    # 3e10 forcing periods would have taken 240 GB of period edges
+    (["kelvin-network-I", "--set", "kelvin.freq_hz=1e9"],
+     "6001 samples do not resolve 30000000000 periods"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])
@@ -441,8 +485,8 @@ def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
 
 
 def test_main_usage_error_in_runner_leaves_no_output_directory(tmp_path, capsys):
-    # the walker cap is checked inside the runner, after the directory
-    # was made: the run removes what it created
+    # the walker cap is checked inside the runner, and no directory is
+    # made before the runner has returned
     out = tmp_path / "a" / "b"
     code = main(["aerotaxis-montecarlo", "--set", "mc.trials=100000000", "--out", str(out)])
     assert code == 1
@@ -456,6 +500,40 @@ def test_main_usage_error_in_runner_keeps_existing_directory(tmp_path, capsys):
     code = main(["aerotaxis-montecarlo", "--set", "mc.trials=100000000", "--out", str(out)])
     assert code == 1
     assert out.is_dir() and not any(out.iterdir())
+
+
+# values at and past the edges of the doubles, and a few ordinary ones
+_ANY_VALUES = (0.0, 1.0, -1.0, 0.5, 2.0, 10.0, 1e-9, 1e9, 1e-320, 5e-324, 1e308, -1e308)
+# keys that set a run's length or resolution stay at FAST_OVERRIDES: the
+# 10^7-step cap bounds a run's memory, not its time, so such a key set to
+# 1e9 could run for minutes
+_LENGTH_KEY = re.compile(r"\.(t_end\w*|dt|h\w*|sample_every|trials|n|nodes|dx|length)$")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_any_values_give_a_complete_run_or_a_classified_error(name, data):
+    # one or two keys at any of the values: the run either exits 0 with its
+    # summary.json, or exits 1 or 2 with a one-line message and leaves no
+    # output directory; any other exception fails the test
+    keys = sorted(k for k in EXPERIMENTS[name].defaults if not _LENGTH_KEY.search(k))
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+    params = {**FAST_OVERRIDES.get(name, {}),
+              **{k: data.draw(st.sampled_from(_ANY_VALUES), label=k) for k in chosen}}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [name, "--out", str(out), *(a for k, v in params.items()
+                                           for a in ("--set", f"{k}={v!r}"))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert (out / "summary.json").is_file()
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--list"], ["list"]])

@@ -449,6 +449,30 @@ def test_steady_metrics_under_a_negative_force():
             assert neg[key] == pytest.approx(sign * pos[key], rel=1e-15), (f.kind, key)
 
 
+@pytest.mark.parametrize("F0", [1e307, 1e308, -1e308])
+def test_huge_forces_scale_the_unit_force_solution(F0):
+    # every system is linear in F0 and is solved at unit force: the forcing
+    # phasor F0 (1 + i w eta1 / mu11) alone would overflow at 1 Hz
+    g = ParallelGroup((ACTIN, ACTIN))
+    for omega in (0.0, 2 * math.pi):
+        unit = group_steady_metrics(g, Forcing(1.0, omega))
+        got = group_steady_metrics(g, Forcing(F0, omega))
+        scale = F0 if omega == 0 else abs(F0)
+        assert got == {k: v * scale for k, v in unit.items()}
+        unit = network_deform(network_one(), Forcing(1.0, omega), 5.0, 0.01)
+        res = network_deform(network_one(), Forcing(F0, omega), 5.0, 0.01)
+        for label, u in res.element_u.items():
+            assert np.array_equal(u, unit.element_u[label] * F0), label
+
+
+def test_a_response_that_overflows_once_scaled_is_an_integration_error():
+    soft = KelvinBody(1.0, 1e-3, 1.0)
+    with pytest.raises(numerics.IntegrationError, match="steady response to F0 = 1e"):
+        group_steady_metrics(ParallelGroup((soft,)), Forcing.steady(1e308))
+    with pytest.raises(numerics.IntegrationError, match="deformations at F0 = 1e"):
+        network_deform(KelvinNetwork((("soft", soft),)), Forcing.steady(1e308), 50.0, 0.1)
+
+
 # ---------------------------------------------------------------- networks
 
 def test_network_one_ordering_and_forces():
