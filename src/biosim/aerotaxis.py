@@ -522,7 +522,9 @@ def quasi_steady_state(L0: float, l_max: float, k_b0: float):
 def rear_arrival_time(distance: float, speed: float, turning_rate: float) -> float:
     """Diffusive time for rear cells to cover `distance` with run-and-turn
     motility of diffusivity speed^2 / turning_rate."""
-    return distance**2 * turning_rate / speed**2
+    if not speed * speed > 0:
+        raise ValueError(f"speed^2 must be positive, got speed = {speed!r}")
+    return distance**2 * turning_rate / (speed * speed)
 
 
 def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):
@@ -535,7 +537,10 @@ def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):
     if sigma0 <= 0:
         raise ValueError("mean turning rate must be positive")
     delta = 0.5 * (sigma_plus - sigma_minus)
-    return v**2 / (2.0 * sigma0), v * delta / sigma0
+    mu, chi = v * v / (2.0 * sigma0), v * delta / sigma0
+    if not (math.isfinite(mu) and math.isfinite(chi)):
+        raise ValueError(f"mu = {mu!r} and chi = {chi!r} must be finite")
+    return mu, chi
 
 
 # --------------------------------------------------------------------------
@@ -672,9 +677,11 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
                          "occupancy samples, so the ratio is undefined")
     dens_in = (n * n_samples - out_samples) * dt / (2.0 * band)
     dens_out = out_samples * dt / (2.0 * (wall - band))
-    # ratio = (w - b)/b (n S / O - 1), and O sums n independent counts
-    se = ((wall - band) / band * n * n_samples / out_samples**2 * math.sqrt(n)
-          * float(outside.std(ddof=1)) if n > 1 else float("nan"))
+    # ratio = (w - b)/b (n S / O - 1), and O sums n independent counts;
+    # grouped so that the error overflows only where the ratio does
+    se = ((wall - band) / band * (n * n_samples / out_samples)
+          * (math.sqrt(n) * float(outside.std(ddof=1)) / out_samples)
+          if n > 1 else float("nan"))
     return {"inside_outside_ratio": dens_in / dens_out, "inside_outside_se": se}
 
 

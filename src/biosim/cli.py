@@ -369,6 +369,9 @@ def run_kelvin_freq(p, seed):
 
 
 def _run_network(net, p):
+    # the ordering and osc_over_steady read the signed deformations as sizes
+    if not p["kelvin.F0"] > 0:
+        raise UsageError(f"the networks need kelvin.F0 > 0, got {p['kelvin.F0']!r}")
     f_steady = kelvin.Forcing.steady(p["kelvin.F0"])
     res_s = kelvin.network_deform(net, f_steady, p["kelvin.t_end_steady"],
                                   p["kelvin.h_steady"])

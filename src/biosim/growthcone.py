@@ -129,6 +129,8 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
     A); the dA/dt = 0 curve is closed form.  Where the release term
     vanishes the dC curve has no finite solution and nan is returned.
     """
+    if L < 0:
+        raise ValueError("ligand must be nonnegative")
     C = np.linspace(1e-3, 8.0, n)
     # at gate 1 the release is its coefficient of kf + k3 A
     q, g4 = _calcium_terms(C, L, 1.0, p)
@@ -321,6 +323,8 @@ def adaptation_asymptotic(l0: float, l1: float, p: AdaptationParams, t):
         warnings.warn("time-scale ratio below 5; matched solution is rough")
     t = np.asarray(t, dtype=float)
     ka0, ka1 = p.ka(l0), p.ka(l1)
+    if not (ka0 > 0 and ka1 > 0):
+        raise ValueError(f"ligands must be positive, got k l0 = {ka0!r}, k l1 = {ka1!r}")
     As = p.m / p.r
     rf = p.lam * (p.kd + ka1)
     rs = p.r * ka1 / (p.kd + ka1)
@@ -419,7 +423,11 @@ def optimal_ligand_sum(p: AdaptationParams, cpl: CompartmentCoupling) -> float:
     response is guaranteed to fall off with the overall ligand level."""
     if cpl.k1 <= 0:
         raise ValueError("needs k1 > 0")
-    return p.lam * p.r / (cpl.k1 * (p.r + p.lam * p.kd))
+    den = cpl.k1 * (p.r + p.lam * p.kd)
+    total = p.lam * p.r / den if den > 0 else math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the optimal ligand sum at k1 = {cpl.k1!r} is not finite")
+    return total
 
 
 def two_compartment_matched_asymptotic(l0: float, l1: float, l2: float,

@@ -155,18 +155,15 @@ class ParallelGroup:
     def __len__(self):
         return len(self.bodies)
 
-    @property
-    def stiff_sum(self) -> float:
-        return sum(b.mu01 + b.mu11 for b in self.bodies)
 
-
-def parallel_assemble(g: ParallelGroup, F_at_0: float):
-    """System matrices for the state (u, a_1 F, ..., a_{n-1} F).
+def parallel_assemble(g: ParallelGroup, omega: float = 0.0):
+    """System matrices for the state (u, a_1 F, ..., a_{n-1} F) under the
+    unit force cos(omega t).
 
     Row i < n couples body i+1's force share; the last row eliminates the
     nth share via force closure, so a one-body group is the single-body
-    equation.  Returns (A, D, c_builder, u0) for A y' = D y + c, where
-    c_builder(F, dF) gives c from the force and its rate (or their phasors).
+    equation.  Returns (A, D, c, u0) for A y' = D y + Re(c e^{i omega t}):
+    c is the forcing phasor and u0 the elastic response to the unit force.
     """
     n = len(g)
     A = np.zeros((n, n))
@@ -180,29 +177,25 @@ def parallel_assemble(g: ParallelGroup, F_at_0: float):
     last = g.bodies[-1]
     A[n - 1, 1:] = last.eta1 / last.mu11
     D[n - 1, 1:] = -1.0
-    lead = last.eta1 / last.mu11
-
-    def c_builder(F, dF):
-        c = np.zeros(n, dtype=np.result_type(F, dF, float))
-        c[-1] = F + lead * dF
-        return c
-
+    # the phasors of the force and of its rate are 1 and i omega
+    c = np.zeros(n, dtype=complex)
+    c[-1] = 1.0 + last.eta1 / last.mu11 * (1j * omega)
     u0 = np.zeros(n)
-    u0[0] = F_at_0 / g.stiff_sum
+    u0[0] = 1.0 / sum(b.mu01 + b.mu11 for b in g.bodies)
     for i, b in enumerate(g.bodies[:-1]):
         u0[i + 1] = u0[0] * (b.mu01 + b.mu11)
-    return A, D, c_builder, u0
+    return A, D, c, u0
 
 
 # --------------------------------------------------------------------------
 # metrics
 
 
-def peak_envelope(times, values, f: Forcing):
-    """Per-period maxima of an oscillatory response.
+def steady_peak(times, values, f: Forcing) -> float:
+    """Maximum of an oscillatory response over its last complete period,
+    the samples with (n - 1) T <= t <= n T for n = int(t_end / T).
 
-    Requires at least three full periods, and fewer periods than samples;
-    the steady peak is the maximum over the last complete period.
+    Requires at least three full periods, and fewer periods than samples.
     """
     T = f.period
     t_end = float(times[-1])
@@ -211,19 +204,9 @@ def peak_envelope(times, values, f: Forcing):
         raise ValueError(f"need at least 3 periods, got {t_end / T:.2f}")
     if n_periods >= len(times):
         raise ValueError(f"{len(times)} samples do not resolve {n_periods} periods")
-    values = np.asarray(values)
-    # period k holds the samples with k T <= t <= (k + 1) T
-    edges = T * np.arange(n_periods + 1)
-    starts = np.searchsorted(times, edges[:-1], side="left")
-    stops = np.searchsorted(times, edges[1:], side="right")
-    filled = stops > starts
-    peaks = [float(values[a:b].max()) for a, b in zip(starts[filled], stops[filled])]
-    return (np.arange(n_periods)[filled] + 0.5) * T, np.array(peaks)
-
-
-def steady_peak(times, values, f: Forcing) -> float:
-    _, peaks = peak_envelope(times, values, f)
-    return float(peaks[-1])
+    start = np.searchsorted(times, (n_periods - 1) * T, side="left")
+    stop = np.searchsorted(times, n_periods * T, side="right")
+    return float(np.asarray(values)[start:stop].max())
 
 
 def group_steady_metrics(g: ParallelGroup, f: Forcing):
@@ -233,8 +216,8 @@ def group_steady_metrics(g: ParallelGroup, f: Forcing):
     the peak over a period, |Y|, under oscillatory flow.  The deformation
     is Y[0] and the first branch's force Y[1]; a one-body group's only
     branch carries the whole forcing, F0."""
-    A, D, c_builder, _ = parallel_assemble(g, 1.0)
-    Y = periodic_solution(A, D, c_builder(1.0, 1j * f.omega), f.omega)
+    A, D, c, _ = parallel_assemble(g, f.omega)
+    Y = periodic_solution(A, D, c, f.omega)
     force = Y[1] if len(g) > 1 else 1.0
     read, scale = (np.real, f.F0) if f.kind == "steady" else (np.abs, abs(f.F0))
     u, aF = (float(read(y)) * scale for y in (Y[0], force))
@@ -247,16 +230,15 @@ def group_steady_metrics(g: ParallelGroup, f: Forcing):
 _SWEPT = {"mu02": "mu01", "mu12": "mu11", "eta12": "eta1"}
 
 
-def parameter_sweep(base: ParallelGroup, param: str, values,
-                    forcings=None):
-    """Rows (value, flow_kind, steady_u, steady_aF) as one parameter of the
-    second body (or all of them at once) sweeps over values."""
+def parameter_sweep(base: ParallelGroup, param: str, values):
+    """Rows (value, flow_kind, steady_u, steady_aF) under the steady and the
+    1 Hz unit force as one parameter of the second body (or all of them at
+    once) sweeps over values."""
     if len(base) != 2:
         raise ValueError("the sweep is defined for two-body groups")
     if param != "all" and param not in _SWEPT:
         raise ValueError(f"unknown sweep parameter {param!r}")
-    if forcings is None:
-        forcings = (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi))
+    forcings = (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi))
     b1, b2 = base.bodies
     rows = []
     for value in values:
@@ -333,13 +315,8 @@ def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
     starts = []
     i = 0
     for g in groups:
-        Ag, Dg, c_builder, u0 = parallel_assemble(g, 1.0)
         j = i + len(g)
-        A[i:j, i:j] = Ag
-        D[i:j, i:j] = Dg
-        # the phasors of cos(w t) and of its rate are 1 and i w
-        c[i:j] = c_builder(1.0, 1j * f.omega)
-        y0[i:j] = u0
+        A[i:j, i:j], D[i:j, i:j], c[i:j], y0[i:j] = parallel_assemble(g, f.omega)
         starts.append(i)
         i = j
     traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega)

@@ -1,6 +1,10 @@
 import os
 
+import numpy as np
+import pytest
 from hypothesis import settings
+
+from biosim import growthcone
 
 # A derandomised profile: each property test draws the same examples on
 # every run.  GitHub Actions sets CI, so a property test that fails there
@@ -8,6 +12,28 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def rd_profiles():
+    """The three reaction-diffusion runs of the acceptance and growth-cone
+    tests, stepped once: name -> (ligand profile, final M, final A).  The
+    uniform presentation starts from the state adapted to a gradient."""
+    p = growthcone.AdaptationParams()
+    grid = growthcone.default_rd_grid()
+    x = grid.x
+    runs = {
+        "uniform": (np.ones(grid.n), 1000.0, np.linspace(0.1, 1.0, grid.n)),
+        "linear": (np.linspace(0.01, 0.03, grid.n), 1500.0, None),
+        "quadratic": (0.005 + 0.01 * (1 - ((x - 5.0) / 5.0) ** 2), 1500.0, None),
+    }
+    out = {}
+    for name, (profile, t_end, l_init) in runs.items():
+        _, Ms, As = growthcone.reaction_diffusion_simulate(
+            profile, p, 0.6, 0.0, grid, t_end=t_end, l_init=l_init,
+            sample_every=200_000)
+        out[name] = (profile, Ms[-1], As[-1])
+    return out
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -158,24 +158,15 @@ def test_c08_two_compartment_steady():
     assert M2d == pytest.approx(p.m / p.r * (p.r + p.lam * p.kd) / (p.lam * p.ka(0.5)))
 
 
-def test_c09_reaction_diffusion_profiles():
+def test_c09_reaction_diffusion_profiles(rd_profiles):
     p = growthcone.AdaptationParams()
-    grid = growthcone.default_rd_grid()
     # uniform presentation after adaptation to a gradient flattens out
-    times, Ms, As = growthcone.reaction_diffusion_simulate(
-        np.ones(grid.n), p, 0.6, 0.0, grid, t_end=1000.0,
-        l_init=np.linspace(0.1, 1.0, grid.n), sample_every=200_000)
-    assert np.max(np.abs(As[-1] - p.m / p.r)) < 1e-3
+    _, _, A = rd_profiles["uniform"]
+    assert np.max(np.abs(A - p.m / p.r)) < 1e-3
     # graded presentations give co-monotone steady responses
-    lin = np.linspace(0.01, 0.03, grid.n)
-    _, _, As = growthcone.reaction_diffusion_simulate(
-        lin, p, 0.6, 0.0, grid, t_end=1500.0, sample_every=200_000)
-    assert np.all(np.diff(As[-1]) > 0)
-    x = grid.x
-    quad = 0.005 + 0.01 * (1 - ((x - 5.0) / 5.0) ** 2)
-    _, _, As = growthcone.reaction_diffusion_simulate(
-        quad, p, 0.6, 0.0, grid, t_end=1500.0, sample_every=200_000)
-    A = As[-1]
+    _, _, A = rd_profiles["linear"]
+    assert np.all(np.diff(A) > 0)
+    quad, _, A = rd_profiles["quadratic"]
     interior = slice(1, -1)
     assert np.all(np.sign(np.diff(A))[interior] == np.sign(np.diff(quad))[interior])
 
@@ -210,9 +201,9 @@ def test_c12_kelvin_parallel():
     assert np.max(np.abs(res.branch_forces["pair/branch1"] - 0.5)) < 1e-9
     assert abs(res.total_u[-1] - 1.0 / 100.0) <= 1e-6
     # the exact kernel against the integrator on the assembled system
-    A, D, c_builder, u0 = kelvin.parallel_assemble(g, 1.0)
+    A, D, c, u0 = kelvin.parallel_assemble(g)
     M = np.linalg.solve(A, D)
-    b = np.linalg.solve(A, c_builder(1.0, 0.0))
+    b = np.linalg.solve(A, c.real)
     traj = rk4_integrate(lambda t, y: M @ y + b, u0, 0.0, 2000.0, 0.1)
     assert np.max(np.abs(traj.states[:, 0] - res.total_u)) <= 1e-6 * abs(res.total_u[-1])
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -146,6 +147,17 @@ def test_montecarlo_summary_reports_the_standard_error(tmp_path):
     assert metrics.keys() == {"inside_outside_ratio", "inside_outside_se"}
     assert 0 < metrics["inside_outside_se"] < 0.2 * metrics["inside_outside_ratio"]
     assert (out / "result.csv").read_text().splitlines()[0] == "t_a,c,ratio"
+
+
+def test_montecarlo_standard_error_is_finite_where_the_ratio_is(tmp_path, capsys):
+    # the error used to overflow to null in summary.json before the ratio did
+    out = tmp_path / "mc"
+    code = main(["aerotaxis-montecarlo", "--set", "mc.trials=200", "--set", "mc.t_end=20",
+                 "--set", "mc.wall=8e307", "--out", str(out)])
+    assert code == 0
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert math.isfinite(metrics["inside_outside_ratio"])
+    assert math.isfinite(metrics["inside_outside_se"])
 
 
 # ---------------------------------------------------------------- CSV text
@@ -422,8 +434,7 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-ca-switch", "--set", "gc.a=1e308"], "is not finite"),
     # the normalized responses do not depend on the force, which is gone
     (["kelvin-freq", "--set", "kelvin.F0=1"], "unknown keys for kelvin-freq: ['kelvin.F0']"),
-    (["kelvin-network-I", "--set", "kelvin.F0=0"],
-     "the steady total deformation at kelvin.F0 = 0.0 is zero"),
+    (["kelvin-network-I", "--set", "kelvin.F0=0"], "the networks need kelvin.F0 > 0, got 0.0"),
     # a walk that would never end in practice
     (["aerotaxis-montecarlo", "--set", "mc.v=1e308"],
      "a walker may take inf events by t = 80.0, above the cap of 10000000"),
@@ -475,6 +486,12 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     # 3e10 forcing periods would have taken 240 GB of period edges
     (["kelvin-network-I", "--set", "kelvin.freq_hz=1e9"],
      "6001 samples do not resolve 30000000000 periods"),
+    # a negative force used to exit 0 with ordering_holds false and a
+    # negative osc_over_steady; the smallest positive one underflows
+    (["kelvin-network-I", "--set", "kelvin.F0=-1", "--set", "kelvin.t_end_steady=50",
+      "--set", "kelvin.t_end_osc=5"], "the networks need kelvin.F0 > 0, got -1.0"),
+    (["kelvin-network-I", "--set", "kelvin.F0=5e-324"],
+     "the steady total deformation at kelvin.F0 = 5e-324 is zero"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biosim import growthcone, numerics
+from biosim import aerotaxis, growthcone, numerics
 from biosim.growthcone import (
     AdaptationParams,
     CaAcParams,
@@ -502,39 +502,18 @@ def test_matched_asymptotic_initial_values_and_flag():
 
 # graded responses need the exchange length sqrt(D1 / screening) to cover
 # the domain, so ligand levels are kept low enough that the modified
-# substance diffuses faster than it is consumed
+# substance diffuses faster than it is consumed; the three runs are stepped
+# once, by the rd_profiles fixture, and the uniform one is checked by
+# test_c09_reaction_diffusion_profiles
 
-def test_rd_uniform_ligand_flat_steady_state():
-    p = AdaptationParams()
-    grid = default_rd_grid()
-    gradient = np.linspace(0.1, 1.0, grid.n)
-    uniform = np.ones(grid.n)
-    times, Ms, As = reaction_diffusion_simulate(uniform, p, 0.6, 0.0, grid,
-                                                t_end=1000.0, l_init=gradient,
-                                                sample_every=100_000)
-    A = As[-1]
-    assert np.max(np.abs(A - p.m / p.r)) < 1e-3
-
-
-def test_rd_linear_gradient_comonotone_response():
-    p = AdaptationParams()
-    grid = default_rd_grid()
-    lin = np.linspace(0.01, 0.03, grid.n)
-    times, Ms, As = reaction_diffusion_simulate(lin, p, 0.6, 0.0, grid,
-                                                t_end=1500.0, sample_every=100_000)
-    A, M = As[-1], Ms[-1]
+def test_rd_linear_gradient_comonotone_response(rd_profiles):
+    _, M, A = rd_profiles["linear"]
     assert np.all(np.diff(A) > 0)       # A follows the ligand
     assert np.all(np.diff(M) < 0)       # M runs against it
 
 
-def test_rd_quadratic_gradient_extrema_align():
-    p = AdaptationParams()
-    grid = default_rd_grid()
-    x = grid.x
-    quad = 0.005 + 0.01 * (1 - ((x - 5.0) / 5.0) ** 2)  # peak mid-domain
-    times, Ms, As = reaction_diffusion_simulate(quad, p, 0.6, 0.0, grid,
-                                                t_end=1500.0, sample_every=100_000)
-    A, M = As[-1], Ms[-1]
+def test_rd_quadratic_gradient_extrema_align(rd_profiles):
+    quad, M, A = rd_profiles["quadratic"]  # peak mid-domain
     assert int(np.argmax(A)) == int(np.argmax(quad))
     assert int(np.argmin(M)) == int(np.argmax(quad))
 
@@ -612,3 +591,26 @@ def test_switch_rate_monotonicity_flips_with_calcium():
 def test_switch_gradient_sign_flips():
     assert switch_gradient(1.0, 0.5, 0.4)[-1] == 1.0
     assert switch_gradient(1.0, 0.5, 0.1)[-1] == -1.0
+
+
+# ---------------------------------------------------------------- library guards
+
+_P = AdaptationParams()
+_T = np.linspace(0.0, 1.0, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call,message", [
+    # each used to overflow, divide by zero or return inf
+    (lambda: aerotaxis.keller_segel_coefficients(1e308, 1.0, 1.0), "mu = inf"),
+    (lambda: aerotaxis.rear_arrival_time(1.0, 0.0, 1.0), "speed\\^2 must be positive"),
+    (lambda: aerotaxis.rear_arrival_time(1.0, 1e-200, 1.0), "speed\\^2 must be positive"),
+    (lambda: adaptation_asymptotic(0.0, 1.0, _P, _T), "ligands must be positive"),
+    (lambda: adaptation_asymptotic(1.0, 0.0, _P, _T), "ligands must be positive"),
+    (lambda: ca_ac_nullclines(-1.0), "ligand must be nonnegative"),
+    (lambda: optimal_ligand_sum(_P, CompartmentCoupling(k1=1e-320)), "is not finite"),
+], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
+        "asymptotic-l1", "nullclines-L", "optimal-sum-k1"])
+def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

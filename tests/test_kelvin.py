@@ -18,7 +18,6 @@ from biosim.kelvin import (
     network_two,
     parallel_assemble,
     parameter_sweep,
-    peak_envelope,
     relaxation_times,
     single_body_steady_closed_form,
     steady_peak,
@@ -38,16 +37,14 @@ def _deform(elem, f, t_end, h):
 
 def _rk4_group(g, f, t_end, h):
     """The assembled group system stepped by rk4_integrate, as an oracle."""
-    A, D, c_builder, u0 = parallel_assemble(g, float(f.value(0.0)))
+    A, D, c, u0 = parallel_assemble(g, f.omega)
     Ainv = np.linalg.inv(A)
     M = Ainv @ D
 
     def rhs(t, y):
-        F = f.F0 * math.cos(f.omega * t)
-        dF = -f.F0 * f.omega * math.sin(f.omega * t)
-        return M @ y + Ainv @ c_builder(F, dF)
+        return M @ y + Ainv @ (f.F0 * (c * np.exp(1j * f.omega * t)).real)
 
-    return rk4_integrate(rhs, u0, 0.0, t_end, h)
+    return rk4_integrate(rhs, f.F0 * u0, 0.0, t_end, h)
 
 
 # ---------------------------------------------------------------- materials
@@ -168,15 +165,15 @@ def test_series_steady_sum_of_closed_forms():
 
 def test_assemble_two_body_matrices():
     g = ParallelGroup((ACTIN, NUCLEUS))
-    A, D, c_builder, u0 = parallel_assemble(g, 1.0)
+    A, D, c, u0 = parallel_assemble(g, 4.0)
     assert np.allclose(A, [[5000 * 1.5, -50.0], [10000 * 1.5, 25.0]])
     assert np.allclose(D, [[-50.0, 1.0], [-200.0, -1.0]])
-    assert np.allclose(c_builder(2.0, 4.0), [0.0, 2.0 + 25.0 * 4.0])
+    assert np.allclose(c, [0.0, 1.0 + 25.0 * 4.0j])
 
 
 def test_assemble_initial_conditions():
     g = ParallelGroup((ACTIN, ACTIN))
-    _, _, _, u0 = parallel_assemble(g, 1.0)
+    _, _, _, u0 = parallel_assemble(g)
     assert u0[0] == pytest.approx(1.0 / 300.0)
     assert u0[1] == pytest.approx(150.0 / 300.0)  # branch force, not a fraction
 
@@ -232,8 +229,8 @@ def test_stiffer_spring_smaller_faster():
 
 def test_steady_offset_is_spring_balance():
     g = ParallelGroup((ACTIN, NUCLEUS))
-    _, D, c_builder, _ = parallel_assemble(g, 1.0)
-    y = solve_linear_dense(D, c_builder(1.0, 0.0))
+    _, D, c, _ = parallel_assemble(g)
+    y = solve_linear_dense(D, c.real)
     assert -y[0] == pytest.approx(1.0 / (50 + 200))
 
 
@@ -310,44 +307,40 @@ def test_forcing_kind_follows_omega():
 
 # ---------------------------------------------------------------- envelopes
 
-def test_peak_envelope_reaches_steady_quickly():
+def test_steady_peak_reaches_steady_quickly():
+    # the last period of a 3-s run, [2, 3] s, peaks within 2% of a 12-s run's
     g = ParallelGroup((ACTIN, ACTIN))
     f = Forcing.oscillatory(1.0, 2 * math.pi)
-    res = _deform(g, f, 12.0, 0.002)
-    pt, peaks = peak_envelope(res.times, res.total_u, f)
-    settled = peaks[-1]
-    reach = pt[np.argmax(np.abs(peaks - settled) < 0.02 * settled)]
-    assert reach <= 3.0
+    short, long = (_deform(g, f, t_end, 0.002) for t_end in (3.0, 12.0))
+    settled = steady_peak(long.times, long.total_u, f)
+    assert steady_peak(short.times, short.total_u, f) == pytest.approx(settled, rel=0.02)
 
 
-def test_peak_envelope_requires_three_periods():
+def test_steady_peak_requires_three_periods():
     f = Forcing.oscillatory(1.0, 2 * math.pi)
     with pytest.raises(ValueError, match="periods"):
-        peak_envelope(np.linspace(0, 2.0, 100), np.zeros(100), f)
+        steady_peak(np.linspace(0, 2.0, 100), np.zeros(100), f)
 
 
-def test_peak_envelope_constant_signal():
+def test_steady_peak_constant_signal():
     f = Forcing.oscillatory(1.0, 2 * math.pi)
     t = np.linspace(0, 10, 1001)
-    _, peaks = peak_envelope(t, np.full_like(t, 4.2), f)
-    assert np.all(peaks == 4.2)
+    assert steady_peak(t, np.full_like(t, 4.2), f) == 4.2
 
 
 # ---------------------------------------------------------------- sweeps
 
 def test_mu12_sweep_steady_value_invariant():
     g = ParallelGroup((ACTIN, ACTIN))
-    rows = parameter_sweep(g, "mu12", [10.0, 100.0, 1000.0],
-                           forcings=(Forcing.steady(1.0),))
-    us = [r[2] for r in rows]
+    rows = parameter_sweep(g, "mu12", [10.0, 100.0, 1000.0])
+    us = [r[2] for r in rows if r[1] == "steady"]
     assert all(u == pytest.approx(0.01, rel=1e-4) for u in us)
 
 
 def test_eta12_sweep_steady_value_invariant():
     g = ParallelGroup((ACTIN, ACTIN))
-    rows = parameter_sweep(g, "eta12", [500.0, 5000.0, 50000.0],
-                           forcings=(Forcing.steady(1.0),))
-    us = [r[2] for r in rows]
+    rows = parameter_sweep(g, "eta12", [500.0, 5000.0, 50000.0])
+    us = [r[2] for r in rows if r[1] == "steady"]
     assert all(u == pytest.approx(0.01, rel=1e-3) for u in us)
 
 
@@ -390,7 +383,7 @@ _GROUPS = [ParallelGroup((ACTIN, ACTIN)),
 def test_steady_metrics_match_a_long_whole_grid_run(g):
     # the time-domain path as the reference: a whole-grid run of 30 settling
     # times (the largest tau_sigma), whose transient is then below e^-30 of
-    # its start, read as the last sample or with peak_envelope; sampling a
+    # its start, read as the last sample or with steady_peak; sampling a
     # period at 2000 points finds its peak to (pi / 2000)^2 / 2 = 1.2e-6
     settle = 30.0 * max(relaxation_times(b)[0] for b in g.bodies)
     steady = Forcing.steady(1.0)
