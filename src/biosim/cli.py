@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aerotaxis, growthcone, kelvin
-from .numerics import Grid1D, NumericsError
+from .numerics import Grid1D, IntegrationError, NumericsError
 
 
 @dataclass
@@ -109,15 +109,18 @@ def _long(header, times, keys, *blocks):
     return header, zip(ts, itertools.cycle(keys), *(_floats(np.ravel(b)) for b in blocks))
 
 
-def _network(res):
-    """Rows (t, label, u, aF) of a network run at about 2000 times; a group
-    has no single force, so its aF is nan."""
+def _network(res, F0: float):
+    """Rows (t, label, u, aF) at about 2000 times of a network run at unit
+    force, scaled to the force F0; a group has no single force, so its aF is
+    nan."""
+    if not math.isfinite(F0 * max(float(np.abs(u).max()) for u in res.element_u.values())):
+        raise IntegrationError(f"the deformations at F0 = {F0!r} are not finite")
     idx = _every(len(res.times), 2000)
     labels = list(res.element_u)
     nan = np.full(len(res.times), np.nan)
     return _long(["t", "label", "u", "aF"], res.times[idx], labels,
-                 np.column_stack([res.element_u[k][idx] for k in labels]),
-                 np.column_stack([res.branch_forces.get(k, nan)[idx] for k in labels]))
+                 F0 * np.column_stack([res.element_u[k][idx] for k in labels]),
+                 F0 * np.column_stack([res.branch_forces.get(k, nan)[idx] for k in labels]))
 
 
 # --------------------------------------------------------------------------
@@ -326,14 +329,13 @@ def run_gc_ca_switch(p, seed):
 
 def run_kelvin_single(p, seed):
     body = kelvin.KelvinBody(p["kelvin.eta1"], p["kelvin.mu01"], p["kelvin.mu11"])
-    f = kelvin.Forcing.steady(p["kelvin.F0"])
-    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), f,
+    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), 0.0,
                                 p["kelvin.t_end"], p["kelvin.h"])
-    u = res.total_u
+    F0 = p["kelvin.F0"]
     ts, te = kelvin.relaxation_times(body)
-    return {"traj.csv": _network(res)}, {
-        "u0": float(u[0]),
-        "u_end": float(u[-1]),
+    return {"traj.csv": _network(res, F0)}, {
+        "u0": F0 * float(res.total_u[0]),
+        "u_end": F0 * float(res.total_u[-1]),
         "tau_sigma": ts,
         "tau_epsilon": te,
     }
@@ -369,31 +371,32 @@ def run_kelvin_freq(p, seed):
 
 
 def _run_network(net, p):
-    # the ordering and osc_over_steady read the signed deformations as sizes
-    if not p["kelvin.F0"] > 0:
-        raise UsageError(f"the networks need kelvin.F0 > 0, got {p['kelvin.F0']!r}")
-    f_steady = kelvin.Forcing.steady(p["kelvin.F0"])
-    res_s = kelvin.network_deform(net, f_steady, p["kelvin.t_end_steady"],
-                                  p["kelvin.h_steady"])
-    f_osc = kelvin.Forcing.oscillatory(p["kelvin.F0"],
-                                       2 * math.pi * p["kelvin.freq_hz"])
-    res_o = kelvin.network_deform(net, f_osc, p["kelvin.t_end_osc"], p["kelvin.h_osc"])
-    steady_total = float(res_s.total_u[-1])
-    if steady_total == 0:
-        raise ValueError(f"the steady total deformation at kelvin.F0 = {p['kelvin.F0']!r} "
-                         "is zero, so osc_over_steady is undefined")
+    """Both runs are at unit force: the ordering and osc_over_steady read
+    them as they are, and the tables and the reported sizes are scaled by
+    kelvin.F0."""
+    # the peak over a period of F0 u is F0 times the unit peak only if F0 > 0
+    F0 = p["kelvin.F0"]
+    if not F0 > 0:
+        raise UsageError(f"the networks need kelvin.F0 > 0, got {F0!r}")
+    omega = 2 * math.pi * p["kelvin.freq_hz"]
+    if not 0 < omega < math.inf:
+        raise UsageError("kelvin.freq_hz must give 0 < 2 pi freq_hz < inf, "
+                         f"got {p['kelvin.freq_hz']!r}")
+    res_s = kelvin.network_deform(net, 0.0, p["kelvin.t_end_steady"], p["kelvin.h_steady"])
+    res_o = kelvin.network_deform(net, omega, p["kelvin.t_end_osc"], p["kelvin.h_osc"])
     mask = res_s.times > 1.0
     sensor = res_s.element_u["sensor"][mask]
     nucleus = res_s.element_u["nucleus"][mask]
     ordering = all(np.all(sensor >= u[mask] - 1e-12) for u in res_s.element_u.values()) \
         and all(np.all(nucleus <= u[mask] + 1e-12) for u in res_s.element_u.values())
     split = res_s.branch_forces["actin_pair/branch1"]
-    peak = kelvin.steady_peak(res_o.times, res_o.total_u, f_osc)
-    return {"steady.csv": _network(res_s), "oscillatory.csv": _network(res_o)}, {
+    steady_total = float(res_s.total_u[-1])
+    peak = kelvin.steady_peak(res_o.times, res_o.total_u, omega)
+    return {"steady.csv": _network(res_s, F0), "oscillatory.csv": _network(res_o, F0)}, {
         "ordering_holds": bool(ordering),
-        "actin_split_dev": float(np.max(np.abs(split - 0.5 * p["kelvin.F0"]))),
-        "steady_total": steady_total,
-        "oscillatory_peak_total": peak,
+        "actin_split_dev": F0 * float(np.max(np.abs(split - 0.5))),
+        "steady_total": F0 * steady_total,
+        "oscillatory_peak_total": F0 * peak,
         "osc_over_steady": peak / steady_total,
     }
 

@@ -393,6 +393,8 @@ def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
     ka1 and ka2; at ligand levels l1, l2 pass p.ka(l1), p.ka(l2)."""
     if ka1 + ka2 <= 0:
         raise ValueError("at least one production rate must be positive")
+    if cpl.k1 == 0.0 and ka1 * ka2 == 0.0:
+        raise ValueError("a zero-rate compartment needs k1 > 0 to reach steady state")
     r1 = p.r + p.lam * p.kd
     r2 = p.r + 2 * cpl.k2
     kdiff = ka1 - ka2
@@ -403,8 +405,6 @@ def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
     A1s = base * (1 + r1 * cpl.k1 * kdiff / denomA)
     A2s = base * (1 - r1 * cpl.k1 * kdiff / denomA)
     denomM = r2 * (p.lam * kp + cpl.k1 * ks) + p.lam * p.kd * cpl.k1 * ks
-    if cpl.k1 == 0.0 and kp == 0.0:
-        raise ValueError("a zero-rate compartment needs k1 > 0 to reach steady state")
     if cpl.k1 == 0.0:
         M1s = base * r1 / (p.lam * ka1)
         M2s = base * r1 / (p.lam * ka2)
@@ -562,7 +562,10 @@ def calcium_switch_rate(l: float, ca: float, sp: SwitchRateParams) -> float:
     """
     if l < 0 or ca < 0:
         raise ValueError("ligand and calcium must be nonnegative")
-    x = sp.a * l * (ca - sp.ca_b) / ((l + sp.b) * (ca + sp.c))
+    den = (l + sp.b) * (ca + sp.c)
+    if den == 0:  # b, c > 0, but the product can underflow
+        raise ValueError(f"(l + b)(Ca + c) at l = {l!r}, Ca = {ca!r} is not positive")
+    x = sp.a * l * (ca - sp.ca_b) / den
     # math.exp overflows past the log of the largest float; NaN fails too
     if not x <= math.log(np.finfo(float).max):
         raise ValueError(f"production rate exp({x!r}) is not finite")

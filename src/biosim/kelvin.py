@@ -7,7 +7,9 @@ group has the state (u, a_1 F, ..., a_{n-1} F); the force-times-
 coefficient form keeps the system matrix constant even when the forcing
 crosses zero.  A single body is a one-body group, and a network is one
 block-diagonal linear system solved exactly by numerics.solve_linear_ode.
-Each system is linear in F0, so it is solved at unit force and scaled.
+Each system is linear in the force, so every function here answers for the
+unit force cos(omega t), omega = 0 being steady forcing; a caller scales
+the answer by its amplitude.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import IntegrationError, periodic_solution, solve_linear_ode
+from .numerics import periodic_solution, solve_linear_ode
 
 
 @dataclass(frozen=True)
@@ -73,48 +75,6 @@ def convert_micropipette_params(a: float, delta_p: float, L0: float, Ls: float,
     mu11 = F / L0 - mu01
     eta1 = tau * mu01 * mu11 / (mu01 + mu11)
     return F, KelvinBody(eta1, mu01, mu11)
-
-
-# --------------------------------------------------------------------------
-# forcing
-
-
-@dataclass(frozen=True)
-class Forcing:
-    """The force F0 cos(omega t); omega = 0 is steady forcing."""
-
-    F0: float
-    omega: float = 0.0  # rad/s
-
-    def __post_init__(self):
-        if not (math.isfinite(self.F0) and math.isfinite(self.omega)):
-            raise ValueError("F0 and omega must be finite")
-        if self.omega < 0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega!r}")
-
-    @property
-    def kind(self) -> str:
-        return "steady" if self.omega == 0 else "oscillatory"
-
-    @staticmethod
-    def steady(F0: float) -> "Forcing":
-        return Forcing(F0)
-
-    @staticmethod
-    def oscillatory(F0: float, omega: float) -> "Forcing":
-        f = Forcing(F0, omega)
-        if f.omega == 0:
-            raise ValueError("oscillatory forcing needs omega > 0")
-        return f
-
-    def value(self, t):
-        return self.F0 * np.cos(self.omega * np.asarray(t, dtype=float))
-
-    @property
-    def period(self) -> float:
-        if self.omega == 0:
-            raise ValueError("period is defined for oscillatory forcing only")
-        return 2.0 * math.pi / self.omega
 
 
 # --------------------------------------------------------------------------
@@ -191,13 +151,16 @@ def parallel_assemble(g: ParallelGroup, omega: float = 0.0):
 # metrics
 
 
-def steady_peak(times, values, f: Forcing) -> float:
-    """Maximum of an oscillatory response over its last complete period,
+def steady_peak(times, values, omega: float) -> float:
+    """Maximum of a response to cos(omega t) over its last complete period,
     the samples with (n - 1) T <= t <= n T for n = int(t_end / T).
 
-    Requires at least three full periods, and fewer periods than samples.
+    Requires 0 < omega < inf, at least three full periods, and fewer
+    periods than samples.
     """
-    T = f.period
+    if not 0 < omega < math.inf:
+        raise ValueError(f"a forcing period needs 0 < omega < inf, got {omega!r}")
+    T = 2.0 * math.pi / omega
     t_end = float(times[-1])
     n_periods = int(t_end / T)
     if n_periods < 3:
@@ -209,21 +172,19 @@ def steady_peak(times, values, f: Forcing) -> float:
     return float(np.asarray(values)[start:stop].max())
 
 
-def group_steady_metrics(g: ParallelGroup, f: Forcing):
-    """Steady deformation and first-branch force for either flow kind, read
-    from the periodic particular solution Re(Y e^{i omega t}) of the group's
-    system, which is what every run settles to: Re Y under steady flow and
-    the peak over a period, |Y|, under oscillatory flow.  The deformation
-    is Y[0] and the first branch's force Y[1]; a one-body group's only
-    branch carries the whole forcing, F0."""
-    A, D, c, _ = parallel_assemble(g, f.omega)
-    Y = periodic_solution(A, D, c, f.omega)
-    force = Y[1] if len(g) > 1 else 1.0
-    read, scale = (np.real, f.F0) if f.kind == "steady" else (np.abs, abs(f.F0))
-    u, aF = (float(read(y)) * scale for y in (Y[0], force))
-    if not (math.isfinite(u) and math.isfinite(aF)):
-        raise IntegrationError(f"the steady response to F0 = {f.F0!r} is not finite")
-    return {"steady_u": u, "steady_aF": aF}
+def group_steady_metrics(g: ParallelGroup, omega: float = 0.0):
+    """Steady deformation and first-branch force under the unit force
+    cos(omega t), read from the periodic particular solution
+    Re(Y e^{i omega t}) of the group's system, which is what every run
+    settles to: Re Y under steady flow (omega = 0) and the peak over a
+    period, |Y|, under oscillatory flow.  The deformation is Y[0] and the
+    first branch's force Y[1]; a one-body group's only branch carries the
+    whole unit force."""
+    A, D, c, _ = parallel_assemble(g, omega)
+    Y = periodic_solution(A, D, c, omega)
+    read = np.real if omega == 0 else np.abs
+    return {"steady_u": float(read(Y[0])),
+            "steady_aF": float(read(Y[1])) if len(g) > 1 else 1.0}
 
 
 # the field of the second body that each sweep parameter sets
@@ -238,26 +199,25 @@ def parameter_sweep(base: ParallelGroup, param: str, values):
         raise ValueError("the sweep is defined for two-body groups")
     if param != "all" and param not in _SWEPT:
         raise ValueError(f"unknown sweep parameter {param!r}")
-    forcings = (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi))
     b1, b2 = base.bodies
     rows = []
     for value in values:
         g = ParallelGroup((b1, b2.scaled(value) if param == "all"
                            else replace(b2, **{_SWEPT[param]: value})))
-        for f in forcings:
-            m = group_steady_metrics(g, f)
-            rows.append((float(value), f.kind, m["steady_u"], m["steady_aF"]))
+        for kind, omega in (("steady", 0.0), ("oscillatory", 2 * math.pi)):
+            m = group_steady_metrics(g, omega)
+            rows.append((float(value), kind, m["steady_u"], m["steady_aF"]))
     return rows
 
 
 def frequency_sweep(g: ParallelGroup, freqs_hz):
     """Rows (freq_hz, norm_u, norm_aF): oscillatory steady peaks divided by
     the steady-flow steady values, which do not depend on the force."""
-    ref = group_steady_metrics(g, Forcing.steady(1.0))
+    ref = group_steady_metrics(g)
     u_ref, aF_ref = ref["steady_u"], ref["steady_aF"]
     rows = []
     for f_hz in freqs_hz:
-        m = group_steady_metrics(g, Forcing.oscillatory(1.0, 2 * math.pi * f_hz))
+        m = group_steady_metrics(g, 2 * math.pi * f_hz)
         rows.append((float(f_hz), m["steady_u"] / u_ref, m["steady_aF"] / aF_ref))
     return rows
 
@@ -298,13 +258,13 @@ def network_two() -> KelvinNetwork:
     ))
 
 
-def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
+def network_deform(net: KelvinNetwork, omega: float, t_end: float,
                    h: float = 0.1) -> DeformationResult:
-    """Deformation of every series element under the shared forcing, and
-    their sum, solved exactly as one block-diagonal linear system (a single
-    body is a one-body group) and sampled every h.  Branch forces within
-    groups are keyed "<label>/branch<i>"; single bodies carry the full
-    forcing."""
+    """Deformation of every series element under the shared unit force
+    cos(omega t), and their sum, solved exactly as one block-diagonal linear
+    system (a single body is a one-body group) and sampled every h.  Branch
+    forces within groups are keyed "<label>/branch<i>"; single bodies carry
+    the whole force."""
     groups = [elem if isinstance(elem, ParallelGroup) else ParallelGroup((elem,))
               for _, elem in net.elements]
     n = sum(len(g) for g in groups)
@@ -316,15 +276,11 @@ def network_deform(net: KelvinNetwork, f: Forcing, t_end: float,
     i = 0
     for g in groups:
         j = i + len(g)
-        A[i:j, i:j], D[i:j, i:j], c[i:j], y0[i:j] = parallel_assemble(g, f.omega)
+        A[i:j, i:j], D[i:j, i:j], c[i:j], y0[i:j] = parallel_assemble(g, omega)
         starts.append(i)
         i = j
-    traj = solve_linear_ode(A, D, c, y0, t_end, h, f.omega)
-    with np.errstate(over="ignore"):
-        traj.states *= f.F0
-    if not np.all(np.isfinite(traj.states)):
-        raise IntegrationError(f"the deformations at F0 = {f.F0!r} are not finite")
-    F = f.value(traj.times)
+    traj = solve_linear_ode(A, D, c, y0, t_end, h, omega)
+    F = np.cos(omega * traj.times)
     element_u = {}
     branch_forces = {}
     for (label, elem), g, i in zip(net.elements, groups, starts):

@@ -579,7 +579,10 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     D = np.asarray(D, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = len(y0)
-    M = solve_linear_dense(A, D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = solve_linear_dense(A, D)
+    if not np.all(np.isfinite(M)):
+        raise IntegrationError("the rate matrix A^-1 D is not finite")
     Y = periodic_solution(A, D, c, omega)
     # homogeneous part on the uniform samples; the last sample follows the
     # one before it by its own, possibly short, step

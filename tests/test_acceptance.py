@@ -188,7 +188,7 @@ def test_c11_kelvin_single_body():
     assert exact[0] == pytest.approx(1.0 / 150.0, abs=1e-15)
     assert exact[-1] == pytest.approx(0.02, abs=1e-15)
     net = kelvin.KelvinNetwork((("body", body),))
-    u = kelvin.network_deform(net, kelvin.Forcing.steady(1.0), 2000.0, 0.1).total_u
+    u = kelvin.network_deform(net, 0.0, 2000.0, 0.1).total_u
     assert u[0] == pytest.approx(1.0 / 150.0, abs=1e-15)
     assert abs(u[-1] - 0.02) <= 1e-6
 
@@ -196,8 +196,7 @@ def test_c11_kelvin_single_body():
 def test_c12_kelvin_parallel():
     actin = kelvin.material_params("actin")
     g = kelvin.ParallelGroup((actin, actin))
-    f = kelvin.Forcing.steady(1.0)
-    res = kelvin.network_deform(kelvin.KelvinNetwork((("pair", g),)), f, 2000.0, 0.1)
+    res = kelvin.network_deform(kelvin.KelvinNetwork((("pair", g),)), 0.0, 2000.0, 0.1)
     assert np.max(np.abs(res.branch_forces["pair/branch1"] - 0.5)) < 1e-9
     assert abs(res.total_u[-1] - 1.0 / 100.0) <= 1e-6
     # the exact kernel against the integrator on the assembled system
@@ -224,15 +223,14 @@ def test_c13_frequency_sweep():
 def network_runs():
     out = {}
     for name, net in (("I", kelvin.network_one()), ("II", kelvin.network_two())):
-        steady = kelvin.network_deform(net, kelvin.Forcing.steady(1.0), 2000.0, 0.1)
-        f_osc = kelvin.Forcing.oscillatory(1.0, 2 * math.pi)
-        osc = kelvin.network_deform(net, f_osc, 30.0, 0.005)
-        out[name] = (steady, osc, f_osc)
+        steady = kelvin.network_deform(net, 0.0, 2000.0, 0.1)
+        osc = kelvin.network_deform(net, 2 * math.pi, 30.0, 0.005)
+        out[name] = (steady, osc)
     return out
 
 
 def test_c14_network_ordering_and_forces(network_runs):
-    for name, (steady, osc, f_osc) in network_runs.items():
+    for name, (steady, osc) in network_runs.items():
         mask = steady.times > 1.0
         sensor = steady.element_u["sensor"][mask]
         nucleus = steady.element_u["nucleus"][mask]
@@ -252,8 +250,8 @@ def test_c14_network_ordering_and_forces(network_runs):
     "low-viscosity sensor elements respond almost quasi-statically and "
     "the totals sit near 0.53-0.55 of the steady values"))
 def test_c14_network_oscillatory_total_below_one_third(network_runs):
-    for name, (steady, osc, f_osc) in network_runs.items():
-        peak = kelvin.steady_peak(osc.times, osc.total_u, f_osc)
+    for name, (steady, osc) in network_runs.items():
+        peak = kelvin.steady_peak(osc.times, osc.total_u, 2 * math.pi)
         assert peak < steady.total_u[-1] / 3.0, name
 
 

@@ -258,13 +258,12 @@ def test_network_tables_match_per_value_writer(tmp_path):
     # strided to about 2000 times
     run(ExperimentConfig("kelvin-network-I", {}, tmp_path, 0))
     p = EXPERIMENTS["kelvin-network-I"].defaults
-    runs = (("steady", kelvin.Forcing.steady(p["kelvin.F0"]),
-             p["kelvin.t_end_steady"], p["kelvin.h_steady"]),
-            ("oscillatory",
-             kelvin.Forcing.oscillatory(p["kelvin.F0"], 2 * np.pi * p["kelvin.freq_hz"]),
+    assert p["kelvin.F0"] == 1.0  # the unit-force run is the table
+    runs = (("steady", 0.0, p["kelvin.t_end_steady"], p["kelvin.h_steady"]),
+            ("oscillatory", 2 * np.pi * p["kelvin.freq_hz"],
              p["kelvin.t_end_osc"], p["kelvin.h_osc"]))
-    for tag, f, t_end, h in runs:
-        res = kelvin.network_deform(kelvin.network_one(), f, t_end, h)
+    for tag, omega, t_end, h in runs:
+        res = kelvin.network_deform(kelvin.network_one(), omega, t_end, h)
         stride = max(1, len(res.times) // 2000)
         nan = np.full(len(res.times), np.nan)
         rows = [(res.times[j], label, u[j], res.branch_forces.get(label, nan)[j])
@@ -275,18 +274,19 @@ def test_network_tables_match_per_value_writer(tmp_path):
         assert data == _reference_csv(["t", "label", "u", "aF"], rows)
 
 
-@pytest.mark.parametrize("params", [{}, {"kelvin.F0": -0.3, "kelvin.t_end": 30.0}])
+@pytest.mark.parametrize("params", [{}, {"kelvin.F0": -0.3, "kelvin.t_end": 30.0},
+                                    {"kelvin.F0": 0.0, "kelvin.t_end": 30.0}])
 def test_kelvin_single_table_matches_per_value_writer(params, tmp_path):
-    # the network table of one body: u is the total deformation and aF the
-    # steady force F0, strided to about 2000 times
+    # the network table of one body: u is F0 times the unit-force total
+    # deformation and aF the steady force F0, strided to about 2000 times
     run(ExperimentConfig("kelvin-single", params, tmp_path, 0))
     p = {**EXPERIMENTS["kelvin-single"].defaults, **params}
+    F0 = p["kelvin.F0"]
     body = kelvin.KelvinBody(p["kelvin.eta1"], p["kelvin.mu01"], p["kelvin.mu11"])
-    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)),
-                                kelvin.Forcing.steady(p["kelvin.F0"]), p["kelvin.t_end"],
-                                p["kelvin.h"])
+    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), 0.0,
+                                p["kelvin.t_end"], p["kelvin.h"])
     stride = max(1, len(res.times) // 2000)
-    rows = [(res.times[j], "body1", res.total_u[j], p["kelvin.F0"])
+    rows = [(res.times[j], "body1", F0 * res.total_u[j], F0)
             for j in range(0, len(res.times), stride)]
     assert (tmp_path / "traj.csv").read_bytes() == \
         _reference_csv(["t", "label", "u", "aF"], rows)
@@ -353,6 +353,10 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # trajectories used to be written before the run failed
     (["growthcone-switch", "--set", "gc.t_end=0.5", "--set", "gc.Lc=1e308"],
      "non-finite derivative at t=0.0"),
+    # A^-1 D of a body this stiff and this fast overflows (it used to warn,
+    # then fail with a usage error from expm)
+    (["kelvin-single", "--set", "kelvin.eta1=1e-09", "--set", "kelvin.mu01=1e308",
+      "--set", "kelvin.mu11=1e308"], "the rate matrix A^-1 D is not finite"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
@@ -487,11 +491,27 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["kelvin-network-I", "--set", "kelvin.freq_hz=1e9"],
      "6001 samples do not resolve 30000000000 periods"),
     # a negative force used to exit 0 with ordering_holds false and a
-    # negative osc_over_steady; the smallest positive one underflows
+    # negative osc_over_steady
     (["kelvin-network-I", "--set", "kelvin.F0=-1", "--set", "kelvin.t_end_steady=50",
       "--set", "kelvin.t_end_osc=5"], "the networks need kelvin.F0 > 0, got -1.0"),
-    (["kelvin-network-I", "--set", "kelvin.F0=5e-324"],
-     "the steady total deformation at kelvin.F0 = 5e-324 is zero"),
+    # the oscillatory flow needs a finite positive angular frequency
+    (["kelvin-network-I", "--set", "kelvin.freq_hz=0"],
+     "kelvin.freq_hz must give 0 < 2 pi freq_hz < inf, got 0.0"),
+    (["kelvin-network-II", "--set", "kelvin.freq_hz=-1"],
+     "kelvin.freq_hz must give 0 < 2 pi freq_hz < inf, got -1.0"),
+    (["kelvin-network-I", "--set", "kelvin.freq_hz=1e308"],
+     "kelvin.freq_hz must give 0 < 2 pi freq_hz < inf, got 1e+308"),
+    (["growthcone-rd", "--set", "gc.profile=3"],
+     "gc.profile must be 0 (uniform), 1 (linear) or 2 (quadratic)"),
+    (["kelvin-sweep", "--set", "kelvin.param=4"],
+     "kelvin.param must be 0 (mu02), 1 (mu12), 2 (eta12) or 3 (all)"),
+    # each used to end in a ZeroDivisionError traceback: the steady state
+    # divided by a zero denominator before it refused the coupling, and the
+    # rate's denominator (l + b)(Ca + c) underflowed to zero
+    (["growthcone-ca-switch", "--set", "gc.l2=0", "--set", "gc.a=-1e308",
+      "--set", "gc.k1=0"], "a zero-rate compartment needs k1 > 0 to reach steady state"),
+    (["growthcone-ca-switch", "--set", "gc.c=5e-324", "--set", "gc.b=1e-320",
+      "--set", "gc.ca_lo=0.0"], "(l + b)(Ca + c) at l = 0.5, Ca = 0.0 is not positive"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])
@@ -499,6 +519,27 @@ def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
     assert not (tmp_path / "u").exists()
 
+
+
+@pytest.mark.parametrize("F0", ["1e-320", "5e-324"])
+def test_network_ratio_at_a_subnormal_force_is_the_unit_force_ratio(F0, tmp_path, capsys):
+    # osc_over_steady is read from the unit-force runs, so a force whose
+    # scaled totals lose digits (or underflow to zero) gives the F0 = 1 ratio
+    out = tmp_path / "n"
+    code = main(["kelvin-network-I", "--set", f"kelvin.F0={F0}", "--set",
+                 "kelvin.t_end_steady=50", "--set", "kelvin.t_end_osc=5", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert metrics["osc_over_steady"] == 0.7110264467906242
+
+
+def test_main_quadratic_ligand_profile(tmp_path):
+    # the quadratic profile peaks at the middle node, and so does A
+    out = tmp_path / "rd"
+    assert main(["growthcone-rd", "--set", "gc.profile=2", "--set", "gc.t_end=20",
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert metrics["argmax_A"] == metrics["argmax_l"] == 45
 
 
 def test_main_usage_error_in_runner_leaves_no_output_directory(tmp_path, capsys):
@@ -531,11 +572,11 @@ _LENGTH_KEY = re.compile(r"\.(t_end\w*|dt|h\w*|sample_every|trials|n|nodes|dx|le
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_any_values_give_a_complete_run_or_a_classified_error(name, data):
-    # one or two keys at any of the values: the run either exits 0 with its
+    # one to three keys at any of the values: the run either exits 0 with its
     # summary.json, or exits 1 or 2 with a one-line message and leaves no
     # output directory; any other exception fails the test
     keys = sorted(k for k in EXPERIMENTS[name].defaults if not _LENGTH_KEY.search(k))
-    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
     params = {**FAST_OVERRIDES.get(name, {}),
               **{k: data.draw(st.sampled_from(_ANY_VALUES), label=k) for k in chosen}}
     with tempfile.TemporaryDirectory() as tmp:

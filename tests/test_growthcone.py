@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biosim import aerotaxis, growthcone, numerics
+from biosim import aerotaxis, growthcone, kelvin, numerics
 from biosim.growthcone import (
     AdaptationParams,
     CaAcParams,
@@ -597,6 +597,8 @@ def test_switch_gradient_sign_flips():
 
 _P = AdaptationParams()
 _T = np.linspace(0.0, 1.0, 3)
+_GRID = default_rd_grid()
+_ACTIN = kelvin.material_params("actin")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -609,8 +611,56 @@ _T = np.linspace(0.0, 1.0, 3)
     (lambda: adaptation_asymptotic(1.0, 0.0, _P, _T), "ligands must be positive"),
     (lambda: ca_ac_nullclines(-1.0), "ligand must be nonnegative"),
     (lambda: optimal_ligand_sum(_P, CompartmentCoupling(k1=1e-320)), "is not finite"),
+    # guards no other test reaches
+    (lambda: numerics.Trajectory([0.0, 1.0], [[0.0]]), "must have equal length"),
+    (lambda: numerics.Trajectory([0.0, 0.0], [[0.0], [0.0]]), "strictly increasing"),
+    (lambda: numerics.Trajectory([0.0, 1.0], [[0.0], [math.nan]]), "non-finite values"),
+    (lambda: numerics.rk4_integrate(lambda t, y: -y, [1.0], 0.0, 1.0, 0.0),
+     "step size must be positive"),
+    (lambda: numerics.rk4_integrate(lambda t, y: -y, [1.0], 0.0, 0.0, 0.1),
+     "t1 must exceed t0"),
+    (lambda: numerics.solve_linear_dense(np.ones((2, 3)), np.ones(2)), "need square A"),
+    (lambda: numerics.expm(np.ones((2, 3))), "expm needs a square matrix"),
+    (lambda: numerics.expm([[math.nan, 0.0], [0.0, 0.0]]), "expm needs a finite matrix"),
+    (lambda: CaAcParams(k0=0.0), "k0 must be positive"),
+    (lambda: CaAcParams(Cb=8.0), "resting calcium must be below store calcium"),
+    (lambda: growthcone.CaAcState(-1.0, 0.0), "concentrations must be nonnegative"),
+    (lambda: CompartmentCoupling(k1=-1.0), "exchange rates must be nonnegative"),
+    # this one used to divide by zero before it refused the coupling
+    (lambda: two_compartment_steady(0.0, 1.0, _P, CompartmentCoupling(k1=0.0)),
+     "a zero-rate compartment needs k1 > 0"),
+    (lambda: optimal_ligand_sum(_P, CompartmentCoupling(k1=0.0)), "needs k1 > 0"),
+    (lambda: reaction_diffusion_simulate(np.ones(5), _P, 0.6, 0.0, _GRID, 1.0),
+     "ligand profile must match the grid"),
+    (lambda: reaction_diffusion_simulate(np.zeros(_GRID.n), _P, 0.6, 0.0, _GRID, 1.0),
+     "ligand must be positive everywhere"),
+    (lambda: SwitchRateParams(b=0.0), "b and c must be positive"),
+    (lambda: calcium_switch_rate(-1.0, 0.2, SwitchRateParams()),
+     "ligand and calcium must be nonnegative"),
+    # and this one divided by a denominator that underflowed to zero
+    (lambda: calcium_switch_rate(0.5, 0.0, SwitchRateParams(b=1e-320, c=5e-324)),
+     "\\(l \\+ b\\)\\(Ca \\+ c\\) at l = 0.5, Ca = 0.0 is not positive"),
+    (lambda: aerotaxis.MonteCarloConfig(n_trials=0), "n_trials must be at least 1"),
+    (lambda: aerotaxis.PistonParams(tau=0.0), "tau, delta_z and lock_tol must be positive"),
+    (lambda: aerotaxis.piston_receptor_simulate(aerotaxis.PistonParams(), 0, 1.0),
+     "ramp_sign must be \\+1 or -1"),
+    (lambda: aerotaxis.steady_state_low(aerotaxis.AerotaxisParams(L0=0.003), 0.003,
+                                        k=0.003, s=1.0), "low regime needs L0 < l_min"),
+    (lambda: kelvin.convert_micropipette_params(0.0, 1.0, 1.0, 2.0, 1.0),
+     "inputs must be positive"),
+    (lambda: kelvin.ParallelGroup(()), "a group needs at least one body"),
+    (lambda: kelvin.KelvinNetwork(()), "a network needs at least one element"),
+    (lambda: kelvin.parameter_sweep(kelvin.ParallelGroup((_ACTIN,) * 3), "mu02", [1.0]),
+     "the sweep is defined for two-body groups"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
-        "asymptotic-l1", "nullclines-L", "optimal-sum-k1"])
+        "asymptotic-l1", "nullclines-L", "optimal-sum-k1",
+        "trajectory-lengths", "trajectory-times", "trajectory-nan", "rk4-h-0",
+        "rk4-empty-span", "dense-not-square", "expm-not-square", "expm-nan",
+        "ca-ac-k0", "ca-ac-Cb", "ca-ac-state", "coupling-k1", "two-comp-k1-0",
+        "optimal-sum-k1-0", "rd-profile-shape", "rd-profile-zero", "switch-b",
+        "switch-ligand", "switch-denominator-underflow", "mc-trials", "piston-tau",
+        "piston-ramp-sign", "steady-low-L0", "micropipette-zero", "group-empty",
+        "network-empty", "sweep-three-bodies"])
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -5,7 +5,6 @@ import pytest
 
 from biosim.kelvin import (
     DeformationResult,
-    Forcing,
     KelvinBody,
     KelvinNetwork,
     ParallelGroup,
@@ -23,6 +22,7 @@ from biosim.kelvin import (
     steady_peak,
 )
 from biosim import kelvin, numerics
+from biosim.cli import ExperimentConfig, run
 from biosim.numerics import rk4_integrate, solve_linear_dense
 
 ACTIN = material_params("actin")
@@ -30,21 +30,22 @@ NUCLEUS = material_params("nucleus")
 TRANS = material_params("transmembrane")
 
 
-def _deform(elem, f, t_end, h):
+def _deform(elem, omega, t_end, h):
     """One body or group solved as a one-element network labelled "e"."""
-    return network_deform(KelvinNetwork((("e", elem),)), f, t_end, h)
+    return network_deform(KelvinNetwork((("e", elem),)), omega, t_end, h)
 
 
-def _rk4_group(g, f, t_end, h):
-    """The assembled group system stepped by rk4_integrate, as an oracle."""
-    A, D, c, u0 = parallel_assemble(g, f.omega)
+def _rk4_group(g, F0, omega, t_end, h):
+    """The assembled group system under the force F0 cos(omega t), stepped
+    by rk4_integrate, as an oracle."""
+    A, D, c, u0 = parallel_assemble(g, omega)
     Ainv = np.linalg.inv(A)
     M = Ainv @ D
 
     def rhs(t, y):
-        return M @ y + Ainv @ (f.F0 * (c * np.exp(1j * f.omega * t)).real)
+        return M @ y + Ainv @ (F0 * (c * np.exp(1j * omega * t)).real)
 
-    return rk4_integrate(rhs, f.F0 * u0, 0.0, t_end, h)
+    return rk4_integrate(rhs, F0 * u0, 0.0, t_end, h)
 
 
 # ---------------------------------------------------------------- materials
@@ -110,54 +111,43 @@ def test_micropipette_rejects_unphysical_creep():
 # ---------------------------------------------------------------- single body
 
 def test_single_body_initial_and_final():
-    u = _deform(ACTIN, Forcing.steady(1.0), 2000.0, 0.1).total_u
+    u = _deform(ACTIN, 0.0, 2000.0, 0.1).total_u
     assert u[0] == pytest.approx(1.0 / 150.0, abs=1e-15)
     assert u[-1] == pytest.approx(0.02, abs=1e-6)
 
 
 def test_single_body_matches_closed_form():
-    res = _deform(ACTIN, Forcing.steady(1.0), 500.0, 0.1)
+    res = _deform(ACTIN, 0.0, 500.0, 0.1)
     exact = single_body_steady_closed_form(ACTIN, 1.0, res.times)
     assert np.max(np.abs(res.total_u - exact)) < 1e-9
 
 
 def test_fast_body_matches_closed_form_at_the_default_step():
     # the transmembrane sensor relaxes in 0.1125 s, about one step of 0.1 s
-    res = _deform(TRANS, Forcing.steady(1.0), 2.0, 0.1)
+    res = _deform(TRANS, 0.0, 2.0, 0.1)
     exact = single_body_steady_closed_form(TRANS, 1.0, res.times)
     assert np.max(np.abs(res.total_u - exact)) < 1e-12
-
-
-def test_single_body_zero_force():
-    res = _deform(ACTIN, Forcing.steady(0.0), 10.0, 0.1)
-    assert np.all(res.total_u == 0.0)
-
-
-def test_single_body_linearity():
-    u1 = _deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1).total_u
-    u3 = _deform(ACTIN, Forcing.steady(3.0), 100.0, 0.1).total_u
-    assert np.allclose(3 * u1, u3, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- series
 
 def test_series_single_equals_single():
     # a single body and a one-body group are the same system
-    r = _deform(ParallelGroup((ACTIN,)), Forcing.steady(1.0), 100.0, 0.1)
-    t = _deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
+    r = _deform(ParallelGroup((ACTIN,)), 0.0, 100.0, 0.1)
+    t = _deform(ACTIN, 0.0, 100.0, 0.1)
     assert np.array_equal(r.total_u, t.total_u)
 
 
 def test_series_two_identical_doubles():
     net = KelvinNetwork((("a", ACTIN), ("b", ACTIN)))
-    r = network_deform(net, Forcing.steady(1.0), 100.0, 0.1)
-    single = _deform(ACTIN, Forcing.steady(1.0), 100.0, 0.1)
+    r = network_deform(net, 0.0, 100.0, 0.1)
+    single = _deform(ACTIN, 0.0, 100.0, 0.1)
     assert np.allclose(r.total_u, 2 * single.total_u, rtol=1e-12)
 
 
 def test_series_steady_sum_of_closed_forms():
     net = KelvinNetwork((("a", ACTIN), ("n", NUCLEUS)))
-    r = network_deform(net, Forcing.steady(1.0), 3000.0, 0.1)
+    r = network_deform(net, 0.0, 3000.0, 0.1)
     assert r.total_u[-1] == pytest.approx(1 / 50 + 1 / 200, rel=1e-5)
 
 
@@ -180,43 +170,42 @@ def test_assemble_initial_conditions():
 
 def test_identical_bodies_split_half():
     g = ParallelGroup((ACTIN, ACTIN))
-    for f in (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi)):
-        res = _deform(g, f, 30.0, 0.005)
+    for omega in (0.0, 2 * math.pi):
+        res = _deform(g, omega, 30.0, 0.005)
         aF = res.branch_forces["e/branch1"]
-        F = f.value(res.times)
+        F = np.cos(omega * res.times)
         assert np.max(np.abs(aF - 0.5 * F)) < 1e-9
 
 
 def test_parallel_steady_balance():
     g = ParallelGroup((ACTIN, NUCLEUS))
-    res = _deform(g, Forcing.steady(1.0), 4000.0, 0.1)
+    res = _deform(g, 0.0, 4000.0, 0.1)
     assert res.total_u[-1] == pytest.approx(1.0 / (50 + 200), rel=1e-5)
 
 
 def test_force_closure_everywhere():
     g = ParallelGroup((ACTIN, NUCLEUS, TRANS))
-    f = Forcing.oscillatory(1.0, 2 * math.pi)
-    res = _deform(g, f, 10.0, 0.002)
+    omega = 2 * math.pi
+    res = _deform(g, omega, 10.0, 0.002)
     total_force = sum(res.branch_forces[k] for k in res.branch_forces)
-    assert np.max(np.abs(total_force - f.value(res.times))) <= 1e-9
+    assert np.max(np.abs(total_force - np.cos(omega * res.times))) <= 1e-9
 
 
 def test_permuting_identical_bodies_is_symmetric():
     g1 = ParallelGroup((ACTIN, NUCLEUS))
     g2 = ParallelGroup((NUCLEUS, ACTIN))
-    r1 = _deform(g1, Forcing.steady(1.0), 200.0, 0.1)
-    r2 = _deform(g2, Forcing.steady(1.0), 200.0, 0.1)
+    r1 = _deform(g1, 0.0, 200.0, 0.1)
+    r2 = _deform(g2, 0.0, 200.0, 0.1)
     assert np.allclose(r1.total_u, r2.total_u, atol=1e-12)
     assert np.allclose(r1.branch_forces["e/branch1"], r2.branch_forces["e/branch2"],
                        atol=1e-10)
 
 
 def test_stiffer_spring_smaller_faster():
-    f = Forcing.steady(1.0)
     finals, halfway = [], []
     for mu02 in (5.0, 50.0, 500.0):
         g = ParallelGroup((ACTIN, KelvinBody(5000.0, mu02, 100.0)))
-        res = _deform(g, f, 2000.0, 0.1)
+        res = _deform(g, 0.0, 2000.0, 0.1)
         u = res.total_u
         finals.append(u[-1])
         target = u[-1] - u[0]
@@ -235,11 +224,10 @@ def test_steady_offset_is_spring_balance():
 
 
 def test_exact_solution_matches_integrator():
-    f = Forcing.steady(1.0)
     for g in (ParallelGroup((ACTIN, ACTIN)),
               ParallelGroup((ACTIN, KelvinBody(2000.0, 500.0, 100.0)))):
-        res = _deform(g, f, 600.0, 0.1)
-        traj = _rk4_group(g, f, 600.0, 0.1)
+        res = _deform(g, 0.0, 600.0, 0.1)
+        traj = _rk4_group(g, 1.0, 0.0, 600.0, 0.1)
         rel = np.max(np.abs(traj.states[:, 0] - res.total_u)) / abs(res.total_u[-1])
         assert rel < 1e-6
 
@@ -247,24 +235,28 @@ def test_exact_solution_matches_integrator():
 def test_exact_solution_endpoints():
     # one step of 1e6 s lands on the creep limit
     g = ParallelGroup((ACTIN, ACTIN))
-    res = _deform(g, Forcing.steady(1.0), 1e6, 1e6)
+    res = _deform(g, 0.0, 1e6, 1e6)
     assert list(res.times) == [0.0, 1e6]
     assert res.total_u[0] == pytest.approx(1.0 / 300.0, abs=1e-12)
     assert res.total_u[-1] == pytest.approx(1.0 / 100.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("f", [Forcing.steady(1.0), Forcing.oscillatory(1.0, 0.5)])
+@pytest.mark.parametrize("f", [(1.0, 0.0), (-3.0, 0.5)])
 def test_exact_solution_matches_integrator_three_bodies(f):
+    # f = (F0, omega): the oracle steps the force F0 cos(omega t) itself,
+    # and the unit-force solution scaled by F0 must match it
+    F0, omega = f
     g = ParallelGroup((ACTIN, NUCLEUS, TRANS))
-    res = _deform(g, f, 20.0, 0.002)
-    traj = _rk4_group(g, f, 20.0, 0.002)
+    res = _deform(g, omega, 20.0, 0.002)
+    traj = _rk4_group(g, F0, omega, 20.0, 0.002)
     # the fast transmembrane mode limits the integrator to about 1e-9 here
     assert np.array_equal(res.times, traj.times)
     shares = traj.states[:, 1:]
     for k in range(2):
-        assert np.max(np.abs(res.branch_forces[f"e/branch{k + 1}"] - shares[:, k])) \
+        assert np.max(np.abs(F0 * res.branch_forces[f"e/branch{k + 1}"] - shares[:, k])) \
             <= 1e-8
-    assert np.max(np.abs(res.total_u - traj.states[:, 0])) <= 1e-8 * np.max(res.total_u)
+    u = F0 * res.total_u
+    assert np.max(np.abs(u - traj.states[:, 0])) <= 1e-8 * np.max(np.abs(u))
 
 
 def test_actin_pair_phasor_amplitude_at_1hz():
@@ -276,33 +268,16 @@ def test_actin_pair_phasor_amplitude_at_1hz():
     exact = math.sqrt((1 + (w * te) ** 2) / (1 + (w * ts) ** 2)) / 100.0
     assert exact == pytest.approx(0.0033333483, abs=1e-10)
     # quarter-period samples long after the transient: u = a cos wt + b sin wt
-    res = _deform(g, Forcing.oscillatory(1.0, w), 3000.0, 0.25)
+    res = _deform(g, w, 3000.0, 0.25)
     a, minus_b = res.total_u[-1], res.total_u[-2]
     assert math.hypot(a, minus_b) == pytest.approx(exact, rel=1e-9)
 
 
 def test_deform_rejects_non_finite_inputs():
     with pytest.raises(ValueError, match="finite"):
-        _deform(ACTIN, Forcing.steady(1.0), 10.0, math.inf)
+        _deform(ACTIN, 0.0, 10.0, math.inf)
     with pytest.raises(ValueError, match="finite"):
-        _deform(ACTIN, Forcing.steady(1.0), math.nan, 0.1)
-    for omega in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="F0 and omega must be finite"):
-            Forcing.oscillatory(1.0, omega)
-    with pytest.raises(ValueError, match="omega > 0"):
-        Forcing.oscillatory(1.0, 0.0)
-    with pytest.raises(ValueError, match="omega must be nonnegative"):
-        Forcing(1.0, -1.0)
-
-
-def test_forcing_kind_follows_omega():
-    assert Forcing(1.0).kind == "steady"
-    for omega in (1e-300, 2.0):
-        assert Forcing(1.0, omega).kind == "oscillatory"
-    assert Forcing.steady(1.0) == Forcing(1.0)
-    assert Forcing.oscillatory(1.0, 2.0) == Forcing(1.0, 2.0)
-    with pytest.raises(ValueError, match="oscillatory forcing only"):
-        Forcing(1.0).period
+        _deform(ACTIN, 0.0, math.nan, 0.1)
 
 
 # ---------------------------------------------------------------- envelopes
@@ -310,22 +285,23 @@ def test_forcing_kind_follows_omega():
 def test_steady_peak_reaches_steady_quickly():
     # the last period of a 3-s run, [2, 3] s, peaks within 2% of a 12-s run's
     g = ParallelGroup((ACTIN, ACTIN))
-    f = Forcing.oscillatory(1.0, 2 * math.pi)
-    short, long = (_deform(g, f, t_end, 0.002) for t_end in (3.0, 12.0))
-    settled = steady_peak(long.times, long.total_u, f)
-    assert steady_peak(short.times, short.total_u, f) == pytest.approx(settled, rel=0.02)
+    w = 2 * math.pi
+    short, long = (_deform(g, w, t_end, 0.002) for t_end in (3.0, 12.0))
+    settled = steady_peak(long.times, long.total_u, w)
+    assert steady_peak(short.times, short.total_u, w) == pytest.approx(settled, rel=0.02)
 
 
 def test_steady_peak_requires_three_periods():
-    f = Forcing.oscillatory(1.0, 2 * math.pi)
     with pytest.raises(ValueError, match="periods"):
-        steady_peak(np.linspace(0, 2.0, 100), np.zeros(100), f)
+        steady_peak(np.linspace(0, 2.0, 100), np.zeros(100), 2 * math.pi)
+    # steady forcing has no period
+    with pytest.raises(ValueError, match="needs 0 < omega < inf, got 0.0"):
+        steady_peak(np.linspace(0, 2.0, 100), np.zeros(100), 0.0)
 
 
 def test_steady_peak_constant_signal():
-    f = Forcing.oscillatory(1.0, 2 * math.pi)
     t = np.linspace(0, 10, 1001)
-    assert steady_peak(t, np.full_like(t, 4.2), f) == 4.2
+    assert steady_peak(t, np.full_like(t, 4.2), 2 * math.pi) == 4.2
 
 
 # ---------------------------------------------------------------- sweeps
@@ -386,18 +362,18 @@ def test_steady_metrics_match_a_long_whole_grid_run(g):
     # its start, read as the last sample or with steady_peak; sampling a
     # period at 2000 points finds its peak to (pi / 2000)^2 / 2 = 1.2e-6
     settle = 30.0 * max(relaxation_times(b)[0] for b in g.bodies)
-    steady = Forcing.steady(1.0)
-    res = _deform(g, steady, settle, 1.0)
-    m = group_steady_metrics(g, steady)
+    res = _deform(g, 0.0, settle, 1.0)
+    m = group_steady_metrics(g)
     assert m["steady_u"] == pytest.approx(res.total_u[-1], rel=1e-10)
     assert m["steady_aF"] == pytest.approx(res.branch_forces["e/branch1"][-1], rel=1e-10)
     for f_hz in (1e-3, 1e-2):
-        f = Forcing.oscillatory(1.0, 2 * math.pi * f_hz)
-        res = _deform(g, f, settle + 2 * f.period, f.period / 2000)
-        m = group_steady_metrics(g, f)
+        w = 2 * math.pi * f_hz
+        period = 2 * math.pi / w
+        res = _deform(g, w, settle + 2 * period, period / 2000)
+        m = group_steady_metrics(g, w)
         for key, values in (("steady_u", res.total_u),
                             ("steady_aF", res.branch_forces["e/branch1"])):
-            sampled = steady_peak(res.times, values, f)
+            sampled = steady_peak(res.times, values, w)
             assert sampled <= m[key] * (1 + 1e-12)
             assert sampled == pytest.approx(m[key], rel=1.3e-6), (f_hz, key)
 
@@ -415,62 +391,62 @@ def test_frequency_sweep_matches_the_closed_form():
         assert norm_aF == pytest.approx(1.0, rel=1e-12), f_hz
 
 
-@pytest.mark.parametrize("F0", [2.0, -2.0])
-def test_steady_metrics_of_a_one_body_group(F0):
-    # the single-body closed forms; the only branch carries the forcing
+def test_steady_metrics_of_a_one_body_group():
+    # the single-body closed forms; the only branch carries the unit force
     ts, te = relaxation_times(ACTIN)
     g = ParallelGroup((ACTIN,))
-    m = group_steady_metrics(g, Forcing.steady(F0))
-    assert m["steady_u"] == pytest.approx(F0 / ACTIN.mu01, rel=1e-14)
-    assert m["steady_aF"] == F0
+    m = group_steady_metrics(g)
+    assert m["steady_u"] == pytest.approx(1.0 / ACTIN.mu01, rel=1e-14)
+    assert m["steady_aF"] == 1.0
     w = 2 * math.pi * 0.01
-    m = group_steady_metrics(g, Forcing.oscillatory(F0, w))
+    m = group_steady_metrics(g, w)
     gain = math.sqrt((1 + (w * te) ** 2) / (1 + (w * ts) ** 2))
-    assert m["steady_u"] == pytest.approx(abs(F0) / ACTIN.mu01 * gain, rel=1e-14)
-    assert m["steady_aF"] == abs(F0)
+    assert m["steady_u"] == pytest.approx(1.0 / ACTIN.mu01 * gain, rel=1e-14)
+    assert m["steady_aF"] == 1.0
 
 
-def test_steady_metrics_under_a_negative_force():
-    # steady values follow the sign of F0; a peak over a period is positive
-    g = ParallelGroup((ACTIN, NUCLEUS))
-    for f in (Forcing.steady(1.0), Forcing.oscillatory(1.0, 2 * math.pi * 0.01)):
-        pos = group_steady_metrics(g, f)
-        neg = group_steady_metrics(g, Forcing(-f.F0, f.omega))
-        sign = -1.0 if f.kind == "steady" else 1.0
-        for key in ("steady_u", "steady_aF"):
-            assert pos[key] > 0
-            assert neg[key] == pytest.approx(sign * pos[key], rel=1e-15), (f.kind, key)
+def _csv_u(path):
+    """The u column of a network table."""
+    return np.array([float(row.split(",")[2])
+                     for row in path.read_text().splitlines()[1:]])
 
 
 @pytest.mark.parametrize("F0", [1e307, 1e308, -1e308])
-def test_huge_forces_scale_the_unit_force_solution(F0):
-    # every system is linear in F0 and is solved at unit force: the forcing
-    # phasor F0 (1 + i w eta1 / mu11) alone would overflow at 1 Hz
-    g = ParallelGroup((ACTIN, ACTIN))
-    for omega in (0.0, 2 * math.pi):
-        unit = group_steady_metrics(g, Forcing(1.0, omega))
-        got = group_steady_metrics(g, Forcing(F0, omega))
-        scale = F0 if omega == 0 else abs(F0)
-        assert got == {k: v * scale for k, v in unit.items()}
-        unit = network_deform(network_one(), Forcing(1.0, omega), 5.0, 0.01)
-        res = network_deform(network_one(), Forcing(F0, omega), 5.0, 0.01)
-        for label, u in res.element_u.items():
-            assert np.array_equal(u, unit.element_u[label] * F0), label
+def test_huge_forces_scale_the_unit_force_solution(F0, tmp_path):
+    # the library answers for the unit force and the CLI applies kelvin.F0
+    # once, to what it writes and reports: the forcing phasor
+    # F0 (1 + i w eta1 / mu11) alone would overflow at 1 Hz
+    runs = [("kelvin-single", {"kelvin.t_end": 30.0}, "traj.csv")]
+    if F0 > 0:  # the networks read deformations as sizes
+        runs.append(("kelvin-network-I", {"kelvin.t_end_steady": 50.0,
+                                          "kelvin.t_end_osc": 5.0}, "oscillatory.csv"))
+    for name, params, table in runs:
+        unit = run(ExperimentConfig(name, params, tmp_path / name / "unit"))
+        got = run(ExperimentConfig(name, {**params, "kelvin.F0": F0}, tmp_path / name / "F0"))
+        assert np.array_equal(_csv_u(tmp_path / name / "F0" / table),
+                              F0 * _csv_u(tmp_path / name / "unit" / table))
+        for key in ("u0", "u_end", "steady_total", "oscillatory_peak_total"):
+            if key in unit.metrics:
+                assert got.metrics[key] == F0 * unit.metrics[key], key
+        if name != "kelvin-single":
+            assert got.metrics["osc_over_steady"] == unit.metrics["osc_over_steady"]
 
 
-def test_a_response_that_overflows_once_scaled_is_an_integration_error():
-    soft = KelvinBody(1.0, 1e-3, 1.0)
-    with pytest.raises(numerics.IntegrationError, match="steady response to F0 = 1e"):
-        group_steady_metrics(ParallelGroup((soft,)), Forcing.steady(1e308))
-    with pytest.raises(numerics.IntegrationError, match="deformations at F0 = 1e"):
-        network_deform(KelvinNetwork((("soft", soft),)), Forcing.steady(1e308), 50.0, 0.1)
+def test_a_response_that_overflows_once_scaled_is_an_integration_error(tmp_path):
+    # the creep limit F0 / mu01 = 1e311 of a soft body: the CLI refuses the
+    # scaled deformations before it writes anything
+    params = {"kelvin.F0": 1e308, "kelvin.mu01": 1e-3, "kelvin.eta1": 1.0,
+              "kelvin.t_end": 50.0}
+    with pytest.raises(numerics.IntegrationError, match=r"deformations at F0 = 1e\+308"):
+        run(ExperimentConfig("kelvin-single", params, tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- networks
 
 def test_network_one_ordering_and_forces():
     net = network_one()
-    res = network_deform(net, Forcing.steady(1.0), 2000.0, 0.1)
+    res = network_deform(net, 0.0, 2000.0, 0.1)
     m = res.times > 1.0
     sensor = res.element_u["sensor"][m]
     nucleus = res.element_u["nucleus"][m]
@@ -484,7 +460,7 @@ def test_network_one_ordering_and_forces():
 
 def test_network_two_matches_network_one_ordering():
     net = network_two()
-    res = network_deform(net, Forcing.steady(1.0), 2000.0, 0.1)
+    res = network_deform(net, 0.0, 2000.0, 0.1)
     m = res.times > 1.0
     sensor = res.element_u["sensor"][m]
     nucleus = res.element_u["nucleus"][m]
@@ -494,21 +470,14 @@ def test_network_two_matches_network_one_ordering():
     assert res.total_u[-1] == pytest.approx(2 / 100 + 2 / 100 + 1 / 200, rel=1e-4)
 
 
-def test_network_linearity_in_forcing():
-    net = network_one()
-    r1 = network_deform(net, Forcing.steady(1.0), 100.0, 0.1)
-    r2 = network_deform(net, Forcing.steady(2.0), 100.0, 0.1)
-    assert np.allclose(2 * r1.total_u, r2.total_u, rtol=1e-12)
-
-
 def test_network_oscillatory_much_smaller_than_steady():
     # each element's normalized oscillatory peak exceeds one third and
     # approaches it only at high frequency, so the total sits between one
     # third and the quasi-static sensor response
     net = network_one()
-    steady = network_deform(net, Forcing.steady(1.0), 2000.0, 0.1).total_u[-1]
-    f = Forcing.oscillatory(1.0, 2 * math.pi)
-    osc = network_deform(net, f, 30.0, 0.005)
-    peak = steady_peak(osc.times, osc.total_u, f)
+    steady = network_deform(net, 0.0, 2000.0, 0.1).total_u[-1]
+    w = 2 * math.pi
+    osc = network_deform(net, w, 30.0, 0.005)
+    peak = steady_peak(osc.times, osc.total_u, w)
     assert peak < 0.6 * steady
     assert peak > steady / 3.0
