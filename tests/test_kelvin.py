@@ -391,18 +391,23 @@ def test_frequency_sweep_matches_the_closed_form():
         assert norm_aF == pytest.approx(1.0, rel=1e-12), f_hz
 
 
-def test_steady_metrics_of_a_one_body_group():
-    # the single-body closed forms; the only branch carries the unit force
+@pytest.mark.parametrize("F0", [2.0, -2.0])
+def test_steady_metrics_of_a_one_body_group(F0):
+    # the single-body closed forms under the force F0 cos(omega t); the only
+    # branch carries the whole force.  The metrics answer for the unit force:
+    # a steady value scales by F0, a peak over a period by |F0|
     ts, te = relaxation_times(ACTIN)
     g = ParallelGroup((ACTIN,))
     m = group_steady_metrics(g)
     assert m["steady_u"] == pytest.approx(1.0 / ACTIN.mu01, rel=1e-14)
-    assert m["steady_aF"] == 1.0
+    assert F0 * m["steady_u"] == pytest.approx(F0 / ACTIN.mu01, rel=1e-14)
+    assert F0 * m["steady_aF"] == F0
     w = 2 * math.pi * 0.01
     m = group_steady_metrics(g, w)
     gain = math.sqrt((1 + (w * te) ** 2) / (1 + (w * ts) ** 2))
-    assert m["steady_u"] == pytest.approx(1.0 / ACTIN.mu01 * gain, rel=1e-14)
-    assert m["steady_aF"] == 1.0
+    assert m["steady_u"] > 0
+    assert abs(F0) * m["steady_u"] == pytest.approx(abs(F0) / ACTIN.mu01 * gain, rel=1e-14)
+    assert abs(F0) * m["steady_aF"] == abs(F0)
 
 
 def _csv_u(path):
