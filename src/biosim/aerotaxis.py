@@ -607,8 +607,9 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
                          f"above the cap of {numerics._MAX_SAMPLES}")
 
     def samples_by(s):
-        """Occupancy samples taken at or before each time in s."""
-        return np.clip(np.floor(s / dt) - first, 0, n_samples)
+        """Occupancy samples taken at or before each time in s (np.clip
+        would go through a Python-level wrapper on every call)."""
+        return np.minimum(np.maximum(np.floor(s / dt) - first, 0), n_samples)
 
     n = cfg.n_trials
     rng = np.random.default_rng(cfg.seed)

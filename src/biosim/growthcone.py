@@ -79,28 +79,46 @@ class CaAcState:
             raise ValueError("concentrations must be nonnegative")
 
 
-def _calcium_terms(C, L: float, gate, p: CaAcParams):
-    """(q, release) with dC/dt = q + release: q is the ligand-gated influx
-    minus the store pump plus the relaxation toward Cb, and release the
-    store release at the gate kf + k3 A.  For a scalar C the release is 0
-    where C + ka_ratio L <= 0; the array scans keep C > 0."""
-    q = p.k0 * L / (p.kn1 + L) - p.k1 * C * C / (p.Kp * p.Kp + C * C) + p.k2 * (p.Cb - C)
-    den = C + p.ka_ratio * L
+def _ligand_terms(L, p: CaAcParams):
+    """The parts of the switch's rates that depend on the ligand level L
+    alone, formed once per level: (L, the influx k0 L / (kn1 + L), Kp^2,
+    ka_ratio L, the activation amplitude k4 L / (kn2 + L) Cm, Kr^5).  For a
+    float L, kn1 + L = 0 or kn2 + L = 0 raises ZeroDivisionError and a Kr^5
+    past the float range OverflowError."""
+    return (L, p.k0 * L / (p.kn1 + L), p.Kp * p.Kp, p.ka_ratio * L,
+            p.k4 * L / (p.kn2 + L) * p.Cm, p.Kr**5)
+
+
+def _calcium_terms(C, lig, gate, p: CaAcParams):
+    """(q, release) with dC/dt = q + release at the ligand terms lig: q is
+    the ligand-gated influx minus the store pump plus the relaxation toward
+    Cb, and release the store release at the gate kf + k3 A.  For a scalar
+    C the release is 0 where C + ka_ratio L <= 0; the array scans keep
+    C > 0."""
+    L, influx, Kp2, ka_L, _, _ = lig
+    q = influx - p.k1 * C * C / (Kp2 + C * C) + p.k2 * (p.Cb - C)
+    den = C + ka_L
     if isinstance(den, np.ndarray) or den > 0:
         return q, gate * L * C * (p.Cer - C) / den
     return q, 0.0
 
 
-def _activation_gain(C, L, p: CaAcParams):
-    """dA/dt = gain (At - A) - k5 A."""
-    return p.k4 * L / (p.kn2 + L) * p.Cm * C**4 / (p.Kr**5 + p.Cm * C**4)
+def _activation_gain(C, lig, p: CaAcParams):
+    """dA/dt = gain (At - A) - k5 A at the ligand terms lig."""
+    C4 = C**4
+    return lig[4] * C4 / (lig[5] + p.Cm * C4)
+
+
+def _rates(C: float, A: float, lig, p: CaAcParams):
+    """(dC/dt, dA/dt) of the switch at the ligand terms lig."""
+    q, release = _calcium_terms(C, lig, p.kf + p.k3 * A, p)
+    return q + release, _activation_gain(C, lig, p) * (p.At - A) - p.k5 * A
 
 
 def ca_ac_rhs(state, L: float, p: CaAcParams):
     """Time derivatives (dC/dt, dA/dt) of the switch at ligand level L."""
     C, A = state
-    q, release = _calcium_terms(C, L, p.kf + p.k3 * A, p)
-    return q + release, _activation_gain(C, L, p) * (p.At - A) - p.k5 * A
+    return _rates(C, A, _ligand_terms(L, p), p)
 
 
 def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
@@ -114,7 +132,17 @@ def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
     negative initial state gets there.
     """
     y0 = [p.Cb if C0 is None else C0, A0]
-    traj = dopri5_integrate(lambda t, y: ca_ac_rhs(y.tolist(), L, p), y0, t_end, h)
+    lig = None
+
+    def rhs(t, y):
+        # the ligand terms are formed in the first call, where
+        # dopri5_integrate classifies an ArithmeticError they raise
+        nonlocal lig
+        if lig is None:
+            lig = _ligand_terms(L, p)
+        return _rates(*y.tolist(), lig, p)
+
+    traj = dopri5_integrate(rhs, y0, t_end, h)
     negative = np.flatnonzero((traj.states < 0).any(axis=1))
     if negative.size:
         raise IntegrationError(
@@ -132,23 +160,25 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
     if L < 0:
         raise ValueError("ligand must be nonnegative")
     C = np.linspace(1e-3, 8.0, n)
+    lig = _ligand_terms(L, p)
     # at gate 1 the release is its coefficient of kf + k3 A
-    q, g4 = _calcium_terms(C, L, 1.0, p)
+    q, g4 = _calcium_terms(C, lig, 1.0, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
-    return C, a_c, _a_nullcline(C, L, p)
+    return C, a_c, _a_nullcline(C, lig, p)
 
 
-def _a_nullcline(C, L, p: CaAcParams):
-    """Cyclase level on the dA/dt = 0 curve, elementwise in C."""
-    gain = _activation_gain(C, L, p)
+def _a_nullcline(C, lig, p: CaAcParams):
+    """Cyclase level on the dA/dt = 0 curve at the ligand terms lig,
+    elementwise in C."""
+    gain = _activation_gain(C, lig, p)
     return p.At * gain / (gain + p.k5)
 
 
-def _dc_on_a_nullcline(C, L: float, p: CaAcParams):
-    """dC/dt of ca_ac_rhs on the dA/dt = 0 curve, elementwise in C > 0;
-    the steady states are its roots."""
-    q, release = _calcium_terms(C, L, p.kf + p.k3 * _a_nullcline(C, L, p), p)
+def _dc_on_a_nullcline(C, lig, p: CaAcParams):
+    """dC/dt of ca_ac_rhs on the dA/dt = 0 curve at the ligand terms lig,
+    elementwise in C > 0; the steady states are its roots."""
+    q, release = _calcium_terms(C, lig, p.kf + p.k3 * _a_nullcline(C, lig, p), p)
     return q + release
 
 
@@ -160,9 +190,11 @@ def _curve_ligand(C, p: CaAcParams):
     (0.050, 5.10)).  The cubic's values at L = 0..3 fix its coefficients,
     and its roots are the eigenvalues of its companion matrices."""
     nodes = np.arange(4.0)
-    cleared = [(p.kn1 + L) * (C + p.ka_ratio * L) * (p.kn2 + L)
-               * (_activation_gain(C, L, p) + p.k5) * _dc_on_a_nullcline(C, L, p)
-               for L in nodes]
+    cleared = []
+    for L in nodes:
+        lig = _ligand_terms(L, p)
+        cleared.append((p.kn1 + L) * (C + lig[3]) * (p.kn2 + L)
+                       * (_activation_gain(C, lig, p) + p.k5) * _dc_on_a_nullcline(C, lig, p))
     c = np.linalg.solve(np.vander(nodes, increasing=True), cleared)  # c[k] multiplies L^k
     # near the top of the curve the leading coefficient vanishes: L -> inf
     cubic = np.abs(c[3]) > 1e-14 * np.abs(c).max(axis=0)
@@ -199,24 +231,26 @@ def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams()):
     """
     if L < 0:
         raise ValueError("ligand must be nonnegative")
-    f = lambda c: _dc_on_a_nullcline(c, L, p)
     edges = [1e-6, *(c for c, _ in _folds(p)), 8.0]
     with np.errstate(over="ignore", invalid="ignore"):
+        lig = _ligand_terms(L, p)
+        f = lambda c: _dc_on_a_nullcline(c, lig, p)
         ends = [f(c) for c in edges]
     if not all(map(math.isfinite, ends)):
         raise ValueError(f"the calcium rate is not finite at ligand level L = {float(L)!r}")
     roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi, f_lo, f_hi
              in zip(edges, edges[1:], ends, ends[1:]) if f_lo == 0.0 or f_lo * f_hi < 0]
-    states = [CaAcState(C, _a_nullcline(C, L, p)) for C in roots]
-    return [(st, _is_stable(st.C, st.A, L, p)) for st in states]
+    states = [CaAcState(C, _a_nullcline(C, lig, p)) for C in roots]
+    return [(st, _is_stable(st.C, st.A, lig, p)) for st in states]
 
 
-def _is_stable(C, A, L, p):
-    """Both eigenvalues of the 2x2 Jacobian have negative real part exactly
-    when its trace is negative and its determinant positive."""
+def _is_stable(C, A, lig, p):
+    """Both eigenvalues of the 2x2 Jacobian at the ligand terms lig have
+    negative real part exactly when its trace is negative and its
+    determinant positive."""
     columns = []
     for dC, dA in ((1e-6 * max(abs(C), 1.0), 0.0), (0.0, 1e-6 * max(abs(A), 1.0))):
-        up, dn = ca_ac_rhs((C + dC, A + dA), L, p), ca_ac_rhs((C - dC, A - dA), L, p)
+        up, dn = _rates(C + dC, A + dA, lig, p), _rates(C - dC, A - dA, lig, p)
         columns.append([(u - d) / (2 * (dC + dA)) for u, d in zip(up, dn)])
     (a, c), (b, d) = columns
     return bool(a + d < 0 and a * d - b * c > 0)

@@ -449,10 +449,23 @@ def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):
 
 
 def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
-    """Bisection on a sign-changing bracket.
+    """Root of f on a sign-changing bracket by the ITP method: interpolate,
+    truncate, project (Oliveira & Takahashi, ACM TOMS 47, 2020).
 
-    Stops when |f| <= tol, when the bracket width falls below tol, or
-    after 200 halvings.
+    Each step starts from the secant (regula falsi) point of the bracket
+    ends and moves it 0.2 w^2 / w0 toward the midpoint (w the bracket
+    width, w0 the first one), so that neither end stalls.  It then projects
+    the point onto the interval about the midpoint that keeps the bracket
+    within two halvings of bisection's: after step k (from 0) the width is
+    at most w0 2^(1 - k).  A point not strictly inside the bracket falls
+    back to the midpoint.  So f takes at most ceil(log2(w0 / tol)) + 2
+    evaluations besides f(lo) and f(hi), one more than bisection, and a
+    smooth simple root converges superlinearly, in about ten at
+    tol = 1e-13.
+
+    Returns the end where f is 0; otherwise the last point once |f| <= tol
+    or the bracket width is at most tol, or the midpoint after 200 steps.
+    Raises BracketError when f(lo) and f(hi) have one sign.
     """
     lo, hi = bracket.lo, bracket.hi
     flo, fhi = f(lo), f(hi)
@@ -464,15 +477,28 @@ def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
-    for _ in range(200):
+    lo_negative = flo < 0
+    w0 = hi - lo
+    for k in range(200):
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tol or (hi - lo) <= tol:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
+        # flo / (flo - fhi) lies in [0, 1]; a nan secant point ends at mid
+        x = lo + width * (flo / (flo - fhi))
+        toward = math.copysign(1.0, mid - x)
+        shift = 0.2 * width * (width / w0)
+        x = x + toward * shift if shift <= abs(mid - x) else mid
+        radius = w0 * 2.0 ** (1 - k) - 0.5 * width
+        if abs(x - mid) > radius:
+            x = mid - toward * radius
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if (fx < 0) == lo_negative:
+            lo, flo = x, fx
         else:
-            lo, flo = mid, fmid
+            hi, fhi = x, fx
+        if abs(fx) <= tol or hi - lo <= tol:
+            return x
     return 0.5 * (lo + hi)
 
 

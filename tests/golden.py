@@ -8,6 +8,9 @@ runs and compares.  Rewrite tests/data/golden.json from the current code
 with
 
     PYTHONPATH=src python tests/golden.py
+
+which prints, for each entry, the largest relative change of every metric
+and CSV column against the file it replaces.
 """
 from __future__ import annotations
 
@@ -75,15 +78,74 @@ def record(experiment: str, params: dict, seed: int, out: Path) -> dict:
             "csv": {p.name: fingerprint(p) for p in sorted(out.glob("*.csv"))}}
 
 
+def _relative_change(old, new) -> float:
+    """|new - old| / max(|old|, |new|), the measure test_golden.py bounds by
+    1e-12: 0 for equal values, inf for a change of kind or of text."""
+    if old == new:
+        return 0.0
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    if not numbers or math.isnan(old) or math.isnan(new):
+        return math.inf
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def _largest_change(old: list, new: list) -> float:
+    """The largest relative change between two lists of values, inf when
+    their lengths differ (an item or a statistic came or went)."""
+    if len(old) != len(new):
+        return math.inf
+    return max(map(_relative_change, old, new), default=0.0)
+
+
+def _items(entry: dict) -> dict:
+    """Each metric of an entry and each column of its CSVs, by label, as the
+    list of its values: the metric, or the column's statistics."""
+    items = {f"metric {key}": [value] for key, value in entry["metrics"].items()}
+    for name, fp in entry["csv"].items():
+        items[f"{name} rows"] = [fp["rows"]]
+        for col, stats in fp["columns"].items():
+            items[f"{name} {col}"] = [stats[k] for k in sorted(stats)]
+    return items
+
+
+def report(old_runs: list, new_runs: list) -> list:
+    """Lines that give, for each new entry, the largest relative change of
+    every metric and CSV column against the old entry of its id, with the
+    CSVs whose bytes changed; an entry with no change is one line."""
+    before = {e["id"]: e for e in old_runs}
+    lines = []
+    for entry in new_runs:
+        old = before.get(entry["id"])
+        if old is None:
+            lines.append(f"{entry['id']}: new entry")
+            continue
+        was, now = _items(old), _items(entry)
+        change = {label: _largest_change(was.get(label, []), now.get(label, []))
+                  for label in sorted(was.keys() | now.keys())}
+        bytes_moved = sorted(name for name, fp in entry["csv"].items()
+                             if old["csv"].get(name, {}).get("sha256") != fp["sha256"])
+        if not bytes_moved and not any(change.values()):
+            lines.append(f"{entry['id']}: unchanged")
+            continue
+        lines.append(f"{entry['id']}: bytes changed in {', '.join(bytes_moved) or 'no CSV'}; "
+                     f"largest relative change {max(change.values()):.2g}")
+        lines.extend(f"  {label}: {value:.2g}" for label, value in change.items())
+    gone = before.keys() - {e["id"] for e in new_runs}
+    lines.extend(f"{rid}: removed" for rid in sorted(gone))
+    return lines
+
+
 def main() -> int:
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         entries = [{"id": rid, "experiment": exp, "params": params, "seed": seed,
                     **record(exp, params, seed, Path(tmp) / rid)}
                    for rid, exp, params, seed in runs()]
+    old = json.loads(GOLDEN.read_text())["runs"] if GOLDEN.exists() else []
     GOLDEN.write_text(json.dumps({"platform": platform_key(), "runs": entries},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(entries)} runs to {GOLDEN}")
+    print("\n".join(report(old, entries)))
     return 0
 
 

@@ -357,6 +357,8 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # then fail with a usage error from expm)
     (["kelvin-single", "--set", "kelvin.eta1=1e-09", "--set", "kelvin.mu01=1e308",
       "--set", "kelvin.mu11=1e308"], "the rate matrix A^-1 D is not finite"),
+    # kn2 + L = 0 divides by zero in the ligand terms of the first level
+    (["growthcone-switch", "--set", "gc.La=-1"], "non-finite derivative at t=0.0"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])

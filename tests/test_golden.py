@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from golden import GOLDEN, platform_key, record
+from golden import GOLDEN, platform_key, record, report
 
 _GOLDEN = json.loads(GOLDEN.read_text())
 
@@ -36,3 +36,23 @@ def test_outputs_match_the_golden_file(entry, tmp_path):
     for key, want in entry["metrics"].items():
         assert _same(got["metrics"][key], want), (key, got["metrics"][key], want)
     assert got["metrics"].keys() == entry["metrics"].keys()
+
+
+def test_report_gives_the_largest_relative_change_per_item():
+    old = {"id": "a", "metrics": {"m": 2.0, "flag": True},
+           "csv": {"t.csv": {"sha256": "x", "rows": 2, "columns": {
+               "v": {"min": 1.0, "max": 4.0, "sum": 5.0, "nan": 0},
+               "tag": {"values": ["p"]}}}}}
+    new = json.loads(json.dumps(old))
+    assert report([old], [new]) == ["a: unchanged"]
+    new["csv"]["t.csv"].update(sha256="y")
+    new["csv"]["t.csv"]["columns"]["v"].update(max=4.0 * (1 + 1e-13), sum=5.0 * (1 - 4e-13))
+    new["metrics"]["m"] = -2.0
+    new["csv"]["t.csv"]["columns"]["tag"] = {"values": ["q"]}
+    lines = report([old, {**old, "id": "gone"}], [new, {**new, "id": "b"}])
+    assert lines[0] == "a: bytes changed in t.csv; largest relative change inf"
+    changes = dict(line.strip().split(": ") for line in lines[1:6])
+    assert math.isclose(float(changes["t.csv v"]), 4e-13, rel_tol=0.05)
+    assert changes == {"metric flag": "0", "metric m": "2", "t.csv rows": "0",
+                       "t.csv tag": "inf", "t.csv v": changes["t.csv v"]}
+    assert lines[6:] == ["b: new entry", "gone: removed"]

@@ -68,6 +68,19 @@ def test_rhs_guard_at_origin():
     assert math.isfinite(dC) and math.isfinite(dA)
 
 
+def test_rhs_matches_the_written_out_rates_bit_for_bit():
+    # the ligand terms are formed once per level; every value stays the one
+    # the rates give written out in full
+    p = CaAcParams()
+    rng = np.random.default_rng(5)
+    for L, C, A in zip(rng.uniform(0, 30, 200), rng.uniform(0, 10, 200), rng.uniform(0, 20, 200)):
+        L, C, A = float(L), float(C), float(A)
+        dC = (p.k0 * L / (p.kn1 + L) - p.k1 * C * C / (p.Kp * p.Kp + C * C) + p.k2 * (p.Cb - C)
+              + (p.kf + p.k3 * A) * L * C * (p.Cer - C) / (C + p.ka_ratio * L))
+        gain = p.k4 * L / (p.kn2 + L) * p.Cm * C**4 / (p.Kr**5 + p.Cm * C**4)
+        assert ca_ac_rhs((C, A), L, p) == (dC, gain * (p.At - A) - p.k5 * A)
+
+
 # ---------------------------------------------------------------- trajectories
 
 def test_simulate_zero_ligand_keeps_cyclase_off():
@@ -166,16 +179,17 @@ def test_nullcline_residual_array_matches_scalar_rhs():
     p = CaAcParams()
     C = np.linspace(1e-6, 8.0, 1500)
     for L in (0.0, 0.1, 1.0, 2.3, 10.0):
-        res = growthcone._dc_on_a_nullcline(C, L, p)
+        lig = growthcone._ligand_terms(L, p)
+        res = growthcone._dc_on_a_nullcline(C, lig, p)
         ref = []
         for c in C:
-            gain = growthcone._activation_gain(c, L, p)
+            gain = growthcone._activation_gain(c, lig, p)
             ref.append(ca_ac_rhs((c, p.At * gain / (gain + p.k5)), L, p)[0])
         np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
         # the shared calcium terms over the whole grid give the scalar rhs
         # at any cyclase level
         for A in (0.0, 7.5, p.At):
-            q, release = growthcone._calcium_terms(C, L, p.kf + p.k3 * A, p)
+            q, release = growthcone._calcium_terms(C, lig, p.kf + p.k3 * A, p)
             ref = [ca_ac_rhs((c, A), L, p)[0] for c in C]
             np.testing.assert_allclose(q + release, ref, rtol=1e-12, atol=1e-12)
 
@@ -191,6 +205,25 @@ def test_state_counts_across_the_folds(jumps):
         assert len(states) == expected, L
         Cs = [st.C for st, _ in states]
         assert Cs == sorted(Cs)
+
+
+def test_steady_state_roots_converge_superlinearly(monkeypatch):
+    # each root of dC/dt on the dA/dt = 0 curve at tol 1e-13 takes about
+    # ten evaluations; bisection took about 47
+    p = CaAcParams()
+    growthcone._folds(p)  # the fold roots are cached apart
+    counts = []
+
+    def counting(f, bracket, tol):
+        calls = []
+        root = numerics.solve_scalar_root(lambda c: calls.append(c) or f(c), bracket, tol)
+        counts.append(len(calls))
+        return root
+
+    monkeypatch.setattr(growthcone, "solve_scalar_root", counting)
+    for L in (0.1, 1.0, 2.0, 10.0):
+        ca_ac_steady_states(L, p)
+    assert len(counts) == 8 and max(counts) <= 14
 
 
 def test_state_on_a_shared_piece_edge_counts_once(monkeypatch):
@@ -214,8 +247,9 @@ def test_fold_states_have_a_singular_jacobian():
     folds = growthcone._folds(p)
     assert len(folds) == 2
     for C, L in folds:
-        A = growthcone._a_nullcline(C, L, p)
-        assert abs(growthcone._dc_on_a_nullcline(C, L, p)) < 1e-12
+        lig = growthcone._ligand_terms(L, p)
+        A = growthcone._a_nullcline(C, lig, p)
+        assert abs(growthcone._dc_on_a_nullcline(C, lig, p)) < 1e-12
         J = _fd_jacobian(C, A, L, p)
         assert abs(np.linalg.det(J)) <= 1e-4 * np.abs(J).max() ** 2
 
@@ -231,7 +265,7 @@ def test_curve_points_are_steady_states():
     assert 0.049 < span[0] < 0.051 and 5.09 < span[-1] < 5.11
     assert np.all(on[(C >= span[0]) & (C <= span[-1])])
     ok = on & (L < 100)
-    res = growthcone._dc_on_a_nullcline(C[ok], L[ok], p)
+    res = growthcone._dc_on_a_nullcline(C[ok], growthcone._ligand_terms(L[ok], p), p)
     scale = p.k0 + p.k1 + p.k2 * C[ok] + (p.kf + p.k3 * p.At) * C[ok] * p.Cer
     assert np.max(np.abs(res) / scale) < 1e-12
     for c, l in zip(C[ok][::97], L[ok][::97]):

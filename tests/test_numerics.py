@@ -827,6 +827,50 @@ def test_root_residual_property():
         assert abs(f(root)) <= 1e-10
 
 
+def _counted(f):
+    """f and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+    return counted, calls
+
+
+@pytest.mark.parametrize("f,lo,hi,tol", [
+    pytest.param(lambda x: x - 1.0, 0.0, 2.0, 1e-12, id="linear"),
+    pytest.param(lambda z: math.exp(z) - z - 1.5, 0.1, 2.0, 1e-12, id="exp"),
+    pytest.param(lambda y: y * y - 2 * y - 0.1488, 1.0, 3.0, 1e-13, id="quadratic"),
+    *(pytest.param(lambda z, a=alpha: math.exp(z) - z - a, 1e-9, 5.0, 1e-12,
+                   id=f"residual-{alpha}") for alpha in (1.1, 1.5, 2.0, 5.0)),
+])
+def test_root_converges_superlinearly(f, lo, hi, tol):
+    # the problems of the test_root_* functions above: bisection takes 42
+    # to 47 evaluations on each but the first
+    counted, calls = _counted(f)
+    solve_scalar_root(counted, Bracket(lo, hi), tol=tol)
+    assert len(calls) <= 16
+
+
+@pytest.mark.parametrize("f,root,bisection", [
+    # regula falsi without a safeguard keeps the end at 1 of this flat root
+    # and is still at x = 0.083 after 1,000 steps; bisection stops on
+    # |f| <= tol after 6 evaluations, or on the width after 42
+    pytest.param(lambda x: (x - 0.3) ** 9, 0.3, 6, id="flat"),
+    pytest.param(lambda x: 1e100 * (x - 0.3) ** 9, 0.3, 42, id="flat-scaled"),
+    # a step of width 1e-4: the secant point is no better than the midpoint
+    pytest.param(lambda x: math.tanh(1e4 * (x - 1 / 3)), 1 / 3, 43, id="tanh"),
+])
+def test_root_safeguard_bounds_evaluations_by_bisection(f, root, bisection):
+    counted, calls = _counted(f)
+    x = solve_scalar_root(counted, Bracket(0.0, 1.0), tol=1e-12)
+    assert len(calls) <= 2 * bisection
+    # the documented bound: ceil(log2(w0 / tol)) + 2 past the two ends
+    assert len(calls) <= 2 + math.ceil(math.log2(1e12)) + 2
+    # the stopping rule: |f| <= tol, or the root within a bracket of width tol
+    assert abs(f(x)) <= 1e-12 or abs(x - root) <= 1e-12
+
+
 # ---------------------------------------------------------------- linear algebra
 
 def test_solve_identity():
