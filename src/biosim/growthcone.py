@@ -67,6 +67,10 @@ class CaAcParams:
                 raise ValueError(f"{name} must be positive")
         if not self.Cb < self.Cer:
             raise ValueError("resting calcium must be below store calcium")
+        try:
+            self.Kr**5
+        except OverflowError:
+            raise ValueError("Kr**5 must be within the float range") from None
 
 
 @dataclass
@@ -83,8 +87,8 @@ def _ligand_terms(L, p: CaAcParams):
     """The parts of the switch's rates that depend on the ligand level L
     alone, formed once per level: (L, the influx k0 L / (kn1 + L), Kp^2,
     ka_ratio L, the activation amplitude k4 L / (kn2 + L) Cm, Kr^5).  For a
-    float L, kn1 + L = 0 or kn2 + L = 0 raises ZeroDivisionError and a Kr^5
-    past the float range OverflowError."""
+    float L, kn1 + L = 0 or kn2 + L = 0 raises ZeroDivisionError; CaAcParams
+    keeps Kr^5 within the float range."""
     return (L, p.k0 * L / (p.kn1 + L), p.Kp * p.Kp, p.ka_ratio * L,
             p.k4 * L / (p.kn2 + L) * p.Cm, p.Kr**5)
 
@@ -127,22 +131,15 @@ def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
     """Integrate the switch from the resting state (C = Cb, A = 0) by
     error-controlled Dormand-Prince 5(4), sampled every h.
 
-    Raises IntegrationError naming the first sample with a negative
-    concentration; the nonnegative quadrant is invariant, so only a
-    negative initial state gets there.
+    Refuses a negative ligand level L.  Raises IntegrationError naming the
+    first sample with a negative concentration; the nonnegative quadrant is
+    invariant, so only a negative initial state gets there.
     """
-    y0 = [p.Cb if C0 is None else C0, A0]
-    lig = None
-
-    def rhs(t, y):
-        # the ligand terms are formed in the first call, where
-        # dopri5_integrate classifies an ArithmeticError they raise
-        nonlocal lig
-        if lig is None:
-            lig = _ligand_terms(L, p)
-        return _rates(*y.tolist(), lig, p)
-
-    traj = dopri5_integrate(rhs, y0, t_end, h)
+    if not L >= 0:
+        raise ValueError("ligand must be nonnegative")
+    lig = _ligand_terms(L, p)
+    traj = dopri5_integrate(lambda t, y: _rates(*y, lig, p),
+                            [p.Cb if C0 is None else C0, A0], t_end, h)
     negative = np.flatnonzero((traj.states < 0).any(axis=1))
     if negative.size:
         raise IntegrationError(
@@ -439,16 +436,12 @@ def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
     A1s = base * (1 + r1 * cpl.k1 * kdiff / denomA)
     A2s = base * (1 - r1 * cpl.k1 * kdiff / denomA)
     denomM = r2 * (p.lam * kp + cpl.k1 * ks) + p.lam * p.kd * cpl.k1 * ks
-    if cpl.k1 == 0.0:
-        M1s = base * r1 / (p.lam * ka1)
-        M2s = base * r1 / (p.lam * ka2)
-    else:
-        M1s = (p.m * r1 / (p.lam * p.r)
-               * (r2 * (p.lam * ka2 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
-               / denomM)
-        M2s = (p.m * r1 / (p.lam * p.r)
-               * (r2 * (p.lam * ka1 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
-               / denomM)
+    M1s = (p.m * r1 / (p.lam * p.r)
+           * (r2 * (p.lam * ka2 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
+           / denomM)
+    M2s = (p.m * r1 / (p.lam * p.r)
+           * (r2 * (p.lam * ka1 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
+           / denomM)
     return A1s, A2s, M1s, M2s
 
 

@@ -263,9 +263,9 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
     non-finite or raises ArithmeticError, when the step size underflows
     and after DP5_MAX_STEPS attempted steps.
 
-    rhs(t, y) gets y as a 1-D float ndarray and returns the n derivatives
-    as any sequence of numbers.  The steps run on Python floats, so the
-    kernel suits small systems (the switch has two states).
+    rhs(t, y) gets y as a list of n Python floats and returns the n
+    derivatives as floats, in any sequence; no array is formed per call, so
+    the kernel suits small systems (the switch has two states).
     """
     times = _step_times(0.0, t_end, h)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -274,14 +274,11 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
     n = y0.size
     rtol, atol = DP5_RTOL, DP5_ATOL
 
-    def f(t, y):
-        return list(map(float, rhs(t, np.array(y))))
-
     # overflow surfaces as a rejected step, then as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
         y = y0.tolist()
         try:
-            k1 = f(0.0, y)
+            k1 = rhs(0.0, y)
             finite = all(map(math.isfinite, k1))
         except ArithmeticError:
             finite = False
@@ -307,20 +304,20 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
             if last:
                 step = t_end - t
             try:
-                k2 = f(t + _C2 * step, [a + step * (_A21 * p1) for a, p1 in zip(y, k1)])
-                k3 = f(t + _C3 * step, [a + step * (_A31 * p1 + _A32 * p2)
-                                        for a, p1, p2 in zip(y, k1, k2)])
-                k4 = f(t + _C4 * step, [a + step * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-                                        for a, p1, p2, p3 in zip(y, k1, k2, k3)])
-                k5 = f(t + _C5 * step,
-                       [a + step * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-                        for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-                k6 = f(t + step,
-                       [a + step * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-                        for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+                k2 = rhs(t + _C2 * step, [a + step * (_A21 * p1) for a, p1 in zip(y, k1)])
+                k3 = rhs(t + _C3 * step, [a + step * (_A31 * p1 + _A32 * p2)
+                                          for a, p1, p2 in zip(y, k1, k2)])
+                k4 = rhs(t + _C4 * step, [a + step * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+                                          for a, p1, p2, p3 in zip(y, k1, k2, k3)])
+                k5 = rhs(t + _C5 * step,
+                         [a + step * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+                          for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+                k6 = rhs(t + step,
+                         [a + step * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+                          for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
                 y_new = [a + step * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
                          for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-                k7 = f(t_end if last else t + step, y_new)
+                k7 = rhs(t_end if last else t + step, y_new)
                 acc = 0.0
                 for a, a_new, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
                     q = (step * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6

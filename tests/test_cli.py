@@ -357,8 +357,6 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # then fail with a usage error from expm)
     (["kelvin-single", "--set", "kelvin.eta1=1e-09", "--set", "kelvin.mu01=1e308",
       "--set", "kelvin.mu11=1e308"], "the rate matrix A^-1 D is not finite"),
-    # kn2 + L = 0 divides by zero in the ligand terms of the first level
-    (["growthcone-switch", "--set", "gc.La=-1"], "non-finite derivative at t=0.0"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
@@ -514,6 +512,10 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
       "--set", "gc.k1=0"], "a zero-rate compartment needs k1 > 0 to reach steady state"),
     (["growthcone-ca-switch", "--set", "gc.c=5e-324", "--set", "gc.b=1e-320",
       "--set", "gc.ca_lo=0.0"], "(l + b)(Ca + c) at l = 0.5, Ca = 0.0 is not positive"),
+    # gc.La=-1 divided by zero in the ligand terms (exit 2), and gc.Lb=-3
+    # wrote trajectories for a negative ligand with exit 0
+    (["growthcone-switch", "--set", "gc.La=-1"], "ligand must be nonnegative"),
+    (["growthcone-switch", "--set", "gc.Lb=-3"], "ligand must be nonnegative"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

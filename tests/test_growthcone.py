@@ -644,6 +644,10 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: adaptation_asymptotic(0.0, 1.0, _P, _T), "ligands must be positive"),
     (lambda: adaptation_asymptotic(1.0, 0.0, _P, _T), "ligands must be positive"),
     (lambda: ca_ac_nullclines(-1.0), "ligand must be nonnegative"),
+    (lambda: ca_ac_simulate(-1.0), "ligand must be nonnegative"),
+    # Kr**5 raised a bare OverflowError in the ligand terms
+    (lambda: ca_ac_steady_states(1.0, CaAcParams(Kr=1e100)), "Kr\\*\\*5"),
+    (lambda: ca_ac_nullclines(1.0, CaAcParams(Kr=1e100)), "Kr\\*\\*5"),
     (lambda: optimal_ligand_sum(_P, CompartmentCoupling(k1=1e-320)), "is not finite"),
     # guards no other test reaches
     (lambda: numerics.Trajectory([0.0, 1.0], [[0.0]]), "must have equal length"),
@@ -687,7 +691,8 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: kelvin.parameter_sweep(kelvin.ParallelGroup((_ACTIN,) * 3), "mu02", [1.0]),
      "the sweep is defined for two-body groups"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
-        "asymptotic-l1", "nullclines-L", "optimal-sum-k1",
+        "asymptotic-l1", "nullclines-L", "simulate-L", "steady-states-Kr",
+        "nullclines-Kr", "optimal-sum-k1",
         "trajectory-lengths", "trajectory-times", "trajectory-nan", "rk4-h-0",
         "rk4-empty-span", "dense-not-square", "expm-not-square", "expm-nan",
         "ca-ac-k0", "ca-ac-Cb", "ca-ac-state", "coupling-k1", "two-comp-k1-0",

@@ -112,7 +112,7 @@ def test_step_grid_rejects_non_finite(t1, h):
     with pytest.raises(ValueError, match="finite"):
         solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], t1, h)
     with pytest.raises(ValueError, match="finite"):
-        dopri5_integrate(lambda t, y: -y, [1.0], t1, h)
+        dopri5_integrate(lambda t, y: [-y[0]], [1.0], t1, h)
     with pytest.raises(ValueError, match="finite"):
         rk4_integrate(lambda t, y: -y, [1.0], math.nan, 1.0, 0.1)
 
@@ -120,7 +120,7 @@ def test_step_grid_rejects_non_finite(t1, h):
 def test_step_grid_rejects_oversized_grid_before_allocating(monkeypatch):
     # 1e13 samples would need 80 TB; each sampled kernel refuses at once
     for call in (lambda: rk4_integrate(lambda t, y: -y, [1.0], 0.0, 10.0, 1e-12),
-                 lambda: dopri5_integrate(lambda t, y: -y, [1.0], 10.0, 1e-12),
+                 lambda: dopri5_integrate(lambda t, y: [-y[0]], [1.0], 10.0, 1e-12),
                  lambda: solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], 10.0, 1e-12)):
         with pytest.raises(ValueError, match="1e\\+13 samples, above the cap of 10000000"):
             call()
@@ -291,9 +291,23 @@ def test_dopri5_switch_matches_dop853(L):
     assert _rel_err(traj.states, _dop853(rhs, [p.Cb, 0.0], traj.times)) < 1e-7
 
 
+def test_dopri5_switch_rhs_gets_a_list_of_python_floats(monkeypatch):
+    # the kernel forms no array per call: the state reaches the rate law
+    # as the list it steps
+    states = []
+
+    def spy(rhs, y0, t_end, h):
+        return dopri5_integrate(lambda t, y: states.append(y) or rhs(t, y), y0, t_end, h)
+
+    monkeypatch.setattr(growthcone, "dopri5_integrate", spy)
+    growthcone.ca_ac_simulate(1.0, t_end=0.1)
+    assert states and all(type(y) is list and list(map(type, y)) == [float, float]
+                          for y in states)
+
+
 def test_dopri5_samples_on_the_rk4_grid():
     # 1.05 / 0.1 leaves a short last sample interval
-    traj = dopri5_integrate(lambda t, y: -y, [1.0], 1.05, 0.1)
+    traj = dopri5_integrate(lambda t, y: [-y[0]], [1.0], 1.05, 0.1)
     assert np.array_equal(traj.times, rk4_integrate(lambda t, y: -y, [1.0], 0.0, 1.05, 0.1).times)
     assert traj.times[-1] == 1.05 and traj.states[0, 0] == 1.0
     assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.times))) < 1e-9
@@ -331,9 +345,9 @@ def test_dopri5_finite_time_blowup_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match=r"step size underflow at t=0\.99999"):
-            dopri5_integrate(lambda t, y: y * y, [1.0], 2.0, 0.1)
+            dopri5_integrate(lambda t, y: [y[0] * y[0]], [1.0], 2.0, 0.1)
         with pytest.raises(IntegrationError, match="step size underflow at t=0.0"):
-            dopri5_integrate(lambda t, y: 1e300 * y * y, [1.0], 1.0, 0.1)
+            dopri5_integrate(lambda t, y: [1e300 * y[0] * y[0]], [1.0], 1.0, 0.1)
     with pytest.raises(IntegrationError, match="non-finite derivative at t=0.0"):
         dopri5_integrate(lambda t, y: np.array([math.nan]), [1.0], 1.0, 0.1)
 
