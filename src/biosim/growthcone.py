@@ -30,6 +30,12 @@ from .numerics import (
 )
 
 
+def _check_finite(message: str, *values):
+    """ValueError(message) unless every value, a number or an array, is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(message)
+
+
 # --------------------------------------------------------------------------
 # calcium / adenylate-cyclase switch
 
@@ -84,11 +90,12 @@ class CaAcState:
 
 
 def _ligand_terms(L, p: CaAcParams):
-    """The parts of the switch's rates that depend on the ligand level L
-    alone, formed once per level: (L, the influx k0 L / (kn1 + L), Kp^2,
-    ka_ratio L, the activation amplitude k4 L / (kn2 + L) Cm, Kr^5).  For a
-    float L, kn1 + L = 0 or kn2 + L = 0 raises ZeroDivisionError; CaAcParams
-    keeps Kr^5 within the float range."""
+    """The parts of the switch's rates that depend on the ligand level L alone,
+    formed once per level or elementwise over levels: (L, k0 L / (kn1 + L), Kp^2,
+    ka_ratio L, k4 L / (kn2 + L) Cm, Kr^5).  ValueError unless L >= 0 (NaN fails);
+    CaAcParams keeps Kr^5 finite, and an overflowing L gives infinite terms."""
+    if not np.all(L >= 0):
+        raise ValueError("ligand must be nonnegative")
     return (L, p.k0 * L / (p.kn1 + L), p.Kp * p.Kp, p.ka_ratio * L,
             p.k4 * L / (p.kn2 + L) * p.Cm, p.Kr**5)
 
@@ -120,9 +127,9 @@ def _rates(C: float, A: float, lig, p: CaAcParams):
 
 
 def ca_ac_rhs(state, L: float, p: CaAcParams):
-    """Time derivatives (dC/dt, dA/dt) of the switch at ligand level L."""
-    C, A = state
-    return _rates(C, A, _ligand_terms(L, p), p)
+    """Time derivatives (dC/dt, dA/dt) of the switch at ligand level L, not
+    finite where L overflows them; ValueError for a negative or NaN L."""
+    return _rates(*state, _ligand_terms(L, p), p)
 
 
 def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
@@ -131,12 +138,10 @@ def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
     """Integrate the switch from the resting state (C = Cb, A = 0) by
     error-controlled Dormand-Prince 5(4), sampled every h.
 
-    Refuses a negative ligand level L.  Raises IntegrationError naming the
+    Refuses a negative or NaN ligand level L.  Raises IntegrationError naming the
     first sample with a negative concentration; the nonnegative quadrant is
     invariant, so only a negative initial state gets there.
     """
-    if not L >= 0:
-        raise ValueError("ligand must be nonnegative")
     lig = _ligand_terms(L, p)
     traj = dopri5_integrate(lambda t, y: _rates(*y, lig, p),
                             [p.Cb if C0 is None else C0, A0], t_end, h)
@@ -151,18 +156,19 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
     """Both nullclines as A(C) curves on n calcium levels in [1e-3, 8].
 
     The dC/dt = 0 curve is solved for A (the release term is linear in
-    A); the dA/dt = 0 curve is closed form.  Where the release term
-    vanishes the dC curve has no finite solution and nan is returned.
+    A); the dA/dt = 0 curve is closed form.  The dC curve is nan where it has
+    no finite solution (where the release term vanishes, say); ValueError for a
+    negative or NaN L or a dA/dt = 0 curve that is not finite.
     """
-    if L < 0:
-        raise ValueError("ligand must be nonnegative")
     C = np.linspace(1e-3, 8.0, n)
     lig = _ligand_terms(L, p)
-    # at gate 1 the release is its coefficient of kf + k3 A
-    q, g4 = _calcium_terms(C, lig, 1.0, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # at gate 1 the release is its coefficient of kf + k3 A
+        q, g4 = _calcium_terms(C, lig, 1.0, p)
         a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
-    return C, a_c, _a_nullcline(C, lig, p)
+        a_a = _a_nullcline(C, lig, p)
+    _check_finite(f"the dA/dt = 0 curve is not finite at ligand level L = {L!r}", a_a)
+    return C, np.where(np.isfinite(a_c), a_c, np.nan), a_a
 
 
 def _a_nullcline(C, lig, p: CaAcParams):
@@ -226,15 +232,12 @@ def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams()):
     lower end only) and solve_scalar_root refines it.  A state is stable
     when its Jacobian has negative trace and positive determinant.
     """
-    if L < 0:
-        raise ValueError("ligand must be nonnegative")
     edges = [1e-6, *(c for c, _ in _folds(p)), 8.0]
     with np.errstate(over="ignore", invalid="ignore"):
         lig = _ligand_terms(L, p)
         f = lambda c: _dc_on_a_nullcline(c, lig, p)
         ends = [f(c) for c in edges]
-    if not all(map(math.isfinite, ends)):
-        raise ValueError(f"the calcium rate is not finite at ligand level L = {float(L)!r}")
+    _check_finite(f"the calcium rate is not finite at ligand level L = {float(L)!r}", ends)
     roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi, f_lo, f_hi
              in zip(edges, edges[1:], ends, ends[1:]) if f_lo == 0.0 or f_lo * f_hi < 0]
     states = [CaAcState(C, _a_nullcline(C, lig, p)) for C in roots]
@@ -313,25 +316,8 @@ def adaptation_initial_state(l0: float, p: AdaptationParams):
     if not l0 > 0:
         raise ValueError(f"initial ligand l0 must be positive, got {l0!r}")
     M = p.m / p.r * p.kd / p.ka(l0) if p.ka(l0) > 0 else math.inf
-    if not math.isfinite(M):
-        raise ValueError(f"the adapted state M = m kd / (r k l0) at l0 = {l0!r} is not finite")
+    _check_finite(f"the adapted state M = m kd / (r k l0) at l0 = {l0!r} is not finite", M)
     return np.array([M, p.m / p.r])  # (M, A)
-
-
-def adaptation_rhs(y, l: float, p: AdaptationParams):
-    M, A = y
-    ex = p.lam * (p.ka(l) * M - p.kd * A)
-    return np.array([p.m - ex, -p.r * A + ex])
-
-
-def _affine_parts(rhs, n: int):
-    """(D, c) of an affine right-hand side D y + c; ValueError unless both are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.asarray(rhs(np.zeros(n)), dtype=float)
-        D = np.column_stack([np.asarray(rhs(e), dtype=float) - c for e in np.eye(n)])
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(c))):
-        raise ValueError("a rate coefficient of the linear model is not finite")
-    return D, c
 
 
 def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationParams(),
@@ -340,15 +326,15 @@ def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationPa
     exactly and sampled every h; ValueError for l1 < 0."""
     if not l1 >= 0:
         raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
-    D, c = _affine_parts(lambda y: adaptation_rhs(y, l1, p), 2)
+    D, c = _adaptation_system([p.ka(l1)], p)
     return solve_linear_ode(np.eye(2), D, c, adaptation_initial_state(l0, p), t_end, h)
 
 
 def adaptation_asymptotic(l0: float, l1: float, p: AdaptationParams, t):
     """Matched two-time-scale solution of the step response.
 
-    Valid for a large time-scale ratio; a warning is emitted when
-    lam < 5.  Returns (M(t), A(t)).
+    Valid for a large time-scale ratio; a warning is emitted when lam < 5.
+    Returns (M(t), A(t)); ValueError unless k l0, k l1 > 0 and both are finite.
     """
     if p.lam < 5:
         warnings.warn("time-scale ratio below 5; matched solution is rough")
@@ -363,13 +349,21 @@ def adaptation_asymptotic(l0: float, l1: float, p: AdaptationParams, t):
     M0 = As * p.kd / ka0
     M1 = As * (p.kd / ka1) * (1 + p.kd / ka0) / (1 + p.kd / ka1)
     M2 = As * p.kd / ka1
-    M = M2 + (M0 - M1) * np.exp(-rf * t) + (M1 - M2) * np.exp(-rs * t)
-    A = As + (A1 - As) * (np.exp(-rs * t) - np.exp(-rf * t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = M2 + (M0 - M1) * np.exp(-rf * t) + (M1 - M2) * np.exp(-rs * t)
+        A = As + (A1 - As) * (np.exp(-rs * t) - np.exp(-rf * t))
+    _check_finite(f"the matched solution at l0 = {l0!r}, l1 = {l1!r} is not finite", M, A)
     return M, A
 
 
 def adaptation_slow_rate(l1: float, p: AdaptationParams) -> float:
-    return p.r * p.ka(l1) / (p.kd + p.ka(l1))
+    """Rate r ka / (kd + ka), ka = k l1, at which A returns to m / r after a
+    step to l1, in [0, r]; ValueError for l1 < 0 or a rate that is not finite."""
+    if not l1 >= 0:
+        raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
+    rate = p.r * (p.ka(l1) / (p.kd + p.ka(l1)))
+    _check_finite(f"the slow rate at l1 = {l1!r} is not finite", rate)
+    return rate
 
 
 # --------------------------------------------------------------------------
@@ -386,18 +380,21 @@ class CompartmentCoupling:
             raise ValueError("exchange rates must be nonnegative")
 
 
-def two_compartment_rhs(y, ka1, ka2, p: AdaptationParams, cpl: CompartmentCoupling):
-    M1, A1, M2, A2 = y
-    e1 = p.lam * (ka1 * M1 - p.kd * A1)
-    e2 = p.lam * (ka2 * M2 - p.kd * A2)
-    jM = cpl.k1 * (M2 - M1)
-    jA = cpl.k2 * (A2 - A1)
-    return np.array([
-        p.m - e1 + jM,
-        -p.r * A1 + e1 + jA,
-        p.m - e2 - jM,
-        -p.r * A2 + e2 - jA,
-    ])
+def _adaptation_system(kas, p: AdaptationParams, cpl: CompartmentCoupling | None = None):
+    """(D, c) of y' = D y + c, the states (M1, A1, M2, A2, ...) of compartments
+    at the production rates kas: M is made at m, M -> A at lam ka, A -> M at lam kd,
+    A decays at r; cpl exchanges the two M at k1 and the two A at k2.
+    ValueError unless every coefficient is finite."""
+    D = np.zeros((2 * len(kas), 2 * len(kas)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a numpy-scalar ka can overflow
+        for i, ka in enumerate(kas):
+            D[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[-p.lam * ka, p.lam * p.kd],
+                                                   [p.lam * ka, -p.r - p.lam * p.kd]]
+        if cpl is not None:
+            D += np.kron([[-1.0, 1.0], [1.0, -1.0]], np.diag([cpl.k1, cpl.k2]))
+    c = np.tile([p.m, 0.0], len(kas))
+    _check_finite("a rate coefficient of the linear model is not finite", D, c)
+    return D, c
 
 
 def two_compartment_simulate(l1: float, l2: float,
@@ -413,17 +410,17 @@ def two_compartment_simulate(l1: float, l2: float,
     if not (l1 >= 0 and l2 >= 0):
         raise ValueError(f"ligands l1 and l2 must be nonnegative, got {l1!r}, {l2!r}")
     y0 = np.tile(adaptation_initial_state(l0, p), 2)  # (M1, A1, M2, A2)
-    ka1, ka2 = p.ka(l1), p.ka(l2)
-    D, c = _affine_parts(lambda y: two_compartment_rhs(y, ka1, ka2, p, cpl), 4)
+    D, c = _adaptation_system([p.ka(l1), p.ka(l2)], p, cpl)
     return solve_linear_ode(np.eye(4), D, c, y0, t_end, h)
 
 
 def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
                            cpl: CompartmentCoupling):
     """Exact steady state (A1s, A2s, M1s, M2s) for the production rates
-    ka1 and ka2; at ligand levels l1, l2 pass p.ka(l1), p.ka(l2)."""
-    if ka1 + ka2 <= 0:
-        raise ValueError("at least one production rate must be positive")
+    ka1, ka2 >= 0 (at ligand levels pass p.ka(l1), p.ka(l2)); ValueError unless
+    one is positive, a zero-rate compartment has k1 > 0 and the state is finite."""
+    if not (ka1 >= 0 and ka2 >= 0 and ka1 + ka2 > 0):
+        raise ValueError(f"production rates must be nonnegative, not both 0: {ka1!r}, {ka2!r}")
     if cpl.k1 == 0.0 and ka1 * ka2 == 0.0:
         raise ValueError("a zero-rate compartment needs k1 > 0 to reach steady state")
     r1 = p.r + p.lam * p.kd
@@ -432,16 +429,16 @@ def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
     ks = ka1 + ka2
     kp = ka1 * ka2
     denomA = p.lam * r2 * kp + cpl.k1 * ks * (r2 + p.lam * p.kd)
+    denomM = r2 * (p.lam * kp + cpl.k1 * ks) + p.lam * p.kd * cpl.k1 * ks
+    if not (denomA > 0 and denomM > 0 and p.lam * p.r > 0):
+        raise ValueError("a denominator of the steady state underflows to zero")
     base = p.m / p.r
     A1s = base * (1 + r1 * cpl.k1 * kdiff / denomA)
     A2s = base * (1 - r1 * cpl.k1 * kdiff / denomA)
-    denomM = r2 * (p.lam * kp + cpl.k1 * ks) + p.lam * p.kd * cpl.k1 * ks
-    M1s = (p.m * r1 / (p.lam * p.r)
-           * (r2 * (p.lam * ka2 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
-           / denomM)
-    M2s = (p.m * r1 / (p.lam * p.r)
-           * (r2 * (p.lam * ka1 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1)
-           / denomM)
+    scale = p.m * r1 / (p.lam * p.r)
+    M1s = scale * (r2 * (p.lam * ka2 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1) / denomM
+    M2s = scale * (r2 * (p.lam * ka1 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1) / denomM
+    _check_finite(f"the steady state at ka {ka1!r}, {ka2!r} is not finite", A1s, A2s, M1s, M2s)
     return A1s, A2s, M1s, M2s
 
 
@@ -452,8 +449,7 @@ def optimal_ligand_sum(p: AdaptationParams, cpl: CompartmentCoupling) -> float:
         raise ValueError("needs k1 > 0")
     den = cpl.k1 * (p.r + p.lam * p.kd)
     total = p.lam * p.r / den if den > 0 else math.inf
-    if not math.isfinite(total):
-        raise ValueError(f"the optimal ligand sum at k1 = {cpl.k1!r} is not finite")
+    _check_finite(f"the optimal ligand sum at k1 = {cpl.k1!r} is not finite", total)
     return total
 
 
@@ -465,10 +461,13 @@ def two_compartment_matched_asymptotic(l0: float, l1: float, l2: float,
     Per-compartment fast relaxations are followed by two coupled slow
     modes; the slow offsets come from a direct 2x2 solve.  Returns a dict
     with M1, A1, M2, A2 arrays and a validity flag that clears when the
-    rate separation (r + k1)(ka1 - ka2) / k1 drops below 5.
+    rate separation (r + k1)(ka1 - ka2) / k1 drops below 5; ValueError
+    unless k l0, k l1 and k l2 are positive and the arrays are finite.
     """
     t = np.asarray(t, dtype=float)
     ka0, ka1, ka2 = p.ka(l0), p.ka(l1), p.ka(l2)
+    if not (ka0 > 0 and ka1 > 0 and ka2 > 0):
+        raise ValueError(f"ligands must be positive, got k l = {(ka0, ka1, ka2)!r}")
     kd, r, k1 = p.kd, p.r, cpl.k1
     As = p.m / r
     valid = k1 == 0 or (r + k1) * abs(ka1 - ka2) / k1 >= 5.0
@@ -478,19 +477,20 @@ def two_compartment_matched_asymptotic(l0: float, l1: float, l2: float,
         [k1 * kd / (kd + ka2), -(r * ka2 + k1 * kd) / (kd + ka2)],
     ])
     hvec = np.array([p.m * kd / (kd + ka1), p.m * kd / (kd + ka2)])
-    d1, d2 = solve_linear_dense(D, hvec)
-
     out = {}
-    for tag, ka, dclose in (("1", ka1, d1), ("2", ka2, d2)):
-        rf = p.lam * (kd + ka)
-        rs = (r * ka + k1 * kd) / (kd + ka)
-        A1c = As * (1 + kd / ka0) / (1 + kd / ka)
-        M0c = As * kd / ka0
-        M1c = As * (kd / ka) * (1 + kd / ka0) / (1 + kd / ka)
-        fast = np.exp(-rf * t)
-        slow = np.exp(-rs * t)
-        out["M" + tag] = (M0c - M1c) * fast + (M1c + dclose) * slow - dclose
-        out["A" + tag] = (As - A1c) * fast + (ka / kd) * ((M1c + dclose) * slow - dclose)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = solve_linear_dense(D, hvec)
+        for tag, ka, dclose in (("1", ka1, d1), ("2", ka2, d2)):
+            rf = p.lam * (kd + ka)
+            rs = (r * ka + k1 * kd) / (kd + ka)
+            A1c = As * (1 + kd / ka0) / (1 + kd / ka)
+            M0c = As * kd / ka0
+            M1c = As * (kd / ka) * (1 + kd / ka0) / (1 + kd / ka)
+            fast = np.exp(-rf * t)
+            slow = np.exp(-rs * t)
+            out["M" + tag] = (M0c - M1c) * fast + (M1c + dclose) * slow - dclose
+            out["A" + tag] = (As - A1c) * fast + (ka / kd) * ((M1c + dclose) * slow - dclose)
+    _check_finite(f"the matched solution at l = {(l0, l1, l2)!r} is not finite", *out.values())
     out["valid"] = valid
     return out
 
@@ -522,12 +522,11 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     if not ((l_run > 0).all() and (l0 > 0).all()):
         raise ValueError("ligand must be positive everywhere")
     A = np.full(grid.n, p.m / p.r)
-    # M overflows for a tiny ligand; run_fields reports that at t = 0
-    with np.errstate(over="ignore", divide="ignore"):
-        M = p.m / p.r * p.kd / (p.k * l0)
-    # the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A), from dt-scaled coefficients
+    # dt-scaled coefficients of the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A)
     dt = grid.dt
-    bind = dt * p.lam * p.k * l_run
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # run_fields checks
+        M = p.m / p.r * p.kd / (p.k * l0)
+        bind = dt * p.lam * p.k * l_run
     unbind, make, decay, keep = (np.full(grid.n, c) for c in (
         dt * p.lam * p.kd, dt * p.m, dt * p.r, 1 - dt * p.r))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -32,6 +33,7 @@ from biosim.growthcone import (
     two_compartment_steady,
 )
 from biosim.numerics import IntegrationError
+from test_cli import _ANY_VALUES
 
 # the uncalibrated constants as printed in the source table; the pump and
 # resting-level terms are shared with the defaults
@@ -370,6 +372,16 @@ def test_step_returns_to_baseline_both_directions():
         assert np.max(np.abs(A - 0.1)) > 0.01  # but it did respond
 
 
+def test_step_to_a_tiny_ligand_ends_exactly_at_the_steady_state():
+    # the rate matrix is written, not differenced out of the right-hand
+    # side: differencing m - lam ka against m lost the digits of lam ka and
+    # missed this steady state by 1.7e-7 relative
+    p = AdaptationParams(m=10.0)
+    M, A = adaptation_simulate(0.1, 1e-8, p, t_end=2e11, h=2e8).final()
+    assert A == pytest.approx(p.m / p.r, rel=1e-14, abs=0.0)
+    assert M == pytest.approx((p.m / p.lam + p.kd * p.m / p.r) / p.ka(1e-8), rel=1e-14, abs=0.0)
+
+
 def test_adaptation_slower_at_low_ligand():
     p = AdaptationParams()
     assert adaptation_slow_rate(0.1, p) < adaptation_slow_rate(1.0, p)
@@ -643,6 +655,26 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: aerotaxis.rear_arrival_time(1.0, 1e-200, 1.0), "speed\\^2 must be positive"),
     (lambda: adaptation_asymptotic(0.0, 1.0, _P, _T), "ligands must be positive"),
     (lambda: adaptation_asymptotic(1.0, 0.0, _P, _T), "ligands must be positive"),
+    # these returned NaN or overflowed
+    (lambda: adaptation_asymptotic(1e-300, 1e-300, _P, _T), "is not finite"),
+    (lambda: adaptation_asymptotic(1e-320, 1e308, _P, _T), "is not finite"),
+    # kd / ka divided by zero
+    (lambda: two_compartment_matched_asymptotic(0.1, 0.0, 0.5, _P,
+                                                CompartmentCoupling(1.0, 0.0), _T),
+     "ligands must be positive"),
+    # a negative ligand divided by zero or gave rates, and NaN gave NaN curves
+    (lambda: ca_ac_rhs((0.1, 0.0), -1.0, CaAcParams()), "ligand must be nonnegative"),
+    (lambda: ca_ac_rhs((0.1, 0.0), -3.0, CaAcParams()), "ligand must be nonnegative"),
+    (lambda: ca_ac_nullclines(math.nan), "ligand must be nonnegative"),
+    (lambda: ca_ac_steady_states(math.nan), "ligand must be nonnegative"),
+    # this one warned of overflow
+    (lambda: ca_ac_nullclines(1e308), "dA/dt = 0 curve is not finite"),
+    # found by the property test below: a division by zero, a negative
+    # production rate and an overflowing steady state
+    (lambda: adaptation_slow_rate(-1.0, _P), "ligand l1 must be nonnegative"),
+    (lambda: two_compartment_steady(-1.0, 2.0, _P, CompartmentCoupling()),
+     "must be nonnegative"),
+    (lambda: two_compartment_steady(0.0, 1e-320, _P, CompartmentCoupling()), "is not finite"),
     (lambda: ca_ac_nullclines(-1.0), "ligand must be nonnegative"),
     (lambda: ca_ac_simulate(-1.0), "ligand must be nonnegative"),
     # Kr**5 raised a bare OverflowError in the ligand terms
@@ -691,7 +723,10 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: kelvin.parameter_sweep(kelvin.ParallelGroup((_ACTIN,) * 3), "mu02", [1.0]),
      "the sweep is defined for two-body groups"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
-        "asymptotic-l1", "nullclines-L", "simulate-L", "steady-states-Kr",
+        "asymptotic-l1", "asymptotic-nan", "asymptotic-overflow", "matched-l1",
+        "rhs-L-pole", "rhs-L-negative", "nullclines-nan", "steady-states-nan",
+        "nullclines-overflow", "slow-rate-l1", "two-comp-negative-rate",
+        "two-comp-overflow", "nullclines-L", "simulate-L", "steady-states-Kr",
         "nullclines-Kr", "optimal-sum-k1",
         "trajectory-lengths", "trajectory-times", "trajectory-nan", "rk4-h-0",
         "rk4-empty-span", "dense-not-square", "expm-not-square", "expm-nan",
@@ -703,3 +738,116 @@ _ACTIN = kelvin.material_params("actin")
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------- any values
+
+_PUBLIC = ("ca_ac_rhs", "ca_ac_simulate", "ca_ac_nullclines", "ca_ac_steady_states",
+           "bifurcation_scan", "hysteresis_jumps", "adaptation_initial_state",
+           "adaptation_simulate", "adaptation_asymptotic", "adaptation_slow_rate",
+           "two_compartment_simulate", "two_compartment_steady", "optimal_ligand_sum",
+           "two_compartment_matched_asymptotic", "reaction_diffusion_simulate",
+           "calcium_switch_rate", "switch_gradient")
+
+
+def _finite(*arrays, low=-math.inf):
+    return all(np.all(np.isfinite(a)) and np.all(np.asarray(a) >= low) for a in arrays)
+
+
+def _call_any_public_function(data):
+    """Call one public growthcone function with its ligand levels, its
+    calcium level and up to three fields of each parameter dataclass drawn
+    from the CLI test's edge values, and check the result against the
+    function's docstring."""
+    value = lambda label: data.draw(st.sampled_from(_ANY_VALUES), label=label)
+
+    def params(cls):
+        names = data.draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(cls)]),
+                                   max_size=3, unique=True), label=cls.__name__)
+        return cls(**{n: value(f"{cls.__name__}.{n}") for n in names})
+
+    name = data.draw(st.sampled_from(_PUBLIC), label="function")
+    sw = CaAcParams()
+    t = np.linspace(0.0, 10.0, 5)
+    if name == "ca_ac_rhs":
+        L = value("L")
+        rates = ca_ac_rhs((1.0, 1.0), L, sw)
+        # an overflowing ligand level overflows the rates
+        assert len(rates) == 2 and (_finite(rates) or L > 1e300)
+    elif name == "ca_ac_simulate":
+        traj = ca_ac_simulate(value("L"), t_end=1.0, h=0.25)
+        assert traj.times[-1] == 1.0 and _finite(traj.states, low=0.0)
+    elif name == "ca_ac_nullclines":
+        C, a_c, a_a = ca_ac_nullclines(value("L"), n=50)
+        assert C.shape == a_c.shape == a_a.shape == (50,)
+        assert not np.isinf(a_c).any() and _finite(a_a, sw.At - a_a, low=0.0)
+    elif name == "ca_ac_steady_states":
+        states = ca_ac_steady_states(value("L"))
+        assert [st.C for st, _ in states] == sorted(st.C for st, _ in states)
+        assert all(1e-6 <= st.C <= 8.0 and 0.0 <= st.A <= sw.At for st, _ in states)
+    elif name == "bifurcation_scan":
+        rows = bifurcation_scan(sw, [value("L")])
+        assert all(b in ("low", "unstable", "high") for _, b, _, _, _ in rows)
+    elif name == "hysteresis_jumps":
+        L_lo, L_hi = value("L_lo"), value("L_hi")
+        up, down = hysteresis_jumps(sw, L_lo, L_hi)
+        assert L_lo <= down <= up <= L_hi
+    elif name == "adaptation_initial_state":
+        assert _finite(adaptation_initial_state(value("l0"), params(AdaptationParams)),
+                       low=0.0)
+    elif name == "adaptation_simulate":
+        traj = adaptation_simulate(value("l0"), value("l1"), params(AdaptationParams),
+                                   t_end=10.0, h=2.5)
+        assert traj.states.shape == (5, 2)
+    elif name == "adaptation_asymptotic":
+        M, A = adaptation_asymptotic(value("l0"), value("l1"), params(AdaptationParams), t)
+        assert M.shape == A.shape == t.shape and _finite(M, A)
+    elif name == "adaptation_slow_rate":
+        p = params(AdaptationParams)
+        assert 0.0 <= adaptation_slow_rate(value("l1"), p) <= p.r
+    elif name == "two_compartment_simulate":
+        traj = two_compartment_simulate(value("l1"), value("l2"), params(AdaptationParams),
+                                        params(CompartmentCoupling), t_end=10.0,
+                                        l0=value("l0"), h=2.5)
+        assert traj.states.shape == (5, 4)
+    elif name == "two_compartment_steady":
+        assert _finite(two_compartment_steady(value("ka1"), value("ka2"),
+                                              params(AdaptationParams),
+                                              params(CompartmentCoupling)))
+    elif name == "optimal_ligand_sum":
+        assert _finite(optimal_ligand_sum(params(AdaptationParams),
+                                          params(CompartmentCoupling)), low=0.0)
+    elif name == "two_compartment_matched_asymptotic":
+        out = two_compartment_matched_asymptotic(
+            value("l0"), value("l1"), value("l2"), params(AdaptationParams),
+            params(CompartmentCoupling), t)
+        assert _finite(out["M1"], out["A1"], out["M2"], out["A2"])
+        assert out["valid"] in (True, False)
+    elif name == "reaction_diffusion_simulate":
+        grid = default_rd_grid()
+        times, M, A = reaction_diffusion_simulate(
+            np.full(grid.n, value("l")), params(AdaptationParams), 0.6, 0.0, grid,
+            t_end=0.05, l_init=np.full(grid.n, value("l0")), sample_every=2)
+        assert M.shape == A.shape == (len(times), grid.n) and _finite(M, A, low=0.0)
+    elif name == "calcium_switch_rate":
+        assert _finite(calcium_switch_rate(value("l"), value("Ca"), params(SwitchRateParams)),
+                       low=0.0)
+    else:
+        ka1, ka2, A1s, A2s, sign = switch_gradient(
+            value("l1"), value("l2"), value("Ca"), params(SwitchRateParams),
+            params(AdaptationParams), params(CompartmentCoupling))
+        assert _finite(ka1, ka2, A1s, A2s) and sign == np.sign(A1s - A2s)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_public_functions_answer_or_raise_a_classified_error(data):
+    # a result that breaks its docstring, any exception but ValueError or
+    # NumericsError, and any RuntimeWarning fail the test
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "time-scale ratio below 5", UserWarning)
+        try:
+            _call_any_public_function(data)
+        except (ValueError, numerics.NumericsError):
+            pass
