@@ -22,6 +22,7 @@ from .numerics import (
     Trajectory,
     _step_count,
     _step_times,
+    check_domain,
     ftcs_diffusion_step,
     run_fields,
     solve_scalar_root,
@@ -42,14 +43,15 @@ class TurningThresholds:
     c_high the large out-of-band rate.
     """
 
-    lt_min: float
-    l_min: float
-    l_max: float
-    lt_max: float
-    c_low: float
-    c_high: float
+    lt_min: float = 0.2
+    l_min: float = 0.35
+    l_max: float = 0.45
+    lt_max: float = 0.7
+    c_low: float = 0.0
+    c_high: float = 80.0
 
     def __post_init__(self):
+        check_domain(self, finite=("lt_max", "c_high"))
         if not (0 <= self.lt_min < self.l_min < self.l_max < self.lt_max):
             raise ValueError("thresholds must satisfy 0 <= lt_min < l_min < l_max < lt_max")
         if not (0 <= self.c_low < self.c_high):
@@ -66,14 +68,10 @@ class AerotaxisParams:
     L0: float = 1.0
     b0: float = 1.0
     grid: Grid1D = field(default_factory=lambda: Grid1D(n=40, dx=1.0 / 39.0, dt=0.01))
-    thresholds: TurningThresholds = field(
-        default_factory=lambda: TurningThresholds(0.2, 0.35, 0.45, 0.7, 0.0, 80.0)
-    )
+    thresholds: TurningThresholds = field(default_factory=TurningThresholds)
 
     def __post_init__(self):
-        for name in ("v", "D", "kappa", "L0", "b0"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        check_domain(self, nonnegative=("v", "D", "kappa", "L0", "b0"))
 
 
 @dataclass
@@ -176,10 +174,9 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("v", "c", "t_a", "wall_half_width"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (0 < self.band_half_width < self.wall_half_width
+        check_domain(self, positive=("v", "band_half_width", "wall_half_width"),
+                     nonnegative=("c", "t_a"))
+        if not (self.band_half_width < self.wall_half_width
                 and math.isfinite(2.0 * self.wall_half_width)):
             raise ValueError("need 0 < band_half_width < wall_half_width, 2 wall finite")
         if self.n_trials < 1:
@@ -187,8 +184,6 @@ class MonteCarloConfig:
         if self.n_trials > numerics._MAX_SAMPLES:
             raise ValueError(f"n_trials {self.n_trials} is above the cap of "
                              f"{numerics._MAX_SAMPLES} walkers")
-        if not (self.v > 0 and self.c >= 0 and self.t_a >= 0):
-            raise ValueError("need v > 0, c >= 0 and t_a >= 0")
 
 
 @dataclass(frozen=True)
@@ -204,8 +199,8 @@ class PistonParams:
     lock_tol: float = 0.05
 
     def __post_init__(self):
-        if self.tau <= 0 or self.delta_z <= 0 or self.lock_tol <= 0:
-            raise ValueError("tau, delta_z and lock_tol must be positive")
+        check_domain(self, positive=("delta_z", "tau", "lock_tol"),
+                     finite=("z_f0", "c0", "c1", "k"))
 
 
 # --------------------------------------------------------------------------

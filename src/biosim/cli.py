@@ -13,7 +13,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,24 +125,29 @@ def _network(res, F0: float):
 
 # --------------------------------------------------------------------------
 # experiment runners: runner(p, seed) -> (tables, metrics), where tables maps
-# each CSV file name to (header, rows) in the order run() writes them
+# each CSV file name to (header, rows) in the order run() writes them; a key
+# named prefix + field sets that field of a parameter type
 
 
-def _band_params(p):
-    grid = Grid1D(n=p["aerotaxis.nodes"],
-                  dx=p["aerotaxis.length"] / (p["aerotaxis.nodes"] - 1),
-                  dt=p["aerotaxis.dt"])
-    th = aerotaxis.TurningThresholds(
-        p["aerotaxis.lt_min"], p["aerotaxis.l_min"], p["aerotaxis.l_max"],
-        p["aerotaxis.lt_max"], p["aerotaxis.c_low"], p["aerotaxis.c_high"])
-    return aerotaxis.AerotaxisParams(
-        v=p["aerotaxis.v"], D=p["aerotaxis.D"], kappa=p["aerotaxis.kappa"],
-        L0=p["aerotaxis.L0"], b0=p["aerotaxis.b0"], grid=grid, thresholds=th)
+def _defaults(cls, prefix: str, *names) -> dict:
+    """The keys prefix + field at cls's defaults, for the fields named or else
+    for every field with a plain default."""
+    return {prefix + f.name: f.default for f in fields(cls)
+            if f.name in names or not names and f.default is not MISSING}
+
+
+def _build(cls, prefix: str, p, **given):
+    """cls from the keys of p named prefix + field, and the fields given."""
+    named = {f.name: p[prefix + f.name] for f in fields(cls) if prefix + f.name in p}
+    return cls(**{**named, **given})
 
 
 def run_band(p, seed: int):
-    params = _band_params(p)
-    grid = params.grid
+    grid = Grid1D(n=p["aerotaxis.nodes"],
+                  dx=p["aerotaxis.length"] / (p["aerotaxis.nodes"] - 1),
+                  dt=p["aerotaxis.dt"])
+    params = _build(aerotaxis.AerotaxisParams, "aerotaxis.", p, grid=grid,
+                    thresholds=_build(aerotaxis.TurningThresholds, "aerotaxis.", p))
     times, r, l, L = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
                                              sample_every=p["aerotaxis.sample_every"])
     density = r + l
@@ -167,7 +172,7 @@ def run_band(p, seed: int):
 
 def _steady_inputs(p):
     """The params and the k and s keywords of a steady-state solve."""
-    ap = aerotaxis.AerotaxisParams(L0=p["aerotaxis.L0"], b0=p["aerotaxis.b0"])
+    ap = _build(aerotaxis.AerotaxisParams, "aerotaxis.", p)
     return ap, {"k": p["aerotaxis.k"], "s": p["aerotaxis.s"]}
 
 
@@ -213,10 +218,8 @@ def run_quasi(p, seed):
 
 
 def run_montecarlo(p, seed):
-    cfg = aerotaxis.MonteCarloConfig(
-        v=p["mc.v"], c=p["mc.c"], t_a=p["mc.t_a"],
-        band_half_width=p["mc.band"], wall_half_width=p["mc.wall"],
-        n_trials=p["mc.trials"], seed=seed)
+    cfg = _build(aerotaxis.MonteCarloConfig, "mc.", p, band_half_width=p["mc.band"],
+                 wall_half_width=p["mc.wall"], n_trials=p["mc.trials"], seed=seed)
     res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
     ratio = res["inside_outside_ratio"]
     return {"result.csv": _rows(["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])}, res
@@ -250,8 +253,7 @@ def run_gc_bifurcation(p, seed):
 
 
 def run_gc_adaptation(p, seed):
-    ap = growthcone.AdaptationParams(m=p["gc.m"], lam=p["gc.lam"], k=p["gc.k"],
-                                     kd=p["gc.kd"], r=p["gc.r"])
+    ap = _build(growthcone.AdaptationParams, "gc.", p)
     traj = growthcone.adaptation_simulate(p["gc.l0"], p["gc.l1"], ap,
                                           t_end=p["gc.t_end"], h=p["gc.h"])
     A = traj.states[:, 1]
@@ -266,7 +268,7 @@ def run_gc_adaptation(p, seed):
 
 def run_gc_twocomp(p, seed):
     ap = growthcone.AdaptationParams()
-    cpl = growthcone.CompartmentCoupling(k1=p["gc.k1"], k2=p["gc.k2"])
+    cpl = _build(growthcone.CompartmentCoupling, "gc.", p)
     traj = growthcone.two_compartment_simulate(p["gc.l1"], p["gc.l2"], ap, cpl,
                                                t_end=p["gc.t_end"], l0=p["gc.l0"])
     A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(
@@ -314,10 +316,9 @@ def run_gc_rd(p, seed):
 
 
 def run_gc_ca_switch(p, seed):
-    sp = growthcone.SwitchRateParams(a=p["gc.a"], b=p["gc.b"], c=p["gc.c"],
-                                     ca_b=p["gc.ca_b"])
+    sp = _build(growthcone.SwitchRateParams, "gc.", p)
     ap = growthcone.AdaptationParams()
-    cpl = growthcone.CompartmentCoupling(k1=p["gc.k1"], k2=p["gc.k2"])
+    cpl = _build(growthcone.CompartmentCoupling, "gc.", p)
     rows = []
     metrics = {}
     for tag, ca in (("hi", p["gc.ca_hi"]), ("lo", p["gc.ca_lo"])):
@@ -328,7 +329,7 @@ def run_gc_ca_switch(p, seed):
 
 
 def run_kelvin_single(p, seed):
-    body = kelvin.KelvinBody(p["kelvin.eta1"], p["kelvin.mu01"], p["kelvin.mu11"])
+    body = _build(kelvin.KelvinBody, "kelvin.", p)
     res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), 0.0,
                                 p["kelvin.t_end"], p["kelvin.h"])
     F0 = p["kelvin.F0"]
@@ -413,11 +414,9 @@ class Experiment:
 
 
 _BAND_DEFAULTS = {
-    "aerotaxis.v": 0.2, "aerotaxis.D": 0.01, "aerotaxis.kappa": 0.018,
-    "aerotaxis.L0": 1.0, "aerotaxis.b0": 1.0, "aerotaxis.length": 1.0,
-    "aerotaxis.nodes": 40, "aerotaxis.dt": 0.01,
-    "aerotaxis.lt_min": 0.2, "aerotaxis.l_min": 0.35, "aerotaxis.l_max": 0.45,
-    "aerotaxis.lt_max": 0.7, "aerotaxis.c_low": 0.0, "aerotaxis.c_high": 80.0,
+    **_defaults(aerotaxis.AerotaxisParams, "aerotaxis."),
+    **_defaults(aerotaxis.TurningThresholds, "aerotaxis."),
+    "aerotaxis.length": 1.0, "aerotaxis.nodes": 40, "aerotaxis.dt": 0.01,
     "aerotaxis.t_end": 30.0, "aerotaxis.sample_every": 100,
 }
 
@@ -447,7 +446,7 @@ EXPERIMENTS = {
         "band-building window estimates for two source levels"),
     "aerotaxis-montecarlo": Experiment(
         run_montecarlo,
-        {"mc.v": 1.0, "mc.c": 50.0, "mc.t_a": 0.02, "mc.band": 1.0,
+        {**_defaults(aerotaxis.MonteCarloConfig, "mc.", "v", "c", "t_a"), "mc.band": 1.0,
          "mc.wall": 2.0, "mc.trials": 10000, "mc.t_end": 80.0, "mc.dt": 0.01},
         "slow-adaptation walker density ratio"),
     "growthcone-switch": Experiment(
@@ -461,13 +460,13 @@ EXPERIMENTS = {
         "hysteresis window of the cyclase switch"),
     "growthcone-adaptation": Experiment(
         run_gc_adaptation,
-        {"gc.l0": 0.1, "gc.l1": 1.0, "gc.m": 0.1, "gc.lam": 5.0, "gc.k": 0.2,
-         "gc.kd": 0.2, "gc.r": 1.0, "gc.t_end": 800.0, "gc.h": 0.1},
+        {**_defaults(growthcone.AdaptationParams, "gc."), "gc.l0": 0.1, "gc.l1": 1.0,
+         "gc.t_end": 800.0, "gc.h": 0.1},
         "step response returning to the ligand-free baseline"),
     "growthcone-twocomp": Experiment(
         run_gc_twocomp,
-        {"gc.l0": 0.1, "gc.l1": 1.0, "gc.l2": 0.5, "gc.k1": 1.0, "gc.k2": 0.1,
-         "gc.t_end": 1000.0},
+        {**_defaults(growthcone.CompartmentCoupling, "gc."), "gc.l0": 0.1, "gc.l1": 1.0,
+         "gc.l2": 0.5, "gc.t_end": 1000.0},
         "persistent two-compartment gradient response"),
     "growthcone-rd": Experiment(
         run_gc_rd,
@@ -477,9 +476,9 @@ EXPERIMENTS = {
         "graded spatial response of the diffusing-messenger model"),
     "growthcone-ca-switch": Experiment(
         run_gc_ca_switch,
-        {"gc.l1": 1.0, "gc.l2": 0.5, "gc.ca_hi": 0.4, "gc.ca_lo": 0.1,
-         "gc.a": 0.01, "gc.b": 1.0, "gc.c": 1.0, "gc.ca_b": 0.2,
-         "gc.k1": 1.0, "gc.k2": 0.0},
+        {**_defaults(growthcone.SwitchRateParams, "gc."),
+         **_defaults(growthcone.CompartmentCoupling, "gc."), "gc.k2": 0.0,
+         "gc.l1": 1.0, "gc.l2": 0.5, "gc.ca_hi": 0.4, "gc.ca_lo": 0.1},
         "gradient sign reversal with the calcium-modulated rate"),
     "kelvin-single": Experiment(
         run_kelvin_single,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .numerics import (
     IntegrationError,
     _MAX_SAMPLES,
     Trajectory,
+    check_domain,
     dopri5_integrate,
     ftcs_diffusion_step,
     run_fields,
@@ -67,10 +68,7 @@ class CaAcParams:
     k5: float = 1.0       # deactivation rate
 
     def __post_init__(self):
-        for name in ("k0", "kn1", "k1", "Kp", "k2", "Cb", "kf", "k3", "Cer",
-                     "ka_ratio", "k4", "kn2", "Cm", "Kr", "At", "k5"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_domain(self, positive=[f.name for f in fields(self)])
         if not self.Cb < self.Cer:
             raise ValueError("resting calcium must be below store calcium")
         try:
@@ -85,8 +83,7 @@ class CaAcState:
     A: float
 
     def __post_init__(self):
-        if self.C < 0 or self.A < 0:
-            raise ValueError("concentrations must be nonnegative")
+        check_domain(self, nonnegative=("C", "A"))
 
 
 def _ligand_terms(L, p: CaAcParams):
@@ -128,8 +125,13 @@ def _rates(C: float, A: float, lig, p: CaAcParams):
 
 def ca_ac_rhs(state, L: float, p: CaAcParams):
     """Time derivatives (dC/dt, dA/dt) of the switch at ligand level L, not
-    finite where L overflows them; ValueError for a negative or NaN L."""
-    return _rates(*state, _ligand_terms(L, p), p)
+    finite where L overflows them; ValueError for a negative or NaN L, or for
+    a float state whose rates overflow or divide by zero (C**4, say)."""
+    lig = _ligand_terms(L, p)
+    try:
+        return _rates(*state, lig, p)
+    except ArithmeticError:
+        raise ValueError(f"the rates at (C, A) = {tuple(state)!r} are not finite") from None
 
 
 def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
@@ -303,9 +305,7 @@ class AdaptationParams:
     r: float = 1.0      # recycling rate
 
     def __post_init__(self):
-        for name in ("m", "lam", "k", "kd", "r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_domain(self, positive=("m", "lam", "k", "kd", "r"))
 
     def ka(self, l: float) -> float:
         return self.k * l
@@ -323,9 +323,12 @@ def adaptation_initial_state(l0: float, p: AdaptationParams):
 def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationParams(),
                         t_end: float = 800.0, h: float = 0.1) -> Trajectory:
     """Response of (M, A) to a ligand step l0 -> l1 at t = 0, solved
-    exactly and sampled every h; ValueError for l1 < 0."""
+    exactly and sampled every h; ValueError for l1 < 0, or unless k l1 > 0
+    (without it M grows without bound)."""
     if not l1 >= 0:
         raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
+    if not p.ka(l1) > 0:
+        raise ValueError(f"the step to l1 = {l1!r} needs k l1 > 0, got {p.ka(l1)!r}")
     D, c = _adaptation_system([p.ka(l1)], p)
     return solve_linear_ode(np.eye(2), D, c, adaptation_initial_state(l0, p), t_end, h)
 
@@ -376,8 +379,7 @@ class CompartmentCoupling:
     k2: float = 0.1  # exchange of the activated substance
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError("exchange rates must be nonnegative")
+        check_domain(self, nonnegative=("k1", "k2"))
 
 
 def _adaptation_system(kas, p: AdaptationParams, cpl: CompartmentCoupling | None = None):
@@ -397,6 +399,15 @@ def _adaptation_system(kas, p: AdaptationParams, cpl: CompartmentCoupling | None
     return D, c
 
 
+def _check_rates(ka1: float, ka2: float, cpl: CompartmentCoupling):
+    """ValueError unless the production rates are nonnegative, one is positive
+    and a zero-rate compartment has k1 > 0: else an M grows without bound."""
+    if not (ka1 >= 0 and ka2 >= 0 and ka1 + ka2 > 0):
+        raise ValueError(f"production rates must be nonnegative, not both 0: {ka1!r}, {ka2!r}")
+    if cpl.k1 == 0.0 and ka1 * ka2 == 0.0:
+        raise ValueError("a zero-rate compartment needs k1 > 0 to reach steady state")
+
+
 def two_compartment_simulate(l1: float, l2: float,
                              p: AdaptationParams = AdaptationParams(),
                              cpl: CompartmentCoupling = CompartmentCoupling(),
@@ -405,10 +416,12 @@ def two_compartment_simulate(l1: float, l2: float,
     """Step both compartments from a common adapted state at l0 to (l1, l2),
     solved exactly and sampled every h.
 
-    States are ordered (M1, A1, M2, A2); ValueError for l1 < 0 or l2 < 0.
+    States are ordered (M1, A1, M2, A2); ValueError for l1 < 0 or l2 < 0, and
+    for production rates k l1, k l2 that two_compartment_steady refuses.
     """
     if not (l1 >= 0 and l2 >= 0):
         raise ValueError(f"ligands l1 and l2 must be nonnegative, got {l1!r}, {l2!r}")
+    _check_rates(p.ka(l1), p.ka(l2), cpl)
     y0 = np.tile(adaptation_initial_state(l0, p), 2)  # (M1, A1, M2, A2)
     D, c = _adaptation_system([p.ka(l1), p.ka(l2)], p, cpl)
     return solve_linear_ode(np.eye(4), D, c, y0, t_end, h)
@@ -419,10 +432,7 @@ def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
     """Exact steady state (A1s, A2s, M1s, M2s) for the production rates
     ka1, ka2 >= 0 (at ligand levels pass p.ka(l1), p.ka(l2)); ValueError unless
     one is positive, a zero-rate compartment has k1 > 0 and the state is finite."""
-    if not (ka1 >= 0 and ka2 >= 0 and ka1 + ka2 > 0):
-        raise ValueError(f"production rates must be nonnegative, not both 0: {ka1!r}, {ka2!r}")
-    if cpl.k1 == 0.0 and ka1 * ka2 == 0.0:
-        raise ValueError("a zero-rate compartment needs k1 > 0 to reach steady state")
+    _check_rates(ka1, ka2, cpl)
     r1 = p.r + p.lam * p.kd
     r2 = p.r + 2 * cpl.k2
     kdiff = ka1 - ka2
@@ -576,8 +586,7 @@ class SwitchRateParams:
     ca_b: float = 0.2  # baseline calcium
 
     def __post_init__(self):
-        if self.b <= 0 or self.c <= 0:
-            raise ValueError("b and c must be positive")
+        check_domain(self, positive=("b", "c"), finite=("a", "ca_b"))
 
 
 def calcium_switch_rate(l: float, ca: float, sp: SwitchRateParams) -> float:

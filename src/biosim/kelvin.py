@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import periodic_solution, solve_linear_ode
+from .numerics import check_domain, periodic_solution, solve_linear_ode
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,7 @@ class KelvinBody:
     mu11: float
 
     def __post_init__(self):
-        if min(self.eta1, self.mu01, self.mu11) <= 0:
-            raise ValueError("all three parameters must be positive")
+        check_domain(self, positive=("eta1", "mu01", "mu11"))
 
     def scaled(self, factor: float) -> "KelvinBody":
         return KelvinBody(self.eta1 * factor, self.mu01 * factor, self.mu11 * factor)

@@ -42,6 +42,20 @@ class SingularMatrixError(NumericsError):
         )
 
 
+def check_domain(obj, positive=(), nonnegative=(), finite=()):
+    """The one domain check of the parameter types: ValueError naming the
+    first field of obj, in the order given, that is not finite, or not > 0
+    when listed in positive, or not >= 0 when listed in nonnegative."""
+    for name in (*positive, *nonnegative, *finite):
+        x = getattr(obj, name)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        if name in positive and not x > 0:
+            raise ValueError(f"{name} must be positive, got {x!r}")
+        if name in nonnegative and not x >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1-D grid: node count, spacing and time step."""
@@ -55,8 +69,7 @@ class Grid1D:
             raise ValueError(f"grid needs at least 3 nodes, got {self.n}")
         if self.n > _MAX_SAMPLES:
             raise ValueError(f"grid of {self.n} nodes is above the cap of {_MAX_SAMPLES}")
-        if self.dx <= 0 or self.dt <= 0:
-            raise ValueError("dx and dt must be positive")
+        check_domain(self, positive=("dx", "dt"))
         if not 0 < self.dx * self.dx < math.inf:  # the diffusion number divides by it
             raise ValueError(f"dx^2 must be a positive finite number, got dx = {self.dx!r}")
 

@@ -516,6 +516,18 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     # wrote trajectories for a negative ligand with exit 0
     (["growthcone-switch", "--set", "gc.La=-1"], "ligand must be nonnegative"),
     (["growthcone-switch", "--set", "gc.Lb=-3"], "ligand must be nonnegative"),
+    # a zero ligand made the generator singular (exit 2): M grows without bound
+    (["growthcone-adaptation", "--set", "gc.l1=0"], "the step to l1 = 0.0 needs k l1 > 0"),
+    (["growthcone-twocomp", "--set", "gc.l1=0", "--set", "gc.k1=0"],
+     "a zero-rate compartment needs k1 > 0 to reach steady state"),
+    # each parameter type refuses a value outside its domain, named by its field
+    (["growthcone-adaptation", "--set", "gc.kd=0"], "kd must be positive, got 0.0"),
+    (["growthcone-twocomp", "--set", "gc.k2=-1"], "k2 must be nonnegative, got -1.0"),
+    (["growthcone-ca-switch", "--set", "gc.b=0"], "b must be positive, got 0.0"),
+    (["kelvin-single", "--set", "kelvin.mu01=0"], "mu01 must be positive, got 0.0"),
+    (["aerotaxis-band", "--set", "aerotaxis.D=-1"], "D must be nonnegative, got -1.0"),
+    (["aerotaxis-band", "--set", "aerotaxis.c_high=0"], "rates must satisfy 0 <= c_low < c_high"),
+    (["aerotaxis-montecarlo", "--set", "mc.v=0"], "v must be positive, got 0.0"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])
@@ -639,6 +651,18 @@ def test_integer_key_rejects_fraction(tmp_path, capsys):
                                                       "aerotaxis.t_end": 0.5},
                                    tmp_path / "ok"))
     assert type(summary.config["aerotaxis.nodes"]) is int
+
+
+def test_integer_keys_are_the_ones_the_readme_lists():
+    # a key is an integer key when its registered default is an int, and many
+    # defaults come from dataclass fields: a field default written 1 for 1.0
+    # would make a new integer key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"The integer keys are(.*?)Their values must be integral", readme, re.S)
+    keys = {k for exp in EXPERIMENTS.values() for k, v in exp.defaults.items()
+            if isinstance(v, int)}
+    assert keys == set(re.findall(r"`([\w.]+)`", listed.group(1)))
+    assert len(keys) == 7
 
 
 def test_main_set_overrides_config(tmp_path):

@@ -694,8 +694,8 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: numerics.expm([[math.nan, 0.0], [0.0, 0.0]]), "expm needs a finite matrix"),
     (lambda: CaAcParams(k0=0.0), "k0 must be positive"),
     (lambda: CaAcParams(Cb=8.0), "resting calcium must be below store calcium"),
-    (lambda: growthcone.CaAcState(-1.0, 0.0), "concentrations must be nonnegative"),
-    (lambda: CompartmentCoupling(k1=-1.0), "exchange rates must be nonnegative"),
+    (lambda: growthcone.CaAcState(-1.0, 0.0), "C must be nonnegative, got -1.0"),
+    (lambda: CompartmentCoupling(k1=-1.0), "k1 must be nonnegative, got -1.0"),
     # this one used to divide by zero before it refused the coupling
     (lambda: two_compartment_steady(0.0, 1.0, _P, CompartmentCoupling(k1=0.0)),
      "a zero-rate compartment needs k1 > 0"),
@@ -704,14 +704,14 @@ _ACTIN = kelvin.material_params("actin")
      "ligand profile must match the grid"),
     (lambda: reaction_diffusion_simulate(np.zeros(_GRID.n), _P, 0.6, 0.0, _GRID, 1.0),
      "ligand must be positive everywhere"),
-    (lambda: SwitchRateParams(b=0.0), "b and c must be positive"),
+    (lambda: SwitchRateParams(b=0.0), "b must be positive, got 0.0"),
     (lambda: calcium_switch_rate(-1.0, 0.2, SwitchRateParams()),
      "ligand and calcium must be nonnegative"),
     # and this one divided by a denominator that underflowed to zero
     (lambda: calcium_switch_rate(0.5, 0.0, SwitchRateParams(b=1e-320, c=5e-324)),
      "\\(l \\+ b\\)\\(Ca \\+ c\\) at l = 0.5, Ca = 0.0 is not positive"),
     (lambda: aerotaxis.MonteCarloConfig(n_trials=0), "n_trials must be at least 1"),
-    (lambda: aerotaxis.PistonParams(tau=0.0), "tau, delta_z and lock_tol must be positive"),
+    (lambda: aerotaxis.PistonParams(tau=0.0), "tau must be positive, got 0.0"),
     (lambda: aerotaxis.piston_receptor_simulate(aerotaxis.PistonParams(), 0, 1.0),
      "ramp_sign must be \\+1 or -1"),
     (lambda: aerotaxis.steady_state_low(aerotaxis.AerotaxisParams(L0=0.003), 0.003,
@@ -722,6 +722,16 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: kelvin.KelvinNetwork(()), "a network needs at least one element"),
     (lambda: kelvin.parameter_sweep(kelvin.ParallelGroup((_ACTIN,) * 3), "mu02", [1.0]),
      "the sweep is defined for two-body groups"),
+    # the float C**4 raised a bare OverflowError, and an underflowing Kp^2 a
+    # bare ZeroDivisionError
+    (lambda: ca_ac_rhs((1e100, 0.0), 1.0, CaAcParams()),
+     "the rates at \\(C, A\\) = \\(1e\\+100, 0.0\\) are not finite"),
+    (lambda: ca_ac_rhs((0.0, 0.0), 1.0, CaAcParams(Kp=1e-200)),
+     "the rates at \\(C, A\\) = \\(0.0, 0.0\\) are not finite"),
+    # a zero ligand made the generator singular: M grows without bound
+    (lambda: adaptation_simulate(0.1, 0.0), "the step to l1 = 0.0 needs k l1 > 0, got 0.0"),
+    (lambda: two_compartment_simulate(0.0, 1.0, cpl=CompartmentCoupling(0.0, 0.1)),
+     "a zero-rate compartment needs k1 > 0 to reach steady state"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
         "asymptotic-l1", "asymptotic-nan", "asymptotic-overflow", "matched-l1",
         "rhs-L-pole", "rhs-L-negative", "nullclines-nan", "steady-states-nan",
@@ -734,7 +744,8 @@ _ACTIN = kelvin.material_params("actin")
         "optimal-sum-k1-0", "rd-profile-shape", "rd-profile-zero", "switch-b",
         "switch-ligand", "switch-denominator-underflow", "mc-trials", "piston-tau",
         "piston-ramp-sign", "steady-low-L0", "micropipette-zero", "group-empty",
-        "network-empty", "sweep-three-bodies"])
+        "network-empty", "sweep-three-bodies", "rhs-state-overflow", "rhs-state-zero-division",
+        "adaptation-l1-0", "two-comp-simulate-k1-0"])
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+import re
+import types
 import warnings
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biosim import growthcone, numerics
+from biosim import aerotaxis, growthcone, kelvin, numerics
 from biosim.numerics import (
     Bracket,
     BracketError,
@@ -934,3 +937,62 @@ def test_grid_validation():
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(2.0, 1.0)
+
+
+# every float field of the parameter types and its declared domain; the
+# threshold order bounds l_min and l_max, and makes lt_min and c_low
+# nonnegative
+_DOMAINS = [
+    (aerotaxis.AerotaxisParams(), dict.fromkeys(("v", "D", "kappa", "L0", "b0"), "nonnegative")),
+    (aerotaxis.TurningThresholds(), dict(lt_min="nonnegative", l_min="finite", l_max="finite",
+                                         lt_max="finite", c_low="nonnegative", c_high="finite")),
+    (aerotaxis.MonteCarloConfig(), dict(v="positive", c="nonnegative", t_a="nonnegative",
+                                        band_half_width="positive",
+                                        wall_half_width="positive")),
+    (aerotaxis.PistonParams(), dict(z_f0="finite", delta_z="positive", c0="finite",
+                                    c1="finite", k="finite", tau="positive",
+                                    lock_tol="positive")),
+    (growthcone.CaAcParams(), dict.fromkeys(
+        [f.name for f in dataclasses.fields(growthcone.CaAcParams)], "positive")),
+    (growthcone.CaAcState(1.0, 1.0), dict.fromkeys(("C", "A"), "nonnegative")),
+    (growthcone.AdaptationParams(), dict.fromkeys(("m", "lam", "k", "kd", "r"), "positive")),
+    (growthcone.CompartmentCoupling(), dict.fromkeys(("k1", "k2"), "nonnegative")),
+    (growthcone.SwitchRateParams(), dict(a="finite", b="positive", c="positive",
+                                         ca_b="finite")),
+    (kelvin.KelvinBody(1.0, 1.0, 1.0), dict.fromkeys(("eta1", "mu01", "mu11"), "positive")),
+    (Grid1D(5, 0.1, 0.01), dict.fromkeys(("dx", "dt"), "positive")),
+]
+# a float field without a declared domain is a KeyError here
+_FLOAT_FIELDS = [(base, f.name, domain[f.name]) for base, domain in _DOMAINS
+                 for f in dataclasses.fields(base) if f.type == "float"]
+
+
+def test_every_declared_domain_is_a_float_field():
+    assert len(_FLOAT_FIELDS) == sum(len(domain) for _, domain in _DOMAINS) == 57
+
+
+@pytest.mark.parametrize("base,name,domain", _FLOAT_FIELDS,
+                         ids=[f"{type(b).__name__}.{n}" for b, n, _ in _FLOAT_FIELDS])
+def test_parameter_types_refuse_values_outside_their_domain(base, name, domain):
+    # NaN, both infinities and the first value past the domain's edge are
+    # refused at construction, naming the field; the edge 0.0 of a
+    # nonnegative domain constructs
+    outside = {"positive": [0.0, -1.0], "nonnegative": [-5e-324, -1.0], "finite": []}[domain]
+    for value in (math.nan, math.inf, -math.inf, *outside):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            dataclasses.replace(base, **{name: value})
+    if domain == "nonnegative":
+        assert getattr(dataclasses.replace(base, **{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(positive=("x",)), "x must be positive, got 0.0"),
+    (dict(nonnegative=("x",), positive=("y",)), "y must be finite, got nan"),
+    (dict(finite=("y",)), "y must be finite, got nan"),
+    (dict(nonnegative=("z",)), "z must be nonnegative, got -1.0"),
+])
+def test_check_domain_names_the_field_and_its_value(kwargs, message):
+    obj = types.SimpleNamespace(x=0.0, y=math.nan, z=-1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        numerics.check_domain(obj, **kwargs)
+    numerics.check_domain(obj, nonnegative=("x",))
