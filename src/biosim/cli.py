@@ -143,9 +143,9 @@ def _build(cls, prefix: str, p, **given):
 
 
 def run_band(p, seed: int):
-    grid = Grid1D(n=p["aerotaxis.nodes"],
-                  dx=p["aerotaxis.length"] / (p["aerotaxis.nodes"] - 1),
-                  dt=p["aerotaxis.dt"])
+    nodes = p["aerotaxis.nodes"]
+    # Grid1D refuses fewer than 3 nodes; the max keeps dx defined until it does
+    grid = Grid1D(n=nodes, dx=p["aerotaxis.length"] / max(nodes - 1, 1), dt=p["aerotaxis.dt"])
     params = _build(aerotaxis.AerotaxisParams, "aerotaxis.", p, grid=grid,
                     thresholds=_build(aerotaxis.TurningThresholds, "aerotaxis.", p))
     times, r, l, L = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],

@@ -20,6 +20,7 @@ from .numerics import (
     Grid1D,
     IntegrationError,
     _MAX_SAMPLES,
+    StabilityError,
     Trajectory,
     check_domain,
     dopri5_integrate,
@@ -521,7 +522,8 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     including the final state; numerics.run_fields marches and checks
     them, and raises as it says.  Besides, a negative or NaN diffusivity or
     a ligand (l_profile or l_init) not positive everywhere raises
-    ValueError before the first step.
+    ValueError before the first step, and so does StabilityError when the
+    reaction number dt * max(r + lam kd, lam k max(l_profile)) exceeds 1.
     """
     if not (D1 >= 0 and D2 >= 0):
         raise ValueError(f"diffusivities must be nonnegative, got D1={D1!r}, D2={D2!r}")
@@ -531,6 +533,11 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
         raise ValueError("ligand profile must match the grid")
     if not ((l_run > 0).all() and (l0 > 0).all()):
         raise ValueError("ligand must be positive everywhere")
+    # dt times the loss rate of M (lam k l) or of A (r + lam kd): past 1, a
+    # reaction step can take that field through zero
+    rn = grid.dt * max(p.r + p.lam * p.kd, p.lam * p.k * float(l_run.max()))
+    if rn > 1 + 1e-12:
+        raise StabilityError(f"reaction number {rn:.4g} exceeds 1")
     A = np.full(grid.n, p.m / p.r)
     # dt-scaled coefficients of the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A)
     dt = grid.dt

@@ -33,13 +33,8 @@ class BracketError(NumericsError):
 
 
 class SingularMatrixError(NumericsError):
-    def __init__(self, pivot_index: int, pivot_value: float):
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-        super().__init__(
-            f"matrix numerically singular: pivot {pivot_index} has magnitude "
-            f"{abs(pivot_value):.3e}"
-        )
+    """A linear system is exactly singular, or its 1-norm reciprocal
+    condition number is below machine epsilon."""
 
 
 def check_domain(obj, positive=(), nonnegative=(), finite=()):
@@ -514,33 +509,25 @@ def solve_scalar_root(f, bracket: Bracket, tol: float = 1e-12) -> float:
 
 def solve_linear_dense(A, b) -> np.ndarray:
     """Solve Ax = b, b a vector or a matrix of columns, real or complex, by
-    Gaussian elimination with partial pivoting.
+    LAPACK's LU factorisation with partial pivoting (np.linalg.solve).
 
-    Raises SingularMatrixError naming the failing pivot when a pivot
-    magnitude falls below 1e-12 relative to the matrix scale.
+    Raises SingularMatrixError when A has an exactly zero pivot or its 1-norm
+    reciprocal condition number is below machine epsilon; the rule depends
+    on A alone, not on its scale.
     """
-    dtype = np.result_type(np.asarray(A), np.asarray(b), float)
-    M = np.array(A, dtype=dtype)
-    x = np.array(b, dtype=dtype)
-    n = M.shape[0]
-    if M.shape != (n, n) or x.shape[:1] != (n,) or x.ndim > 2:
+    A = np.asarray(A)
+    b = np.asarray(b)
+    n = A.shape[0]
+    if A.shape != (n, n) or b.shape[:1] != (n,) or b.ndim > 2:
         raise ValueError("need square A and matching b")
-    scale = max(np.abs(M).max(), 1.0)
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[piv, col]) <= 1e-12 * scale:
-            raise SingularMatrixError(col, M[piv, col])
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            x[[col, piv]] = x[[piv, col]]
-        inv = 1.0 / M[col, col]
-        for row in range(col + 1, n):
-            factor = M[row, col] * inv
-            if factor != 0.0:
-                M[row, col:] -= factor * M[col, col:]
-                x[row] -= factor * x[col]
-    for col in range(n - 1, -1, -1):
-        x[col] = (x[col] - M[col, col + 1:] @ x[col + 1:]) / M[col, col]
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is exactly singular") from None
+    rcond = 1.0 / np.linalg.cond(A, 1)
+    if rcond < np.finfo(float).eps:
+        raise SingularMatrixError(f"matrix numerically singular: reciprocal "
+                                  f"condition number {rcond:.3e}")
     return x
 
 
@@ -564,7 +551,10 @@ def expm(A) -> np.ndarray:
     norm = float(np.abs(X).sum(axis=0).max())
     if not math.isfinite(norm):
         raise ValueError("expm needs a finite matrix")
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    if norm == 0:
+        # the Pade approximant of exp(0) is exactly I; a solve may round it
+        return np.eye(n)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13)))
     X /= 2.0**squarings
     b = _PADE13
     ident = np.eye(n)
@@ -586,9 +576,9 @@ def periodic_solution(A, D, c, omega: float = 0.0) -> np.ndarray:
     Re(Y e^{i omega t}) of A y' = D y + Re(c e^{i omega t}), from
     (i omega A - D) Y = c; omega = 0 gives the steady solution Re Y.
 
-    Raises SingularMatrixError when i omega A - D is singular and
-    IntegrationError when Y is not finite."""
-    # a huge forcing may overflow in the solve; the check below reports it
+    Raises SingularMatrixError when i omega A - D is singular by the rule of
+    solve_linear_dense and IntegrationError when Y is not finite."""
+    # i omega A may overflow; the check below reports the non-finite Y
     with np.errstate(over="ignore", invalid="ignore"):
         Y = solve_linear_dense(1j * omega * np.asarray(A, dtype=float)
                                - np.asarray(D, dtype=float),
@@ -608,15 +598,15 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     plus expm(M t) (y0 - Re Y) with M = A^-1 D.  Powers of expm(M h) are
     applied a block of samples at a time, so N samples cost O(sqrt N)
     Python-level operations.  Raises SingularMatrixError when A or
-    i omega A - D is singular and IntegrationError on a non-finite result.
+    i omega A - D is singular by the rule of solve_linear_dense and
+    IntegrationError on a non-finite result.
     """
     times = _step_times(0.0, t_end, h)
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = len(y0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = solve_linear_dense(A, D)
+    M = solve_linear_dense(A, D)
     if not np.all(np.isfinite(M)):
         raise IntegrationError("the rate matrix A^-1 D is not finite")
     Y = periodic_solution(A, D, c, omega)

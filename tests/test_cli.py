@@ -333,15 +333,13 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # the oxygen overflows to NaN next to the source (it used to be written)
     (["aerotaxis-band", "--set", "aerotaxis.L0=1e308"],
      "r, l or L is negative or not finite at t = 3"),
-    # the explicit reaction step of the messenger model overflows
+    # an explicit reaction step too long for the binding (lam k l_hi dt =
+    # 100) or the decay (r + lam kd) dt = 2 or 3 is refused before the
+    # first step; the runs used to step until M or A turned negative or overflowed
     (["growthcone-rd", "--set", "gc.l_hi=1e4", "--set", "gc.t_end=10"],
-     "M or A is negative or not finite at t = 10"),
-    # an explicit reaction step too long for the decay drives M negative
-    # (it used to be written with exit 0), and further on to overflow
-    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1"],
-     "M or A is negative or not finite at t = 1500"),
-    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1.5"],
-     "M or A is negative or not finite at t = 1500"),
+     "reaction number 100 exceeds 1"),
+    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1"], "reaction number 2 exceeds 1"),
+    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1.5"], "reaction number 3 exceeds 1"),
     # the adapted initial M = m kd / (r k l) overflows, or divides by a
     # product k l that underflows to 0 (both raised RuntimeWarning)
     (["growthcone-rd", "--set", "gc.l_lo=1e-320"], "M or A is negative or not finite at t = 0"),
@@ -364,6 +362,27 @@ def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
     assert not (tmp_path / "n").exists()
+
+
+@pytest.mark.parametrize("argv,expect", [
+    # well-posed linear systems with small entries: the solve refuses by
+    # condition, not by scale (each used to exit 2 on a tiny pivot)
+    (["kelvin-single", "--set", "kelvin.eta1=1e-13"], {"u0": 1 / 150, "u_end": 0.02}),
+    (["kelvin-single", "--set", "kelvin.eta1=1e-13", "--set", "kelvin.mu01=1e-13",
+      "--set", "kelvin.mu11=1e-13"], {"u0": 5e12, "u_end": 1e13}),
+    (["growthcone-adaptation", "--set", "gc.l1=1e-12"], {}),
+    # a reaction step within its limit runs, even where the diffusion number
+    # adds up past it (2 nu + reaction number = 1.002 at gc.l_hi=3)
+    (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=0.5"], {}),
+    (["growthcone-rd", "--set", "gc.l_hi=3", "--set", "gc.t_end=100"], {}),
+])
+def test_main_runs_next_to_a_refusal_exit_0(argv, expect, tmp_path, capsys):
+    out = tmp_path / "ok"
+    code = main(argv + ["--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    for key, value in expect.items():
+        assert metrics[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
 
 def test_main_switch_out_of_steps_exit_code(monkeypatch, tmp_path, capsys):
@@ -528,6 +547,8 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["aerotaxis-band", "--set", "aerotaxis.D=-1"], "D must be nonnegative, got -1.0"),
     (["aerotaxis-band", "--set", "aerotaxis.c_high=0"], "rates must satisfy 0 <= c_low < c_high"),
     (["aerotaxis-montecarlo", "--set", "mc.v=0"], "v must be positive, got 0.0"),
+    # one node used to divide the length by zero before the grid could refuse it
+    (["aerotaxis-band", "--set", "aerotaxis.nodes=1"], "grid needs at least 3 nodes, got 1"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])
@@ -541,12 +562,14 @@ def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
 def test_network_ratio_at_a_subnormal_force_is_the_unit_force_ratio(F0, tmp_path, capsys):
     # osc_over_steady is read from the unit-force runs, so a force whose
     # scaled totals lose digits (or underflow to zero) gives the F0 = 1 ratio
-    out = tmp_path / "n"
-    code = main(["kelvin-network-I", "--set", f"kelvin.F0={F0}", "--set",
-                 "kelvin.t_end_steady=50", "--set", "kelvin.t_end_osc=5", "--out", str(out)])
-    assert code == 0, capsys.readouterr().err
-    metrics = json.loads((out / "summary.json").read_text())["metrics"]
-    assert metrics["osc_over_steady"] == 0.7110264467906242
+    ratios = []
+    for force in (F0, "1"):
+        out = tmp_path / force
+        code = main(["kelvin-network-I", "--set", f"kelvin.F0={force}", "--set",
+                     "kelvin.t_end_steady=50", "--set", "kelvin.t_end_osc=5", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        ratios.append(json.loads((out / "summary.json").read_text())["metrics"]["osc_over_steady"])
+    assert ratios[0] == ratios[1]
 
 
 def test_main_quadratic_ligand_profile(tmp_path):

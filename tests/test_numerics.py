@@ -918,11 +918,24 @@ def test_solve_complex_matrix_rhs():
     assert np.allclose(solve_linear_dense(A, B), np.linalg.solve(A, B), atol=1e-14)
 
 
-def test_solve_singular_names_pivot():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError) as err:
-        solve_linear_dense(A, np.array([1.0, 1.0]))
-    assert err.value.pivot_index == 1
+@pytest.mark.parametrize("s", [1e-13, 1e13])
+def test_solve_is_scale_free(s):
+    # the singularity rule reads the condition number, not the size of the
+    # entries: a pivot of 2e-13 used to be refused as singular
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    x = solve_linear_dense(A, b)
+    assert np.allclose(solve_linear_dense(s * A, s * b), x, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("A,message", [
+    ([[1.0, 2.0], [2.0, 4.0]], "exactly singular"),
+    # reciprocal condition number about 1.1e-16, below machine epsilon
+    ([[1.0, 1.0], [1.0, 1.0 + 4e-16]], "reciprocal condition number 1.1"),
+], ids=["exact", "near"])
+def test_solve_refuses_a_singular_matrix(A, message):
+    with pytest.raises(SingularMatrixError, match=message):
+        solve_linear_dense(np.array(A), np.array([1.0, 1.0]))
 
 
 # ---------------------------------------------------------------- type guards
