@@ -216,6 +216,10 @@ class CharacteristicScales:
     oxygen_uM_per_ml: float = 1.0
     bacteria_per_ml: float = 2e7
 
+    def __post_init__(self):
+        check_domain(self, positive=("length_m", "time_s", "oxygen_uM_per_ml",
+                                     "bacteria_per_ml"))
+
 
 def nondimensionalize(speed_m_per_s: float, diffusivity_m2_per_s: float,
                       turning_rate_per_s: float, consumption_uM_per_cell_s: float,
@@ -223,20 +227,23 @@ def nondimensionalize(speed_m_per_s: float, diffusivity_m2_per_s: float,
     """Convert dimensional inputs to the model's nondimensional set.
 
     Speed scales by time/length, diffusivity by time/length^2, rates by
-    time, and consumption as kappa = k * t0 * b0 / L0.
+    time, and consumption as kappa = k * t0 * b0 / L0.  Each result is one
+    input times positive scales, so ValueError unless each result, and with
+    it each input, is positive and finite.
     """
-    for val in (speed_m_per_s, diffusivity_m2_per_s, turning_rate_per_s,
-                consumption_uM_per_cell_s):
-        if val <= 0:
-            raise ValueError("dimensional inputs must be positive")
     x0, t0 = scales.length_m, scales.time_s
-    return {
+    out = {
         "v": speed_m_per_s * t0 / x0,
         "D": diffusivity_m2_per_s * t0 / x0**2,
         "turning": turning_rate_per_s * t0,
         "kappa": consumption_uM_per_cell_s * t0 * scales.bacteria_per_ml
         / scales.oxygen_uM_per_ml,
     }
+    for name, val in out.items():
+        if not 0 < val < math.inf:
+            raise ValueError("dimensional inputs must give a positive and finite "
+                             f"nondimensional set, got {name} = {val!r}")
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -516,10 +523,18 @@ def quasi_steady_state(L0: float, l_max: float, k_b0: float):
 
 def rear_arrival_time(distance: float, speed: float, turning_rate: float) -> float:
     """Diffusive time for rear cells to cover `distance` with run-and-turn
-    motility of diffusivity speed^2 / turning_rate."""
-    if not speed * speed > 0:
-        raise ValueError(f"speed^2 must be positive, got speed = {speed!r}")
-    return distance**2 * turning_rate / (speed * speed)
+    motility of diffusivity speed^2 / turning_rate; ValueError for a distance
+    that is not finite, a turning rate that is negative or not finite, a
+    speed^2 that is not positive and finite, or a time that overflows."""
+    if not 0 < speed * speed < math.inf:
+        raise ValueError(f"speed^2 must be positive and finite, got speed = {speed!r}")
+    if not (math.isfinite(distance) and 0 <= turning_rate < math.inf):
+        raise ValueError("distance must be finite and turning_rate nonnegative and finite, "
+                         f"got {distance!r} and {turning_rate!r}")
+    t = distance * distance * turning_rate / (speed * speed)
+    if not math.isfinite(t):
+        raise ValueError(f"arrival time at distance {distance!r} is not finite")
+    return t
 
 
 def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):

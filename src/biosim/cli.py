@@ -7,13 +7,14 @@ plus a summary.json.  Identical config and seed give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import math
 import sys
 import time
 import warnings
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -125,21 +126,26 @@ def _network(res, F0: float):
 
 # --------------------------------------------------------------------------
 # experiment runners: runner(p, seed) -> (tables, metrics), where tables maps
-# each CSV file name to (header, rows) in the order run() writes them; a key
-# named prefix + field sets that field of a parameter type
+# each CSV file name to (header, rows) in the order run() writes them; _build
+# passes a key named prefix + name as the parameter of that name of a library
+# function or parameter type, and the registry reads the key's default from
+# there (_defaults) unless the experiment needs another value
 
 
-def _defaults(cls, prefix: str, *names) -> dict:
-    """The keys prefix + field at cls's defaults, for the fields named or else
-    for every field with a plain default."""
-    return {prefix + f.name: f.default for f in fields(cls)
-            if f.name in names or not names and f.default is not MISSING}
+def _defaults(fn, prefix: str, *names) -> dict:
+    """The keys prefix + name at the defaults of fn's parameters (fn a
+    function or a parameter type), for the names given or else for every
+    parameter whose default is a number."""
+    return {prefix + name: q.default for name, q in inspect.signature(fn).parameters.items()
+            if name in names or not names and isinstance(q.default, (int, float))}
 
 
-def _build(cls, prefix: str, p, **given):
-    """cls from the keys of p named prefix + field, and the fields given."""
-    named = {f.name: p[prefix + f.name] for f in fields(cls) if prefix + f.name in p}
-    return cls(**{**named, **given})
+def _build(fn, prefix: str, keys: dict, /, *args, **given):
+    """fn(*args), with each parameter that keys holds as prefix + its name
+    and the keywords given."""
+    named = {name: keys[prefix + name] for name in inspect.signature(fn).parameters
+             if prefix + name in keys}
+    return fn(*args, **{**named, **given})
 
 
 def run_band(p, seed: int):
@@ -148,8 +154,7 @@ def run_band(p, seed: int):
     grid = Grid1D(n=nodes, dx=p["aerotaxis.length"] / max(nodes - 1, 1), dt=p["aerotaxis.dt"])
     params = _build(aerotaxis.AerotaxisParams, "aerotaxis.", p, grid=grid,
                     thresholds=_build(aerotaxis.TurningThresholds, "aerotaxis.", p))
-    times, r, l, L = aerotaxis.simulate_band(params, t_end=p["aerotaxis.t_end"],
-                                             sample_every=p["aerotaxis.sample_every"])
+    times, r, l, L = _build(aerotaxis.simulate_band, "aerotaxis.", p, params)
     density = r + l
     m = aerotaxis.band_metrics(density, grid)
     has = m.has_band
@@ -170,15 +175,11 @@ def run_band(p, seed: int):
     }
 
 
-def _steady_inputs(p):
-    """The params and the k and s keywords of a steady-state solve."""
-    ap = _build(aerotaxis.AerotaxisParams, "aerotaxis.", p)
-    return ap, {"k": p["aerotaxis.k"], "s": p["aerotaxis.s"]}
-
-
-def _steady(sol):
-    """The solution row and the oxygen profile of a steady state."""
-    return {
+def _steady(solve, p):
+    """The steady state that solve finds at the keys, with its solution row
+    and its oxygen profile."""
+    sol = _build(solve, "aerotaxis.", p, _build(aerotaxis.AerotaxisParams, "aerotaxis.", p))
+    return sol, {
         "solution.csv": _rows(["regime", "B", "c1", "c2", "c3", "d", "h", "z", "s", "k", "lam"],
                               [(sol.regime, sol.B, sol.c1, sol.c2, sol.c3, sol.d, sol.h,
                                 sol.z, sol.s, sol.k, sol.lam)]),
@@ -187,29 +188,25 @@ def _steady(sol):
 
 
 def run_steady_general(p, seed):
-    ap, ks = _steady_inputs(p)
-    sol = aerotaxis.steady_state_general(ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"], **ks)
-    return _steady(sol), {"z": sol.z, "lam": sol.lam, "d": sol.d, "h": sol.h, "B": sol.B}
+    sol, tables = _steady(aerotaxis.steady_state_general, p)
+    return tables, {"z": sol.z, "lam": sol.lam, "d": sol.d, "h": sol.h, "B": sol.B}
 
 
 def run_steady_intermediate(p, seed):
-    ap, ks = _steady_inputs(p)
-    sol = aerotaxis.steady_state_intermediate(ap, p["aerotaxis.l_min"], p["aerotaxis.l_max"],
-                                              **ks)
-    return _steady(sol), {"zeta": sol.z / sol.s, "z": sol.z, "h": sol.h, "B": sol.B}
+    sol, tables = _steady(aerotaxis.steady_state_intermediate, p)
+    return tables, {"zeta": sol.z / sol.s, "z": sol.z, "h": sol.h, "B": sol.B}
 
 
 def run_steady_low(p, seed):
-    ap, ks = _steady_inputs(p)
-    sol = aerotaxis.steady_state_low(ap, p["aerotaxis.l_min"], **ks)
-    return _steady(sol), {"z": sol.z, "B": sol.B}
+    sol, tables = _steady(aerotaxis.steady_state_low, p)
+    return tables, {"z": sol.z, "B": sol.B}
 
 
 def run_quasi(p, seed):
     rows = []
     metrics = {}
     for tag, L0 in (("lo", p["aerotaxis.L0_lo"]), ("hi", p["aerotaxis.L0_hi"])):
-        q = aerotaxis.quasi_steady_state(L0, p["aerotaxis.l_max"], p["aerotaxis.k_b0"])
+        q = _build(aerotaxis.quasi_steady_state, "aerotaxis.", p, L0=L0)
         rows.append((L0, q["d"], q["h"], q["B_over_b0"], q["c1"], q["assumption_ok"]))
         metrics[f"d_{tag}"] = q["d"]
         metrics[f"h_{tag}"] = q["h"]
@@ -220,16 +217,15 @@ def run_quasi(p, seed):
 def run_montecarlo(p, seed):
     cfg = _build(aerotaxis.MonteCarloConfig, "mc.", p, band_half_width=p["mc.band"],
                  wall_half_width=p["mc.wall"], n_trials=p["mc.trials"], seed=seed)
-    res = aerotaxis.monte_carlo_slow_adaptation(cfg, t_end=p["mc.t_end"], dt=p["mc.dt"])
+    res = _build(aerotaxis.monte_carlo_slow_adaptation, "mc.", p, cfg)
     ratio = res["inside_outside_ratio"]
     return {"result.csv": _rows(["t_a", "c", "ratio"], [(cfg.t_a, cfg.c, ratio)])}, res
 
 
 def run_gc_switch(p, seed):
-    params = growthcone.CaAcParams()
     tables, metrics = {}, {}
     for i, key in enumerate(("gc.La", "gc.Lb", "gc.Lc", "gc.Ld")):
-        traj = growthcone.ca_ac_simulate(p[key], params, t_end=p["gc.t_end"], h=p["gc.h"])
+        traj = _build(growthcone.ca_ac_simulate, "gc.", p, p[key])
         tables[f"traj_{i + 1}.csv"] = _traj(["t", "C", "A"], traj, max_rows=1000)
         metrics[f"A_end_{i + 1}"] = float(traj.final()[1])
     return tables, metrics
@@ -239,7 +235,7 @@ def run_gc_bifurcation(p, seed):
     if p["gc.n"] < 1:
         raise UsageError(f"gc.n must be at least 1, got {p['gc.n']}")
     params = growthcone.CaAcParams()
-    L_up, L_down = growthcone.hysteresis_jumps(params, p["gc.L_lo"], p["gc.L_hi"])
+    L_up, L_down = _build(growthcone.hysteresis_jumps, "gc.", p, params)
     L_values = np.linspace(p["gc.L_lo"], p["gc.L_hi"], p["gc.n"])
     rows = growthcone.bifurcation_scan(params, L_values)
     below = growthcone.ca_ac_steady_states(L_up - 0.02, params)
@@ -254,8 +250,7 @@ def run_gc_bifurcation(p, seed):
 
 def run_gc_adaptation(p, seed):
     ap = _build(growthcone.AdaptationParams, "gc.", p)
-    traj = growthcone.adaptation_simulate(p["gc.l0"], p["gc.l1"], ap,
-                                          t_end=p["gc.t_end"], h=p["gc.h"])
+    traj = _build(growthcone.adaptation_simulate, "gc.", p, p=ap)
     A = traj.states[:, 1]
     base = ap.m / ap.r
     return {"traj.csv": _traj(["t", "M", "A"], traj)}, {
@@ -269,8 +264,7 @@ def run_gc_adaptation(p, seed):
 def run_gc_twocomp(p, seed):
     ap = growthcone.AdaptationParams()
     cpl = _build(growthcone.CompartmentCoupling, "gc.", p)
-    traj = growthcone.two_compartment_simulate(p["gc.l1"], p["gc.l2"], ap, cpl,
-                                               t_end=p["gc.t_end"], l0=p["gc.l0"])
+    traj = _build(growthcone.two_compartment_simulate, "gc.", p, p=ap, cpl=cpl)
     A1s, A2s, M1s, M2s = growthcone.two_compartment_steady(
         ap.ka(p["gc.l1"]), ap.ka(p["gc.l2"]), ap, cpl)
     return {"traj.csv": _traj(["t", "M1", "A1", "M2", "A2"], traj)}, {
@@ -284,8 +278,7 @@ def run_gc_twocomp(p, seed):
 
 def run_gc_rd(p, seed):
     ap = growthcone.AdaptationParams()
-    grid = growthcone.default_rd_grid(length=p["gc.length"], dx=p["gc.dx"],
-                                      dt=p["gc.dt"])
+    grid = _build(growthcone.default_rd_grid, "gc.", p)
     x = grid.x
     kind = p["gc.profile"]
     lo, hi = p["gc.l_lo"], p["gc.l_hi"]
@@ -303,9 +296,8 @@ def run_gc_rd(p, seed):
         init = None
     else:
         raise UsageError("gc.profile must be 0 (uniform), 1 (linear) or 2 (quadratic)")
-    times, Ms, As = growthcone.reaction_diffusion_simulate(
-        profile, ap, p["gc.D1"], p["gc.D2"], grid, t_end=p["gc.t_end"],
-        l_init=init, sample_every=p["gc.sample_every"])
+    times, Ms, As = _build(growthcone.reaction_diffusion_simulate, "gc.", p, profile, ap,
+                           grid=grid, l_init=init)
     A = As[-1]
     return {"field.csv": _long(["t", "x", "M", "A"], times, _floats(x), Ms, As)}, {
         "A_flat_dev": float(np.max(np.abs(A - ap.m / ap.r))),
@@ -317,12 +309,11 @@ def run_gc_rd(p, seed):
 
 def run_gc_ca_switch(p, seed):
     sp = _build(growthcone.SwitchRateParams, "gc.", p)
-    ap = growthcone.AdaptationParams()
     cpl = _build(growthcone.CompartmentCoupling, "gc.", p)
     rows = []
     metrics = {}
     for tag, ca in (("hi", p["gc.ca_hi"]), ("lo", p["gc.ca_lo"])):
-        row = (ca, *growthcone.switch_gradient(p["gc.l1"], p["gc.l2"], ca, sp, ap, cpl))
+        row = (ca, *_build(growthcone.switch_gradient, "gc.", p, ca=ca, sp=sp, cpl=cpl))
         rows.append(row)
         metrics[f"sign_{tag}"] = row[-1]
     return {"result.csv": _rows(["ca", "ka1", "ka2", "A1s", "A2s", "sign"], rows)}, metrics
@@ -330,8 +321,8 @@ def run_gc_ca_switch(p, seed):
 
 def run_kelvin_single(p, seed):
     body = _build(kelvin.KelvinBody, "kelvin.", p)
-    res = kelvin.network_deform(kelvin.KelvinNetwork((("body1", body),)), 0.0,
-                                p["kelvin.t_end"], p["kelvin.h"])
+    res = _build(kelvin.network_deform, "kelvin.", p,
+                 kelvin.KelvinNetwork((("body1", body),)), 0.0)
     F0 = p["kelvin.F0"]
     ts, te = kelvin.relaxation_times(body)
     return {"traj.csv": _network(res, F0)}, {
@@ -417,7 +408,7 @@ _BAND_DEFAULTS = {
     **_defaults(aerotaxis.AerotaxisParams, "aerotaxis."),
     **_defaults(aerotaxis.TurningThresholds, "aerotaxis."),
     "aerotaxis.length": 1.0, "aerotaxis.nodes": 40, "aerotaxis.dt": 0.01,
-    "aerotaxis.t_end": 30.0, "aerotaxis.sample_every": 100,
+    **_defaults(aerotaxis.simulate_band, "aerotaxis.", "t_end", "sample_every"),
 }
 
 # the bandless regime has no upper preferred level
@@ -447,31 +438,32 @@ EXPERIMENTS = {
     "aerotaxis-montecarlo": Experiment(
         run_montecarlo,
         {**_defaults(aerotaxis.MonteCarloConfig, "mc.", "v", "c", "t_a"), "mc.band": 1.0,
-         "mc.wall": 2.0, "mc.trials": 10000, "mc.t_end": 80.0, "mc.dt": 0.01},
+         "mc.wall": 2.0, "mc.trials": 10000,
+         **_defaults(aerotaxis.monte_carlo_slow_adaptation, "mc.", "t_end", "dt")},
         "slow-adaptation walker density ratio"),
     "growthcone-switch": Experiment(
         run_gc_switch,
         {"gc.La": 0.1, "gc.Lb": 1.0, "gc.Lc": 10.0, "gc.Ld": 20.0,
-         "gc.t_end": 10.0, "gc.h": 1e-3},
+         **_defaults(growthcone.ca_ac_simulate, "gc.", "t_end", "h")},
         "switch trajectories at four ligand levels"),
     "growthcone-bifurcation": Experiment(
         run_gc_bifurcation,
-        {"gc.L_lo": 0.05, "gc.L_hi": 6.0, "gc.n": 60},
+        {**_defaults(growthcone.hysteresis_jumps, "gc.", "L_lo", "L_hi"), "gc.n": 60},
         "hysteresis window of the cyclase switch"),
     "growthcone-adaptation": Experiment(
         run_gc_adaptation,
         {**_defaults(growthcone.AdaptationParams, "gc."), "gc.l0": 0.1, "gc.l1": 1.0,
-         "gc.t_end": 800.0, "gc.h": 0.1},
+         **_defaults(growthcone.adaptation_simulate, "gc.", "t_end", "h")},
         "step response returning to the ligand-free baseline"),
     "growthcone-twocomp": Experiment(
         run_gc_twocomp,
-        {**_defaults(growthcone.CompartmentCoupling, "gc."), "gc.l0": 0.1, "gc.l1": 1.0,
-         "gc.l2": 0.5, "gc.t_end": 1000.0},
+        {**_defaults(growthcone.CompartmentCoupling, "gc."), "gc.l1": 1.0, "gc.l2": 0.5,
+         **_defaults(growthcone.two_compartment_simulate, "gc.", "l0", "t_end")},
         "persistent two-compartment gradient response"),
     "growthcone-rd": Experiment(
         run_gc_rd,
-        {"gc.profile": 1, "gc.l_lo": 0.01, "gc.l_hi": 0.03, "gc.D1": 0.6,
-         "gc.D2": 0.0, "gc.length": 10.0, "gc.dx": 1.0 / 9.0, "gc.dt": 0.01,
+        {"gc.profile": 1, "gc.l_lo": 0.01, "gc.l_hi": 0.03, "gc.D1": 0.6, "gc.D2": 0.0,
+         **_defaults(growthcone.default_rd_grid, "gc.", "length", "dx", "dt"),
          "gc.t_end": 1500.0, "gc.sample_every": 15000},
         "graded spatial response of the diffusing-messenger model"),
     "growthcone-ca-switch": Experiment(
@@ -483,7 +475,8 @@ EXPERIMENTS = {
     "kelvin-single": Experiment(
         run_kelvin_single,
         {"kelvin.eta1": 5000.0, "kelvin.mu01": 50.0, "kelvin.mu11": 100.0,
-         "kelvin.F0": 1.0, "kelvin.t_end": 2000.0, "kelvin.h": 0.1},
+         "kelvin.F0": 1.0, "kelvin.t_end": 2000.0,
+         **_defaults(kelvin.network_deform, "kelvin.", "h")},
         "single-body creep to the spring balance"),
     "kelvin-sweep": Experiment(
         run_kelvin_sweep,

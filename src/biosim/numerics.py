@@ -598,8 +598,11 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     plus expm(M t) (y0 - Re Y) with M = A^-1 D.  Powers of expm(M h) are
     applied a block of samples at a time, so N samples cost O(sqrt N)
     Python-level operations.  Raises SingularMatrixError when A or
-    i omega A - D is singular by the rule of solve_linear_dense and
-    IntegrationError on a non-finite result.
+    i omega A - D is singular by the rule of solve_linear_dense, and
+    IntegrationError on a non-finite result or where Re Y dwarfs the
+    solution: the sum then cancels Re Y against itself, and its relative
+    error, about count eps max|Re Y| / max|states| over count steps, would
+    exceed 1e-8.
     """
     times = _step_times(0.0, t_end, h)
     A = np.asarray(A, dtype=float)
@@ -636,4 +639,11 @@ def solve_linear_ode(A, D, c, y0, t_end: float, h: float,
     states[0] = y0
     if not np.all(np.isfinite(states)):
         raise IntegrationError(f"linear solution turned non-finite before t={t_end!r}")
+    # the states carry the rounding of each step at the size of Re Y
+    big, size = float(np.abs(Y.real).max()), float(np.abs(states).max())
+    lost = count * np.finfo(float).eps * big
+    if lost > 1e-8 * size:
+        raise IntegrationError(
+            f"cancellation: the particular solution (max |Re Y| = {big:.3g}) dwarfs the "
+            f"states (max {size:.3g}); the relative error may reach {lost / size:.1e}")
     return Trajectory(times, states)

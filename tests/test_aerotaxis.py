@@ -86,8 +86,17 @@ def test_nondimensionalize_standard_values():
 
 
 def test_nondimensionalize_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        nondimensionalize(-1.0, 2e-9, 1.0, 3e-11)
+    for args in [
+        (-1.0, 2e-9, 1.0, 3e-11),
+        # NaN passed the old `val <= 0` guard, and an infinite input came out inf
+        (math.nan, 2e-9, 1.0, 3e-11),
+        (40e-6, math.inf, 1.0, 3e-11),
+        (40e-6, 2e-9, -math.inf, 3e-11),
+        # finite inputs whose scaled speed overflows
+        (1e307, 2e-9, 1.0, 3e-11),
+    ]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            nondimensionalize(*args)
 
 
 # ---------------------------------------------------------------- band PDE

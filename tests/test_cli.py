@@ -113,6 +113,19 @@ def test_every_experiment_has_defaults_and_reference():
         assert exp.reference, name
 
 
+def test_registered_defaults_are_pinned():
+    # every experiment's keys, values and int or float types, as recorded in
+    # tests/data/registry.json (JSON keeps 40 an int and 40.0 a float); many
+    # defaults are read from the library's dataclass fields and function
+    # signatures, so a changed library default shows here
+    pinned = json.loads((Path(__file__).parent / "data" / "registry.json").read_text())
+    assert sorted(pinned) == sorted(EXPERIMENTS)
+    for name, exp in EXPERIMENTS.items():
+        assert exp.defaults == pinned[name], name
+        assert {k: type(v) for k, v in exp.defaults.items()} == \
+            {k: type(v) for k, v in pinned[name].items()}, name
+
+
 # ---------------------------------------------------------------- determinism
 # (the exhaustive every-experiment version runs with the acceptance checks)
 
@@ -355,6 +368,13 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     # then fail with a usage error from expm)
     (["kelvin-single", "--set", "kelvin.eta1=1e-09", "--set", "kelvin.mu01=1e308",
       "--set", "kelvin.mu11=1e308"], "the rate matrix A^-1 D is not finite"),
+    # the exact solution's particular part 2e11 cancels against itself while
+    # M stays near 81 (this exited 0 with M_end 3.3e-3 off), and at 1e-100
+    # the generator is refused by its condition number
+    (["growthcone-adaptation", "--set", "gc.l1=1e-12"],
+     "cancellation: the particular solution (max |Re Y| = 2e+11)"),
+    (["growthcone-adaptation", "--set", "gc.l1=1e-100"],
+     "matrix numerically singular: reciprocal condition number"),
 ])
 def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "n")])
@@ -370,7 +390,9 @@ def test_main_unstable_step_exit_code(argv, message, tmp_path, capsys):
     (["kelvin-single", "--set", "kelvin.eta1=1e-13"], {"u0": 1 / 150, "u_end": 0.02}),
     (["kelvin-single", "--set", "kelvin.eta1=1e-13", "--set", "kelvin.mu01=1e-13",
       "--set", "kelvin.mu11=1e-13"], {"u0": 5e12, "u_end": 1e13}),
-    (["growthcone-adaptation", "--set", "gc.l1=1e-12"], {}),
+    # the smallest ligand step of these whose exact solution keeps 1e-8
+    # relative accuracy (gc.l1=1e-12 is refused, see the exit-2 cases)
+    (["growthcone-adaptation", "--set", "gc.l1=1e-6"], {}),
     # a reaction step within its limit runs, even where the diffusion number
     # adds up past it (2 nu + reaction number = 1.002 at gc.l_hi=3)
     (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=0.5"], {}),

@@ -732,6 +732,14 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: adaptation_simulate(0.1, 0.0), "the step to l1 = 0.0 needs k l1 > 0, got 0.0"),
     (lambda: two_compartment_simulate(0.0, 1.0, cpl=CompartmentCoupling(0.0, 0.1)),
      "a zero-rate compartment needs k1 > 0 to reach steady state"),
+    # rear_arrival_time returned nan, inf or a negative time
+    (lambda: aerotaxis.rear_arrival_time(math.nan, 1.0, 1.0), "distance must be finite"),
+    (lambda: aerotaxis.rear_arrival_time(math.inf, 1.0, 1.0), "distance must be finite"),
+    (lambda: aerotaxis.rear_arrival_time(1.0, 1.0, math.nan), "turning_rate nonnegative"),
+    (lambda: aerotaxis.rear_arrival_time(1.0, 1.0, math.inf), "turning_rate nonnegative"),
+    (lambda: aerotaxis.rear_arrival_time(1.0, 1.0, -1.0), "turning_rate nonnegative"),
+    (lambda: aerotaxis.rear_arrival_time(1.0, math.inf, 1.0), "speed\\^2 must be positive"),
+    (lambda: aerotaxis.rear_arrival_time(1e200, 1.0, 1.0), "arrival time .* is not finite"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
         "asymptotic-l1", "asymptotic-nan", "asymptotic-overflow", "matched-l1",
         "rhs-L-pole", "rhs-L-negative", "nullclines-nan", "steady-states-nan",
@@ -745,7 +753,9 @@ _ACTIN = kelvin.material_params("actin")
         "switch-ligand", "switch-denominator-underflow", "mc-trials", "piston-tau",
         "piston-ramp-sign", "steady-low-L0", "micropipette-zero", "group-empty",
         "network-empty", "sweep-three-bodies", "rhs-state-overflow", "rhs-state-zero-division",
-        "adaptation-l1-0", "two-comp-simulate-k1-0"])
+        "adaptation-l1-0", "two-comp-simulate-k1-0", "rear-distance-nan",
+        "rear-distance-inf", "rear-rate-nan", "rear-rate-inf", "rear-rate-negative",
+        "rear-speed-inf", "rear-time-overflow"])
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()

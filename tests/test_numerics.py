@@ -551,6 +551,27 @@ def test_linear_ode_singular_matrices():
                          1.0, 0.1, omega=2.0)
 
 
+@pytest.mark.parametrize("l1", [1e-12, 1e-9])
+def test_linear_ode_refuses_a_particular_solution_that_dwarfs_the_states(l1):
+    # after a step to ligand l1 the steady M = m kd / (r k l1) is 2e11 or 2e8
+    # while M stays near 81 over the run: the sum Re Y + E^k (y0 - Re Y)
+    # cancels, and its relative error (3.3e-3 at 1e-12 against RK4) would
+    # reach count eps max|Re Y| / max|states| = 4.4e-3 or 4.4e-6
+    with pytest.raises(IntegrationError, match="cancellation: the particular solution"):
+        growthcone.adaptation_simulate(0.1, l1)
+
+
+def test_linear_ode_below_the_cancellation_limit_matches_rk4():
+    # at l1 = 1e-6 the estimate is 4.4e-9: the run is kept, and it is that
+    # accurate against RK4 at a tenth of the step
+    ap = growthcone.AdaptationParams()
+    D, c = growthcone._adaptation_system([ap.ka(1e-6)], ap)
+    traj = growthcone.adaptation_simulate(0.1, 1e-6, ap)
+    ref = rk4_integrate(lambda t, y: D @ y + c, traj.states[0], 0.0, 800.0, 0.01)
+    assert len(ref) == 10 * len(traj) - 9
+    assert np.abs(traj.states - ref.states[::10]).max() < 1e-8 * np.abs(ref.states).max()
+
+
 def test_linear_ode_aborts_on_overflow():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(IntegrationError, match="non-finite"):
@@ -965,6 +986,9 @@ _DOMAINS = [
     (aerotaxis.PistonParams(), dict(z_f0="finite", delta_z="positive", c0="finite",
                                     c1="finite", k="finite", tau="positive",
                                     lock_tol="positive")),
+    # a zero scale used to divide by zero in nondimensionalize
+    (aerotaxis.CharacteristicScales(), dict.fromkeys(
+        ("length_m", "time_s", "oxygen_uM_per_ml", "bacteria_per_ml"), "positive")),
     (growthcone.CaAcParams(), dict.fromkeys(
         [f.name for f in dataclasses.fields(growthcone.CaAcParams)], "positive")),
     (growthcone.CaAcState(1.0, 1.0), dict.fromkeys(("C", "A"), "nonnegative")),
@@ -981,7 +1005,7 @@ _FLOAT_FIELDS = [(base, f.name, domain[f.name]) for base, domain in _DOMAINS
 
 
 def test_every_declared_domain_is_a_float_field():
-    assert len(_FLOAT_FIELDS) == sum(len(domain) for _, domain in _DOMAINS) == 57
+    assert len(_FLOAT_FIELDS) == sum(len(domain) for _, domain in _DOMAINS) == 61
 
 
 @pytest.mark.parametrize("base,name,domain", _FLOAT_FIELDS,
