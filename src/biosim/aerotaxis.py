@@ -541,8 +541,12 @@ def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):
     """Drift-diffusion reduction of the telegraph system.
 
     mu = v^2 / (2 sigma0) and chi = v (sigma+ - sigma-) / (2 sigma0) with
-    sigma0 the mean turning rate.
+    sigma0 the mean turning rate; ValueError unless both turning rates are
+    nonnegative, sigma0 is positive and mu and chi are finite.
     """
+    if not (sigma_plus >= 0 and sigma_minus >= 0):
+        raise ValueError(f"turning rates must be nonnegative, got sigma+ = {sigma_plus!r}, "
+                         f"sigma- = {sigma_minus!r}")
     sigma0 = 0.5 * (sigma_plus + sigma_minus)
     if sigma0 <= 0:
         raise ValueError("mean turning rate must be positive")
@@ -701,8 +705,13 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
 
 
 def piston_separation_closed_form(p: PistonParams, ramp_sign: int, t):
-    """Fast-minus-slow position for a linear signal ramp, exactly."""
+    """Fast-minus-slow position for a linear signal ramp, exactly, at the
+    times t >= 0; ValueError unless ramp_sign is +1 or -1 and t is finite."""
+    if ramp_sign not in (-1, 1):
+        raise ValueError("ramp_sign must be +1 or -1")
     t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("times must be finite and nonnegative")
     lag = ramp_sign * p.c1 * p.k * p.tau
     return p.delta_z + lag * (1.0 - np.exp(-t / p.tau))
 
@@ -715,10 +724,8 @@ def piston_receptor_simulate(p: PistonParams, ramp_sign: int, t_end: float):
     the slow part relaxes toward z_f - delta_z with time constant tau, so
     z_f - z_s is piston_separation_closed_form.  Returns the (z_f, z_s)
     trajectory and the times at which the two parts first come within
-    lock_tol (tumble events).
+    lock_tol (tumble events); ValueError for a ramp_sign other than +1 or -1.
     """
-    if ramp_sign not in (-1, 1):
-        raise ValueError("ramp_sign must be +1 or -1")
     times = _step_times(0.0, t_end, p.tau / 50.0)
     zf = p.z_f0 + p.c1 * (ramp_sign * p.k * times + p.c0)
     sep = piston_separation_closed_form(p, ramp_sign, times)

@@ -26,7 +26,6 @@ from .numerics import (
     dopri5_integrate,
     ftcs_diffusion_step,
     run_fields,
-    solve_linear_dense,
     solve_linear_ode,
     solve_scalar_root,
 )
@@ -335,29 +334,11 @@ def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationPa
 
 
 def adaptation_asymptotic(l0: float, l1: float, p: AdaptationParams, t):
-    """Matched two-time-scale solution of the step response.
-
-    Valid for a large time-scale ratio; a warning is emitted when lam < 5.
-    Returns (M(t), A(t)); ValueError unless k l0, k l1 > 0 and both are finite.
-    """
-    if p.lam < 5:
-        warnings.warn("time-scale ratio below 5; matched solution is rough")
-    t = np.asarray(t, dtype=float)
-    ka0, ka1 = p.ka(l0), p.ka(l1)
-    if not (ka0 > 0 and ka1 > 0):
-        raise ValueError(f"ligands must be positive, got k l0 = {ka0!r}, k l1 = {ka1!r}")
-    As = p.m / p.r
-    rf = p.lam * (p.kd + ka1)
-    rs = p.r * ka1 / (p.kd + ka1)
-    A1 = As * (1 + p.kd / ka0) / (1 + p.kd / ka1)
-    M0 = As * p.kd / ka0
-    M1 = As * (p.kd / ka1) * (1 + p.kd / ka0) / (1 + p.kd / ka1)
-    M2 = As * p.kd / ka1
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = M2 + (M0 - M1) * np.exp(-rf * t) + (M1 - M2) * np.exp(-rs * t)
-        A = As + (A1 - As) * (np.exp(-rs * t) - np.exp(-rf * t))
-    _check_finite(f"the matched solution at l0 = {l0!r}, l1 = {l1!r} is not finite", M, A)
-    return M, A
+    """Matched two-time-scale solution (M(t), A(t)) of the step response:
+    compartment 1 of two_compartment_matched_asymptotic without exchange,
+    at l2 = l1 and CompartmentCoupling(0.0, 0.0); warns and raises as it does."""
+    out = two_compartment_matched_asymptotic(l0, l1, l1, p, CompartmentCoupling(0.0, 0.0), t)
+    return out["M1"], out["A1"]
 
 
 def adaptation_slow_rate(l1: float, p: AdaptationParams) -> float:
@@ -467,40 +448,46 @@ def optimal_ligand_sum(p: AdaptationParams, cpl: CompartmentCoupling) -> float:
 def two_compartment_matched_asymptotic(l0: float, l1: float, l2: float,
                                        p: AdaptationParams,
                                        cpl: CompartmentCoupling, t):
-    """Four-exponential approximation of the k2 = 0 two-compartment step.
+    """Four-exponential approximation of the k2 = 0 two-compartment step
+    from the adapted state at l0, at the times t >= 0.
 
-    Per-compartment fast relaxations are followed by two coupled slow
-    modes; the slow offsets come from a direct 2x2 solve.  Returns a dict
+    Per-compartment fast relaxations are followed by slow relaxations to
+    the limits of the exchange-coupled slow balance.  Valid for a large
+    time-scale ratio; a warning is emitted when lam < 5.  Returns a dict
     with M1, A1, M2, A2 arrays and a validity flag that clears when the
-    rate separation (r + k1)(ka1 - ka2) / k1 drops below 5; ValueError
-    unless k l0, k l1 and k l2 are positive and the arrays are finite.
+    rate separation (r + k1)(ka1 - ka2) / k1 drops below 5; ValueError for
+    k2 != 0, a negative or non-finite time, and unless k l0, k l1 and k l2
+    are positive and the arrays are finite.
     """
+    if cpl.k2 != 0:
+        raise ValueError(f"the matched solution needs k2 = 0, got k2 = {cpl.k2!r}")
     t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("times must be finite and nonnegative")
+    if p.lam < 5:
+        warnings.warn("time-scale ratio below 5; matched solution is rough")
     ka0, ka1, ka2 = p.ka(l0), p.ka(l1), p.ka(l2)
     if not (ka0 > 0 and ka1 > 0 and ka2 > 0):
         raise ValueError(f"ligands must be positive, got k l = {(ka0, ka1, ka2)!r}")
     kd, r, k1 = p.kd, p.r, cpl.k1
-    As = p.m / r
     valid = k1 == 0 or (r + k1) * abs(ka1 - ka2) / k1 >= 5.0
-
-    D = np.array([
-        [-(r * ka1 + k1 * kd) / (kd + ka1), k1 * kd / (kd + ka1)],
-        [k1 * kd / (kd + ka2), -(r * ka2 + k1 * kd) / (kd + ka2)],
-    ])
-    hvec = np.array([p.m * kd / (kd + ka1), p.m * kd / (kd + ka2)])
     out = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2 = solve_linear_dense(D, hvec)
-        for tag, ka, dclose in (("1", ka1, d1), ("2", ka2, d2)):
-            rf = p.lam * (kd + ka)
-            rs = (r * ka + k1 * kd) / (kd + ka)
-            A1c = As * (1 + kd / ka0) / (1 + kd / ka)
-            M0c = As * kd / ka0
-            M1c = As * (kd / ka) * (1 + kd / ka0) / (1 + kd / ka)
-            fast = np.exp(-rf * t)
-            slow = np.exp(-rs * t)
-            out["M" + tag] = (M0c - M1c) * fast + (M1c + dclose) * slow - dclose
-            out["A" + tag] = (As - A1c) * fast + (ka / kd) * ((M1c + dclose) * slow - dclose)
+        M0, As = adaptation_initial_state(l0, p)
+        # the slow balance m - r A_i + k1 (M_j - M_i) = 0 at the fast
+        # equilibrium M_i = kd A_i / ka_i gives the slow limits A_end
+        c1, c2 = k1 * kd / ka1, k1 * kd / ka2
+        for tag, ka, A_end in (("1", ka1, As * ((r + 2 * c2) / (r + c1 + c2))),
+                               ("2", ka2, As * ((r + 2 * c1) / (r + c1 + c2)))):
+            # the fast transient moves (M0, As) to (M_mid, A_mid)
+            A_mid = As * (1 + kd / ka0) / (1 + kd / ka)
+            M_mid = As * (kd / ka) * (1 + kd / ka0) / (1 + kd / ka)
+            M_end = A_end * kd / ka
+            fast = np.exp(-p.lam * (kd + ka) * t)
+            slow = np.exp(-(r * ka + k1 * kd) / (kd + ka) * t)
+            out["M" + tag] = M_end + (M0 - M_mid) * fast + (M_mid - M_end) * slow
+            # A's pulse is grouped as slow - fast so that A(0) = As to rounding
+            out["A" + tag] = A_end + (A_mid - A_end) * (slow - fast) + (As - A_end) * fast
     _check_finite(f"the matched solution at l = {(l0, l1, l2)!r} is not finite", *out.values())
     out["valid"] = valid
     return out

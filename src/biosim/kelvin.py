@@ -51,7 +51,7 @@ def material_params(kind: str) -> KelvinBody:
 
 def relaxation_times(b: KelvinBody):
     """(tau_sigma, tau_epsilon): creep and strain relaxation times."""
-    tau_sigma = b.eta1 / b.mu01 * (1.0 + b.mu01 / b.mu11)
+    tau_sigma = b.eta1 / b.mu01 + b.eta1 / b.mu11
     tau_epsilon = b.eta1 / b.mu11
     return tau_sigma, tau_epsilon
 
@@ -84,8 +84,9 @@ def single_body_steady_closed_form(b: KelvinBody, F0: float, t):
     """Creep solution under constant force."""
     tau_sigma, tau_epsilon = relaxation_times(b)
     t = np.asarray(t, dtype=float)
-    return F0 / b.mu01 * (1.0 - (1.0 - tau_epsilon / tau_sigma)
-                          * np.exp(-t / tau_sigma))
+    with np.errstate(over="ignore"):  # t / tau_sigma may overflow; exp(-inf) is 0
+        scaled = t / tau_sigma
+    return F0 / b.mu01 * (1.0 - (1.0 - tau_epsilon / tau_sigma) * np.exp(-scaled))
 
 
 @dataclass

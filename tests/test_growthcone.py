@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -411,6 +412,37 @@ def test_asymptotic_warns_at_small_ratio():
         adaptation_asymptotic(0.1, 1.0, p, np.array([1.0]))
 
 
+# (M, A) at t = 0, 0.5, 5, 50, 500 as the single-compartment formula gave
+# them before it became compartment 1 of the two-compartment solution
+_PINNED_ASYMPTOTIC = [
+    ((0.1, 1.0, 5.0),
+     [1.0, 0.6160061009092812, 0.1369586793491476, 0.10000000000624959, 0.10000000000000002],
+     [0.1, 0.28491460385498313, 0.13691781941236134, 0.10000000000624958, 0.1]),
+    ((1.0, 0.1, 5.0),
+     [0.10000000000000009, 0.1709707131130005, 0.4803358304766224, 0.99131471653111, 1.0],
+     [0.1, 0.06902255424554385, 0.048401392477124, 0.09913147165311101, 0.1]),
+    ((0.1, 15.0, 50.0),
+     [1.0, 0.04551742392961836, 0.00723843439957969, 0.006666666666666668,
+      0.006666666666666668],
+     [0.1, 0.6827613589442755, 0.10857651599369533, 0.1, 0.1]),
+    ((0.5, 1e-6, 5.0),
+     [0.19999999999708962, 0.2893466338136932, 0.799322660692269, 5.299854702752782,
+      50.28730184590677],
+     [0.1, 0.06065320368530046, 0.0006745893060215169, 5.299854702739415e-06,
+      5.028730184590546e-05]),
+]
+
+
+@pytest.mark.parametrize("args,M_pinned,A_pinned", _PINNED_ASYMPTOTIC,
+                         ids=["step-up", "step-down", "large-ratio", "tiny-l1"])
+def test_asymptotic_matches_the_pinned_single_compartment_values(args, M_pinned, A_pinned):
+    l0, l1, lam = args
+    M, A = adaptation_asymptotic(l0, l1, AdaptationParams(lam=lam),
+                                 np.array([0.0, 0.5, 5.0, 50.0, 500.0]))
+    assert np.max(np.abs(M - M_pinned)) <= 1e-12 * np.max(np.abs(M_pinned))
+    assert np.max(np.abs(A - A_pinned)) <= 1e-12 * np.max(np.abs(A_pinned))
+
+
 def test_fast_scale_conserves_total():
     # the leak scales the drift of A + M as 1/lam over the fast window
     p = AdaptationParams(lam=500.0)
@@ -542,6 +574,21 @@ def test_matched_asymptotic_initial_values_and_flag():
     assert out["A1"][0] == pytest.approx(p.m / p.r, abs=1e-12)
     assert out["A2"][0] == pytest.approx(p.m / p.r, abs=1e-12)
     assert not out["valid"]  # nearly equal ligands violate the rate separation
+
+
+def test_matched_asymptotic_slow_limits_solve_the_slow_balance():
+    # the slow limits solve m - r A_i + k1 (M_j - M_i) = 0 with M_i = kd A_i / ka_i;
+    # at r = 1e-9 that 2x2 system has condition number near 1e9, and a
+    # floating-point solve of it lost 7 digits
+    p, cpl = AdaptationParams(r=1e-9), CompartmentCoupling(k1=1.0, k2=0.0)
+    out = two_compartment_matched_asymptotic(1.0, 0.5, 1e-9, p, cpl, np.array([1e14]))
+    m, r, k1, kd = (Fraction(v) for v in (p.m, p.r, cpl.k1, p.kd))
+    c1, c2 = (k1 * kd / Fraction(p.ka(l)) for l in (0.5, 1e-9))
+    # (r + c1) A1 - c2 A2 = m and -c1 A1 + (r + c2) A2 = m, by Cramer's rule
+    det = (r + c1) * (r + c2) - c1 * c2
+    A1, A2 = m * (r + 2 * c2) / det, m * (r + 2 * c1) / det
+    assert out["A1"][0] == pytest.approx(float(A1), rel=4e-16)
+    assert out["A2"][0] == pytest.approx(float(A2), rel=4e-16)
 
 
 # ---------------------------------------------------------------- reaction-diffusion
@@ -740,6 +787,24 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: aerotaxis.rear_arrival_time(1.0, 1.0, -1.0), "turning_rate nonnegative"),
     (lambda: aerotaxis.rear_arrival_time(1.0, math.inf, 1.0), "speed\\^2 must be positive"),
     (lambda: aerotaxis.rear_arrival_time(1e200, 1.0, 1.0), "arrival time .* is not finite"),
+    # a negative time overflowed to M = 3e86, and the default coupling's k2
+    # was ignored
+    (lambda: adaptation_asymptotic(0.1, 1.0, _P, [-100.0]),
+     "times must be finite and nonnegative"),
+    (lambda: adaptation_asymptotic(0.1, 1.0, _P, [math.nan]),
+     "times must be finite and nonnegative"),
+    (lambda: two_compartment_matched_asymptotic(0.1, 1.0, 0.5, _P, CompartmentCoupling(), _T),
+     "needs k2 = 0, got k2 = 0.1"),
+    # a negative rate gave coefficients, the piston's closed form took any
+    # sign and overflowed or returned NaN before t = 0
+    (lambda: aerotaxis.keller_segel_coefficients(1.0, 3.0, -1.0),
+     "turning rates must be nonnegative"),
+    (lambda: aerotaxis.piston_separation_closed_form(aerotaxis.PistonParams(), 5, _T),
+     "ramp_sign must be \\+1 or -1"),
+    (lambda: aerotaxis.piston_separation_closed_form(aerotaxis.PistonParams(), 1, [-1e4]),
+     "times must be finite and nonnegative"),
+    (lambda: aerotaxis.piston_separation_closed_form(aerotaxis.PistonParams(), 1, [math.nan]),
+     "times must be finite and nonnegative"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
         "asymptotic-l1", "asymptotic-nan", "asymptotic-overflow", "matched-l1",
         "rhs-L-pole", "rhs-L-negative", "nullclines-nan", "steady-states-nan",
@@ -755,7 +820,9 @@ _ACTIN = kelvin.material_params("actin")
         "network-empty", "sweep-three-bodies", "rhs-state-overflow", "rhs-state-zero-division",
         "adaptation-l1-0", "two-comp-simulate-k1-0", "rear-distance-nan",
         "rear-distance-inf", "rear-rate-nan", "rear-rate-inf", "rear-rate-negative",
-        "rear-speed-inf", "rear-time-overflow"])
+        "rear-speed-inf", "rear-time-overflow", "asymptotic-t-negative", "asymptotic-t-nan",
+        "matched-k2", "keller-segel-rate-negative", "piston-closed-form-sign",
+        "piston-closed-form-t-negative", "piston-closed-form-t-nan"])
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -782,10 +849,11 @@ def _call_any_public_function(data):
     function's docstring."""
     value = lambda label: data.draw(st.sampled_from(_ANY_VALUES), label=label)
 
-    def params(cls):
-        names = data.draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(cls)]),
+    def params(cls, **fixed):
+        names = data.draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(cls)
+                                                    if f.name not in fixed]),
                                    max_size=3, unique=True), label=cls.__name__)
-        return cls(**{n: value(f"{cls.__name__}.{n}") for n in names})
+        return cls(**fixed, **{n: value(f"{cls.__name__}.{n}") for n in names})
 
     name = data.draw(st.sampled_from(_PUBLIC), label="function")
     sw = CaAcParams()
@@ -841,7 +909,7 @@ def _call_any_public_function(data):
     elif name == "two_compartment_matched_asymptotic":
         out = two_compartment_matched_asymptotic(
             value("l0"), value("l1"), value("l2"), params(AdaptationParams),
-            params(CompartmentCoupling), t)
+            params(CompartmentCoupling, k2=0.0), t)
         assert _finite(out["M1"], out["A1"], out["M2"], out["A2"])
         assert out["valid"] in (True, False)
     elif name == "reaction_diffusion_simulate":
