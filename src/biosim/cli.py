@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import aerotaxis, growthcone, kelvin
-from .numerics import Grid1D, IntegrationError, NumericsError
+from .numerics import Grid1D, IntegrationError, NumericsError, kept_samples
 
 
 @dataclass
@@ -89,9 +89,9 @@ def _rows(header, rows):
     return header, (map(_fmt, row) for row in rows)
 
 
-def _every(n: int, max_rows: int) -> slice:
-    """Every k-th of n samples, k chosen to keep about max_rows."""
-    return slice(0, n, max(1, n // max_rows))
+def _every(n: int, max_rows: int) -> np.ndarray:
+    """Every k-th of n samples and the last, k chosen to keep about max_rows."""
+    return kept_samples(n - 1, max(1, n // max_rows))
 
 
 def _traj(header, traj, max_rows: int = 2000):
@@ -279,25 +279,17 @@ def run_gc_twocomp(p, seed):
 def run_gc_rd(p, seed):
     ap = growthcone.AdaptationParams()
     grid = _build(growthcone.default_rd_grid, "gc.", p)
-    x = grid.x
-    kind = p["gc.profile"]
-    lo, hi = p["gc.l_lo"], p["gc.l_hi"]
-    if not (lo > 0 and hi > 0):  # every profile lies between the two
-        raise UsageError(f"ligand must be positive everywhere, got l_lo={lo!r}, l_hi={hi!r}")
-    if kind == 0:
-        profile = np.full(grid.n, hi)
-        init = np.linspace(lo, hi, grid.n)
-    elif kind == 1:
-        profile = np.linspace(lo, hi, grid.n)
-        init = None
-    elif kind == 2:
-        half = grid.x[-1] / 2
-        profile = lo + (hi - lo) * (1 - ((x - half) / half) ** 2)
-        init = None
-    else:
+    x, half = grid.x, grid.x[-1] / 2
+    kind, lo, hi = p["gc.profile"], p["gc.l_lo"], p["gc.l_hi"]
+    if kind not in (0, 1, 2):
         raise UsageError("gc.profile must be 0 (uniform), 1 (linear) or 2 (quadratic)")
+    # opposite-signed levels may overflow to NaN nodes, which the library refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        ramp = np.linspace(lo, hi, grid.n)
+        profile = (np.full(grid.n, hi), ramp, lo + (hi - lo) * (1 - ((x - half) / half)**2))[kind]
+    # the uniform presentation starts from the state adapted to the ramp
     times, Ms, As = _build(growthcone.reaction_diffusion_simulate, "gc.", p, profile, ap,
-                           grid=grid, l_init=init)
+                           grid=grid, l_init=ramp if kind == 0 else None)
     A = As[-1]
     return {"field.csv": _long(["t", "x", "M", "A"], times, _floats(x), Ms, As)}, {
         "A_flat_dev": float(np.max(np.abs(A - ap.m / ap.r))),

@@ -311,26 +311,25 @@ class AdaptationParams:
         return self.k * l
 
 
-def adaptation_initial_state(l0: float, p: AdaptationParams):
-    """Large-lambda steady state used as the standard initial condition."""
-    if not l0 > 0:
-        raise ValueError(f"initial ligand l0 must be positive, got {l0!r}")
-    M = p.m / p.r * p.kd / p.ka(l0) if p.ka(l0) > 0 else math.inf
-    _check_finite(f"the adapted state M = m kd / (r k l0) at l0 = {l0!r} is not finite", M)
-    return np.array([M, p.m / p.r])  # (M, A)
+def adaptation_initial_state(l0, p: AdaptationParams):
+    """The standard initial (M, A) = (m kd / (r k l0), m / r), elementwise over an array l0;
+    ValueError, naming the lowest level, unless every level is positive with a finite M."""
+    l0 = np.asarray(l0, dtype=float)
+    low = float(np.min(l0))  # NaN if any level is; M is largest at the lowest level
+    if not low > 0:
+        raise ValueError(f"initial ligand l0 must be positive, got {low!r}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        M = p.m / p.r * p.kd / p.ka(l0)
+    _check_finite(f"the adapted state M = m kd / (r k l0) at l0 = {low!r} is not finite", M)
+    return np.array([M, np.full_like(M, p.m / p.r)])
 
 
 def adaptation_simulate(l0: float, l1: float, p: AdaptationParams = AdaptationParams(),
                         t_end: float = 800.0, h: float = 0.1) -> Trajectory:
-    """Response of (M, A) to a ligand step l0 -> l1 at t = 0, solved
-    exactly and sampled every h; ValueError for l1 < 0, or unless k l1 > 0
-    (without it M grows without bound)."""
-    if not l1 >= 0:
-        raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
-    if not p.ka(l1) > 0:
-        raise ValueError(f"the step to l1 = {l1!r} needs k l1 > 0, got {p.ka(l1)!r}")
-    D, c = _adaptation_system([p.ka(l1)], p)
-    return solve_linear_ode(np.eye(2), D, c, adaptation_initial_state(l0, p), t_end, h)
+    """Response of (M, A) to a ligand step l0 -> l1 at t = 0: compartment 1 of
+    two_compartment_simulate at l2 = l1 without exchange; raises as it does."""
+    traj = two_compartment_simulate(l1, l1, p, CompartmentCoupling(0.0, 0.0), t_end, l0, h)
+    return Trajectory(traj.times, traj.states[:, :2])
 
 
 def adaptation_asymptotic(l0: float, l1: float, p: AdaptationParams, t):
@@ -346,7 +345,8 @@ def adaptation_slow_rate(l1: float, p: AdaptationParams) -> float:
     step to l1, in [0, r]; ValueError for l1 < 0 or a rate that is not finite."""
     if not l1 >= 0:
         raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
-    rate = p.r * (p.ka(l1) / (p.kd + p.ka(l1)))
+    ka = p.ka(float(l1))  # a Python float overflows to inf without a numpy warning
+    rate = p.r * (ka / (p.kd + ka))
     _check_finite(f"the slow rate at l1 = {l1!r} is not finite", rate)
     return rate
 
@@ -364,19 +364,16 @@ class CompartmentCoupling:
         check_domain(self, nonnegative=("k1", "k2"))
 
 
-def _adaptation_system(kas, p: AdaptationParams, cpl: CompartmentCoupling | None = None):
-    """(D, c) of y' = D y + c, the states (M1, A1, M2, A2, ...) of compartments
-    at the production rates kas: M is made at m, M -> A at lam ka, A -> M at lam kd,
-    A decays at r; cpl exchanges the two M at k1 and the two A at k2.
-    ValueError unless every coefficient is finite."""
-    D = np.zeros((2 * len(kas), 2 * len(kas)))
+def _adaptation_system(ka1: float, ka2: float, p: AdaptationParams, cpl: CompartmentCoupling):
+    """(D, c) of y' = D y + c, the states (M1, A1, M2, A2) at the production rates ka1, ka2:
+    M is made at m, M -> A at lam ka, A -> M at lam kd, A decays at r; cpl exchanges the
+    two M at k1 and the two A at k2.  ValueError unless every coefficient is finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # a numpy-scalar ka can overflow
-        for i, ka in enumerate(kas):
-            D[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[-p.lam * ka, p.lam * p.kd],
-                                                   [p.lam * ka, -p.r - p.lam * p.kd]]
-        if cpl is not None:
-            D += np.kron([[-1.0, 1.0], [1.0, -1.0]], np.diag([cpl.k1, cpl.k2]))
-    c = np.tile([p.m, 0.0], len(kas))
+        D = np.kron([[-1.0, 1.0], [1.0, -1.0]], np.diag([cpl.k1, cpl.k2]))
+        for i, ka in enumerate((ka1, ka2)):
+            D[2 * i:2 * i + 2, 2 * i:2 * i + 2] += [[-p.lam * ka, p.lam * p.kd],
+                                                    [p.lam * ka, -p.r - p.lam * p.kd]]
+    c = np.array([p.m, 0.0, p.m, 0.0])
     _check_finite("a rate coefficient of the linear model is not finite", D, c)
     return D, c
 
@@ -386,7 +383,7 @@ def _check_rates(ka1: float, ka2: float, cpl: CompartmentCoupling):
     and a zero-rate compartment has k1 > 0: else an M grows without bound."""
     if not (ka1 >= 0 and ka2 >= 0 and ka1 + ka2 > 0):
         raise ValueError(f"production rates must be nonnegative, not both 0: {ka1!r}, {ka2!r}")
-    if cpl.k1 == 0.0 and ka1 * ka2 == 0.0:
+    if cpl.k1 == 0.0 and min(ka1, ka2) == 0.0:
         raise ValueError("a zero-rate compartment needs k1 > 0 to reach steady state")
 
 
@@ -398,14 +395,14 @@ def two_compartment_simulate(l1: float, l2: float,
     """Step both compartments from a common adapted state at l0 to (l1, l2),
     solved exactly and sampled every h.
 
-    States are ordered (M1, A1, M2, A2); ValueError for l1 < 0 or l2 < 0, and
-    for production rates k l1, k l2 that two_compartment_steady refuses.
+    States are ordered (M1, A1, M2, A2); ValueError for l1 < 0 or l2 < 0, for rates
+    k l1, k l2 that two_compartment_steady refuses and an l0 adaptation_initial_state refuses.
     """
     if not (l1 >= 0 and l2 >= 0):
         raise ValueError(f"ligands l1 and l2 must be nonnegative, got {l1!r}, {l2!r}")
     _check_rates(p.ka(l1), p.ka(l2), cpl)
     y0 = np.tile(adaptation_initial_state(l0, p), 2)  # (M1, A1, M2, A2)
-    D, c = _adaptation_system([p.ka(l1), p.ka(l2)], p, cpl)
+    D, c = _adaptation_system(p.ka(l1), p.ka(l2), p, cpl)
     return solve_linear_ode(np.eye(4), D, c, y0, t_end, h)
 
 
@@ -502,15 +499,16 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
                                 l_init=None, sample_every: int = 1000):
     """Spatial adaptation model with diffusing modified substance.
 
-    l_profile is the ligand level per node during the run; l_init (same
-    shape, default l_profile) sets the adapted initial condition.  Both
+    l_profile is the ligand level per node during the run; l_init (same shape,
+    default l_profile) sets the initial (M, A), adaptation_initial_state.  Both
     fields use zero-flux boundaries.  Returns (times, M, A), the fields as
     (samples, nodes) arrays sampled every sample_every steps, always
     including the final state; numerics.run_fields marches and checks
-    them, and raises as it says.  Besides, a negative or NaN diffusivity or
-    a ligand (l_profile or l_init) not positive everywhere raises
-    ValueError before the first step, and so does StabilityError when the
-    reaction number dt * max(r + lam kd, lam k max(l_profile)) exceeds 1.
+    them, and raises as it says.  Besides, a negative or NaN diffusivity, a
+    ligand (l_profile or l_init) not positive everywhere or an initial state
+    adaptation_initial_state refuses raises ValueError before the first step,
+    and so does StabilityError when the reaction number
+    dt * max(r + lam kd, lam k max(l_profile)) exceeds 1.
     """
     if not (D1 >= 0 and D2 >= 0):
         raise ValueError(f"diffusivities must be nonnegative, got D1={D1!r}, D2={D2!r}")
@@ -525,11 +523,10 @@ def reaction_diffusion_simulate(l_profile, p: AdaptationParams, D1: float,
     rn = grid.dt * max(p.r + p.lam * p.kd, p.lam * p.k * float(l_run.max()))
     if rn > 1 + 1e-12:
         raise StabilityError(f"reaction number {rn:.4g} exceeds 1")
-    A = np.full(grid.n, p.m / p.r)
+    M, A = adaptation_initial_state(l0, p)
     # dt-scaled coefficients of the Euler step dt (m - ex, ex - r A), ex = lam (k l M - kd A)
     dt = grid.dt
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # run_fields checks
-        M = p.m / p.r * p.kd / (p.k * l0)
+    with np.errstate(over="ignore", invalid="ignore"):  # run_fields checks
         bind = dt * p.lam * p.k * l_run
     unbind, make, decay, keep = (np.full(grid.n, c) for c in (
         dt * p.lam * p.kd, dt * p.m, dt * p.r, 1 - dt * p.r))

@@ -81,9 +81,12 @@ def convert_micropipette_params(a: float, delta_p: float, L0: float, Ls: float,
 
 
 def single_body_steady_closed_form(b: KelvinBody, F0: float, t):
-    """Creep solution under constant force."""
+    """Creep solution under constant force at the times t; ValueError unless
+    every time is finite and nonnegative."""
     tau_sigma, tau_epsilon = relaxation_times(b)
     t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("times must be finite and nonnegative")
     with np.errstate(over="ignore"):  # t / tau_sigma may overflow; exp(-inf) is 0
         scaled = t / tau_sigma
     return F0 / b.mu01 * (1.0 - (1.0 - tau_epsilon / tau_sigma) * np.exp(-scaled))

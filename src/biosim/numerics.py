@@ -51,6 +51,11 @@ def check_domain(obj, positive=(), nonnegative=(), finite=()):
             raise ValueError(f"{name} must be nonnegative, got {x!r}")
 
 
+def kept_samples(last: int, every: int) -> np.ndarray:
+    """Indices 0, every, 2 every, ... below last, and last: the kept samples."""
+    return np.append(np.arange(0, last, every), last)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1-D grid: node count, spacing and time step."""
@@ -171,7 +176,7 @@ def run_fields(advance, fields, t_end: float, grid: Grid1D, sample_every: int,
     if samples * grid.n > _MAX_SAMPLES:
         raise ValueError(f"{samples} kept states of {grid.n} nodes exceed the cap of "
                          f"{_MAX_SAMPLES} values")
-    kept = np.append(np.arange(0, steps, sample_every), steps)
+    kept = kept_samples(steps, sample_every)
     blocks = np.empty((len(fields), samples, grid.n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, taken in enumerate(np.diff(kept, prepend=0).tolist()):

@@ -213,15 +213,16 @@ def _wild(rng, shape):
 
 @pytest.mark.parametrize("n,max_rows", [(9, 2000), (50, 7), (2001, 1000),
                                         (_CHUNK - 1, 2000), (_CHUNK, 2000),
-                                        (_CHUNK + 1, 2000)])
+                                        (_CHUNK + 1, 2000), (50, 8)])
 def test_write_traj_matches_per_value_writer(n, max_rows, tmp_path):
     rng = np.random.default_rng(n)
     times = np.cumsum(rng.uniform(1e-3, 1.0, n))
     traj = Trajectory(times, _wild(rng, (n, 3)))
     path = tmp_path / "traj.csv"
     _write_csv(path, *_traj(["t", "a", "b", "c"], traj, max_rows=max_rows))
+    # every stride-th sample and the last, which (50, 8) keeps off the stride
     stride = max(1, n // max_rows)
-    rows = [(traj.times[j], *traj.states[j]) for j in range(0, n, stride)]
+    rows = [(traj.times[j], *traj.states[j]) for j in [*range(0, n - 1, stride), n - 1]]
     assert path.read_bytes() == _reference_csv(["t", "a", "b", "c"], rows)
 
 
@@ -353,10 +354,13 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
      "reaction number 100 exceeds 1"),
     (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1"], "reaction number 2 exceeds 1"),
     (["growthcone-rd", "--set", "gc.D1=0", "--set", "gc.dt=1.5"], "reaction number 3 exceeds 1"),
-    # the adapted initial M = m kd / (r k l) overflows, or divides by a
-    # product k l that underflows to 0 (both raised RuntimeWarning)
-    (["growthcone-rd", "--set", "gc.l_lo=1e-320"], "M or A is negative or not finite at t = 0"),
-    (["growthcone-rd", "--set", "gc.l_lo=5e-324"], "M or A is negative or not finite at t = 0"),
+    # the uncoupled two-compartment run is the adaptation run, and refuses
+    # its cancelling and its ill-conditioned steps (below) the same way
+    (["growthcone-twocomp", "--set", "gc.l1=1e-12", "--set", "gc.l2=1e-12", "--set", "gc.k1=0",
+      "--set", "gc.k2=0"], "cancellation: the particular solution (max |Re Y| = 2e+11)"),
+    (["growthcone-twocomp", "--set", "gc.l1=1e-100", "--set", "gc.l2=1e-100",
+      "--set", "gc.k1=0", "--set", "gc.k2=0"],
+     "matrix numerically singular: reciprocal condition number"),
     # the deformations, solved at unit force, overflow once scaled by F0
     (["kelvin-single", "--set", "kelvin.F0=1e308", "--set", "kelvin.mu01=1e-3",
       "--set", "kelvin.eta1=1"], "the deformations at F0 = 1e+308 are not finite"),
@@ -472,7 +476,9 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-rd", "--set", "gc.length=1e9"], "needs 9e+09 nodes, above the cap of 10000000"),
     (["aerotaxis-quasi", "--set", "aerotaxis.L0_lo=1e308"],
      "d = sqrt(L0 / (k b0)) = inf is out of range"),
-    (["growthcone-adaptation", "--set", "gc.l1=-1"], "ligand l1 must be nonnegative, got -1.0"),
+    # the adaptation run is the two-compartment run at l2 = l1
+    (["growthcone-adaptation", "--set", "gc.l1=-1"],
+     "ligands l1 and l2 must be nonnegative, got -1.0, -1.0"),
     # the two-compartment run used to write its trajectory first
     (["growthcone-twocomp", "--set", "gc.l1=-1"],
      "ligands l1 and l2 must be nonnegative, got -1.0, 0.5"),
@@ -526,8 +532,9 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["aerotaxis-steady-intermediate", "--set", "aerotaxis.k=5e-324",
       "--set", "aerotaxis.l_min=5e-324"],
      "the oxygen profile of the intermediate regime is not finite"),
+    # the profile overflows to NaN nodes, which the library refuses
     (["growthcone-rd", "--set", "gc.l_lo=-1e308", "--set", "gc.l_hi=1e308"],
-     "ligand must be positive everywhere, got l_lo=-1e+308, l_hi=1e+308"),
+     "ligand must be positive everywhere"),
     # 3e10 forcing periods would have taken 240 GB of period edges
     (["kelvin-network-I", "--set", "kelvin.freq_hz=1e9"],
      "6001 samples do not resolve 30000000000 periods"),
@@ -558,7 +565,8 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["growthcone-switch", "--set", "gc.La=-1"], "ligand must be nonnegative"),
     (["growthcone-switch", "--set", "gc.Lb=-3"], "ligand must be nonnegative"),
     # a zero ligand made the generator singular (exit 2): M grows without bound
-    (["growthcone-adaptation", "--set", "gc.l1=0"], "the step to l1 = 0.0 needs k l1 > 0"),
+    (["growthcone-adaptation", "--set", "gc.l1=0"],
+     "production rates must be nonnegative, not both 0: 0.0, 0.0"),
     (["growthcone-twocomp", "--set", "gc.l1=0", "--set", "gc.k1=0"],
      "a zero-rate compartment needs k1 > 0 to reach steady state"),
     # each parameter type refuses a value outside its domain, named by its field
@@ -592,6 +600,38 @@ def test_network_ratio_at_a_subnormal_force_is_the_unit_force_ratio(F0, tmp_path
         assert code == 0, capsys.readouterr().err
         ratios.append(json.loads((out / "summary.json").read_text())["metrics"]["osc_over_steady"])
     assert ratios[0] == ratios[1]
+
+
+@pytest.mark.parametrize("argv,level", [
+    (["growthcone-adaptation", "--set", "gc.l0=1e-320"], "1e-320"),
+    (["growthcone-twocomp", "--set", "gc.l0=1e-320"], "1e-320"),
+    # the RD runs used to start and exit 2 with "M or A is negative or not
+    # finite at t = 0"
+    (["growthcone-rd", "--set", "gc.l_lo=1e-320"], "1e-320"),
+    (["growthcone-rd", "--set", "gc.l_lo=5e-324"], "5e-324"),
+    # the uniform presentation starts adapted to a ramp from l_lo
+    (["growthcone-rd", "--set", "gc.l_lo=1e-320", "--set", "gc.profile=0"], "1e-320"),
+])
+def test_adapted_state_overflow_exits_1_on_one_line(argv, level, tmp_path, capsys):
+    # every growth-cone linear run starts from adaptation_initial_state
+    code = main(argv + ["--out", str(tmp_path / "u")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: the adapted state M = m kd / (r k l0) at l0 = {level} is not finite\n")
+    assert not (tmp_path / "u").exists()
+
+
+def test_strided_table_ends_at_the_final_state(tmp_path):
+    # 8,011 samples at stride 4 keep 0, 4, ..., 8,008 and the last, 8,010:
+    # the table used to end at t = 800.8 while A_end is taken at t = 801
+    out = tmp_path / "ga"
+    assert main(["growthcone-adaptation", "--set", "gc.t_end=801", "--out", str(out)]) == 0
+    rows = [list(map(float, row.split(","))) for row in
+            (out / "traj.csv").read_text().splitlines()[1:]]
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert len(rows) == 2004
+    assert rows[-2][0] == pytest.approx(800.8)
+    assert rows[-1][0] == 801.0 and rows[-1][2] == metrics["A_end"]
 
 
 def test_main_quadratic_ligand_profile(tmp_path):

@@ -364,6 +364,33 @@ def test_initial_state_rejects_nonpositive_ligand(l0):
         adaptation_initial_state(l0, AdaptationParams())
 
 
+def test_initial_state_of_levels_is_the_state_at_each_level():
+    p = AdaptationParams()
+    levels = np.array([0.01, 0.1, 3.0])
+    M, A = adaptation_initial_state(levels, p)
+    for level, m, a in zip(levels, M, A):
+        assert [m, a] == adaptation_initial_state(float(level), p).tolist()
+    # a refusal names one level, the lowest: there M is largest
+    with pytest.raises(ValueError, match="at l0 = 1e-320 is not finite$"):
+        adaptation_initial_state(np.array([1.0, 1e-320, 5e-310]), p)
+    with pytest.raises(ValueError, match="l0 must be positive, got -2.0$"):
+        adaptation_initial_state(np.array([1.0, -2.0, 0.0]), p)
+    # the reaction-diffusion run starts from it at every node
+    grid = default_rd_grid()
+    ramp = np.linspace(0.1, 1.0, grid.n)
+    _, Ms, As = reaction_diffusion_simulate(np.ones(grid.n), p, 0.6, 0.0, grid, 0.0, l_init=ramp)
+    assert np.array_equal([Ms[0], As[0]], adaptation_initial_state(ramp, p))
+
+
+def test_single_compartment_run_is_the_uncoupled_two_compartment_run():
+    p = AdaptationParams()
+    one = adaptation_simulate(0.1, 1.0, p, t_end=50.0)
+    two = two_compartment_simulate(1.0, 1.0, p, CompartmentCoupling(0.0, 0.0), 50.0, 0.1)
+    assert np.array_equal(one.times, two.times)
+    assert np.array_equal(one.states, two.states[:, :2])
+    assert np.array_equal(two.states[:, :2], two.states[:, 2:])
+
+
 def test_step_returns_to_baseline_both_directions():
     p = AdaptationParams()
     for l0, l1 in ((0.1, 1.0), (1.0, 0.1)):
@@ -776,7 +803,8 @@ _ACTIN = kelvin.material_params("actin")
     (lambda: ca_ac_rhs((0.0, 0.0), 1.0, CaAcParams(Kp=1e-200)),
      "the rates at \\(C, A\\) = \\(0.0, 0.0\\) are not finite"),
     # a zero ligand made the generator singular: M grows without bound
-    (lambda: adaptation_simulate(0.1, 0.0), "the step to l1 = 0.0 needs k l1 > 0, got 0.0"),
+    (lambda: adaptation_simulate(0.1, 0.0),
+     "production rates must be nonnegative, not both 0: 0.0, 0.0"),
     (lambda: two_compartment_simulate(0.0, 1.0, cpl=CompartmentCoupling(0.0, 0.1)),
      "a zero-rate compartment needs k1 > 0 to reach steady state"),
     # rear_arrival_time returned nan, inf or a negative time
@@ -805,6 +833,27 @@ _ACTIN = kelvin.material_params("actin")
      "times must be finite and nonnegative"),
     (lambda: aerotaxis.piston_separation_closed_form(aerotaxis.PistonParams(), 1, [math.nan]),
      "times must be finite and nonnegative"),
+    # the creep curve overflowed with a RuntimeWarning, returned NaN, or
+    # returned 0.00658 below the elastic response 1/150 before t = 0
+    (lambda: kelvin.single_body_steady_closed_form(_ACTIN, 1.0, [-1e6]),
+     "times must be finite and nonnegative"),
+    (lambda: kelvin.single_body_steady_closed_form(_ACTIN, 1.0, [math.nan]),
+     "times must be finite and nonnegative"),
+    (lambda: kelvin.single_body_steady_closed_form(_ACTIN, 1.0, -1.0),
+     "times must be finite and nonnegative"),
+    # a numpy-scalar ligand overflowed with a RuntimeWarning
+    (lambda: adaptation_slow_rate(np.float64(1e308), AdaptationParams(k=10.0)),
+     "the slow rate at l1 = .* is not finite"),
+    (lambda: adaptation_slow_rate(1e308, AdaptationParams(k=10.0)),
+     "the slow rate at l1 = 1e\\+308 is not finite"),
+    (lambda: adaptation_initial_state(np.float64(1e-320), _P),
+     "the adapted state M = m kd / \\(r k l0\\) at l0 = 1e-320 is not finite"),
+    (lambda: adaptation_initial_state(1e-320, _P),
+     "the adapted state M = m kd / \\(r k l0\\) at l0 = 1e-320 is not finite"),
+    # both rates are positive, but their product underflowed and the
+    # coupling was refused as if one were 0
+    (lambda: two_compartment_steady(1e-200, 1e-200, _P, CompartmentCoupling(k1=0.0)),
+     "a denominator of the steady state underflows to zero"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
         "asymptotic-l1", "asymptotic-nan", "asymptotic-overflow", "matched-l1",
         "rhs-L-pole", "rhs-L-negative", "nullclines-nan", "steady-states-nan",
@@ -822,7 +871,9 @@ _ACTIN = kelvin.material_params("actin")
         "rear-distance-inf", "rear-rate-nan", "rear-rate-inf", "rear-rate-negative",
         "rear-speed-inf", "rear-time-overflow", "asymptotic-t-negative", "asymptotic-t-nan",
         "matched-k2", "keller-segel-rate-negative", "piston-closed-form-sign",
-        "piston-closed-form-t-negative", "piston-closed-form-t-nan"])
+        "piston-closed-form-t-negative", "piston-closed-form-t-nan", "creep-t-negative",
+        "creep-t-nan", "creep-t-minus-1", "slow-rate-numpy-overflow", "slow-rate-overflow",
+        "initial-state-numpy-overflow", "initial-state-overflow", "two-comp-rates-underflow"])
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -192,6 +192,13 @@ def test_field_run_steps_follow_the_stride(t_end, every, counts):
     assert (blocks[0] == kept[:, None]).all()
 
 
+@pytest.mark.parametrize("last,every,kept", [
+    (10, 4, [0, 4, 8, 10]), (8, 4, [0, 4, 8]), (0, 3, [0]), (5, 100, [0, 5])])
+def test_kept_samples_are_every_stride_and_the_last(last, every, kept):
+    # the one rule of the field runs and the CLI's strided tables
+    assert numerics.kept_samples(last, every).tolist() == kept
+
+
 @pytest.mark.parametrize("t_end", [0.0, -1.0, 0.04])
 def test_field_run_of_no_steps_keeps_the_initial_state(t_end):
     grid = Grid1D(n=4, dx=1.0, dt=0.1)
@@ -565,7 +572,10 @@ def test_linear_ode_below_the_cancellation_limit_matches_rk4():
     # at l1 = 1e-6 the estimate is 4.4e-9: the run is kept, and it is that
     # accurate against RK4 at a tenth of the step
     ap = growthcone.AdaptationParams()
-    D, c = growthcone._adaptation_system([ap.ka(1e-6)], ap)
+    D, c = growthcone._adaptation_system(ap.ka(1e-6), ap.ka(1e-6), ap,
+                                         growthcone.CompartmentCoupling(0.0, 0.0))
+    # without exchange, compartment 1 evolves by the upper-left block alone
+    D, c = D[:2, :2], c[:2]
     traj = growthcone.adaptation_simulate(0.1, 1e-6, ap)
     ref = rk4_integrate(lambda t, y: D @ y + c, traj.states[0], 0.0, 800.0, 0.01)
     assert len(ref) == 10 * len(traj) - 9
