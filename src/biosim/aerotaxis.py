@@ -23,6 +23,8 @@ from .numerics import (
     _step_count,
     _step_times,
     check_domain,
+    check_finite,
+    check_times,
     ftcs_diffusion_step,
     run_fields,
     solve_scalar_root,
@@ -110,47 +112,43 @@ class SteadyStateSolution:
     l_min: float
     l_max: float
 
-    def profile(self, n: int = 200):
-        """(x, oxygen(x)) at n points from 0 to 5% past the end of the
+    def __post_init__(self):
+        # the bandless low regime has no c2 or c3 (nan)
+        consts = {n: getattr(self, n) for n in ("B", "c1", "c2", "c3", "d", "h", "z")
+                  if self.regime != "low" or n not in ("c2", "c3")}
+        check_finite(f"a constant of the {self.regime} regime is not finite: "
+                     + ", ".join(f"{n}={v!r}" for n, v in consts.items()), *consts.values())
+
+    def profile(self):
+        """(x, oxygen(x)) at 200 points from 0 to 5% past the end of the
         regions (to 1 where they have no length); ValueError unless all are
         finite, which extreme constants can prevent."""
         span = self.d + self.h + self.z
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, n)
+            x = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, 200)
             L = self.oxygen(x)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(L))):
-            raise ValueError(f"the oxygen profile of the {self.regime} regime is not finite")
+        check_finite(f"the oxygen profile of the {self.regime} regime is not finite", x, L)
         return x, L
 
     def oxygen(self, x) -> np.ndarray:
-        """Evaluate the reconstructed piecewise oxygen profile."""
+        """Evaluate the piecewise oxygen profile: the regime's regions in order
+        from the source, region i on end[i-1] < x <= end[i], and 0 past them."""
         x = np.asarray(x, dtype=float)
-        kB, s = self.k * self.B, self.s
-        d, h, z = self.d, self.h, self.z
-        out = np.zeros_like(x)
-        if self.regime == "general":
-            front = x <= d
-            out[front] = (
-                self.L0 - self.c1 * x[front]
-                + kB * s**2 * (np.exp((x[front] - d) / s) - math.exp(-d / s))
-            )
-            band = (x > d) & (x <= d + h)
-            xi = x[band] - d
-            out[band] = self.l_max - self.c2 * xi + 0.5 * kB * xi**2
-            tail = (x > d + h) & (x <= d + h + z)
-            xi = x[tail] - d - h
-            out[tail] = self.l_min - self.c3 * xi + kB * s**2 * (np.exp(-xi / s) - 1.0)
-        elif self.regime == "intermediate":
-            band = x <= h
-            out[band] = self.L0 + self.c1 * x[band] + 0.5 * kB * x[band] ** 2
-            tail = (x > h) & (x <= h + z)
-            xi = x[tail] - h
-            out[tail] = (self.l_min + self.c2 * xi
-                         + kB * s**2 * (np.exp(-xi / s) - 1.0))
-        else:  # low: a single depletion layer, no band
-            layer = x <= z
-            out[layer] = (self.L0 + self.c1 * x[layer]
-                          + kB * s**2 * (np.exp(-x[layer] / s) - 1.0))
+        kB, s, d = self.k * self.B, self.s, self.d
+        band = lambda L, slope: lambda xi: L + slope * xi + 0.5 * kB * xi**2
+        tail = lambda L, slope: lambda xi: L + slope * xi + kB * s**2 * (np.exp(-xi / s) - 1.0)
+        regions = {"general": ((d, lambda xi: self.L0 - self.c1 * xi + kB * s**2 * (
+                                   np.exp((xi - d) / s) - math.exp(-d / s))),
+                               (self.h, band(self.l_max, -self.c2)),
+                               (self.z, tail(self.l_min, -self.c3))),
+                   "intermediate": ((self.h, band(self.L0, self.c1)),
+                                    (self.z, tail(self.l_min, self.c2))),
+                   "low": ((self.z, tail(self.L0, self.c1)),)}[self.regime]
+        which = np.cumsum([length for length, _ in regions]).searchsorted(x)
+        out, xi = np.zeros_like(x), x
+        for i, (length, piece) in enumerate(regions):
+            out[which == i] = piece(xi[which == i])
+            xi = xi - length  # each earlier length in turn, as x - d - h
         return out
 
 
@@ -437,9 +435,6 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
     c3 = k * b0 * s
     c1 = k * b0 * (s + h * lam)
     c2 = c1 - k * B * s
-    if not all(map(math.isfinite, (B, c1, c2, c3, d, h))):
-        raise ValueError(f"a constant of the general regime is not finite: B={B!r}, "
-                         f"c1={c1!r}, c2={c2!r}, c3={c3!r}, d={d!r}, h={h!r}")
     return SteadyStateSolution("general", B, c1, c2, c3, d, h, z, s, k, lam,
                                L0, l_min, l_max)
 
@@ -501,7 +496,8 @@ def quasi_steady_state(L0: float, l_max: float, k_b0: float):
     d = sqrt(L0 / (k b0)), h = 2 l_max / (k b0 d), B/b0 = (d + h)/h and
     c1 = (L0 - l_max)/d.  Valid while d >> h; the returned dict carries
     an assumption flag that clears when d < 5 h.  ValueError unless L0,
-    l_max and k b0 are positive and d and h positive and finite.
+    l_max and k b0 are positive, d and h positive and finite and B/b0 and c1
+    finite.
     """
     if L0 <= 0 or l_max <= 0 or k_b0 <= 0:
         raise ValueError("L0, l_max and k*b0 must be positive")
@@ -511,12 +507,13 @@ def quasi_steady_state(L0: float, l_max: float, k_b0: float):
     h = 2.0 * l_max / (k_b0 * d)
     if not 0 < h < math.inf:
         raise ValueError(f"h = 2 l_max / (k b0 d) = {h!r} is out of range")
-    B_over_b0 = (d + h) / h
+    B_over_b0, c1 = (d + h) / h, (L0 - l_max) / d
+    check_finite(f"B/b0 = {B_over_b0!r} and c1 = {c1!r} must be finite", B_over_b0, c1)
     return {
         "d": d,
         "h": h,
         "B_over_b0": B_over_b0,
-        "c1": (L0 - l_max) / d,
+        "c1": c1,
         "assumption_ok": d >= 5.0 * h,
     }
 
@@ -532,8 +529,7 @@ def rear_arrival_time(distance: float, speed: float, turning_rate: float) -> flo
         raise ValueError("distance must be finite and turning_rate nonnegative and finite, "
                          f"got {distance!r} and {turning_rate!r}")
     t = distance * distance * turning_rate / (speed * speed)
-    if not math.isfinite(t):
-        raise ValueError(f"arrival time at distance {distance!r} is not finite")
+    check_finite(f"arrival time at distance {distance!r} is not finite", t)
     return t
 
 
@@ -552,8 +548,7 @@ def keller_segel_coefficients(v: float, sigma_plus: float, sigma_minus: float):
         raise ValueError("mean turning rate must be positive")
     delta = 0.5 * (sigma_plus - sigma_minus)
     mu, chi = v * v / (2.0 * sigma0), v * delta / sigma0
-    if not (math.isfinite(mu) and math.isfinite(chi)):
-        raise ValueError(f"mu = {mu!r} and chi = {chi!r} must be finite")
+    check_finite(f"mu = {mu!r} and chi = {chi!r} must be finite", mu, chi)
     return mu, chi
 
 
@@ -706,14 +701,17 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
 
 def piston_separation_closed_form(p: PistonParams, ramp_sign: int, t):
     """Fast-minus-slow position for a linear signal ramp, exactly, at the
-    times t >= 0; ValueError unless ramp_sign is +1 or -1 and t is finite."""
+    times t >= 0; ValueError unless ramp_sign is +1 or -1, t is finite and
+    so is the separation."""
     if ramp_sign not in (-1, 1):
         raise ValueError("ramp_sign must be +1 or -1")
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError("times must be finite and nonnegative")
+    t = check_times(t)
     lag = ramp_sign * p.c1 * p.k * p.tau
-    return p.delta_z + lag * (1.0 - np.exp(-t / p.tau))
+    # t / tau may overflow, and an infinite lag times the zero pulse at t = 0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        sep = p.delta_z + lag * (1.0 - np.exp(-t / p.tau))
+    check_finite(f"the separation with lag c1 k tau = {lag!r} is not finite", sep)
+    return sep
 
 
 def piston_receptor_simulate(p: PistonParams, ramp_sign: int, t_end: float):

@@ -283,10 +283,12 @@ def run_gc_rd(p, seed):
     kind, lo, hi = p["gc.profile"], p["gc.l_lo"], p["gc.l_hi"]
     if kind not in (0, 1, 2):
         raise UsageError("gc.profile must be 0 (uniform), 1 (linear) or 2 (quadratic)")
-    # opposite-signed levels may overflow to NaN nodes, which the library refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        ramp = np.linspace(lo, hi, grid.n)
-        profile = (np.full(grid.n, hi), ramp, lo + (hi - lo) * (1 - ((x - half) / half)**2))[kind]
+    # the levels, not only the nodes: with no node at the quadratic's peak, a
+    # non-positive gc.l_hi would leave every node positive
+    if not (lo > 0 and hi > 0):
+        raise UsageError(f"gc.l_lo and gc.l_hi must be positive, got {lo!r}, {hi!r}")
+    ramp = np.linspace(lo, hi, grid.n)
+    profile = (np.full(grid.n, hi), ramp, lo + (hi - lo) * (1 - ((x - half) / half)**2))[kind]
     # the uniform presentation starts from the state adapted to the ramp
     times, Ms, As = _build(growthcone.reaction_diffusion_simulate, "gc.", p, profile, ap,
                            grid=grid, l_init=ramp if kind == 0 else None)
@@ -409,6 +411,8 @@ _LOW_DEFAULTS = {
     "aerotaxis.s": 1.0, "aerotaxis.l_min": 0.003,
 }
 _STEADY_DEFAULTS = {**_LOW_DEFAULTS, "aerotaxis.L0": 0.2, "aerotaxis.l_max": 0.005}
+_NETWORK_DEFAULTS = {"kelvin.F0": 1.0, "kelvin.t_end_steady": 2000.0, "kelvin.h_steady": 0.1,
+                     "kelvin.t_end_osc": 30.0, "kelvin.h_osc": 0.005, "kelvin.freq_hz": 1.0}
 
 EXPERIMENTS = {
     "aerotaxis-band": Experiment(run_band, _BAND_DEFAULTS,
@@ -481,14 +485,10 @@ EXPERIMENTS = {
          "kelvin.f4": 1.0},
         "normalized peak response versus forcing frequency"),
     "kelvin-network-I": Experiment(
-        lambda p, seed: _run_network(kelvin.network_one(), p),
-        {"kelvin.F0": 1.0, "kelvin.t_end_steady": 2000.0, "kelvin.h_steady": 0.1,
-         "kelvin.t_end_osc": 30.0, "kelvin.h_osc": 0.005, "kelvin.freq_hz": 1.0},
+        lambda p, seed: _run_network(kelvin.network_one(), p), _NETWORK_DEFAULTS,
         "four-body cell model in both flows"),
     "kelvin-network-II": Experiment(
-        lambda p, seed: _run_network(kelvin.network_two(), p),
-        {"kelvin.F0": 1.0, "kelvin.t_end_steady": 2000.0, "kelvin.h_steady": 0.1,
-         "kelvin.t_end_osc": 30.0, "kelvin.h_osc": 0.005, "kelvin.freq_hz": 1.0},
+        lambda p, seed: _run_network(kelvin.network_two(), p), _NETWORK_DEFAULTS,
         "seven-body cell model in both flows"),
 }
 

@@ -23,18 +23,15 @@ from .numerics import (
     StabilityError,
     Trajectory,
     check_domain,
+    check_finite,
+    check_times,
     dopri5_integrate,
     ftcs_diffusion_step,
     run_fields,
+    solve_linear_dense,
     solve_linear_ode,
     solve_scalar_root,
 )
-
-
-def _check_finite(message: str, *values):
-    """ValueError(message) unless every value, a number or an array, is finite."""
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise ValueError(message)
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +166,7 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
         q, g4 = _calcium_terms(C, lig, 1.0, p)
         a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
         a_a = _a_nullcline(C, lig, p)
-    _check_finite(f"the dA/dt = 0 curve is not finite at ligand level L = {L!r}", a_a)
+    check_finite(f"the dA/dt = 0 curve is not finite at ligand level L = {L!r}", a_a)
     return C, np.where(np.isfinite(a_c), a_c, np.nan), a_a
 
 
@@ -200,7 +197,7 @@ def _curve_ligand(C, p: CaAcParams):
         lig = _ligand_terms(L, p)
         cleared.append((p.kn1 + L) * (C + lig[3]) * (p.kn2 + L)
                        * (_activation_gain(C, lig, p) + p.k5) * _dc_on_a_nullcline(C, lig, p))
-    c = np.linalg.solve(np.vander(nodes, increasing=True), cleared)  # c[k] multiplies L^k
+    c = solve_linear_dense(np.vander(nodes, increasing=True), cleared)  # c[k] multiplies L^k
     # near the top of the curve the leading coefficient vanishes: L -> inf
     cubic = np.abs(c[3]) > 1e-14 * np.abs(c).max(axis=0)
     companion = np.tile(np.eye(3, k=-1), (len(C), 1, 1))
@@ -239,7 +236,7 @@ def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams()):
         lig = _ligand_terms(L, p)
         f = lambda c: _dc_on_a_nullcline(c, lig, p)
         ends = [f(c) for c in edges]
-    _check_finite(f"the calcium rate is not finite at ligand level L = {float(L)!r}", ends)
+    check_finite(f"the calcium rate is not finite at ligand level L = {float(L)!r}", ends)
     roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi, f_lo, f_hi
              in zip(edges, edges[1:], ends, ends[1:]) if f_lo == 0.0 or f_lo * f_hi < 0]
     states = [CaAcState(C, _a_nullcline(C, lig, p)) for C in roots]
@@ -320,7 +317,7 @@ def adaptation_initial_state(l0, p: AdaptationParams):
         raise ValueError(f"initial ligand l0 must be positive, got {low!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         M = p.m / p.r * p.kd / p.ka(l0)
-    _check_finite(f"the adapted state M = m kd / (r k l0) at l0 = {low!r} is not finite", M)
+    check_finite(f"the adapted state M = m kd / (r k l0) at l0 = {low!r} is not finite", M)
     return np.array([M, np.full_like(M, p.m / p.r)])
 
 
@@ -347,7 +344,7 @@ def adaptation_slow_rate(l1: float, p: AdaptationParams) -> float:
         raise ValueError(f"ligand l1 must be nonnegative, got {l1!r}")
     ka = p.ka(float(l1))  # a Python float overflows to inf without a numpy warning
     rate = p.r * (ka / (p.kd + ka))
-    _check_finite(f"the slow rate at l1 = {l1!r} is not finite", rate)
+    check_finite(f"the slow rate at l1 = {l1!r} is not finite", rate)
     return rate
 
 
@@ -374,7 +371,7 @@ def _adaptation_system(ka1: float, ka2: float, p: AdaptationParams, cpl: Compart
             D[2 * i:2 * i + 2, 2 * i:2 * i + 2] += [[-p.lam * ka, p.lam * p.kd],
                                                     [p.lam * ka, -p.r - p.lam * p.kd]]
     c = np.array([p.m, 0.0, p.m, 0.0])
-    _check_finite("a rate coefficient of the linear model is not finite", D, c)
+    check_finite("a rate coefficient of the linear model is not finite", D, c)
     return D, c
 
 
@@ -427,7 +424,7 @@ def two_compartment_steady(ka1: float, ka2: float, p: AdaptationParams,
     scale = p.m * r1 / (p.lam * p.r)
     M1s = scale * (r2 * (p.lam * ka2 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1) / denomM
     M2s = scale * (r2 * (p.lam * ka1 + 2 * cpl.k1) + 2 * p.lam * p.kd * cpl.k1) / denomM
-    _check_finite(f"the steady state at ka {ka1!r}, {ka2!r} is not finite", A1s, A2s, M1s, M2s)
+    check_finite(f"the steady state at ka {ka1!r}, {ka2!r} is not finite", A1s, A2s, M1s, M2s)
     return A1s, A2s, M1s, M2s
 
 
@@ -438,7 +435,7 @@ def optimal_ligand_sum(p: AdaptationParams, cpl: CompartmentCoupling) -> float:
         raise ValueError("needs k1 > 0")
     den = cpl.k1 * (p.r + p.lam * p.kd)
     total = p.lam * p.r / den if den > 0 else math.inf
-    _check_finite(f"the optimal ligand sum at k1 = {cpl.k1!r} is not finite", total)
+    check_finite(f"the optimal ligand sum at k1 = {cpl.k1!r} is not finite", total)
     return total
 
 
@@ -458,9 +455,7 @@ def two_compartment_matched_asymptotic(l0: float, l1: float, l2: float,
     """
     if cpl.k2 != 0:
         raise ValueError(f"the matched solution needs k2 = 0, got k2 = {cpl.k2!r}")
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError("times must be finite and nonnegative")
+    t = check_times(t)
     if p.lam < 5:
         warnings.warn("time-scale ratio below 5; matched solution is rough")
     ka0, ka1, ka2 = p.ka(l0), p.ka(l1), p.ka(l2)
@@ -485,7 +480,7 @@ def two_compartment_matched_asymptotic(l0: float, l1: float, l2: float,
             out["M" + tag] = M_end + (M0 - M_mid) * fast + (M_mid - M_end) * slow
             # A's pulse is grouped as slow - fast so that A(0) = As to rounding
             out["A" + tag] = A_end + (A_mid - A_end) * (slow - fast) + (As - A_end) * fast
-    _check_finite(f"the matched solution at l = {(l0, l1, l2)!r} is not finite", *out.values())
+    check_finite(f"the matched solution at l = {(l0, l1, l2)!r} is not finite", *out.values())
     out["valid"] = valid
     return out
 

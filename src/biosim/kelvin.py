@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import check_domain, periodic_solution, solve_linear_ode
+from .numerics import check_domain, check_finite, check_times, periodic_solution, solve_linear_ode
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,12 @@ def material_params(kind: str) -> KelvinBody:
 
 
 def relaxation_times(b: KelvinBody):
-    """(tau_sigma, tau_epsilon): creep and strain relaxation times."""
+    """(tau_sigma, tau_epsilon): creep and strain relaxation times; ValueError
+    unless both are finite."""
     tau_sigma = b.eta1 / b.mu01 + b.eta1 / b.mu11
     tau_epsilon = b.eta1 / b.mu11
+    check_finite(f"the relaxation times {tau_sigma!r}, {tau_epsilon!r} are not finite",
+                 tau_sigma, tau_epsilon)
     return tau_sigma, tau_epsilon
 
 
@@ -82,14 +85,15 @@ def convert_micropipette_params(a: float, delta_p: float, L0: float, Ls: float,
 
 def single_body_steady_closed_form(b: KelvinBody, F0: float, t):
     """Creep solution under constant force at the times t; ValueError unless
-    every time is finite and nonnegative."""
+    every time is finite and nonnegative and so is the solution."""
     tau_sigma, tau_epsilon = relaxation_times(b)
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError("times must be finite and nonnegative")
-    with np.errstate(over="ignore"):  # t / tau_sigma may overflow; exp(-inf) is 0
-        scaled = t / tau_sigma
-    return F0 / b.mu01 * (1.0 - (1.0 - tau_epsilon / tau_sigma) * np.exp(-scaled))
+    t = check_times(t)
+    # t / tau_sigma may overflow (exp(-inf) is 0), and an infinite F0 / mu01
+    # times the zero creep at t = 0 is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = F0 / b.mu01 * (1.0 - (1.0 - tau_epsilon / tau_sigma) * np.exp(-(t / tau_sigma)))
+    check_finite(f"the creep at F0 = {F0!r} is not finite", u)
+    return u
 
 
 @dataclass

@@ -51,6 +51,20 @@ def check_domain(obj, positive=(), nonnegative=(), finite=()):
             raise ValueError(f"{name} must be nonnegative, got {x!r}")
 
 
+def check_finite(message: str, *values):
+    """ValueError(message) unless every value, a number or an array, is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(message)
+
+
+def check_times(t) -> np.ndarray:
+    """t as a float array; ValueError unless every time is finite and nonnegative."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("times must be finite and nonnegative")
+    return t
+
+
 def kept_samples(last: int, every: int) -> np.ndarray:
     """Indices 0, every, 2 every, ... below last, and last: the kept samples."""
     return np.append(np.arange(0, last, every), last)

@@ -498,7 +498,7 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
      "a constant of the general regime is not finite"),
     # a negative initial ligand used to give a negative M and exit 0
     (["growthcone-rd", "--set", "gc.profile=0", "--set", "gc.l_lo=-0.01"],
-     "ligand must be positive everywhere"),
+     "gc.l_lo and gc.l_hi must be positive, got -0.01, 0.03"),
     # s**2 raised OverflowError
     (["aerotaxis-steady-low", "--set", "aerotaxis.s=1e200"],
      "k b0 s^2 must be positive and finite, got inf"),
@@ -526,15 +526,16 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
      "the calcium rate is not finite at ligand level L = 1.69"),
     (["aerotaxis-steady-general", "--set", "aerotaxis.l_min=-1"],
      "general regime needs 0 <= l_min <= l_max < L0"),
+    # B and c1 overflow; the run used to stop only at the profile
     (["aerotaxis-steady-intermediate", "--set", "aerotaxis.k=1e-320",
       "--set", "aerotaxis.b0=1e308"],
-     "the oxygen profile of the intermediate regime is not finite"),
+     "a constant of the intermediate regime is not finite: B=inf"),
     (["aerotaxis-steady-intermediate", "--set", "aerotaxis.k=5e-324",
       "--set", "aerotaxis.l_min=5e-324"],
-     "the oxygen profile of the intermediate regime is not finite"),
-    # the profile overflows to NaN nodes, which the library refuses
+     "a constant of the intermediate regime is not finite: B=4.715353347891798, c1=-inf"),
+    # the profile used to overflow to NaN nodes, which the library refused
     (["growthcone-rd", "--set", "gc.l_lo=-1e308", "--set", "gc.l_hi=1e308"],
-     "ligand must be positive everywhere"),
+     "gc.l_lo and gc.l_hi must be positive, got -1e+308, 1e+308"),
     # 3e10 forcing periods would have taken 240 GB of period edges
     (["kelvin-network-I", "--set", "kelvin.freq_hz=1e9"],
      "6001 samples do not resolve 30000000000 periods"),
@@ -579,6 +580,17 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     (["aerotaxis-montecarlo", "--set", "mc.v=0"], "v must be positive, got 0.0"),
     # one node used to divide the length by zero before the grid could refuse it
     (["aerotaxis-band", "--set", "aerotaxis.nodes=1"], "grid needs at least 3 nodes, got 1"),
+    # 10 nodes put none at the quadratic's peak, so every node stayed
+    # positive and the run exited 0 with a profile that never reached l_hi
+    (["growthcone-rd", "--set", "gc.profile=2", "--set", "gc.l_lo=0.03", "--set",
+      "gc.l_hi=-0.0001", "--set", "gc.dx=1.1111111111111112"],
+     "gc.l_lo and gc.l_hi must be positive, got 0.03, -0.0001"),
+    (["growthcone-rd", "--set", "gc.profile=2", "--set", "gc.l_lo=0.03", "--set",
+      "gc.l_hi=0", "--set", "gc.dx=1.1111111111111112"],
+     "gc.l_lo and gc.l_hi must be positive, got 0.03, 0.0"),
+    # the band-building estimate wrote B/b0 = inf into quasi.csv
+    (["aerotaxis-quasi", "--set", "aerotaxis.L0_hi=1e300", "--set", "aerotaxis.l_max=1e-10",
+      "--set", "aerotaxis.k_b0=1"], "B/b0 = inf and c1 = 1e+150 must be finite"),
 ])
 def test_main_usage_error_exit_code(argv, message, tmp_path, capsys):
     code = main(argv + ["--out", str(tmp_path / "u")])

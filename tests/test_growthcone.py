@@ -854,6 +854,24 @@ _ACTIN = kelvin.material_params("actin")
     # coupling was refused as if one were 0
     (lambda: two_compartment_steady(1e-200, 1e-200, _P, CompartmentCoupling(k1=0.0)),
      "a denominator of the steady state underflows to zero"),
+    # each closed form returned B = inf, inf or nan (the creep also with a
+    # RuntimeWarning)
+    (lambda: aerotaxis.steady_state_intermediate(
+        aerotaxis.AerotaxisParams(L0=0.0035, b0=1e308), 0.003, 0.005, k=1e-320, s=1.0),
+     "a constant of the intermediate regime is not finite: B=inf"),
+    (lambda: aerotaxis.steady_state_low(
+        aerotaxis.AerotaxisParams(L0=0.001, b0=1e308), 0.003, k=1e-320, s=1.0),
+     "a constant of the low regime is not finite: B=inf"),
+    (lambda: aerotaxis.quasi_steady_state(1e300, 1e-10, 1.0),
+     "B/b0 = inf and c1 = 1e\\+150 must be finite"),
+    (lambda: aerotaxis.piston_separation_closed_form(
+        aerotaxis.PistonParams(c1=1e200, k=1e200), 1, [1.0]),
+     "the separation with lag c1 k tau = inf is not finite"),
+    (lambda: kelvin.single_body_steady_closed_form(
+        kelvin.KelvinBody(1e-300, 1e-300, 1.0), 1e300, [0.0, 1.0]),
+     "the creep at F0 = 1e\\+300 is not finite"),
+    (lambda: kelvin.relaxation_times(kelvin.KelvinBody(1e308, 1e-308, 1.0)),
+     "the relaxation times inf, 1e\\+308 are not finite"),
 ], ids=["keller-segel-v", "rear-speed-0", "rear-speed-underflow", "asymptotic-l0",
         "asymptotic-l1", "asymptotic-nan", "asymptotic-overflow", "matched-l1",
         "rhs-L-pole", "rhs-L-negative", "nullclines-nan", "steady-states-nan",
@@ -873,7 +891,9 @@ _ACTIN = kelvin.material_params("actin")
         "matched-k2", "keller-segel-rate-negative", "piston-closed-form-sign",
         "piston-closed-form-t-negative", "piston-closed-form-t-nan", "creep-t-negative",
         "creep-t-nan", "creep-t-minus-1", "slow-rate-numpy-overflow", "slow-rate-overflow",
-        "initial-state-numpy-overflow", "initial-state-overflow", "two-comp-rates-underflow"])
+        "initial-state-numpy-overflow", "initial-state-overflow", "two-comp-rates-underflow",
+        "steady-intermediate-B-overflow", "steady-low-B-overflow", "quasi-B-overflow",
+        "piston-closed-form-overflow", "creep-overflow", "relaxation-times-overflow"])
 def test_library_functions_refuse_inputs_without_a_finite_answer(call, message):
     with pytest.raises(ValueError, match=message):
         call()
