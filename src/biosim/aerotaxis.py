@@ -116,8 +116,9 @@ class SteadyStateSolution:
         # the bandless low regime has no c2 or c3 (nan)
         consts = {n: getattr(self, n) for n in ("B", "c1", "c2", "c3", "d", "h", "z")
                   if self.regime != "low" or n not in ("c2", "c3")}
-        check_finite(f"a constant of the {self.regime} regime is not finite: "
-                     + ", ".join(f"{n}={v!r}" for n, v in consts.items()), *consts.values())
+        if not all(map(math.isfinite, consts.values())):
+            raise ValueError(f"a constant of the {self.regime} regime is not finite: "
+                             + ", ".join(f"{n}={v!r}" for n, v in consts.items()))
 
     def profile(self):
         """(x, oxygen(x)) at 200 points from 0 to 5% past the end of the
@@ -575,17 +576,18 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     whose turning rate after leaving the band decays as c exp(-age/t_a).
 
     Walkers start at the centre, move at speed v, never turn inside the
-    band, and reflect off the outer walls.  By symmetry a walker is its
-    distance |x| from the centre and whether it moves outward.  The walk is
-    simulated event by event (leave the band, reflect at the wall,
-    re-enter, turn), all walkers at once.  A turn falls where the
-    integrated hazard c t_a (1 - exp(-age/t_a)) since leaving the band
-    reaches a target that grows by an Exp(1) draw per turn, at age
-    -t_a ln(1 - H/(c t_a)); once the target exceeds c t_a the excursion
-    has no further turn.  For t_a = 0 the rate is c on receding legs and
-    0 on approaching ones, and each receding leg gets a fresh Exp(1)/c.
-    The Exp(1) draws come from one stream, default_rng(seed), in event
-    order.
+    band, and reflect off the outer walls: a crossing takes 2 band / v,
+    and an excursion walks a loop of lap = 2 (wall - band) / v, to the
+    wall and back, which a turn reverses.  Each round takes the next event
+    of every walker outside the band, a re-entry (it leaves again after
+    the crossing) or a turn.  A turn falls where the integrated hazard
+    c t_a (1 - exp(-age/t_a)) since leaving the band reaches a target
+    that grows by an Exp(1) draw per turn, at age -t_a ln(1 - H/(c t_a));
+    past c t_a the excursion has no further turn.  For t_a = 0 the rate
+    is c receding and 0 approaching, so an excursion lasts
+    min(2 Exp(1)/c, lap).  The Exp(1) draws come from one stream,
+    default_rng(seed), in event order: each round the walkers leaving the
+    band, then the turning ones, each in walker order.
 
     Occupancy is sampled every dt after the first tenth of t_end, up to
     round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples or (by the
@@ -607,80 +609,75 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     t_stop = steps * dt
     v, c, t_a = cfg.v, cfg.c, cfg.t_a
     band, wall = cfg.band_half_width, cfg.wall_half_width
-    # each pass of the loop takes one event of every walker: a boundary at
-    # most once per min(2 band, wall - band) / v of travel plus once after
-    # each turn, and turns at rate at most c
+    # a walker's events, re-entries at most once per 2 band / v of travel
+    # and turns at rate at most c, stay below this bound, which also counts
+    # the band exits and the wall reflections
     events = t_stop * (v / min(2.0 * band, wall - band) + 2.0 * c)
     if not events <= numerics._MAX_SAMPLES:
         raise ValueError(f"a walker may take {events:.3g} events by t = {t_stop!r}, "
                          f"above the cap of {numerics._MAX_SAMPLES}")
 
     def samples_by(s):
-        """Occupancy samples taken at or before each time in s (np.clip
-        would go through a Python-level wrapper on every call)."""
-        return np.minimum(np.maximum(np.floor(s / dt) - first, 0), n_samples)
+        """Occupancy samples taken at or before each time s < t_stop, where
+        s / dt rounds to at most steps."""
+        return np.maximum(np.floor(s / dt) - first, 0)
+
+    def turn_age(target):
+        """Age at which the integrated hazard reaches target: inf from c t_a
+        on, where log1p(-1) = -inf."""
+        return -t_a * np.log1p(np.fmax(target / -(c * t_a), -1.0))
 
     n = cfg.n_trials
     rng = np.random.default_rng(cfg.seed)
-
-    def turn_age(target):
-        """Age at which the integrated hazard reaches target: inf past c t_a."""
-        if t_a > 0:
-            return np.where(target < c * t_a,
-                            -t_a * np.log1p(-target / (c * t_a)), np.inf)
-        return target / c
-
-    # A walker's next boundary lim is band inside the band (either way),
-    # wall moving outward outside it and -band moving inward, so that
-    # (lim - sgn y) / v, with heading sgn = +-1, is the time to reach it;
-    # lim is nan once the walker reaches t_stop, which makes its step nan
-    # and keeps it out of every event.  turn_at is the age of its next
-    # turn: inf inside the band, and on approaching legs for t_a = 0.
-    t = np.zeros(n)
-    y = np.zeros(n)                     # |x|
-    sgn = np.ones(n)
-    lim = np.full(n, band)
-    age = np.zeros(n)                   # time since leaving the band (junk inside)
-    target = np.zeros(n)                # integrated hazard of the next turn
-    turn_at = np.full(n, np.inf)
+    cross, lap = 2.0 * band / v, 2.0 * (wall - band) / v
+    # The working arrays hold the walkers not yet dropped (ids, in order).
+    # One outside the band left it at t0, re-enters at te and turns at tt;
+    # on the loop it was or will be at the band at x, and re-enters at
+    # x + lap moving forward, at x moving back, so a turn at tt reflects x
+    # to 2 tt - x.  Each starts as if re-entering at -band / v; te = nan
+    # marks one finished inside.  out telescopes the samples outside.
+    ids = np.arange(n)
+    te, tt = np.full(n, -band / v), np.full(n, np.inf)
+    t0, x, target, out = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    fwd = np.ones(n, dtype=bool)
     outside = np.zeros(n)               # each walker's samples outside the band
-    live = n
-    # c = 0 divides by zero, a subnormal c overflows to the same inf (no
-    # turn), and log1p(-target/(c t_a)) leaves its domain where np.where
-    # discards the result
+    # c = 0 divides by zero (0/0 for a zero draw, which fmin and fmax
+    # discard) and a subnormal c overflows to the same inf (no turn), as
+    # does log1p(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while live:
-            geo = (lim - sgn * y) / v
-            to_turn = np.maximum(turn_at - age, 0.0)
-            step = np.minimum(geo, to_turn)
-            done = np.flatnonzero(t_stop - t <= step)
-            t += step
-            age += step
-            if done.size:
-                live -= done.size
-                outside[done[lim[done] != band]] += n_samples
-                lim[done] = geo[done] = np.nan
-            turn = np.flatnonzero(to_turn < geo)
-            hit = geo <= to_turn
-            leave = np.flatnonzero(lim == band)
-            wall_hit = np.flatnonzero(hit & (lim == wall))
-            enter = np.flatnonzero(hit & (lim == -band))
-            y[turn] += sgn[turn] * (v * step[turn])
-            sgn[turn] = heading = -sgn[turn]
-            lim[turn] = np.where(heading > 0, wall, -band)
-            y[leave], sgn[leave], lim[leave], age[leave] = band, 1.0, wall, 0.0
-            y[wall_hit], sgn[wall_hit], lim[wall_hit] = wall, -1.0, -band
-            y[enter], sgn[enter], lim[enter], turn_at[enter] = band, -1.0, band, np.inf
-            # the samples outside telescope from leaving to re-entering
-            outside[leave] -= samples_by(t[leave])
-            outside[enter] += samples_by(t[enter])
-            target[leave] = rng.standard_exponential(leave.size)
-            turn_at[leave] = turn_age(target[leave])
+        while True:
+            nxt = np.minimum(tt, te)
+            live = nxt < t_stop
+            if 2 * np.count_nonzero(live) <= live.size:
+                # drop the finished walkers once they are half the working
+                # set; those outside at t_stop count every sample since leaving
+                gone = ~live
+                outside[ids[gone]] = out[gone] + np.where(nxt[gone] >= t_stop, n_samples, 0)
+                ids, te, tt, t0, x, fwd, target, out, live = (
+                    a[live] for a in (ids, te, tt, t0, x, fwd, target, out, live))
+                if not ids.size:
+                    break
+            turn = live & (tt < te)
+            enter, turn = np.flatnonzero(live ^ turn), np.flatnonzero(turn)
+            t_in = te[enter]
+            out[enter] += samples_by(t_in)
+            t_in += cross
+            back = t_in < t_stop
+            te[enter[~back]] = np.nan
+            leave, t_in = enter[back], t_in[back]
+            out[leave] -= samples_by(t_in)
+            draw = rng.standard_exponential(leave.size)
             if t_a > 0:
+                t0[leave] = x[leave] = t_in
+                fwd[leave], target[leave] = True, draw
+                te[leave], tt[leave] = t_in + lap, t_in + turn_age(draw)
+                x[turn] = xt = 2.0 * tt[turn] - x[turn]
+                fwd[turn] = ahead = ~fwd[turn]
+                te[turn] = np.where(ahead, xt + lap, xt)
                 target[turn] += rng.standard_exponential(turn.size)
-                turn_at[turn] = turn_age(target[turn])
+                tt[turn] = t0[turn] + turn_age(target[turn])
             else:
-                turn_at[turn] = turn_at[wall_hit] = np.inf
+                te[leave] = t_in + np.fmin(2.0 * draw / c, lap)
     out_samples = int(outside.sum())
     if out_samples == 0:
         raise ValueError(f"no walker was outside the band at any of the {n_samples} "

@@ -52,9 +52,11 @@ def check_domain(obj, positive=(), nonnegative=(), finite=()):
 
 
 def check_finite(message: str, *values):
-    """ValueError(message) unless every value, a number or an array, is finite."""
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise ValueError(message)
+    """ValueError(message) unless every value, a number or an array, is finite.
+    Floats take math.isfinite: numpy costs microseconds per scalar."""
+    for v in values:
+        if not (math.isfinite(v) if isinstance(v, float) else np.all(np.isfinite(v))):
+            raise ValueError(message)
 
 
 def check_times(t) -> np.ndarray:

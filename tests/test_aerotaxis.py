@@ -772,9 +772,11 @@ def test_monte_carlo_burn_in_count_matches_sample_grid():
 
 
 def _reference_monte_carlo(cfg, t_end=80.0, dt=0.01):
-    """The event loop recomputing every walker's geometry, turn age and
+    """The event loop of positions, with the walls and band exits as events
+    of their own, recomputing every walker's geometry, turn age and
     occupancy each round through np.where masks; the ratio is inf when no
-    sample falls outside the band."""
+    sample falls outside the band.  It draws in another order than the
+    folded rule, so it checks the law of the ratio, not its bits."""
     steps = round(t_end / dt)
     first = aerotaxis._burn_in_samples(steps, dt, t_end)
     n_samples = steps - first
@@ -835,9 +837,68 @@ def _reference_monte_carlo(cfg, t_end=80.0, dt=0.01):
     return dens_in / dens_out if dens_out > 0 else float("inf")
 
 
+def _reference_folded_monte_carlo(cfg, t_end=80.0, dt=0.01):
+    """The folded event rule (a band crossing is part of its re-entry, the
+    wall is no event) on every walker each round through np.where masks,
+    finished walkers kept, drawing in the same order as the library; the
+    ratio is inf when no sample falls outside the band."""
+    steps = round(t_end / dt)
+    first = aerotaxis._burn_in_samples(steps, dt, t_end)
+    n_samples = steps - first
+    t_stop = steps * dt
+
+    def samples_by(s):
+        return np.clip(np.floor(s / dt) - first, 0, n_samples)
+
+    def turn_age(target):
+        return np.where(target < c * t_a, -t_a * np.log1p(-target / (c * t_a)), np.inf)
+
+    v, c, t_a = cfg.v, cfg.c, cfg.t_a
+    band, wall = cfg.band_half_width, cfg.wall_half_width
+    cross, lap = 2.0 * band / v, 2.0 * (wall - band) / v
+    n = cfg.n_trials
+    rng = np.random.default_rng(cfg.seed)
+    te = np.full(n, -band / v)          # re-entry; the first one leaves at band / v
+    tt = np.full(n, np.inf)             # turn
+    t0, x, target, outside = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    fwd = np.ones(n, dtype=bool)
+    live = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while live.any():
+            done = live & (np.minimum(tt, te) >= t_stop)
+            outside = np.where(done, outside + n_samples, outside)
+            live &= ~done
+            turn = live & (tt < te)
+            enter = live & ~turn
+            outside = np.where(enter, outside + samples_by(te), outside)
+            t_in = te + cross
+            leave = enter & (t_in < t_stop)
+            live &= ~enter | leave
+            outside = np.where(leave, outside - samples_by(t_in), outside)
+            idx = np.flatnonzero(leave)
+            target[idx] = rng.standard_exponential(idx.size)
+            if t_a > 0:
+                t0 = np.where(leave, t_in, t0)
+                x = np.where(leave, t_in, x)
+                fwd |= leave
+                te = np.where(leave, t_in + lap, te)
+                tt = np.where(leave, t_in + turn_age(target), tt)
+                x = np.where(turn, 2.0 * tt - x, x)
+                fwd ^= turn
+                te = np.where(turn, np.where(fwd, x + lap, x), te)
+                idx = np.flatnonzero(turn)
+                target[idx] += rng.standard_exponential(idx.size)
+                tt = np.where(turn, t0 + turn_age(target), tt)
+            else:
+                te = np.where(leave, t_in + np.fmin(2.0 * target / c, lap), te)
+    out_samples = int(outside.sum())
+    dens_in = (n * n_samples - out_samples) * dt / (2.0 * band)
+    dens_out = out_samples * dt / (2.0 * (wall - band))
+    return dens_in / dens_out if dens_out > 0 else float("inf")
+
+
 def _assert_matches_reference(cfg, t_end, dt):
-    with np.errstate(over="ignore"):  # target / c at a subnormal c
-        want = _reference_monte_carlo(cfg, t_end, dt)
+    want = _reference_folded_monte_carlo(cfg, t_end, dt)
     if want == float("inf"):
         with pytest.raises(ValueError, match="occupancy sample"):
             monte_carlo_slow_adaptation(cfg, t_end=t_end, dt=dt)
@@ -877,6 +938,49 @@ def test_monte_carlo_matches_the_reference_loop_on_any_config(
     cfg = MonteCarloConfig(v=v, c=c, t_a=t_a, band_half_width=band,
                            wall_half_width=band + gap, n_trials=n, seed=seed)
     _assert_matches_reference(cfg, t_end, dt)
+
+
+def test_monte_carlo_folded_rule_draws_the_ratio_of_the_position_loop():
+    # the two rules draw in different orders, so their ratios differ seed by
+    # seed; their means over seeds 0-9 must agree within 3 standard errors
+    # of the mean paired difference
+    pairs = [(monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=2000, seed=seed))
+              ["inside_outside_ratio"],
+              _reference_monte_carlo(MonteCarloConfig(n_trials=2000, seed=seed)))
+             for seed in range(10)]
+    diff = np.array([a - b for a, b in pairs])
+    assert np.any(diff != 0)
+    assert abs(diff.mean()) <= 3 * diff.std(ddof=1) / math.sqrt(diff.size)
+
+
+@pytest.mark.parametrize("t_a", [0.0, 0.02])
+@pytest.mark.parametrize("v,band,wall,t_end,dt,ends", [
+    (0.73, 0.45, 1.3, 20.0, 0.01, "outside"),
+    (0.73, 0.45, 1.3, 21.0, 0.01, "inside"),
+    (1.3, 0.35, 1.9, 7.3, 0.011, "outside"),
+    (1.3, 0.35, 1.9, 6.1, 0.011, "inside"),
+    (2.9, 1.13, 1.71, 10.3, 0.003, "inside"),
+])
+def test_monte_carlo_without_turns_counts_the_exact_occupancy(t_a, v, band, wall,
+                                                              t_end, dt, ends):
+    # c = 0: every walker leaves at b/v, is outside for 2(w-b)/v (to the wall
+    # and back), crosses the band in 2b/v, and so on; count its samples
+    # outside by brute force over the sample grid
+    steps = round(t_end / dt)
+    grid = dt * np.arange(1, steps + 1)
+    grid = grid[grid > 0.1 * t_end]
+    out_time, period = 2 * (wall - band) / v, 2 * wall / v
+    events = band / v + np.arange(t_end / period + 1)[:, None] * period + [0.0, out_time]
+    assert np.abs(grid[:, None] - events.ravel()).min() > 1e-6  # no sample on an event
+    phase = np.mod(steps * dt - band / v, period)
+    assert ("outside" if phase < out_time else "inside") == ends
+    outside = int(np.count_nonzero(np.mod(grid - band / v, period) < out_time))
+    n, n_samples = 3, grid.size
+    want = ((n * n_samples - n * outside) * dt / (2.0 * band)
+            / (n * outside * dt / (2.0 * (wall - band))))
+    cfg = MonteCarloConfig(v=v, c=0.0, t_a=t_a, band_half_width=band, wall_half_width=wall,
+                           n_trials=n)
+    assert monte_carlo_slow_adaptation(cfg, t_end=t_end, dt=dt)["inside_outside_ratio"] == want
 
 
 def test_monte_carlo_standard_error_matches_the_seed_spread():
