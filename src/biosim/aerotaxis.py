@@ -161,7 +161,8 @@ class MonteCarloConfig:
     when a walker exits the favourable band.  t_a = 0 selects the
     instant-adaptation limit: the rate tracks the current stimulus with
     no lag, so a walker receding from the band turns at rate c and an
-    approaching one does not turn at all.
+    approaching one does not turn at all.  The hazard's scale c t_a must
+    be finite.
     """
 
     v: float = 1.0
@@ -178,6 +179,9 @@ class MonteCarloConfig:
         if not (self.band_half_width < self.wall_half_width
                 and math.isfinite(2.0 * self.wall_half_width)):
             raise ValueError("need 0 < band_half_width < wall_half_width, 2 wall finite")
+        # the turn ages scale the hazard by c t_a: at inf every age would be 0
+        if not math.isfinite(self.c * self.t_a):
+            raise ValueError(f"c t_a must be finite, got c = {self.c!r} and t_a = {self.t_a!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.n_trials > numerics._MAX_SAMPLES:
@@ -593,7 +597,8 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     round(t_end/dt) dt; more than numerics._MAX_SAMPLES samples or (by the
     bound t (v / min(2 band, wall - band) + 2 c)) events of one walker, no
     sample after the burn-in, or no sample outside the band raise
-    ValueError.
+    ValueError, and so do a ratio and, for more than one walker, a standard
+    error that are not finite.
     Returns inside_outside_ratio and inside_outside_se, the ratio's
     delta-method standard error over the independent walkers (nan for
     one walker).
@@ -686,10 +691,15 @@ def monte_carlo_slow_adaptation(cfg: MonteCarloConfig, t_end: float = 80.0,
     dens_out = out_samples * dt / (2.0 * (wall - band))
     # ratio = (w - b)/b (n S / O - 1), and O sums n independent counts;
     # grouped so that the error overflows only where the ratio does
+    ratio = dens_in / dens_out
+    check_finite(f"the inside/outside ratio {ratio!r} is not finite (band {band!r}, "
+                 f"wall {wall!r})", ratio)
     se = ((wall - band) / band * (n * n_samples / out_samples)
           * (math.sqrt(n) * float(outside.std(ddof=1)) / out_samples)
           if n > 1 else float("nan"))
-    return {"inside_outside_ratio": dens_in / dens_out, "inside_outside_se": se}
+    if n > 1:
+        check_finite(f"the ratio's standard error {se!r} is not finite", se)
+    return {"inside_outside_ratio": ratio, "inside_outside_se": se}
 
 
 # --------------------------------------------------------------------------

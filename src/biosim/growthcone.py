@@ -83,50 +83,58 @@ class CaAcState:
         check_domain(self, nonnegative=("C", "A"))
 
 
-def _ligand_terms(L, p: CaAcParams):
-    """The parts of the switch's rates that depend on the ligand level L alone,
-    formed once per level or elementwise over levels: (L, k0 L / (kn1 + L), Kp^2,
-    ka_ratio L, k4 L / (kn2 + L) Cm, Kr^5).  ValueError unless L >= 0 (NaN fails);
-    CaAcParams keeps Kr^5 finite, and an overflowing L gives infinite terms."""
+def _switch_law(L, p: CaAcParams):
+    """The switch's rate law bound at the ligand level L, a float or an array
+    of levels taken elementwise: its ligand terms k0 L / (kn1 + L),
+    ka_ratio L and k4 L / (kn2 + L) Cm and the constants of p are formed
+    once, and the returned law serves floats and arrays alike.
+
+    law(C, A) is (dC/dt, dA/dt): dC/dt = q + gate L C (Cer - C) / (C + ka_ratio L),
+    q the ligand-gated influx minus the store pump plus the relaxation toward
+    Cb and the second term the store release at the gate kf + k3 A, and
+    dA/dt = gain (At - A) - k5 A.  law(C, None) puts A on the dA/dt = 0 curve,
+    At gain / (gain + k5), and returns (dC/dt, A, gain, q, release) there.  A
+    gate given as law(C, A, gate) replaces kf + k3 A in the release and dC/dt:
+    at gate 1 the release is its coefficient of kf + k3 A.  Where C and L are
+    scalars the release is 0 where C + ka_ratio L <= 0; the ndarray callers
+    keep C > 0.
+
+    ValueError unless L >= 0 (NaN fails); CaAcParams keeps Kr^5 finite, and
+    an overflowing L gives infinite terms."""
     if not np.all(L >= 0):
         raise ValueError("ligand must be nonnegative")
-    return (L, p.k0 * L / (p.kn1 + L), p.Kp * p.Kp, p.ka_ratio * L,
-            p.k4 * L / (p.kn2 + L) * p.Cm, p.Kr**5)
+    influx, Kp2, ka_L = p.k0 * L / (p.kn1 + L), p.Kp * p.Kp, p.ka_ratio * L
+    act, Kr5 = p.k4 * L / (p.kn2 + L) * p.Cm, p.Kr**5
+    k1, k2, k3, k5, kf, Cb, Cer, Cm, At = p.k1, p.k2, p.k3, p.k5, p.kf, p.Cb, p.Cer, p.Cm, p.At
+    ndarray = np.ndarray  # a local: the DP5 rhs calls law about 2,000 times per run
 
+    def law(C, A, gate=None):
+        C4 = C**4
+        gain = act * C4 / (Kr5 + Cm * C4)
+        curve = A is None
+        if curve:
+            A = At * gain / (gain + k5)
+        if gate is None:
+            gate = kf + k3 * A
+        q = influx - k1 * C * C / (Kp2 + C * C) + k2 * (Cb - C)
+        den = C + ka_L
+        release = (0.0 if den.__class__ is not ndarray and not den > 0
+                   else gate * L * C * (Cer - C) / den)
+        if curve:
+            return q + release, A, gain, q, release
+        return q + release, gain * (At - A) - k5 * A
 
-def _calcium_terms(C, lig, gate, p: CaAcParams):
-    """(q, release) with dC/dt = q + release at the ligand terms lig: q is
-    the ligand-gated influx minus the store pump plus the relaxation toward
-    Cb, and release the store release at the gate kf + k3 A.  For a scalar
-    C the release is 0 where C + ka_ratio L <= 0; the array scans keep
-    C > 0."""
-    L, influx, Kp2, ka_L, _, _ = lig
-    q = influx - p.k1 * C * C / (Kp2 + C * C) + p.k2 * (p.Cb - C)
-    den = C + ka_L
-    if isinstance(den, np.ndarray) or den > 0:
-        return q, gate * L * C * (p.Cer - C) / den
-    return q, 0.0
-
-
-def _activation_gain(C, lig, p: CaAcParams):
-    """dA/dt = gain (At - A) - k5 A at the ligand terms lig."""
-    C4 = C**4
-    return lig[4] * C4 / (lig[5] + p.Cm * C4)
-
-
-def _rates(C: float, A: float, lig, p: CaAcParams):
-    """(dC/dt, dA/dt) of the switch at the ligand terms lig."""
-    q, release = _calcium_terms(C, lig, p.kf + p.k3 * A, p)
-    return q + release, _activation_gain(C, lig, p) * (p.At - A) - p.k5 * A
+    return law
 
 
 def ca_ac_rhs(state, L: float, p: CaAcParams):
     """Time derivatives (dC/dt, dA/dt) of the switch at ligand level L, not
     finite where L overflows them; ValueError for a negative or NaN L, or for
     a float state whose rates overflow or divide by zero (C**4, say)."""
-    lig = _ligand_terms(L, p)
+    law = _switch_law(L, p)
+    C, A = state
     try:
-        return _rates(*state, lig, p)
+        return law(C, A)
     except ArithmeticError:
         raise ValueError(f"the rates at (C, A) = {tuple(state)!r} are not finite") from None
 
@@ -135,14 +143,15 @@ def ca_ac_simulate(L: float, p: CaAcParams = CaAcParams(), t_end: float = 10.0,
                    h: float = 1e-3, C0: float | None = None,
                    A0: float = 0.0) -> Trajectory:
     """Integrate the switch from the resting state (C = Cb, A = 0) by
-    error-controlled Dormand-Prince 5(4), sampled every h.
+    error-controlled Dormand-Prince 5(4), sampled every h: the two-state
+    kernel numerics.dopri5_integrate, on the rate law bound once for L.
 
     Refuses a negative or NaN ligand level L.  Raises IntegrationError naming the
     first sample with a negative concentration; the nonnegative quadrant is
     invariant, so only a negative initial state gets there.
     """
-    lig = _ligand_terms(L, p)
-    traj = dopri5_integrate(lambda t, y: _rates(*y, lig, p),
+    law = _switch_law(L, p)
+    traj = dopri5_integrate(lambda t, C, A: law(C, A),
                             [p.Cb if C0 is None else C0, A0], t_end, h)
     negative = np.flatnonzero((traj.states < 0).any(axis=1))
     if negative.size:
@@ -160,43 +169,27 @@ def ca_ac_nullclines(L: float, p: CaAcParams = CaAcParams(), n: int = 400):
     negative or NaN L or a dA/dt = 0 curve that is not finite.
     """
     C = np.linspace(1e-3, 8.0, n)
-    lig = _ligand_terms(L, p)
+    law = _switch_law(L, p)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # at gate 1 the release is its coefficient of kf + k3 A
-        q, g4 = _calcium_terms(C, lig, 1.0, p)
+        # q, and at gate 1 the release's coefficient of kf + k3 A
+        _, a_a, _, q, g4 = law(C, None, 1.0)
         a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
-        a_a = _a_nullcline(C, lig, p)
     check_finite(f"the dA/dt = 0 curve is not finite at ligand level L = {L!r}", a_a)
     return C, np.where(np.isfinite(a_c), a_c, np.nan), a_a
 
 
-def _a_nullcline(C, lig, p: CaAcParams):
-    """Cyclase level on the dA/dt = 0 curve at the ligand terms lig,
-    elementwise in C."""
-    gain = _activation_gain(C, lig, p)
-    return p.At * gain / (gain + p.k5)
-
-
-def _dc_on_a_nullcline(C, lig, p: CaAcParams):
-    """dC/dt of ca_ac_rhs on the dA/dt = 0 curve at the ligand terms lig,
-    elementwise in C > 0; the steady states are its roots."""
-    q, release = _calcium_terms(C, lig, p.kf + p.k3 * _a_nullcline(C, lig, p), p)
-    return q + release
-
-
 def _curve_ligand(C, p: CaAcParams):
     """The steady-state curve L = Lambda(C) over a 1-D array C: the one
-    nonnegative root of the cubic in L that is _dc_on_a_nullcline times
-    its positive denominators (kn1 + L)(C + ka_ratio L)(kn2 + L)(gain + k5),
+    nonnegative root of the cubic in L that is dC/dt on the dA/dt = 0 curve
+    times its positive denominators (kn1 + L)(C + ka_ratio L)(kn2 + L)(gain + k5),
     or nan where there is none (at the defaults the curve spans C in
     (0.050, 5.10)).  The cubic's values at L = 0..3 fix its coefficients,
     and its roots are the eigenvalues of its companion matrices."""
     nodes = np.arange(4.0)
     cleared = []
     for L in nodes:
-        lig = _ligand_terms(L, p)
-        cleared.append((p.kn1 + L) * (C + lig[3]) * (p.kn2 + L)
-                       * (_activation_gain(C, lig, p) + p.k5) * _dc_on_a_nullcline(C, lig, p))
+        dC, _, gain, _, _ = _switch_law(L, p)(C, None)
+        cleared.append((p.kn1 + L) * (C + p.ka_ratio * L) * (p.kn2 + L) * (gain + p.k5) * dC)
     c = solve_linear_dense(np.vander(nodes, increasing=True), cleared)  # c[k] multiplies L^k
     # near the top of the curve the leading coefficient vanishes: L -> inf
     cubic = np.abs(c[3]) > 1e-14 * np.abs(c).max(axis=0)
@@ -233,23 +226,23 @@ def ca_ac_steady_states(L: float, p: CaAcParams = CaAcParams()):
     """
     edges = [1e-6, *(c for c, _ in _folds(p)), 8.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        lig = _ligand_terms(L, p)
-        f = lambda c: _dc_on_a_nullcline(c, lig, p)
+        law = _switch_law(L, p)
+        f = lambda c: law(c, None)[0]
         ends = [f(c) for c in edges]
     check_finite(f"the calcium rate is not finite at ligand level L = {float(L)!r}", ends)
     roots = [solve_scalar_root(f, Bracket(lo, hi), tol=1e-13) for lo, hi, f_lo, f_hi
              in zip(edges, edges[1:], ends, ends[1:]) if f_lo == 0.0 or f_lo * f_hi < 0]
-    states = [CaAcState(C, _a_nullcline(C, lig, p)) for C in roots]
-    return [(st, _is_stable(st.C, st.A, lig, p)) for st in states]
+    states = [CaAcState(C, law(C, None)[1]) for C in roots]
+    return [(st, _is_stable(st.C, st.A, law)) for st in states]
 
 
-def _is_stable(C, A, lig, p):
-    """Both eigenvalues of the 2x2 Jacobian at the ligand terms lig have
+def _is_stable(C, A, law):
+    """Both eigenvalues of the 2x2 Jacobian of the rate law at (C, A) have
     negative real part exactly when its trace is negative and its
     determinant positive."""
     columns = []
     for dC, dA in ((1e-6 * max(abs(C), 1.0), 0.0), (0.0, 1e-6 * max(abs(A), 1.0))):
-        up, dn = _rates(C + dC, A + dA, lig, p), _rates(C - dC, A - dA, lig, p)
+        up, dn = law(C + dC, A + dA), law(C - dC, A - dA)
         columns.append([(u - d) / (2 * (dC + dA)) for u, d in zip(up, dn)])
     (a, c), (b, d) = columns
     return bool(a + d < 0 and a * d - b * c > 0)

@@ -1,6 +1,6 @@
 """Shared low-level numerical kernels.
 
-Fixed-step time integrators, an error-controlled Dormand-Prince 5(4)
+Fixed-step time integrators, an error-controlled two-state Dormand-Prince 5(4)
 integrator, an exact solver for linear constant-coefficient ODEs,
 explicit finite-difference steps for 1-D transport and diffusion, a
 bracketed scalar root finder, and small dense linear algebra.
@@ -278,11 +278,12 @@ DP5_MAX_STEPS = 100_000
 
 
 def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
-    """Error-controlled Dormand-Prince 5(4) from t = 0, sampled on the grid
-    of rk4_integrate(..., 0, t_end, h); h sets the sample spacing only.
+    """Error-controlled Dormand-Prince 5(4) of a two-state system from t = 0,
+    sampled on the grid of rk4_integrate(..., 0, t_end, h); h sets the
+    sample spacing only.
 
     Each step keeps the local error estimate below DP5_ATOL + DP5_RTOL |y|
-    (root-mean-square over components), with a PI step controller
+    (root-mean-square over the two components), with a PI step controller
     (Hairer, Norsett & Wanner, II.4).  The samples inside an accepted step
     come from its order-4 continuous extension.  A trial step whose stages
     turn non-finite, or whose rhs calls or arithmetic raise
@@ -290,42 +291,47 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
     one with too large an error.  Costs 6 rhs calls per attempted step
     plus one.  Raises IntegrationError when the initial derivative is
     non-finite or raises ArithmeticError, when the step size underflows
-    and after DP5_MAX_STEPS attempted steps.
+    and after DP5_MAX_STEPS attempted steps, and ValueError unless y0
+    holds two states and rhs returns two derivatives.
 
-    rhs(t, y) gets y as a list of n Python floats and returns the n
-    derivatives as floats, in any sequence; no array is formed per call, so
-    the kernel suits small systems (the switch has two states).
+    rhs(t, y1, y2) gets the state as two Python floats and returns the two
+    derivatives as floats, in any sequence.  Each stage is written out per
+    component, so a step forms no list or array: the kernel is sized for
+    the calcium/cyclase switch.
     """
     times = _step_times(0.0, t_end, h)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    states = np.empty((len(times), y0.size))
+    if y0.shape != (2,):
+        raise ValueError(f"dopri5_integrate steps two states, got {y0.size}")
+    states = np.empty((len(times), 2))
     states[0] = y0
-    n = y0.size
     rtol, atol = DP5_RTOL, DP5_ATOL
 
     # overflow surfaces as a rejected step, then as IntegrationError
     with np.errstate(over="ignore", invalid="ignore"):
-        y = y0.tolist()
+        a, b = y0.tolist()
         try:
-            k1 = rhs(0.0, y)
+            k1 = rhs(0.0, a, b)
             finite = all(map(math.isfinite, k1))
         except ArithmeticError:
             finite = False
         if not finite:
             raise IntegrationError("non-finite derivative at t=0.0")
-        if len(k1) != n:
-            raise ValueError(f"rhs returned {len(k1)} derivatives for {n} states")
+        if len(k1) != 2:
+            raise ValueError(f"rhs returned {len(k1)} derivatives for 2 states")
+        p1, q1 = k1
         # first trial step from the scale of y over that of y' (HNW II.4)
-        scale = [atol + rtol * abs(v) for v in y]
-        d0 = math.sqrt(sum((v / s) * (v / s) for v, s in zip(y, scale)) / n)
-        d1 = math.sqrt(sum((v / s) * (v / s) for v, s in zip(k1, scale)) / n)
+        sa, sb = atol + rtol * abs(a), atol + rtol * abs(b)
+        d0 = math.sqrt(((a / sa) * (a / sa) + (b / sb) * (b / sb)) / 2)
+        d1 = math.sqrt(((p1 / sa) * (p1 / sa) + (q1 / sb) * (q1 / sb)) / 2)
         step = 0.01 * (d0 / d1) if d0 > 1e-5 and d1 > 1e-5 else 1e-6
         min_step = 10 * np.finfo(float).eps * t_end
         t = 0.0
         err_old, rejected = 1e-4, False
         # per accepted step: its start and size, and the state, derivative
-        # and D-weighted stages the continuous extension needs
-        starts, sizes, ys, ks, dks = [], [], [y], [k1], []
+        # and D-weighted stages the continuous extension needs; p and q are
+        # the stages' first and second components
+        starts, sizes, ys, ks, dks = [], [], [(a, b)], [(p1, q1)], []
         for _ in range(DP5_MAX_STEPS):
             if step < min_step:
                 raise IntegrationError(f"step size underflow at t={t!r}")
@@ -333,27 +339,29 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
             if last:
                 step = t_end - t
             try:
-                k2 = rhs(t + _C2 * step, [a + step * (_A21 * p1) for a, p1 in zip(y, k1)])
-                k3 = rhs(t + _C3 * step, [a + step * (_A31 * p1 + _A32 * p2)
-                                          for a, p1, p2 in zip(y, k1, k2)])
-                k4 = rhs(t + _C4 * step, [a + step * (_A41 * p1 + _A42 * p2 + _A43 * p3)
-                                          for a, p1, p2, p3 in zip(y, k1, k2, k3)])
-                k5 = rhs(t + _C5 * step,
-                         [a + step * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
-                          for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
-                k6 = rhs(t + step,
-                         [a + step * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
-                          for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
-                y_new = [a + step * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
-                         for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
-                k7 = rhs(t_end if last else t + step, y_new)
-                acc = 0.0
-                for a, a_new, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                    q = (step * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
-                                 + _E7 * p7) / (atol + rtol * max(abs(a), abs(a_new))))
-                    acc += q * q
+                p2, q2 = rhs(t + _C2 * step, a + step * (_A21 * p1), b + step * (_A21 * q1))
+                p3, q3 = rhs(t + _C3 * step, a + step * (_A31 * p1 + _A32 * p2),
+                             b + step * (_A31 * q1 + _A32 * q2))
+                p4, q4 = rhs(t + _C4 * step, a + step * (_A41 * p1 + _A42 * p2 + _A43 * p3),
+                             b + step * (_A41 * q1 + _A42 * q2 + _A43 * q3))
+                p5, q5 = rhs(t + _C5 * step,
+                             a + step * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4),
+                             b + step * (_A51 * q1 + _A52 * q2 + _A53 * q3 + _A54 * q4))
+                p6, q6 = rhs(t + step,
+                             a + step * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4
+                                         + _A65 * p5),
+                             b + step * (_A61 * q1 + _A62 * q2 + _A63 * q3 + _A64 * q4
+                                         + _A65 * q5))
+                a_new = a + step * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+                b_new = b + step * (_B1 * q1 + _B3 * q3 + _B4 * q4 + _B5 * q5 + _B6 * q6)
+                p7, q7 = rhs(t_end if last else t + step, a_new, b_new)
+                ea = (step * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6 + _E7 * p7)
+                      / (atol + rtol * max(abs(a), abs(a_new))))
+                eb = (step * (_E1 * q1 + _E3 * q3 + _E4 * q4 + _E5 * q5 + _E6 * q6 + _E7 * q7)
+                      / (atol + rtol * max(abs(b), abs(b_new))))
                 # the error weights skip k2, so test it apart
-                err = math.sqrt(acc / n) if all(map(math.isfinite, k2)) else math.inf
+                err = (math.sqrt((ea * ea + eb * eb) / 2)
+                       if math.isfinite(p2) and math.isfinite(q2) else math.inf)
             except ArithmeticError:
                 err = math.inf
             if not math.isfinite(err):
@@ -367,16 +375,16 @@ def dopri5_integrate(rhs, y0, t_end: float, h: float) -> Trajectory:
                 continue
             starts.append(t)
             sizes.append(step)
-            ys.append(y_new)
-            ks.append(k7)
-            dks.append([_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5 + _D6 * p6 + _D7 * p7
-                        for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
+            ys.append((a_new, b_new))
+            ks.append((p7, q7))
+            dks.append((_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5 + _D6 * p6 + _D7 * p7,
+                        _D1 * q1 + _D3 * q3 + _D4 * q4 + _D5 * q5 + _D6 * q6 + _D7 * q7))
             if last:
                 break
             new_step = step / max(0.1, min(5.0, gain / err_old**0.04 / 0.9))
             t += step
             step = min(new_step, step) if rejected else new_step
-            y, k1 = y_new, k7
+            a, b, p1, q1 = a_new, b_new, p7, q7
             err_old, rejected = max(err, 1e-4), False
         else:
             raise IntegrationError(f"out of steps: {DP5_MAX_STEPS} attempted, at t={t!r}")

@@ -743,6 +743,27 @@ def test_monte_carlo_rejects_bad_config():
         monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=10), dt=0.0)
 
 
+def test_monte_carlo_refuses_an_overflowing_hazard_scale():
+    # c t_a = inf made every turn age 0, and the run then failed on a
+    # different cause: no walker was outside the band
+    with pytest.raises(ValueError, match=r"^c t_a must be finite, got c = 50\.0 and "
+                                         r"t_a = 1e\+307$"):
+        MonteCarloConfig(t_a=1e307)
+    assert MonteCarloConfig(t_a=1e306).t_a == 1e306
+
+
+@pytest.mark.parametrize("n_trials", [1, 200])
+def test_monte_carlo_refuses_a_ratio_that_is_not_finite(n_trials):
+    # (w - b) / b (n S / O - 1) overflows at a wall of 8e307; one walker's
+    # standard error is nan by definition, so only the ratio is checked there
+    cfg = MonteCarloConfig(v=0.1, wall_half_width=8e307, n_trials=n_trials)
+    with pytest.raises(ValueError, match=r"^the inside/outside ratio inf is not finite "
+                                         r"\(band 1\.0, wall 8e\+307\)$"):
+        monte_carlo_slow_adaptation(cfg, t_end=20.0)
+    one = monte_carlo_slow_adaptation(MonteCarloConfig(n_trials=1), t_end=20.0)
+    assert math.isfinite(one["inside_outside_ratio"]) and math.isnan(one["inside_outside_se"])
+
+
 def test_monte_carlo_walker_cap_boundary(monkeypatch):
     # refused in the config, before any walker state is allocated
     monkeypatch.setattr(numerics, "_MAX_SAMPLES", 50)

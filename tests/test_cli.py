@@ -633,6 +633,21 @@ def test_adapted_state_overflow_exits_1_on_one_line(argv, level, tmp_path, capsy
     assert not (tmp_path / "u").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    # both used to end otherwise: the ratio overflowed to inf in result.csv
+    # and null in summary.json with exit 0, and c t_a = inf made every turn
+    # age 0, so that no walker was ever outside the band
+    (["--set", "mc.v=0.1", "--set", "mc.wall=8e307", "--set", "mc.trials=200",
+      "--set", "mc.t_end=20"], "the inside/outside ratio inf is not finite (band 1.0, wall 8e+307)"),
+    (["--set", "mc.t_a=1e307"], "c t_a must be finite, got c = 50.0 and t_a = 1e+307"),
+])
+def test_montecarlo_overflow_exits_1_on_one_line(argv, message, tmp_path, capsys):
+    code = main(["aerotaxis-montecarlo", *argv, "--out", str(tmp_path / "u")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "u").exists()
+
+
 def test_strided_table_ends_at_the_final_state(tmp_path):
     # 8,011 samples at stride 4 keep 0, 4, ..., 8,008 and the last, 8,010:
     # the table used to end at t = 800.8 while A_end is taken at t = 801

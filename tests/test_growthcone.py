@@ -84,6 +84,111 @@ def test_rhs_matches_the_written_out_rates_bit_for_bit():
         assert ca_ac_rhs((C, A), L, p) == (dC, gain * (p.At - A) - p.k5 * A)
 
 
+# test-only copies of the switch's rate law as separate functions of the
+# ligand terms lig; growthcone._switch_law binds it once per level and must
+# give the same values, bit for bit
+
+
+def _ref_ligand_terms(L, p):
+    if not np.all(L >= 0):
+        raise ValueError("ligand must be nonnegative")
+    return (L, p.k0 * L / (p.kn1 + L), p.Kp * p.Kp, p.ka_ratio * L,
+            p.k4 * L / (p.kn2 + L) * p.Cm, p.Kr**5)
+
+
+def _ref_calcium_terms(C, lig, gate, p):
+    L, influx, Kp2, ka_L, _, _ = lig
+    q = influx - p.k1 * C * C / (Kp2 + C * C) + p.k2 * (p.Cb - C)
+    den = C + ka_L
+    if isinstance(den, np.ndarray) or den > 0:
+        return q, gate * L * C * (p.Cer - C) / den
+    return q, 0.0
+
+
+def _ref_activation_gain(C, lig, p):
+    C4 = C**4
+    return lig[4] * C4 / (lig[5] + p.Cm * C4)
+
+
+def _ref_rates(C, A, lig, p):
+    q, release = _ref_calcium_terms(C, lig, p.kf + p.k3 * A, p)
+    return q + release, _ref_activation_gain(C, lig, p) * (p.At - A) - p.k5 * A
+
+
+def _ref_a_nullcline(C, lig, p):
+    gain = _ref_activation_gain(C, lig, p)
+    return p.At * gain / (gain + p.k5)
+
+
+def _ref_dc_on_a_nullcline(C, lig, p):
+    q, release = _ref_calcium_terms(C, lig, p.kf + p.k3 * _ref_a_nullcline(C, lig, p), p)
+    return q + release
+
+
+def _ref_nullclines(L, p, n):
+    C = np.linspace(1e-3, 8.0, n)
+    lig = _ref_ligand_terms(L, p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q, g4 = _ref_calcium_terms(C, lig, 1.0, p)
+        a_c = np.where(np.abs(g4) > 1e-300, -q / (p.k3 * g4) - p.kf / p.k3, np.nan)
+        a_a = _ref_a_nullcline(C, lig, p)
+    return C, np.where(np.isfinite(a_c), a_c, np.nan), a_a
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+_LEVELS = st.floats(0.0, 30.0) | st.floats(0.0, 1e-3) | st.floats(30.0, 1e6)
+_CALCIUM = st.floats(0.0, 10.0) | st.floats(1e-6, 1e-2) | st.floats(10.0, 1e20)
+_CYCLASE = st.floats(0.0, 25.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LEVELS, _CALCIUM, _CYCLASE)
+def test_rate_law_matches_the_separate_functions_on_floats(L, C, A):
+    p = CaAcParams()
+    # bifurcation_scan hands the law numpy scalars from its level array
+    for L_arg, C_arg in ((L, C), (np.float64(L), np.float64(C))):
+        law, lig = growthcone._switch_law(L_arg, p), _ref_ligand_terms(L_arg, p)
+        assert _bits(*law(C_arg, A)) == _bits(*_ref_rates(C_arg, A, lig, p))
+        dC, A_curve, gain, q, release = law(C_arg, None)
+        assert _bits(dC, A_curve, gain) == _bits(_ref_dc_on_a_nullcline(C_arg, lig, p),
+                                                 _ref_a_nullcline(C_arg, lig, p),
+                                                 _ref_activation_gain(C_arg, lig, p))
+        assert _bits(q, release) == _bits(
+            *_ref_calcium_terms(C_arg, lig, p.kf + p.k3 * A_curve, p))
+        assert _bits(*law(C_arg, None, 1.0)[3:]) == _bits(*_ref_calcium_terms(C_arg, lig, 1.0, p))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data(), _LEVELS, st.integers(1, 40))
+def test_rate_law_matches_the_separate_functions_on_arrays(data, L, n):
+    p = CaAcParams()
+    C = np.array(data.draw(st.lists(_CALCIUM, min_size=n, max_size=n)))
+    A = np.array(data.draw(st.lists(_CYCLASE, min_size=n, max_size=n)))
+    levels = np.array(data.draw(st.lists(_LEVELS, min_size=n, max_size=n)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # one level for every C, and a level per C as the curve's check takes them
+        for L_arg in (L, levels):
+            law, lig = growthcone._switch_law(L_arg, p), _ref_ligand_terms(L_arg, p)
+            assert _bits(*law(C, A)) == _bits(*_ref_rates(C, A, lig, p))
+            assert _bits(*law(C, None)[:2]) == _bits(_ref_dc_on_a_nullcline(C, lig, p),
+                                                     _ref_a_nullcline(C, lig, p))
+    assert _bits(*ca_ac_nullclines(L, p, n)) == _bits(*_ref_nullclines(L, p, n))
+
+
+def test_rate_law_serves_the_default_runs_unchanged():
+    # the four default levels, the nullclines at the window's levels and
+    # the curve's steady states, pinned by the separate functions
+    p = CaAcParams()
+    for L in (0.1, 1.0, 10.0, 20.0, 0.6, 2.3):
+        assert _bits(*ca_ac_nullclines(L, p)) == _bits(*_ref_nullclines(L, p, 400))
+        for st_, stable in ca_ac_steady_states(L, p):
+            lig = _ref_ligand_terms(L, p)
+            assert _bits(st_.A) == _bits(_ref_a_nullcline(st_.C, lig, p))
+
+
 # ---------------------------------------------------------------- trajectories
 
 def test_simulate_zero_ligand_keeps_cyclase_off():
@@ -182,19 +287,15 @@ def test_nullcline_residual_array_matches_scalar_rhs():
     p = CaAcParams()
     C = np.linspace(1e-6, 8.0, 1500)
     for L in (0.0, 0.1, 1.0, 2.3, 10.0):
-        lig = growthcone._ligand_terms(L, p)
-        res = growthcone._dc_on_a_nullcline(C, lig, p)
-        ref = []
-        for c in C:
-            gain = growthcone._activation_gain(c, lig, p)
-            ref.append(ca_ac_rhs((c, p.At * gain / (gain + p.k5)), L, p)[0])
+        law = growthcone._switch_law(L, p)
+        res = law(C, None)[0]
+        ref = [ca_ac_rhs((c, law(c, None)[1]), L, p)[0] for c in C]
         np.testing.assert_allclose(res, ref, rtol=1e-12, atol=1e-12)
-        # the shared calcium terms over the whole grid give the scalar rhs
-        # at any cyclase level
+        # the rate law over the whole grid gives the scalar rhs at any
+        # cyclase level
         for A in (0.0, 7.5, p.At):
-            q, release = growthcone._calcium_terms(C, lig, p.kf + p.k3 * A, p)
             ref = [ca_ac_rhs((c, A), L, p)[0] for c in C]
-            np.testing.assert_allclose(q + release, ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(law(C, np.full_like(C, A))[0], ref, rtol=1e-12, atol=1e-12)
 
 
 def test_state_counts_across_the_folds(jumps):
@@ -232,7 +333,8 @@ def test_steady_state_roots_converge_superlinearly(monkeypatch):
 def test_state_on_a_shared_piece_edge_counts_once(monkeypatch):
     # a residual whose root lies exactly on a fold edge: the zero counts
     # for the piece above the edge only
-    monkeypatch.setattr(growthcone, "_dc_on_a_nullcline", lambda c, L, p: c - 0.5)
+    monkeypatch.setattr(growthcone, "_switch_law", lambda L, p: lambda c, A, gate=None: (
+        (c - 0.5, 0.0, 0.0, 0.0, 0.0) if A is None else (c - 0.5, -A)))
     monkeypatch.setattr(growthcone, "_folds", lambda p: ((0.5, 1.0),))
     assert [st.C for st, _ in ca_ac_steady_states(1.0)] == [0.5]
 
@@ -250,9 +352,8 @@ def test_fold_states_have_a_singular_jacobian():
     folds = growthcone._folds(p)
     assert len(folds) == 2
     for C, L in folds:
-        lig = growthcone._ligand_terms(L, p)
-        A = growthcone._a_nullcline(C, lig, p)
-        assert abs(growthcone._dc_on_a_nullcline(C, lig, p)) < 1e-12
+        dC, A = growthcone._switch_law(L, p)(C, None)[:2]
+        assert abs(dC) < 1e-12
         J = _fd_jacobian(C, A, L, p)
         assert abs(np.linalg.det(J)) <= 1e-4 * np.abs(J).max() ** 2
 
@@ -268,7 +369,7 @@ def test_curve_points_are_steady_states():
     assert 0.049 < span[0] < 0.051 and 5.09 < span[-1] < 5.11
     assert np.all(on[(C >= span[0]) & (C <= span[-1])])
     ok = on & (L < 100)
-    res = growthcone._dc_on_a_nullcline(C[ok], growthcone._ligand_terms(L[ok], p), p)
+    res = growthcone._switch_law(L[ok], p)(C[ok], None)[0]
     scale = p.k0 + p.k1 + p.k2 * C[ok] + (p.kf + p.k3 * p.At) * C[ok] * p.Cer
     assert np.max(np.abs(res) / scale) < 1e-12
     for c, l in zip(C[ok][::97], L[ok][::97]):

@@ -4,6 +4,7 @@ import math
 import re
 import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ from biosim.numerics import (
     solve_linear_ode,
     solve_scalar_root,
     upwind_advection_reaction_step,
+)
+from biosim.numerics import (  # the Dormand-Prince tableau, for _reference_dopri5
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64,
+    _A65, _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _D1, _D3, _D4, _D5, _D6, _D7, _E1,
+    _E3, _E4, _E5, _E6, _E7,
 )
 
 
@@ -115,7 +121,7 @@ def test_step_grid_rejects_non_finite(t1, h):
     with pytest.raises(ValueError, match="finite"):
         solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], t1, h)
     with pytest.raises(ValueError, match="finite"):
-        dopri5_integrate(lambda t, y: [-y[0]], [1.0], t1, h)
+        dopri5_integrate(lambda t, a, b: (-a, 0.0), [1.0, 0.0], t1, h)
     with pytest.raises(ValueError, match="finite"):
         rk4_integrate(lambda t, y: -y, [1.0], math.nan, 1.0, 0.1)
 
@@ -123,7 +129,7 @@ def test_step_grid_rejects_non_finite(t1, h):
 def test_step_grid_rejects_oversized_grid_before_allocating(monkeypatch):
     # 1e13 samples would need 80 TB; each sampled kernel refuses at once
     for call in (lambda: rk4_integrate(lambda t, y: -y, [1.0], 0.0, 10.0, 1e-12),
-                 lambda: dopri5_integrate(lambda t, y: [-y[0]], [1.0], 10.0, 1e-12),
+                 lambda: dopri5_integrate(lambda t, a, b: (-a, 0.0), [1.0, 0.0], 10.0, 1e-12),
                  lambda: solve_linear_ode([[1.0]], [[-1.0]], [0.0], [1.0], 10.0, 1e-12)):
         with pytest.raises(ValueError, match="1e\\+13 samples, above the cap of 10000000"):
             call()
@@ -266,10 +272,10 @@ def test_field_run_stops_at_its_first_bad_sample(bad_sample):
 
 def _dop853(rhs, y0, times):
     # test-only oracle: scipy's order-8 Dormand-Prince at a tolerance 100
-    # times below the kernel's
+    # times below the kernel's, on the two-state rhs(t, y1, y2)
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    sol = solve_ivp(rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-12,
-                    atol=1e-14, t_eval=times)
+    sol = solve_ivp(lambda t, y: rhs(t, *y), (0.0, times[-1]), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14, t_eval=times)
     assert sol.success
     return sol.y.T
 
@@ -280,14 +286,14 @@ def _rel_err(states, reference):
 
 def test_dopri5_linear_oscillator_matches_closed_form_and_dop853():
     # x'' + 0.2 x' + 4 x = 0, x(0) = 1, x'(0) = 0
-    D = np.array([[0.0, 1.0], [-4.0, -0.2]])
+    rhs = lambda t, x, v: (v, -4.0 * x - 0.2 * v)
     w = math.sqrt(4.0 - 0.01)
-    traj = dopri5_integrate(lambda t, y: D @ y, [1.0, 0.0], 20.0, 0.01)
+    traj = dopri5_integrate(rhs, [1.0, 0.0], 20.0, 0.01)
     t = traj.times
     exact = np.exp(-0.1 * t)[:, None] * np.column_stack(
         [np.cos(w * t) + 0.1 / w * np.sin(w * t), -(w + 0.01 / w) * np.sin(w * t)])
     assert np.max(np.abs(traj.states - exact)) < 1e-8
-    assert np.max(np.abs(traj.states - _dop853(lambda t, y: D @ y, [1.0, 0.0], t))) < 1e-8
+    assert np.max(np.abs(traj.states - _dop853(rhs, [1.0, 0.0], t))) < 1e-8
 
 
 @pytest.mark.parametrize("L", [0.1, 1.0, 10.0, 20.0])
@@ -295,29 +301,29 @@ def test_dopri5_switch_matches_dop853(L):
     # every default sample of growthcone-switch; fixed-step RK4 at h = 1e-3
     # is off by 1.5e-7 at L = 10 and 20
     p = growthcone.CaAcParams()
-    rhs = lambda t, y: growthcone.ca_ac_rhs(y, L, p)
+    rhs = lambda t, C, A: growthcone.ca_ac_rhs((C, A), L, p)
     traj = dopri5_integrate(rhs, [p.Cb, 0.0], 10.0, 1e-3)
     assert len(traj) == 10_001
     assert _rel_err(traj.states, _dop853(rhs, [p.Cb, 0.0], traj.times)) < 1e-7
 
 
-def test_dopri5_switch_rhs_gets_a_list_of_python_floats(monkeypatch):
-    # the kernel forms no array per call: the state reaches the rate law
-    # as the list it steps
+def test_dopri5_switch_rhs_gets_two_python_floats(monkeypatch):
+    # the kernel forms no list or array per call: the state reaches the
+    # rate law as the two floats it steps
     states = []
 
     def spy(rhs, y0, t_end, h):
-        return dopri5_integrate(lambda t, y: states.append(y) or rhs(t, y), y0, t_end, h)
+        return dopri5_integrate(lambda t, C, A: states.append((C, A)) or rhs(t, C, A),
+                                y0, t_end, h)
 
     monkeypatch.setattr(growthcone, "dopri5_integrate", spy)
     growthcone.ca_ac_simulate(1.0, t_end=0.1)
-    assert states and all(type(y) is list and list(map(type, y)) == [float, float]
-                          for y in states)
+    assert states and all(list(map(type, y)) == [float, float] for y in states)
 
 
 def test_dopri5_samples_on_the_rk4_grid():
     # 1.05 / 0.1 leaves a short last sample interval
-    traj = dopri5_integrate(lambda t, y: [-y[0]], [1.0], 1.05, 0.1)
+    traj = dopri5_integrate(lambda t, a, b: (-a, 0.0), [1.0, 0.0], 1.05, 0.1)
     assert np.array_equal(traj.times, rk4_integrate(lambda t, y: -y, [1.0], 0.0, 1.05, 0.1).times)
     assert traj.times[-1] == 1.05 and traj.states[0, 0] == 1.0
     assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.times))) < 1e-9
@@ -327,9 +333,9 @@ def test_dopri5_fsal_costs_six_calls_per_attempted_step(monkeypatch):
     p = growthcone.CaAcParams()
     calls = []
 
-    def rhs(t, y):
+    def rhs(t, C, A):
         calls.append(t)
-        return growthcone.ca_ac_rhs(y, 10.0, p)
+        return growthcone.ca_ac_rhs((C, A), 10.0, p)
 
     dopri5_integrate(rhs, [p.Cb, 0.0], 10.0, 0.5)
     attempts, rest = divmod(len(calls) - 1, 6)
@@ -355,11 +361,11 @@ def test_dopri5_finite_time_blowup_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match=r"step size underflow at t=0\.99999"):
-            dopri5_integrate(lambda t, y: [y[0] * y[0]], [1.0], 2.0, 0.1)
+            dopri5_integrate(lambda t, a, b: (a * a, 0.0), [1.0, 0.0], 2.0, 0.1)
         with pytest.raises(IntegrationError, match="step size underflow at t=0.0"):
-            dopri5_integrate(lambda t, y: [1e300 * y[0] * y[0]], [1.0], 1.0, 0.1)
+            dopri5_integrate(lambda t, a, b: (1e300 * a * a, 0.0), [1.0, 0.0], 1.0, 0.1)
     with pytest.raises(IntegrationError, match="non-finite derivative at t=0.0"):
-        dopri5_integrate(lambda t, y: np.array([math.nan]), [1.0], 1.0, 0.1)
+        dopri5_integrate(lambda t, a, b: np.array([math.nan, 0.0]), [1.0, 0.0], 1.0, 0.1)
 
 
 def test_dopri5_initial_arithmetic_error_is_classified():
@@ -368,23 +374,26 @@ def test_dopri5_initial_arithmetic_error_is_classified():
     with pytest.raises(IntegrationError, match=r"non-finite derivative at t=0\.0$"):
         growthcone.ca_ac_simulate(1.0, C0=1e100)
     with pytest.raises(IntegrationError, match=r"non-finite derivative at t=0\.0$"):
-        dopri5_integrate(lambda t, y: [1.0 / 0.0], [1.0], 1.0, 0.1)
+        dopri5_integrate(lambda t, a, b: (1.0 / 0.0, 0.0), [1.0, 0.0], 1.0, 0.1)
 
 
 def test_dopri5_rejects_rhs_of_the_wrong_length():
     # one derivative for two states would otherwise pair with the first
     with pytest.raises(ValueError, match="rhs returned 1 derivatives for 2 states"):
-        dopri5_integrate(lambda t, y: [1.0], [1.0, 2.0], 1.0, 0.1)
+        dopri5_integrate(lambda t, a, b: [1.0], [1.0, 2.0], 1.0, 0.1)
+    # the kernel steps two states
+    with pytest.raises(ValueError, match="dopri5_integrate steps two states, got 1"):
+        dopri5_integrate(lambda t, a, b: (1.0, 0.0), [1.0], 1.0, 0.1)
 
 
 def test_dopri5_arithmetic_error_in_a_stage_rejects_the_step():
     # y' = 1 runs up to y = 1.5, where the rhs overflows: every step that
     # would cross it is rejected and shrunk until the step underflows
-    def rhs(t, y):
-        return np.ones(1) if y[0] < 1.5 else [math.exp(1e6)]
+    def rhs(t, a, b):
+        return (1.0, 0.0) if a < 1.5 else (math.exp(1e6), 0.0)
 
     with pytest.raises(IntegrationError, match=r"step size underflow at t=1\.4999"):
-        dopri5_integrate(rhs, [0.0], 2.0, 0.1)
+        dopri5_integrate(rhs, [0.0, 0.0], 2.0, 0.1)
 
 
 def test_dopri5_non_finite_second_stage_rejects_the_step():
@@ -392,12 +401,190 @@ def test_dopri5_non_finite_second_stage_rejects_the_step():
     # yet a non-finite value there still rejects the step
     calls = []
 
-    def rhs(t, y):
+    def rhs(t, a, b):
         calls.append(t)
-        return [math.inf] if len(calls) % 6 == 2 else [1.0]
+        return (math.inf, 0.0) if len(calls) % 6 == 2 else (1.0, 0.0)
 
     with pytest.raises(IntegrationError, match="step size underflow at t=0.0"):
-        dopri5_integrate(rhs, [0.0], 1.0, 0.1)
+        dopri5_integrate(rhs, [0.0, 0.0], 1.0, 0.1)
+    # in either component
+    calls.clear()
+    with pytest.raises(IntegrationError, match="step size underflow at t=0.0"):
+        dopri5_integrate(lambda t, a, b: rhs(t, b, a)[::-1], [0.0, 0.0], 1.0, 0.1)
+
+
+def _reference_dopri5(rhs, y0, t_end, h):
+    # test-only n-state Dormand-Prince kernel on rhs(t, y), y a list of floats,
+    # stepped by comprehensions over the components: dopri5_integrate writes
+    # its expressions out for two states and must match it bit for bit
+    times = numerics._step_times(0.0, t_end, h)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    states = np.empty((len(times), y0.size))
+    states[0] = y0
+    n = y0.size
+    rtol, atol = numerics.DP5_RTOL, numerics.DP5_ATOL
+
+    # overflow surfaces as a rejected step, then as IntegrationError
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = y0.tolist()
+        try:
+            k1 = rhs(0.0, y)
+            finite = all(map(math.isfinite, k1))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise IntegrationError("non-finite derivative at t=0.0")
+        if len(k1) != n:
+            raise ValueError(f"rhs returned {len(k1)} derivatives for {n} states")
+        # first trial step from the scale of y over that of y' (HNW II.4)
+        scale = [atol + rtol * abs(v) for v in y]
+        d0 = math.sqrt(sum((v / s) * (v / s) for v, s in zip(y, scale)) / n)
+        d1 = math.sqrt(sum((v / s) * (v / s) for v, s in zip(k1, scale)) / n)
+        step = 0.01 * (d0 / d1) if d0 > 1e-5 and d1 > 1e-5 else 1e-6
+        min_step = 10 * np.finfo(float).eps * t_end
+        t = 0.0
+        err_old, rejected = 1e-4, False
+        # per accepted step: its start and size, and the state, derivative
+        # and D-weighted stages the continuous extension needs
+        starts, sizes, ys, ks, dks = [], [], [y], [k1], []
+        for _ in range(numerics.DP5_MAX_STEPS):
+            if step < min_step:
+                raise IntegrationError(f"step size underflow at t={t!r}")
+            last = t + 1.01 * step >= t_end
+            if last:
+                step = t_end - t
+            try:
+                k2 = rhs(t + _C2 * step, [a + step * (_A21 * p1) for a, p1 in zip(y, k1)])
+                k3 = rhs(t + _C3 * step, [a + step * (_A31 * p1 + _A32 * p2)
+                                          for a, p1, p2 in zip(y, k1, k2)])
+                k4 = rhs(t + _C4 * step, [a + step * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+                                          for a, p1, p2, p3 in zip(y, k1, k2, k3)])
+                k5 = rhs(t + _C5 * step,
+                         [a + step * (_A51 * p1 + _A52 * p2 + _A53 * p3 + _A54 * p4)
+                          for a, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)])
+                k6 = rhs(t + step,
+                         [a + step * (_A61 * p1 + _A62 * p2 + _A63 * p3 + _A64 * p4 + _A65 * p5)
+                          for a, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)])
+                y_new = [a + step * (_B1 * p1 + _B3 * p3 + _B4 * p4 + _B5 * p5 + _B6 * p6)
+                         for a, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)]
+                k7 = rhs(t_end if last else t + step, y_new)
+                acc = 0.0
+                for a, a_new, p1, p3, p4, p5, p6, p7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                    q = (step * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                                 + _E7 * p7) / (atol + rtol * max(abs(a), abs(a_new))))
+                    acc += q * q
+                # the error weights skip k2, so test it apart
+                err = math.sqrt(acc / n) if all(map(math.isfinite, k2)) else math.inf
+            except ArithmeticError:
+                err = math.inf
+            if not math.isfinite(err):
+                err = math.inf
+            # PI control: exponents 0.17 and 0.04, safety 0.9, and the step
+            # changes by a factor between 0.2 and 10
+            gain = err**0.17
+            if err > 1.0:
+                step /= min(5.0, gain / 0.9)
+                rejected = True
+                continue
+            starts.append(t)
+            sizes.append(step)
+            ys.append(y_new)
+            ks.append(k7)
+            dks.append([_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5 + _D6 * p6 + _D7 * p7
+                        for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)])
+            if last:
+                break
+            new_step = step / max(0.1, min(5.0, gain / err_old**0.04 / 0.9))
+            t += step
+            step = min(new_step, step) if rejected else new_step
+            y, k1 = y_new, k7
+            err_old, rejected = max(err, 1e-4), False
+        else:
+            raise IntegrationError(f"out of steps: {numerics.DP5_MAX_STEPS} attempted, at t={t!r}")
+    # order-4 continuous extension (HNW II.6, dense output of DOPRI5) of each
+    # accepted step, y + th (c1 + th (c2 + th (c3 + th c4))) in the step's
+    # fraction th, evaluated at every sample in one pass, one coefficient at
+    # a time and in place, so no per-sample copy of every coefficient is held
+    start, size = np.array(starts), np.array(sizes)
+    ys, ks, h_col = np.array(ys), np.array(ks), size[:, None]
+    dy = np.diff(ys, axis=0)
+    c1 = h_col * ks[:-1]
+    b = c1 - dy
+    r4 = dy - h_col * ks[1:] - b
+    c4 = h_col * np.array(dks)
+    # each sample belongs to the first step that ends at or after it
+    idx = np.searchsorted(np.append(start[1:], t_end), times[1:])
+    th = ((times[1:] - start[idx]) / size[idx])[:, None]
+    out = states[1:]
+    np.take(c4, idx, axis=0, out=out)
+    for c in (-r4 - 2 * c4, r4 + c4 - b, c1, ys[:-1]):
+        out *= th
+        out += c[idx]
+    return numerics.Trajectory(times, states)
+
+
+def _outcome(kernel, rhs, y0, t_end, h):
+    """(times bytes, states bytes, rhs calls) of a run, or (exception class,
+    message, rhs calls) of a refused one."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return rhs(*args)
+
+    try:
+        traj = kernel(counted, y0, t_end, h)
+    except (numerics.NumericsError, ValueError) as err:
+        return type(err), str(err), len(calls)
+    return traj.times.tobytes(), traj.states.tobytes(), len(calls)
+
+
+def _same_as_reference(rhs, y0, t_end, h, budget=None):
+    """The outcome of dopri5_integrate on rhs(t, y1, y2), asserted equal to
+    that of _reference_dopri5 on the same rhs, at the step budget given."""
+    with mock.patch.object(numerics, "DP5_MAX_STEPS", budget or numerics.DP5_MAX_STEPS):
+        new = _outcome(dopri5_integrate, rhs, y0, t_end, h)
+        ref = _outcome(_reference_dopri5, lambda t, y: rhs(t, *y), y0, t_end, h)
+    assert new == ref
+    if isinstance(new[0], bytes):
+        assert (new[2] - 1) % 6 == 0  # 6 calls per attempted step, plus one
+    return new
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.5])
+@pytest.mark.parametrize("L", [0.1, 1.0, 10.0, 20.0])
+def test_dopri5_matches_the_reference_kernel_on_the_default_switch_runs(L, h):
+    p = growthcone.CaAcParams()
+    law = growthcone._switch_law(L, p)
+    times, states, _ = _same_as_reference(lambda t, C, A: law(C, A), [p.Cb, 0.0], 10.0, h)
+    traj = growthcone.ca_ac_simulate(L, h=h)
+    assert traj.times.tobytes() == times and traj.states.tobytes() == states
+
+
+# a step budget below the steps a run needs ends it with "out of steps"
+_BUDGETS = st.sampled_from([None, 1, 3, 25])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-30.0, 30.0), min_size=4, max_size=4),
+       st.lists(st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0), min_size=2, max_size=2),
+       st.floats(0.01, 5.0), st.floats(1e-3, 2.0), _BUDGETS)
+def test_dopri5_matches_the_reference_kernel_on_any_linear_system(m, y0, t_end, h, budget):
+    # stiff, growing and oscillating systems, and states near the top of
+    # the doubles, whose stages overflow and are rejected
+    m00, m01, m10, m11 = m
+    _same_as_reference(lambda t, a, b: (m00 * a + m01 * b, m10 * a + m11 * b),
+                       y0, t_end, h, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 30.0), st.floats(0.0, 10.0) | st.floats(10.0, 1e100),
+       st.floats(-1.0, 20.0), st.floats(0.01, 5.0), st.floats(1e-3, 1.0), _BUDGETS)
+def test_dopri5_matches_the_reference_kernel_on_any_switch_run(L, C0, A0, t_end, h, budget):
+    # past C ~ 1e77 the rate law's C**4 raises OverflowError: at t = 0 the
+    # run is refused, in a stage the step is rejected
+    law = growthcone._switch_law(L, growthcone.CaAcParams())
+    _same_as_reference(lambda t, C, A: law(C, A), [C0, A0], t_end, h, budget)
 
 
 @pytest.mark.parametrize("L", [0.1, 1.0, 10.0, 20.0])
