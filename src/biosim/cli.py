@@ -7,6 +7,7 @@ plus a summary.json.  Identical config and seed give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -39,6 +40,9 @@ class RunSummary:
     seed: int
     config: dict
     metrics: dict
+    # how the run spent its time: runner_s in the runner, csv_s writing
+    # the tables; outside metrics, which the golden file records
+    diagnostics: dict
 
 
 class UsageError(ValueError):
@@ -76,12 +80,33 @@ def _write_csv(path: Path, header, rows):
             fh.write("\n")
 
 
+# values per block of a column with repeats; each distinct value of a block
+# is formatted once
+_BLOCK = 1024
+
+
 def _floats(values):
-    """The texts of a float column, made lazily a chunk at a time: repr of
-    each value as a Python float."""
+    """The texts of a float column, made lazily: repr of each value as a
+    Python float.  A column of which at most 3/4 of the values are distinct
+    (a run that settles to its steady state, a nan column) is made a block at
+    a time, formatting each distinct value of the block once; any other a
+    chunk at a time.  Values are told apart by their bits, so that -0.0 and
+    0.0 keep their own texts."""
     a = np.asarray(values, dtype=float)
-    return itertools.chain.from_iterable(map(repr, a[i:i + _CHUNK].tolist())
-                                         for i in range(0, len(a), _CHUNK))
+    bits = a.view(np.int64)
+    s = np.sort(bits)
+    if 4 * (1 + np.count_nonzero(s[1:] != s[:-1])) > 3 * len(a):
+        return itertools.chain.from_iterable(map(repr, a[i:i + _CHUNK].tolist())
+                                             for i in range(0, len(a), _CHUNK))
+    return itertools.chain.from_iterable(map(_block_texts, (bits[i:i + _BLOCK]
+                                                            for i in range(0, len(a), _BLOCK))))
+
+
+def _block_texts(bits) -> list:
+    """The texts of a block of float bit patterns, one repr per distinct one."""
+    distinct, inv = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return texts[inv].tolist()
 
 
 def _rows(header, rows):
@@ -140,11 +165,16 @@ def _defaults(fn, prefix: str, *names) -> dict:
             if name in names or not names and isinstance(q.default, (int, float))}
 
 
+@functools.cache
+def _parameters(fn) -> tuple:
+    """The parameter names of fn, read from its signature once."""
+    return tuple(inspect.signature(fn).parameters)
+
+
 def _build(fn, prefix: str, keys: dict, /, *args, **given):
     """fn(*args), with each parameter that keys holds as prefix + its name
     and the keywords given."""
-    named = {name: keys[prefix + name] for name in inspect.signature(fn).parameters
-             if prefix + name in keys}
+    named = {name: keys[prefix + name] for name in _parameters(fn) if prefix + name in keys}
     return fn(*args, **{**named, **given})
 
 
@@ -551,17 +581,18 @@ def run(config: ExperimentConfig) -> RunSummary:
             params[key] = int(params[key])
     t0 = time.perf_counter()
     tables, metrics = exp.runner(params, config.seed)
+    t1 = time.perf_counter()
     # nothing is written, and no directory made, before the run succeeded
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
-    wall = time.perf_counter() - t0
+    t2 = time.perf_counter()
     for key, value in metrics.items():
         if isinstance(value, float) and not math.isfinite(value):
             metrics[key] = None
-    summary = RunSummary(config.experiment, exp.reference, wall, config.seed,
-                         params, metrics)
+    summary = RunSummary(config.experiment, exp.reference, t2 - t0, config.seed,
+                         params, metrics, {"runner_s": t1 - t0, "csv_s": t2 - t1})
     (out / "summary.json").write_text(
         json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
     return summary
@@ -572,7 +603,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line's parser, built on the first call of main."""
     parser = _Parser(
         prog="biosim",
         description="Run a registered simulation experiment and write CSV results.")
@@ -585,7 +618,11 @@ def main(argv=None) -> int:
                         help="override one config value (repeatable; wins over --config)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.seed < 0:

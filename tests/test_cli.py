@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biosim
-from biosim import kelvin, numerics
+from biosim import cli, kelvin, numerics
 from biosim.cli import (
+    _BLOCK,
     _CHUNK,
     EXPERIMENTS,
     ExperimentConfig,
@@ -250,6 +251,59 @@ def test_write_long_across_chunks_matches_per_value_writer(tmp_path):
     _write_csv(path, *_long(["t", "x", "f"], times, _floats(x), f))
     rows = [(t, x[k], f[i][k]) for i, t in enumerate(times) for k in range(7)]
     assert path.read_bytes() == _reference_csv(["t", "x", "f"], rows)
+
+
+# -0.0 next to 0.0, NaNs with the sign bit set or a payload (one of them
+# signalling), +-inf and the smallest subnormals: bit patterns that a writer
+# keyed on float values would merge
+_SPECIALS = np.concatenate([
+    [-0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan],
+    np.array([0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+              0xFFF00000DEADBEEF], dtype=np.uint64).view(float)])
+
+
+def _column(n, repeated):
+    """n floats opening with the specials; then a periodic repeat and a
+    constant run (repeated), or values that are all distinct."""
+    if repeated:
+        col = np.resize([0.1, -0.0, 1 / 3, 0.0], n)
+        col[n // 2:] = 2 / 3
+    else:
+        col = _wild(np.random.default_rng(n), n)
+    k = min(n, len(_SPECIALS))
+    col[:k] = _SPECIALS[:k]
+    return col
+
+
+def _count_repr(monkeypatch) -> list:
+    """The values the writers format from here on, in the order they do."""
+    calls = []
+    monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    return calls
+
+
+def _distinct_per_block(col) -> int:
+    bits = np.asarray(col, dtype=float).view(np.int64)
+    return sum(len(np.unique(bits[i:i + _BLOCK])) for i in range(0, len(bits), _BLOCK))
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_float_columns_match_per_value_writer(n, repeated, monkeypatch, tmp_path):
+    # the column as it is, and as strided views: a column of a 2-D array and
+    # a reversed one
+    col = _column(n, repeated)
+    pair = np.column_stack([col, col[::-1]])
+    calls = _count_repr(monkeypatch)
+    path = tmp_path / "cols.csv"
+    _write_csv(path, ["a", "b", "c"], zip(*map(_floats, (col, pair[:, 0], pair[::-1, 1]))))
+    assert path.read_bytes() == _reference_csv(["a", "b", "c"], [(v, v, v) for v in col])
+    # a mostly repeated column formats each distinct bit pattern of a block
+    # once, any other column each value: counting the repr calls guards the
+    # saving
+    assert len(calls) == 3 * (_distinct_per_block(col) if repeated and n > 1 else n)
+    if repeated and n > len(_SPECIALS):
+        assert len(calls) < 3 * n / 4
 
 
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
@@ -775,6 +829,32 @@ def test_integer_keys_are_the_ones_the_readme_lists():
             if isinstance(v, int)}
     assert keys == set(re.findall(r"`([\w.]+)`", listed.group(1)))
     assert len(keys) == 7
+
+
+def test_main_calls_in_a_row_share_no_state(tmp_path):
+    # one parser serves every call: a second call sees only its own options
+    key, other = "aerotaxis.L0_lo", "aerotaxis.L0_hi"
+    defaults = EXPERIMENTS["aerotaxis-quasi"].defaults
+    assert main(["aerotaxis-quasi", "--set", f"{key}=0.9", "--seed", "5",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["aerotaxis-quasi", "--set", f"{other}=0.8",
+                 "--out", str(tmp_path / "b")]) == 0
+    a, b = (json.loads((tmp_path / d / "summary.json").read_text()) for d in "ab")
+    assert (a["seed"], a["config"][key], a["config"][other]) == (5, 0.9, defaults[other])
+    assert (b["seed"], b["config"][key], b["config"][other]) == (0, defaults[key], 0.8)
+    assert main(["aerotaxis-quasi", "--out", str(tmp_path / "c")]) == 0
+    c = json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert c["config"] == defaults and c["seed"] == 0
+
+
+def test_summary_diagnostics_time_the_runner_and_the_tables(tmp_path):
+    summary = run(ExperimentConfig("growthcone-adaptation", {"gc.t_end": 10.0}, tmp_path, 0))
+    data = json.loads((tmp_path / "summary.json").read_text())
+    diag = data["diagnostics"]
+    assert diag.keys() == {"runner_s", "csv_s"}
+    assert all(math.isfinite(v) and v >= 0 for v in diag.values())
+    assert diag["runner_s"] + diag["csv_s"] == pytest.approx(data["wall_time_s"])
+    assert data["metrics"] == summary.metrics and "runner_s" not in data["metrics"]
 
 
 def test_main_set_overrides_config(tmp_path):

@@ -148,7 +148,7 @@ _CYCLASE = st.floats(0.0, 25.0)
 @given(_LEVELS, _CALCIUM, _CYCLASE)
 def test_rate_law_matches_the_separate_functions_on_floats(L, C, A):
     p = CaAcParams()
-    # bifurcation_scan hands the law numpy scalars from its level array
+    # a caller may hand the law numpy scalars
     for L_arg, C_arg in ((L, C), (np.float64(L), np.float64(C))):
         law, lig = growthcone._switch_law(L_arg, p), _ref_ligand_terms(L_arg, p)
         assert _bits(*law(C_arg, A)) == _bits(*_ref_rates(C_arg, A, lig, p))
@@ -439,6 +439,18 @@ def test_bifurcation_scan_branch_structure(jumps):
     assert sorted(b for b, _ in vals[1]) == ["high", "low", "unstable"]
     assert [st for b, st in vals[1] if b == "unstable"] == [False]
     assert [b for b, _ in vals[2]] == ["high"]
+
+
+def test_bifurcation_scan_on_floats_keeps_the_rows_of_numpy_scalar_levels():
+    # the scan steps its levels as Python floats; the states are those found
+    # at the numpy scalars of the level array
+    p = CaAcParams()
+    levels = np.linspace(0.05, 6.0, 60)
+    rows = bifurcation_scan(p, levels)
+    assert all(type(L) is float for L, *_ in rows)
+    ref = [(float(L), s.C, s.A, stable) for L in levels
+           for s, stable in ca_ac_steady_states(L, p)[:3]]
+    assert [(L, C, A, stable) for L, _, C, A, stable in rows] == ref
 
 
 def test_branch_variation_small_next_to_jump():
