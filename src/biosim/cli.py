@@ -87,19 +87,29 @@ _BLOCK = 1024
 
 def _floats(values):
     """The texts of a float column, made lazily: repr of each value as a
-    Python float.  A column of which at most 3/4 of the values are distinct
-    (a run that settles to its steady state, a nan column) is made a block at
-    a time, formatting each distinct value of the block once; any other a
-    chunk at a time.  Values are told apart by their bits, so that -0.0 and
-    0.0 keep their own texts."""
+    Python float.  A column of which at least 1/4 of the values repeat an
+    earlier value of their block (a run that settles to its steady state, a
+    nan column) is made a block at a time, formatting each distinct value of
+    the block once; any other a chunk at a time.  Values are told apart by
+    their bits, so that -0.0 and 0.0 keep their own texts."""
     a = np.asarray(values, dtype=float)
     bits = a.view(np.int64)
-    s = np.sort(bits)
-    if 4 * (1 + np.count_nonzero(s[1:] != s[:-1])) > 3 * len(a):
+    if len(a) > 4 * _repeats(bits):
         return itertools.chain.from_iterable(map(repr, a[i:i + _CHUNK].tolist())
                                              for i in range(0, len(a), _CHUNK))
     return itertools.chain.from_iterable(map(_block_texts, (bits[i:i + _BLOCK]
                                                             for i in range(0, len(a), _BLOCK))))
+
+
+def _repeats(bits) -> int:
+    """The values of bits that repeat an earlier one of their _BLOCK-value
+    block: the repr calls that the block path saves.  Each block is sorted
+    on its own, so no copy of the whole column is made."""
+    repeats = 0
+    for i in range(0, len(bits), _BLOCK):
+        s = np.sort(bits[i:i + _BLOCK])
+        repeats += np.count_nonzero(s[1:] == s[:-1])
+    return repeats
 
 
 def _block_texts(bits) -> list:
@@ -253,12 +263,15 @@ def run_montecarlo(p, seed):
 
 
 def run_gc_switch(p, seed):
-    tables, metrics = {}, {}
-    for i, key in enumerate(("gc.La", "gc.Lb", "gc.Lc", "gc.Ld")):
-        traj = _build(growthcone.ca_ac_simulate, "gc.", p, p[key])
-        tables[f"traj_{i + 1}.csv"] = _traj(["t", "C", "A"], traj, max_rows=1000)
-        metrics[f"A_end_{i + 1}"] = float(traj.final()[1])
-    return tables, metrics
+    trajs = [_build(growthcone.ca_ac_simulate, "gc.", p, p[key])
+             for key in ("gc.La", "gc.Lb", "gc.Lc", "gc.Ld")]
+    # the four runs share gc.t_end and gc.h, so one time grid: its texts
+    # are made once for the four tables
+    idx = _every(len(trajs[0]), 1000)
+    ts = list(_floats(trajs[0].times[idx]))
+    return {f"traj_{i}.csv": (["t", "C", "A"], zip(ts, *map(_floats, traj.states[idx].T)))
+            for i, traj in enumerate(trajs, start=1)}, \
+        {f"A_end_{i}": float(traj.final()[1]) for i, traj in enumerate(trajs, start=1)}
 
 
 def run_gc_bifurcation(p, seed):
@@ -470,7 +483,10 @@ EXPERIMENTS = {
     "growthcone-switch": Experiment(
         run_gc_switch,
         {"gc.La": 0.1, "gc.Lb": 1.0, "gc.Lc": 10.0, "gc.Ld": 20.0,
-         **_defaults(growthcone.ca_ac_simulate, "gc.", "t_end", "h")},
+         **_defaults(growthcone.ca_ac_simulate, "gc.", "t_end"),
+         # the spacing its 1000-row tables keep at t_end = 10, where the
+         # library samples every 1e-3
+         "gc.h": 0.01},
         "switch trajectories at four ligand levels"),
     "growthcone-bifurcation": Experiment(
         run_gc_bifurcation,

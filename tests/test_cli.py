@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biosim
-from biosim import cli, kelvin, numerics
+from biosim import cli, growthcone, kelvin, numerics
 from biosim.cli import (
     _BLOCK,
     _CHUNK,
     EXPERIMENTS,
     ExperimentConfig,
     UsageError,
+    _block_texts,
     _floats,
     _fmt,
     _long,
@@ -306,6 +308,37 @@ def test_float_columns_match_per_value_writer(n, repeated, monkeypatch, tmp_path
         assert len(calls) < 3 * n / 4
 
 
+@pytest.mark.parametrize("block,tiles,block_path", [
+    # a quarter of each block repeats a value of that block ...
+    (np.r_[np.arange(3 * _BLOCK // 4 - 1), np.full(_BLOCK // 4 + 1, -1.0)], 3, True),
+    # ... one repeat fewer, or repeats only of other blocks, keep the chunks
+    (np.r_[np.arange(3 * _BLOCK // 4), np.full(_BLOCK // 4, -1.0)], 3, False),
+    (np.arange(_BLOCK), 4, False),
+])
+def test_float_column_path_follows_the_repeats_within_blocks(block, tiles, block_path,
+                                                             monkeypatch, tmp_path):
+    col = np.tile(block, tiles) / 7
+    blocks = []
+    monkeypatch.setattr(cli, "_block_texts", lambda b: blocks.append(b) or _block_texts(b))
+    path = tmp_path / "col.csv"
+    _write_csv(path, ["a"], zip(_floats(col)))
+    assert path.read_bytes() == _reference_csv(["a"], [(v,) for v in col])
+    assert len(blocks) == (tiles if block_path else 0)
+
+
+def test_float_column_path_choice_copies_no_whole_column():
+    # the size of a fields.csv column of the band; the choice sorts one
+    # block at a time, not a copy of the column's 960 KB
+    col = np.random.default_rng(0).random(120_040)
+    tracemalloc.start()
+    try:
+        _floats(col)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < col.nbytes / 2
+
+
 @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
 def test_write_rows_matches_per_value_writer(n, tmp_path):
     # float, str, bool, int and numpy-float columns, and one that mixes
@@ -486,6 +519,50 @@ def test_main_switch_coarse_sample_spacing_matches_defaults(tmp_path):
     assert coarse.keys() == default.keys() == {f"A_end_{i}" for i in range(1, 5)}
     for key, value in default.items():
         assert coarse[key] == pytest.approx(value, rel=1e-7)
+
+
+def test_switch_defaults_write_the_rows_of_the_fine_sample_spacing(tmp_path):
+    # gc.h = 0.01 is the spacing the 1000-row tables keep of the library's
+    # 1e-3 samples: the same bytes and metrics, from a tenth of the samples
+    outs = []
+    for tag, argv in (("default", []), ("fine", ["--set", "gc.h=0.001"])):
+        out = tmp_path / tag
+        assert main(["growthcone-switch", *argv, "--out", str(out)]) == 0
+        outs.append(({path.name: path.read_bytes() for path in out.glob("traj_*.csv")},
+                     json.loads((out / "summary.json").read_text())["metrics"]))
+    (default, metrics), (fine, fine_metrics) = outs
+    assert len(default) == 4 and default == fine
+    assert metrics == fine_metrics
+
+
+def test_switch_defaults_sample_each_level_1001_times(monkeypatch, tmp_path):
+    samples = []
+
+    def spy(rhs, y0, t_end, h):
+        traj = numerics.dopri5_integrate(rhs, y0, t_end, h)
+        samples.append(len(traj))
+        return traj
+
+    monkeypatch.setattr(growthcone, "dopri5_integrate", spy)
+    assert main(["growthcone-switch", "--out", str(tmp_path)]) == 0
+    assert samples == [1001] * 4
+
+
+def test_switch_formats_its_shared_time_column_once(monkeypatch, tmp_path):
+    # the four runs share one time grid, whose texts the four tables share:
+    # one repr per time value, and the state columns' own calls
+    p = EXPERIMENTS["growthcone-switch"].defaults
+    trajs = [growthcone.ca_ac_simulate(p[key], t_end=p["gc.t_end"], h=p["gc.h"])
+             for key in ("gc.La", "gc.Lb", "gc.Lc", "gc.Ld")]
+    assert [len(traj) for traj in trajs] == [1001] * 4  # every sample is a row
+    calls = _count_repr(monkeypatch)
+    for traj in trajs:
+        for col in traj.states.T:
+            list(_floats(col))
+    state_calls = len(calls)
+    calls.clear()
+    run(ExperimentConfig("growthcone-switch", {}, tmp_path, 0))
+    assert len(calls) == state_calls + len(trajs[0])
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -868,14 +945,16 @@ def test_main_set_overrides_config(tmp_path):
     assert data["config"]["aerotaxis.L0_lo"] == 0.9
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is a test-only oracle; the CLI's import time must not carry it
+def test_cli_import_loads_no_scipy_hypothesis_or_numpy_random():
+    # scipy and hypothesis are test-only, and numpy.random (about 5 MB of
+    # RSS) is imported where a run draws; the CLI's import time carries none
     src = str(Path(biosim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, biosim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys, biosim.cli; print(sorted(m for m in sys.modules "
+         "for p in ('scipy', 'hypothesis', 'numpy.random') if m == p or m.startswith(p + '.')))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
