@@ -94,7 +94,9 @@ class SteadyStateSolution:
     """Piecewise steady profile constants for one oxygen regime.
 
     Lengths d (front), h (band) and z (depletion tail) are measured in the
-    same unit as the run length s; lam is exp(z / s).
+    same unit as the run length s; lam is exp(z / s).  regions are the
+    exact profile's pieces from the source, (length, L, slope, kB, kind)
+    for a front, band or tail that starts at level L.
     """
 
     regime: str
@@ -108,9 +110,7 @@ class SteadyStateSolution:
     s: float
     k: float
     lam: float
-    L0: float
-    l_min: float
-    l_max: float
+    regions: tuple
 
     def __post_init__(self):
         # the bandless low regime has no c2 or c3 (nan)
@@ -124,7 +124,7 @@ class SteadyStateSolution:
         """(x, oxygen(x)) at 200 points from 0 to 5% past the end of the
         regions (to 1 where they have no length); ValueError unless all are
         finite, which extreme constants can prevent."""
-        span = self.d + self.h + self.z
+        span = sum(length for length, *_ in self.regions)
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.linspace(0.0, span * 1.05 if span > 0 else 1.0, 200)
             L = self.oxygen(x)
@@ -132,23 +132,19 @@ class SteadyStateSolution:
         return x, L
 
     def oxygen(self, x) -> np.ndarray:
-        """Evaluate the piecewise oxygen profile: the regime's regions in order
-        from the source, region i on end[i-1] < x <= end[i], and 0 past them."""
+        """The piecewise profile, region i on end[i-1] < x <= end[i] and 0 past
+        them: at xi into a region, L + slope xi plus ½ kB xi² (band), kB s²
+        (e^(-xi/s) - 1) (tail) or kB s² (e^((xi - length)/s) - e^(-length/s))."""
         x = np.asarray(x, dtype=float)
-        kB, s, d = self.k * self.B, self.s, self.d
-        band = lambda L, slope: lambda xi: L + slope * xi + 0.5 * kB * xi**2
-        tail = lambda L, slope: lambda xi: L + slope * xi + kB * s**2 * (np.exp(-xi / s) - 1.0)
-        regions = {"general": ((d, lambda xi: self.L0 - self.c1 * xi + kB * s**2 * (
-                                   np.exp((xi - d) / s) - math.exp(-d / s))),
-                               (self.h, band(self.l_max, -self.c2)),
-                               (self.z, tail(self.l_min, -self.c3))),
-                   "intermediate": ((self.h, band(self.L0, self.c1)),
-                                    (self.z, tail(self.l_min, self.c2))),
-                   "low": ((self.z, tail(self.L0, self.c1)),)}[self.regime]
-        which = np.cumsum([length for length, _ in regions]).searchsorted(x)
+        s = self.s
+        which = np.cumsum([length for length, *_ in self.regions]).searchsorted(x)
         out, xi = np.zeros_like(x), x
-        for i, (length, piece) in enumerate(regions):
-            out[which == i] = piece(xi[which == i])
+        for i, (length, L, slope, kB, kind) in enumerate(self.regions):
+            at = xi[which == i]
+            rise = 0.5 * kB * at**2 if kind == "band" else kB * s**2 * (
+                np.exp(-at / s) - 1.0 if kind == "tail"
+                else np.exp((at - length) / s) - math.exp(-length / s))
+            out[which == i] = L + slope * at + rise
             xi = xi - length  # each earlier length in turn, as x - d - h
         return out
 
@@ -412,15 +408,42 @@ def _depletion_root(target: float) -> float:
     return solve_scalar_root(lambda z: excess(z) / target - 1.0, Bracket(lo, hi), tol=1e-13 * lo)
 
 
+def _matched(L0, l_min, l_max, k, b0, s):
+    """(lam, regions) of the exact C1 profile of L'' = k b, which ends at 0
+    with zero flux where b = b0: a tail from min(L0, l_min), a band from
+    top = min(L0, l_max) once L0 >= l_min, and a front from L0 above l_max.
+    The band width solves h^2 + 2 p h + 2 (l_min - top)/beta = 0; a band of
+    no width takes the tail's starting slope; d solves L(d) = l_max."""
+    zeta = _depletion_root(min(L0, l_min) / (k * b0 * s**2))
+    lam = math.exp(zeta)
+    beta, kB = k * b0 * lam, k * (b0 * lam)  # k B, in the two roundings the CSVs hold
+    tail = (zeta * s, min(L0, l_min), k * b0 * s, kB, "tail")
+    if L0 < l_min:
+        return lam, (tail,)
+    top = min(L0, l_max)
+    # s - s^2/z + (k b0 s^2 + l_min)/(z beta) at the root, free of its cancellation at small z
+    p = -s * math.expm1(-zeta)
+    h = -p + math.sqrt(p * p - 2.0 * (l_min - top) / beta)
+    slope = (l_min - top) / h - 0.5 * beta * h if h > 0 else k * b0 * s - kB * s
+    band = (h, top, slope, kB, "band")
+    if L0 <= l_max:
+        return lam, (band, tail)
+    # L(d) = l_max, divided by the front's source slope c1: a - d + b (1 - e^(-d/s))
+    c1 = kB * s - slope
+    a, b = (L0 - l_max) / c1, kB * s**2 / c1
+    d = solve_scalar_root(lambda d: a - d - b * math.expm1(-d / s), Bracket(0.0, 2.0 * (a + b)),
+                          tol=1e-14 * (a + b))
+    return lam, ((d, L0, -c1, kB, "front"), band, tail)
+
+
 def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
                          k: float | None = None, s: float | None = None
                          ) -> SteadyStateSolution:
     """Fully developed three-region steady state for L0 > l_max.
 
-    z is the leading-order depletion length alpha*s with
-    alpha = 1 + l_min / (k b0 s^2); h is the exact positive root of the
-    band-width quadratic y^2 - 2 y (lam-1)/lam - u = 0; d is the
-    leading-order front length s (L0 / (k b0 s^2 lam) + 1) / 2.
+    The paper's leading-order constants: z = alpha s with alpha = 1 + l_min /
+    (k b0 s^2); h the exact positive root of y^2 - 2 y (lam-1)/lam - u = 0;
+    d = s (L0 / (k b0 s^2 lam) + 1) / 2.  oxygen() is the exact profile.
     """
     k, s, target = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
@@ -440,8 +463,9 @@ def steady_state_general(params: AerotaxisParams, l_min: float, l_max: float,
     c3 = k * b0 * s
     c1 = k * b0 * (s + h * lam)
     c2 = c1 - k * B * s
-    return SteadyStateSolution("general", B, c1, c2, c3, d, h, z, s, k, lam,
-                               L0, l_min, l_max)
+    sol = SteadyStateSolution("general", B, c1, c2, c3, d, h, z, s, k, lam, ())
+    sol.regions = _matched(L0, l_min, l_max, k, b0, s)[1]  # once those are finite
+    return sol
 
 
 def steady_state_intermediate(params: AerotaxisParams, l_min: float,
@@ -451,27 +475,16 @@ def steady_state_intermediate(params: AerotaxisParams, l_min: float,
 
     z = zeta s, where e^zeta - 1 - zeta = l_min / (k b0 s^2); h is the
     positive root of the quadratic obtained from flux matching at the
-    band's back edge, with beta = k b0 e^(z/s).
+    band's back edge, with beta = k b0 e^(z/s) (see _matched).
     """
-    k, s, target = _k_and_s(params, k, s, l_min)
+    k, s, _ = _k_and_s(params, k, s, l_min)
     L0, b0 = params.L0, params.b0
     if not 0 < l_min < L0 < l_max:
         raise ValueError("intermediate regime needs 0 < l_min < L0 < l_max")
-    zeta = _depletion_root(target)
-    z = zeta * s
-    lam = math.exp(zeta)
-    beta = k * b0 * lam
-    B = b0 * lam
-    # h^2 + 2 p h + 2 (l_min - L0)/beta = 0 with p = s - s^2/z + (k b0 s^2 + l_min)/(z beta),
-    # and c2 = (beta s^2 (1 - 1/lam) - l_min)/z; with lam - 1 = zeta + l_min/(k b0 s^2) at
-    # the root these are s (1 - 1/lam) and k b0 s, free of the cancellation at small z
-    p = -s * math.expm1(-zeta)
-    q = 2.0 * (l_min - L0) / beta
-    h = -p + math.sqrt(p * p - q)
-    c1 = (l_min - L0) / h - 0.5 * beta * h
-    return SteadyStateSolution("intermediate", B, c1, k * b0 * s,
-                               k * b0 * s, 0.0, h, z, s, k, lam,
-                               L0, l_min, l_max)
+    lam, regions = _matched(L0, l_min, l_max, k, b0, s)
+    (h, _, c1, *_), (z, _, c2, *_) = regions
+    return SteadyStateSolution("intermediate", b0 * lam, c1, c2, c2, 0.0, h, z, s, k, lam,
+                               regions)
 
 
 def steady_state_low(params: AerotaxisParams, l_min: float,
@@ -483,16 +496,13 @@ def steady_state_low(params: AerotaxisParams, l_min: float,
     e^zeta - zeta - 1 = L0 / (k b0 s^2), which has exactly one
     nonnegative root.
     """
-    k, s, target = _k_and_s(params, k, s, params.L0)
-    L0, b0 = params.L0, params.b0
-    if not L0 < l_min:
+    k, s, _ = _k_and_s(params, k, s, params.L0)
+    if not params.L0 < l_min:
         raise ValueError("low regime needs L0 < l_min")
-    zeta = _depletion_root(target)
-    z = zeta * s
-    lam = math.exp(zeta)
-    return SteadyStateSolution("low", b0 * lam, k * b0 * s, float("nan"),
-                               float("nan"), 0.0, 0.0, z, s, k, lam,
-                               L0, l_min, l_min)
+    lam, regions = _matched(params.L0, l_min, l_min, k, params.b0, s)
+    (z, _, c1, *_), = regions
+    return SteadyStateSolution("low", params.b0 * lam, c1, float("nan"), float("nan"), 0.0, 0.0, z,
+                               s, k, lam, regions)
 
 
 def quasi_steady_state(L0: float, l_max: float, k_b0: float):

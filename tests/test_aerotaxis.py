@@ -428,18 +428,18 @@ def test_general_constants_satisfy_flux_relations():
     assert -sol.c2 + kB * sol.h == pytest.approx(-sol.c3 + kB * sol.s, abs=1e-15)
 
 
+def _ends(sol):
+    """Where the matched regions of sol end, from the source."""
+    return np.cumsum([length for length, *_ in sol.regions])
+
+
 def test_general_profile_continuity():
+    # the matched front ends at l_max, the band at l_min and the tail at 0,
+    # each level met from both sides
     sol = steady_state_general(_params(0.2), 0.003, 0.005, k=0.003, s=1.0)
-    x2 = sol.d + sol.h
-    left, right = sol.oxygen([x2 - 1e-9, x2 + 1e-9])
-    assert left == pytest.approx(0.003, abs=1e-6)
-    assert right == pytest.approx(0.003, abs=1e-6)
-    # flux continuity across the front band edge
-    d = sol.d
-    eps = 1e-7
-    la, lb = sol.oxygen([d - eps, d])
-    ra, rb = sol.oxygen([d + 1e-12, d + eps])
-    assert (lb - la) / eps == pytest.approx((rb - ra) / eps, rel=1e-4)
+    for x, level in zip(_ends(sol), (0.005, 0.003, 0.0)):
+        assert sol.oxygen([x - 1e-9, x, x + 1e-9]) == pytest.approx([level] * 3, abs=1e-10)
+    assert [kind for *_, kind in sol.regions] == ["front", "band", "tail"]
 
 
 def test_general_d_monotone_h_constant_in_L0():
@@ -508,17 +508,72 @@ def _slopes(sol, x, eps):
 
 @pytest.mark.parametrize("L0,l_min,l_max,k,s,b0", [
     (0.0045, 0.003, 0.005, 0.003, 1.0, 2.0), (0.5, 0.2, 1.0, 1.0, 0.5, 1.0),
-    (0.02, 0.01, 0.05, 0.1, 2.0, 1.0), (3.0, 1.0, 5.0, 2.0, 0.1, 4.0)])
+    (0.02, 0.01, 0.05, 0.1, 2.0, 1.0), (3.0, 1.0, 5.0, 2.0, 0.1, 4.0),
+    # the general regime: its defaults, the long-run test's configuration, a wide band
+    (0.2, 0.003, 0.005, 0.003, 1.0, 2.0), (0.5, 0.1, 0.2, 5.0, 0.1, 1.0),
+    (10.0, 0.5, 4.0, 1.0, 0.5, 1.0)])
 def test_intermediate_profile_invariants(L0, l_min, l_max, k, s, b0):
-    # L0 at the source, l_min at the band's end, 0 at the tail's end; C1 at
-    # the band's end, no flux at the tail's end, and nonnegative throughout
-    sol = steady_state_intermediate(_params(L0, b0), l_min, l_max, k=k, s=s)
-    h, end = sol.h, sol.h + sol.z
-    assert sol.oxygen([0.0, h, end]) == pytest.approx([L0, l_min, 0.0], abs=1e-12 * L0)
-    left, right = _slopes(sol, h, 1e-7 * end)
-    assert left == pytest.approx(right, rel=1e-5)
-    assert _slopes(sol, end, 1e-7 * end)[0] == pytest.approx(0.0, abs=1e-6 * abs(left))
+    # L0 at the source, l_max at the front's end (general regime), l_min at
+    # the band's end, 0 at the tail's end; C1 at every inner end, no flux at
+    # the tail's end, and nonnegative throughout
+    solve = steady_state_general if L0 > l_max else steady_state_intermediate
+    sol = solve(_params(L0, b0), l_min, l_max, k=k, s=s)
+    ends = _ends(sol)
+    levels = [L0, *[l_max, l_min, 0.0][-len(ends):]]
+    assert sol.oxygen([0.0, *ends]) == pytest.approx(levels, abs=1e-12 * L0)
+    for x in ends[:-1]:
+        left, right = _slopes(sol, x, 1e-7 * ends[-1])
+        assert left == pytest.approx(right, rel=1e-5)
+    assert _slopes(sol, ends[-1], 1e-7 * ends[-1])[0] == pytest.approx(0.0, abs=1e-6 * abs(left))
     assert np.all(sol.profile()[1] >= 0)
+
+
+@pytest.mark.parametrize("l_min,l_max", [(0.005, 0.005), (0.0, 0.005), (0.0, 0.0)])
+def test_general_profile_with_a_zero_width_band_or_tail(l_min, l_max):
+    # l_min == l_max leaves a band of no width, which takes the tail's
+    # starting slope (it once divided by h = 0), and l_min = 0 a tail of no
+    # length; the profile still meets its levels, is C1 and nonnegative
+    sol = steady_state_general(_params(0.2), l_min, l_max, k=0.003, s=1.0)
+    ends = _ends(sol)
+    assert sol.oxygen(ends) == pytest.approx([l_max, l_min, 0.0], abs=1e-12)
+    scale = abs(_slopes(sol, 0.0, 1e-7)[1])
+    for x in ends:
+        left, right = _slopes(sol, x, 1e-7)
+        assert left == pytest.approx(right, abs=1e-6 * scale)
+    assert np.all(sol.profile()[1] >= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["low", "intermediate", "general"]), st.floats(0.05, 0.95),
+       st.floats(0.05, 0.95), st.floats(0.01, 50.0), st.floats(0.01, 10.0),
+       st.floats(0.05, 2.0), st.floats(0.1, 5.0))
+def test_matched_profiles_solve_the_oxygen_equation(regime, u, w, t, k, s, b0):
+    # an oracle independent of the closed forms: L'' = k b(x), stepped as the
+    # two states (L, L') from the source's level and slope, with a density that
+    # grows as e^(x/s) up to the front's end, is flat across the band and
+    # decays as e^(-x/s) along the tail, reaches each level at its region's
+    # end and ends with zero flux.  Each region is stepped from its start:
+    # steps across the kinks in b lose accuracy to about 1e-7
+    l_max = t * k * b0 * s**2
+    l_min = w * l_max
+    L0 = {"low": u * l_min, "intermediate": l_min + u * (l_max - l_min),
+          "general": l_max / u}[regime]
+    if regime == "low":
+        sol = steady_state_low(_params(L0, b0), l_min, k=k, s=s)
+    else:
+        solve = steady_state_general if regime == "general" else steady_state_intermediate
+        sol = solve(_params(L0, b0), l_min, l_max, k=k, s=s)
+    growth = {"front": 1.0, "band": 0.0, "tail": -1.0}
+    length, _, slope, kB, kind = sol.regions[0]
+    rise = {"front": math.exp(-length / s), "band": 0.0, "tail": -1.0}[kind]
+    state = [L0, slope + kB * s * rise]
+    levels = [l_max, l_min, 0.0][-len(sol.regions):]
+    for (length, _, _, kB, kind), level in zip(sol.regions, levels):
+        top = length if kind == "front" else 0.0  # where b = B
+        rhs = lambda x, L, dL: (dL, kB * math.exp(growth[kind] * (x - top) / s))
+        state = numerics.dopri5_integrate(rhs, state, length, length).states[-1]
+        assert state[0] == pytest.approx(level, abs=1e-8 * L0)
+    assert state[1] == pytest.approx(0.0, abs=1e-8 * L0 / _ends(sol)[-1])
 
 
 @pytest.mark.parametrize("L0,l_min,k,s,b0", [
@@ -534,26 +589,29 @@ def test_low_profile_invariants(L0, l_min, k, s, b0):
     assert np.all(sol.profile()[1] >= 0)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "at the aerotaxis-steady-general defaults the front reaches 0.01465 at x = d, where "
-    "the band starts at l_max = 0.005; the band dips to -0.00511 near x = 5.09; the slope "
-    "jumps from +0.0209 to -0.0329 at x = d + h; 67 of the 200 profile rows are negative"))
 def test_general_profile_is_nonnegative_and_c1():
+    # C1 at the matched front's and band's ends, and zero flux at the tail's
     sol = steady_state_general(_params(0.2), 0.003, 0.005, k=0.003, s=1.0)
-    for x in (sol.d, sol.d + sol.h):
+    for x in _ends(sol):
         left, right = _slopes(sol, x, 1e-7)
-        assert sol.oxygen([x + 1e-9]) == pytest.approx(sol.oxygen([x]), abs=1e-6)
-        assert left == pytest.approx(right, rel=1e-4)
+        assert sol.oxygen([x + 1e-9]) == pytest.approx(sol.oxygen([x]), abs=1e-10)
+        assert left == pytest.approx(right, abs=1e-8)
     assert np.all(sol.profile()[1] >= 0)
 
 
 def test_regime_boundaries_give_finite_positive_solutions():
-    # leading-order truncations differ per regime, so only existence and
-    # positivity are comparable at the regime edges
     lo = steady_state_intermediate(_params(0.005 - 1e-9), 0.003, 0.005, k=0.003, s=1.0)
     hi = steady_state_general(_params(0.005 + 1e-9), 0.003, 0.005, k=0.003, s=1.0)
     assert lo.h > 0 and hi.h > 0
     assert math.isfinite(lo.h) and math.isfinite(hi.h)
+    # the exact profile is continuous in L0 across both regime edges: it moves
+    # by about the 2e-9 that the source level does (the leading-order general
+    # profile jumped by 0.016 at l_max)
+    low = steady_state_low(_params(0.003 - 1e-9), 0.003, k=0.003, s=1.0)
+    mid = steady_state_intermediate(_params(0.003 + 1e-9), 0.003, 0.005, k=0.003, s=1.0)
+    for below, above in ((low, mid), (lo, hi)):
+        x = np.linspace(0.0, 1.05 * _ends(above)[-1], 500)
+        assert np.max(np.abs(above.oxygen(x) - below.oxygen(x))) < 4e-9
 
 
 def test_low_regime_zero_oxygen():
