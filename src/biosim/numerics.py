@@ -131,6 +131,7 @@ class Trajectory:
 # the most samples a time grid may hold (80 MB of times); also the most
 # steps of a fixed-step run, nodes of a grid and node values a field run keeps
 _MAX_SAMPLES = 10_000_000
+_LAPLACIAN = np.array([1.0, -2.0, 1.0])  # np.correlate swaps it with a shorter row
 
 
 def _step_times(t0: float, t1: float, h: float) -> np.ndarray:
@@ -414,24 +415,21 @@ def ftcs_diffusion_step(field, diffusivity: float, grid: Grid1D,
                         bc=("zero-flux", "zero-flux")) -> np.ndarray:
     """One forward-time centred-space diffusion step.
 
-    bc gives the (left, right) boundary kind, each "zero-flux" (mirrored
-    ghost node) or "dirichlet" (boundary value held fixed).  Raises
-    ValueError for a negative or NaN diffusion number diffusivity*dt/dx^2
-    and StabilityError for one above 1/2.
+    field is one row of grid.n nodes, bc the (left, right) boundary kinds,
+    each "zero-flux" (mirrored ghost node) or "dirichlet" (value held fixed).
+    Raises ValueError for a field of another shape or a negative or NaN
+    diffusion number diffusivity*dt/dx^2, and StabilityError for one above 1/2.
     """
     f = np.asarray(field, dtype=float)
+    if f.shape != (grid.n,):
+        raise ValueError(f"field of shape {f.shape} is not one row of {grid.n} nodes")
     nu = diffusivity * grid.dt / grid.dx**2
     if not nu >= 0:
         raise ValueError(f"diffusion number {nu!r} must be nonnegative")
     if nu > 0.5 + 1e-12:
-        raise StabilityError(
-            f"diffusion number {nu:.4g} exceeds the explicit limit 0.5"
-        )
-    # f[i+1] - 2 f[i] + f[i-1], summed in that order, in the result's buffer
-    lap = f * -2.0
-    interior = lap[1:-1]
-    interior += f[2:]
-    interior += f[:-2]
+        raise StabilityError(f"diffusion number {nu:.4g} exceeds the explicit limit 0.5")
+    # (f[i-1] - 2 f[i]) + f[i+1], summed in that order, in the result's buffer
+    lap = np.correlate(f, _LAPLACIAN, "same")
     for end, inner, kind in ((0, 1, bc[0]), (-1, -2, bc[1])):
         if kind not in ("zero-flux", "dirichlet"):
             raise ValueError(f"unknown boundary kind {kind!r}")
@@ -447,11 +445,13 @@ def upwind_advection_reaction_step(r, l, v: float, frl, flr, grid: Grid1D):
     Right-movers r are differenced backward, left-movers l forward
     (upwind for each).  Wall outflow is added to the opposite-direction
     density at the same node, so the total population is conserved
-    exactly.  frl and flr are per-node turning-rate fields.  Requires
-    CFL = v*dt/dx <= 1 and the reaction number dt*max(frl, flr) <= 1;
-    a NaN rate raises ValueError.
+    exactly.  r and l are rows of grid.n nodes, frl and flr per-node rates.
+    Requires CFL = v*dt/dx <= 1 and the reaction number dt*max(frl, flr) <= 1;
+    a NaN rate, or an r or l of another shape, raises ValueError.
     """
     r, l = np.asarray(r, dtype=float), np.asarray(l, dtype=float)
+    if r.shape != (grid.n,) or l.shape != (grid.n,):
+        raise ValueError(f"r {r.shape} and l {l.shape} must be rows of {grid.n} nodes")
     c = v * grid.dt / grid.dx
     if c > 1 + 1e-12:
         raise StabilityError(f"CFL number {c:.4g} exceeds 1")

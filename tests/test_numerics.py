@@ -839,7 +839,8 @@ def test_ftcs_dirichlet_holds_boundary():
 
 def test_ftcs_matches_zero_filled_reference():
     # the step writes every Laplacian entry itself: bit for bit the
-    # zero-filled f + nu * lap, for each pair of boundary kinds
+    # zero-filled f + nu * lap, each window summed left to right, for each
+    # pair of boundary kinds
     grid = Grid1D(n=64, dx=0.1, dt=0.01)
     rng = np.random.default_rng(5)
     f = rng.normal(size=64) * 10.0 ** rng.integers(-150, 150, 64)
@@ -848,7 +849,7 @@ def test_ftcs_matches_zero_filled_reference():
     nu = 0.37 * grid.dt / grid.dx**2
     for bc in itertools.product(("zero-flux", "dirichlet"), repeat=2):
         lap = np.zeros_like(f)
-        lap[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
+        lap[1:-1] = (f[:-2] - 2 * f[1:-1]) + f[2:]
         if bc[0] == "zero-flux":
             lap[0] = 2 * (f[1] - f[0])
         if bc[1] == "zero-flux":
@@ -882,6 +883,16 @@ def test_ftcs_rejects_an_unknown_boundary_kind(bc):
         ftcs_diffusion_step(np.ones(10), 0.1, grid, bc=bc)
 
 
+@pytest.mark.parametrize("shape", [(4,), (11,), (1,), (2,), (), (10, 1), (2, 10)])
+def test_ftcs_rejects_a_field_that_is_not_one_grid_row(shape):
+    # a 4-node field on a 10-node grid once returned 4 values and a 1-node
+    # field raised IndexError; np.correlate swaps its operands for a field
+    # shorter than its 3-node stencil
+    grid = Grid1D(n=10, dx=0.1, dt=0.01)
+    with pytest.raises(ValueError, match=r"is not one row of 10 nodes"):
+        ftcs_diffusion_step(np.ones(shape), 0.1, grid)
+
+
 BOUNDARY_PAIRS = list(itertools.product(("zero-flux", "dirichlet"), repeat=2))
 
 
@@ -909,7 +920,7 @@ def test_ftcs_matches_the_zero_filled_formula_on_any_grid(data, nu, bc):
     f = data.draw(st.integers(min_value=3, max_value=128).flatmap(_wide_fields))
     grid = Grid1D(n=len(f), dx=1.0, dt=1.0)
     lap = np.zeros_like(f)
-    lap[1:-1] = f[2:] - 2 * f[1:-1] + f[:-2]
+    lap[1:-1] = (f[:-2] - 2 * f[1:-1]) + f[2:]
     if bc[0] == "zero-flux":
         lap[0] = 2 * (f[1] - f[0])
     if bc[1] == "zero-flux":
@@ -1012,6 +1023,17 @@ def test_upwind_reaction_number_guard():
     for frl, flr in ((rates, 0.0), (0.0, rates)):
         with pytest.raises(StabilityError, match="reaction number 1.5"):
             upwind_advection_reaction_step(ones, ones, 1.0, frl, flr, grid)
+
+
+@pytest.mark.parametrize("r_shape,l_shape", [
+    ((4,), (4,)), ((10,), (4,)), ((11,), (10,)), ((), ()), ((10, 1), (10,)), ((10,), (2, 10)),
+])
+def test_upwind_rejects_densities_that_are_not_grid_rows(r_shape, l_shape):
+    # 4-node rows on a 10-node grid once passed silently; the rates may
+    # still be one number for every node
+    grid = Grid1D(10, 0.1, 0.01)
+    with pytest.raises(ValueError, match=r"must be rows of 10 nodes"):
+        upwind_advection_reaction_step(np.ones(r_shape), np.ones(l_shape), 1.0, 0.0, 0.0, grid)
 
 
 def test_upwind_rejects_nan_rates():
